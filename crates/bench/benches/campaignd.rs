@@ -1,12 +1,14 @@
 //! Durability pricing for the campaign service (`BENCH_campaignd.json`).
 //!
-//! The daemon appends one fsync'd checkpoint frame to the per-job
-//! write-ahead log after every corpus chunk — *before* it publishes the
-//! chunk's events — so a `SIGKILL` at any instant resumes bit-exactly.
-//! This bench prices that discipline: the same served-oracle campaign
-//! is driven chunk-by-chunk twice, once bare and once checkpointing
-//! exactly as a daemon worker does (blob encode + framed append +
-//! `fdatasync` per chunk). The headline metric is
+//! The daemon appends one fsync'd delta checkpoint frame — the rows
+//! released since the previous frame — to the per-job write-ahead log
+//! after every corpus chunk, *before* it publishes the chunk's events,
+//! so a `SIGKILL` at any instant resumes bit-exactly. This bench prices
+//! that discipline: the same served-oracle campaign is driven
+//! chunk-by-chunk twice, once bare and once checkpointing exactly as a
+//! daemon worker does (`Campaign::delta_blob` + framed append +
+//! `fdatasync` per chunk), and records the bytes each frame costs. The
+//! headline metric is
 //! `checkpoint_overhead_frac` = (checkpointed − bare) / bare over the
 //! steady-state chunk loop, with a ≤ 5% acceptance bar: against real
 //! attack compute plus deployment round trips, the log must be almost
@@ -70,9 +72,6 @@ struct RunStats {
     bytes: u64,
 }
 
-/// Drives one full campaign chunk-by-chunk. When `log` is given, every
-/// chunk appends its checkpoint blob — the daemon worker's exact write
-/// path.
 fn build_scenario(spec: &JobSpec) -> fia_campaign::ResolvedScenario {
     spec.to_scenario()
         .with_oracle(OracleSpec::Served(ServedConfig {
@@ -82,6 +81,9 @@ fn build_scenario(spec: &JobSpec) -> fia_campaign::ResolvedScenario {
         .build()
 }
 
+/// Drives one full campaign chunk-by-chunk. When `log` is given, every
+/// chunk appends its delta frame — the daemon worker's exact write
+/// path.
 fn run_campaign(
     spec: &JobSpec,
     scenario: &fia_campaign::ResolvedScenario,
@@ -94,14 +96,16 @@ fn run_campaign(
     let mut log = log;
     let mut chunks = 0u64;
     let mut bytes = 0u64;
+    let mut logged = 0;
     campaign.begin(&mut NullObserver).unwrap();
     let t0 = Instant::now();
     loop {
         let outcome = campaign.step(&mut NullObserver).unwrap();
         if let Some(log) = log.as_deref_mut() {
-            let blob = campaign.checkpoint().to_blob();
-            bytes += blob.len() as u64;
-            log.append(&blob).unwrap();
+            let frame = campaign.delta_blob(logged);
+            logged = campaign.rows_done();
+            bytes += frame.len() as u64;
+            log.append(&frame).unwrap();
         }
         chunks += 1;
         if outcome != StepOutcome::Chunk {
@@ -164,6 +168,10 @@ fn main() {
     p.metric("chunk_loop_checkpointed_ms", logged * 1e3);
     p.metric("checkpoints_per_run", chunks as f64);
     p.metric("checkpoint_bytes_per_run", bytes as f64);
+    p.metric(
+        "checkpoint_bytes_per_frame",
+        bytes as f64 / chunks.max(1) as f64,
+    );
     p.metric(
         "checkpoint_append_us",
         (logged - bare).max(0.0) * 1e6 / chunks.max(1) as f64,

@@ -8,8 +8,21 @@
 //! binary blob — magic, version byte, little-endian fields, raw
 //! IEEE-754 matrix bits, trailing FNV-1a checksum — so a torn or stale
 //! file surfaces as a typed [`CheckpointError`], never a corrupt
-//! resume. The daemon (`fia-campaignd`) appends these blobs to its
-//! write-ahead job log.
+//! resume.
+//!
+//! **Delta frames.** A blob's matrix may hold only the *last* `rows`
+//! corpus rows, `[rows_done − rows, rows_done)`; a full snapshot is the
+//! case `rows == rows_done`. The daemon (`fia-campaignd`) appends one
+//! such frame per chunk to its write-ahead job log, holding just the
+//! rows released since the previous frame
+//! ([`Campaign::delta_blob`](crate::Campaign::delta_blob)), so a
+//! checkpoint costs O(chunk) rather than O(corpus).
+//! [`CampaignCheckpoint::fold`] rebuilds the full checkpoint from a
+//! log's frames in order: each must continue the one before — same
+//! fingerprint, seed, chunk size and class width, first row equal to the
+//! previous `rows_done` — and the first frame that does not ends the
+//! fold with a typed error. [`Campaign::restore`](crate::Campaign::restore)
+//! accepts only full checkpoints.
 
 use crate::budget::{BudgetMeter, QueryBudget};
 use fia_core::QueryCost;
@@ -40,12 +53,20 @@ pub enum CheckpointError {
     /// field, trailing bytes).
     Corrupt(&'static str),
     /// The checkpoint belongs to a different scenario than the one it
-    /// is being restored into.
+    /// is being restored into (or folded onto).
     FingerprintMismatch {
         /// The scenario fingerprint the restore target has.
         expected: String,
         /// The fingerprint the checkpoint carries.
         found: String,
+    },
+    /// A delta frame does not start where the fold's corpus ends: a gap
+    /// (rows missing) or an overlap (rows repeated).
+    Discontinuous {
+        /// The row the next frame had to start at.
+        expected: usize,
+        /// The row the frame starts at.
+        found: usize,
     },
 }
 
@@ -61,6 +82,10 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "checkpoint fingerprint {found} does not match scenario {expected}"
+            ),
+            CheckpointError::Discontinuous { expected, found } => write!(
+                f,
+                "checkpoint frame starts at row {found}, expected row {expected}"
             ),
         }
     }
@@ -120,9 +145,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// The complete resumable state of a [`Campaign`](crate::Campaign)
-/// session, captured between chunks. See the module docs for the blob
-/// format and [`Campaign::restore`](crate::Campaign::restore) for the
+/// The resumable state of a [`Campaign`](crate::Campaign) session,
+/// captured between chunks — in full, or as a delta frame holding only
+/// the newest corpus rows. See the module docs for the blob format and
+/// the fold, and [`Campaign::restore`](crate::Campaign::restore) for the
 /// validated resume path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
@@ -142,23 +168,33 @@ pub struct CampaignCheckpoint {
     pub chunks_issued: usize,
     /// The configured accumulation chunk size.
     pub chunk: usize,
-    /// The accumulated released-score corpus (`rows_done × c`), as the
-    /// deployment released it — raw IEEE-754 bits in the blob, so a
-    /// resume reproduces downstream attacks to the last ulp.
+    /// Released-score corpus rows `[rows_done − rows, rows_done)` as the
+    /// deployment released them (`rows × c`; every row for a full
+    /// checkpoint) — raw IEEE-754 bits in the blob, so a resume
+    /// reproduces downstream attacks to the last ulp.
     pub confidences: Matrix,
 }
 
-impl CampaignCheckpoint {
-    /// Serializes the checkpoint to its self-checking binary blob.
-    pub fn to_blob(&self) -> Vec<u8> {
-        let meter = BudgetMeter {
-            budget: self.budget,
-            spent: self.spent,
-        }
-        .to_blob();
+/// A checkpoint's scalar fields, borrowed: the part of a blob that
+/// [`CampaignCheckpoint::to_blob`] and
+/// [`Campaign::delta_blob`](crate::Campaign::delta_blob) share, so a
+/// delta frame encodes straight from the session's corpus.
+pub(crate) struct BlobHeader<'a> {
+    pub(crate) fingerprint: &'a str,
+    pub(crate) seed: u64,
+    pub(crate) meter: BudgetMeter,
+    pub(crate) rows_done: usize,
+    pub(crate) chunks_issued: usize,
+    pub(crate) chunk: usize,
+}
+
+impl BlobHeader<'_> {
+    /// Encodes the blob whose matrix is `rows × cols` row-major `cells`.
+    pub(crate) fn encode(&self, rows: usize, cols: usize, cells: &[f64]) -> Vec<u8> {
+        debug_assert_eq!(cells.len(), rows * cols);
+        let meter = self.meter.to_blob();
         let fp = self.fingerprint.as_bytes();
-        let (rows, cols) = self.confidences.shape();
-        let mut out = Vec::with_capacity(64 + meter.len() + fp.len() + rows * cols * 8);
+        let mut out = Vec::with_capacity(64 + meter.len() + fp.len() + cells.len() * 8);
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.push(VERSION);
         out.extend_from_slice(&(fp.len() as u16).to_le_bytes());
@@ -171,16 +207,131 @@ impl CampaignCheckpoint {
         out.extend_from_slice(&(self.chunk as u64).to_le_bytes());
         out.extend_from_slice(&(rows as u64).to_le_bytes());
         out.extend_from_slice(&(cols as u64).to_le_bytes());
-        for &v in self.confidences.as_slice() {
+        for &v in cells {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
         let sum = fnv(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
+}
 
-    /// Decodes a blob produced by [`CampaignCheckpoint::to_blob`],
-    /// rejecting torn, corrupted or version-skewed bytes with a typed
+/// What [`CampaignCheckpoint::fold`] made of a log's frames.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Folded {
+    /// The full checkpoint as of the last frame accepted; `None` when
+    /// the fold accepted no frame.
+    pub checkpoint: Option<CampaignCheckpoint>,
+    /// How many leading frames the fold accepted.
+    pub accepted: usize,
+    /// Why the fold stopped before the last frame; `None` when it
+    /// accepted every frame.
+    pub stopped: Option<CheckpointError>,
+}
+
+impl CampaignCheckpoint {
+    /// Serializes the checkpoint to its self-checking binary blob.
+    pub fn to_blob(&self) -> Vec<u8> {
+        let (rows, cols) = self.confidences.shape();
+        BlobHeader {
+            fingerprint: &self.fingerprint,
+            seed: self.seed,
+            meter: BudgetMeter {
+                budget: self.budget,
+                spent: self.spent,
+            },
+            rows_done: self.rows_done,
+            chunks_issued: self.chunks_issued,
+            chunk: self.chunk,
+        }
+        .encode(rows, cols, self.confidences.as_slice())
+    }
+
+    /// The corpus row this checkpoint's matrix starts at: `0` for a full
+    /// checkpoint, the previous frame's `rows_done` for a delta frame.
+    fn first_row(&self) -> Result<usize, CheckpointError> {
+        self.rows_done
+            .checked_sub(self.confidences.rows())
+            .ok_or(CheckpointError::Corrupt("corpus rows exceed the cursor"))
+    }
+
+    /// Folds the next delta frame onto this checkpoint: on success the
+    /// checkpoint takes `next`'s cursor and meter and gains its rows. A
+    /// frame from another session (fingerprint, seed, chunk size or
+    /// class width differ) or one that does not start at this
+    /// checkpoint's `rows_done` is a typed error and leaves this
+    /// checkpoint unchanged.
+    fn extend(&mut self, next: &CampaignCheckpoint) -> Result<(), CheckpointError> {
+        if next.fingerprint != self.fingerprint {
+            return Err(CheckpointError::FingerprintMismatch {
+                expected: self.fingerprint.clone(),
+                found: next.fingerprint.clone(),
+            });
+        }
+        if next.seed != self.seed {
+            return Err(CheckpointError::Corrupt(
+                "frame seed disagrees with the log",
+            ));
+        }
+        if next.chunk != self.chunk {
+            return Err(CheckpointError::Corrupt(
+                "frame chunk size disagrees with the log",
+            ));
+        }
+        let start = next.first_row()?;
+        if start != self.rows_done {
+            return Err(CheckpointError::Discontinuous {
+                expected: self.rows_done,
+                found: start,
+            });
+        }
+        self.confidences
+            .append_rows(&next.confidences)
+            .map_err(|_| CheckpointError::Corrupt("frame class width disagrees with the log"))?;
+        self.budget = next.budget;
+        self.spent = next.spent;
+        self.rows_done = next.rows_done;
+        self.chunks_issued = next.chunks_issued;
+        Ok(())
+    }
+
+    /// Folds a job log's frames, in order, into the full checkpoint
+    /// they describe. The first frame must start at row 0, and each
+    /// later one must continue the fold: same fingerprint, seed, chunk
+    /// size and class width, first row equal to the fold's `rows_done`.
+    /// The first frame that fails to decode or to continue the fold ends
+    /// it there, and [`Folded::stopped`] says why.
+    pub fn fold<'a>(frames: impl IntoIterator<Item = &'a [u8]>) -> Folded {
+        let mut folded = Folded {
+            checkpoint: None,
+            accepted: 0,
+            stopped: None,
+        };
+        for frame in frames {
+            let step = CampaignCheckpoint::from_blob(frame).and_then(|next| {
+                match folded.checkpoint.as_mut() {
+                    Some(state) => state.extend(&next),
+                    None => match next.first_row()? {
+                        0 => {
+                            folded.checkpoint = Some(next);
+                            Ok(())
+                        }
+                        found => Err(CheckpointError::Discontinuous { expected: 0, found }),
+                    },
+                }
+            });
+            if let Err(e) = step {
+                folded.stopped = Some(e);
+                break;
+            }
+            folded.accepted += 1;
+        }
+        folded
+    }
+
+    /// Decodes a blob produced by [`CampaignCheckpoint::to_blob`] or
+    /// [`Campaign::delta_blob`](crate::Campaign::delta_blob), rejecting
+    /// torn, corrupted or version-skewed bytes with a typed
     /// [`CheckpointError`].
     pub fn from_blob(blob: &[u8]) -> Result<Self, CheckpointError> {
         if blob.len() < 8 {
@@ -223,8 +374,8 @@ impl CampaignCheckpoint {
         if c.remaining() != cells * 8 {
             return Err(CheckpointError::Corrupt("matrix payload length mismatch"));
         }
-        if rows != rows_done {
-            return Err(CheckpointError::Corrupt("corpus rows disagree with cursor"));
+        if rows > rows_done {
+            return Err(CheckpointError::Corrupt("corpus rows exceed the cursor"));
         }
         let bits = c.take(cells * 8)?;
         let confidences = if cells == 0 {
@@ -361,5 +512,159 @@ mod tests {
         assert!(CheckpointError::UnsupportedVersion(3)
             .to_string()
             .contains('3'));
+        let e = CheckpointError::Discontinuous {
+            expected: 48,
+            found: 24,
+        };
+        assert!(e.to_string().contains("48") && e.to_string().contains("24"));
+    }
+
+    #[test]
+    fn delta_frames_round_trip_and_rows_past_the_cursor_are_rejected() {
+        // A delta frame: rows [7, 10) of a 10-row corpus.
+        let delta = CampaignCheckpoint {
+            rows_done: 10,
+            ..sample()
+        };
+        assert_eq!(
+            CampaignCheckpoint::from_blob(&delta.to_blob()).unwrap(),
+            delta
+        );
+        let over = CampaignCheckpoint {
+            rows_done: 2,
+            ..sample()
+        };
+        assert_eq!(
+            CampaignCheckpoint::from_blob(&over.to_blob()),
+            Err(CheckpointError::Corrupt("corpus rows exceed the cursor"))
+        );
+    }
+
+    #[test]
+    fn folding_a_runs_delta_frames_reproduces_every_checkpoint() {
+        use crate::{AttackSpec, Campaign, NullObserver, PartitionSpec, ScenarioSpec, StepOutcome};
+        use fia_data::PaperDataset;
+
+        let scenario = ScenarioSpec::paper(PaperDataset::DriveDiagnosis)
+            .with_scale(0.005)
+            .with_partition(PartitionSpec::two_block_random(0.2))
+            .with_seed(37)
+            .build();
+        let mut campaign = Campaign::new(scenario)
+            .with_attack(AttackSpec::esa())
+            .with_chunk(24);
+        campaign.begin(&mut NullObserver).unwrap();
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        let mut logged = 0;
+        loop {
+            let outcome = campaign.step(&mut NullObserver).unwrap();
+            frames.push(campaign.delta_blob(logged));
+            logged = campaign.rows_done();
+            let folded = CampaignCheckpoint::fold(frames.iter().map(Vec::as_slice));
+            assert_eq!(folded.accepted, frames.len());
+            assert_eq!(folded.stopped, None);
+            assert_eq!(folded.checkpoint, Some(campaign.checkpoint()));
+            if outcome != StepOutcome::Chunk {
+                break;
+            }
+        }
+        assert!(frames.len() >= 4, "want several frames to fold");
+        assert_eq!(campaign.delta_blob(0), campaign.checkpoint().to_blob());
+
+        let fold = |picked: &[&[u8]]| CampaignCheckpoint::fold(picked.iter().copied());
+        let prefix = |k: usize| fold(&frames[..k].iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let (f0, f1, f2) = (&frames[0][..], &frames[1][..], &frames[2][..]);
+
+        // A gap (frame 1 missing) ends the fold after frame 0.
+        let gap = fold(&[f0, f2]);
+        assert_eq!(
+            gap.stopped,
+            Some(CheckpointError::Discontinuous {
+                expected: 24,
+                found: 48
+            })
+        );
+        assert_eq!((gap.accepted, &gap.checkpoint), (1, &prefix(1).checkpoint));
+
+        // An overlap (frame 1 twice) ends it after the first copy.
+        let overlap = fold(&[f0, f1, f1, f2]);
+        assert_eq!(
+            overlap.stopped,
+            Some(CheckpointError::Discontinuous {
+                expected: 48,
+                found: 24
+            })
+        );
+        assert_eq!(
+            (overlap.accepted, &overlap.checkpoint),
+            (2, &prefix(2).checkpoint)
+        );
+
+        // A log must open at row 0.
+        let headless = fold(&[f1, f2]);
+        assert_eq!(
+            headless.stopped,
+            Some(CheckpointError::Discontinuous {
+                expected: 0,
+                found: 24
+            })
+        );
+        assert_eq!((headless.accepted, headless.checkpoint), (0, None));
+
+        // A frame of another session ends the fold, typed, whichever
+        // identifying field differs.
+        let base = CampaignCheckpoint::from_blob(f1).unwrap();
+        let fingerprint = CampaignCheckpoint {
+            fingerprint: "0123456789abcdef".to_string(),
+            ..base.clone()
+        };
+        let seed = CampaignCheckpoint {
+            seed: base.seed + 1,
+            ..base.clone()
+        };
+        let chunk = CampaignCheckpoint {
+            chunk: 25,
+            ..base.clone()
+        };
+        let width = CampaignCheckpoint {
+            confidences: Matrix::zeros(base.confidences.rows(), base.confidences.cols() + 1),
+            ..base.clone()
+        };
+        for (alien, err) in [
+            (
+                fingerprint,
+                CheckpointError::FingerprintMismatch {
+                    expected: base.fingerprint.clone(),
+                    found: "0123456789abcdef".to_string(),
+                },
+            ),
+            (
+                seed,
+                CheckpointError::Corrupt("frame seed disagrees with the log"),
+            ),
+            (
+                chunk,
+                CheckpointError::Corrupt("frame chunk size disagrees with the log"),
+            ),
+            (
+                width,
+                CheckpointError::Corrupt("frame class width disagrees with the log"),
+            ),
+        ] {
+            let folded = fold(&[f0, &alien.to_blob(), f2]);
+            assert_eq!(folded.stopped, Some(err));
+            assert_eq!(
+                (folded.accepted, &folded.checkpoint),
+                (1, &prefix(1).checkpoint)
+            );
+        }
+
+        // A torn frame ends the fold like any other bad frame.
+        let torn = fold(&[f0, &f1[..f1.len() - 1]]);
+        assert_eq!(
+            torn.stopped,
+            Some(CheckpointError::Corrupt("checksum mismatch"))
+        );
+        assert_eq!(torn.accepted, 1);
     }
 }

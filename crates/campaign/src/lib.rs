@@ -59,7 +59,7 @@ mod spec;
 
 pub use attack::AttackSpec;
 pub use budget::{BudgetMeter, BudgetedOracle, QueryBudget};
-pub use checkpoint::{CampaignCheckpoint, CheckpointError};
+pub use checkpoint::{CampaignCheckpoint, CheckpointError, Folded};
 pub use error::CampaignError;
 pub use event::{CampaignEvent, CampaignObserver, EventLog, EventParseError, NullObserver};
 pub use model::{ModelSpec, TrainedModel};

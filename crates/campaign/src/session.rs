@@ -24,8 +24,8 @@
 //!   serializable [`CampaignReport`].
 
 use crate::attack::AttackSpec;
-use crate::budget::{BudgetedOracle, QueryBudget};
-use crate::checkpoint::{CampaignCheckpoint, CheckpointError};
+use crate::budget::{BudgetMeter, BudgetedOracle, QueryBudget};
+use crate::checkpoint::{BlobHeader, CampaignCheckpoint, CheckpointError};
 use crate::error::CampaignError;
 use crate::event::{CampaignEvent, CampaignObserver};
 use crate::model::TrainedModel;
@@ -251,6 +251,40 @@ impl Campaign {
             chunk: self.chunk,
             confidences: self.confidences.clone(),
         }
+    }
+
+    /// Encodes a delta frame: the checkpoint blob of the session's
+    /// current state whose matrix holds only corpus rows
+    /// `[since, rows_done)`, read straight from the session without
+    /// copying the corpus. `delta_blob(0)` is byte-identical to
+    /// `checkpoint().to_blob()`; [`CampaignCheckpoint::fold`] rebuilds
+    /// the full checkpoint from consecutive frames.
+    ///
+    /// # Panics
+    /// Panics when `since` is past [`Campaign::rows_done`].
+    pub fn delta_blob(&self, since: usize) -> Vec<u8> {
+        assert!(
+            since <= self.rows_done,
+            "delta frame starts at row {since}, past the {} accumulated rows",
+            self.rows_done
+        );
+        let cols = self.confidences.cols();
+        BlobHeader {
+            fingerprint: &self.scenario.fingerprint,
+            seed: self.scenario.seed,
+            meter: BudgetMeter {
+                budget: self.budget,
+                spent: self.spent,
+            },
+            rows_done: self.rows_done,
+            chunks_issued: self.chunks_issued,
+            chunk: self.chunk,
+        }
+        .encode(
+            self.rows_done - since,
+            cols,
+            &self.confidences.as_slice()[since * cols..],
+        )
     }
 
     /// Attaches a caller-owned oracle instead of letting the session
@@ -549,9 +583,8 @@ impl Campaign {
         );
         chunk_span.finish();
         let v = v?;
-        self.confidences = self
-            .confidences
-            .vstack(&v)
+        self.confidences
+            .append_rows(&v)
             .expect("oracle answers a fixed class width");
         self.rows_done += take;
         self.chunks_issued += 1;

@@ -13,12 +13,14 @@
 //!   Jobs with the same fingerprint share one resolved scenario — and,
 //!   for [`JobOracle::Shared`] jobs, one spawned
 //!   [`fia_serve::PredictionServer`] that all of them query over TCP.
-//! - **Durability**: each worker appends a campaign checkpoint to the
-//!   job's write-ahead log (fsync'd) after every corpus chunk, *before*
-//!   publishing that chunk's events. A killed daemon restarts, replays
-//!   each job log to its last intact checkpoint, validates the scenario
-//!   fingerprint, and resumes — bit-identically for the deterministic
-//!   defenses the job spec admits.
+//! - **Durability**: each worker appends a delta checkpoint frame — the
+//!   rows released since the previous frame — to the job's write-ahead
+//!   log (fsync'd) after every corpus chunk, *before* publishing that
+//!   chunk's events. A killed daemon restarts, folds each job log's
+//!   intact frames into the last durable checkpoint, cuts the log back
+//!   to the last frame it folded, validates the scenario fingerprint,
+//!   and resumes — bit-identically for the deterministic defenses the
+//!   job spec admits.
 //! - **Event streams**: every campaign event is appended to the job's
 //!   `events.jsonl` under a gapless per-job sequence number; `JOB_ATTACH`
 //!   replays from any sequence and then streams live, so a client that
@@ -546,13 +548,16 @@ fn drive_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<JobEnd, St
         }
     };
 
-    // Resume from the write-ahead log when it holds a checkpoint.
+    // Resume from the write-ahead log: fold its intact delta frames into
+    // the last durable checkpoint. The fold ends at the first torn,
+    // corrupt or discontinuous frame; `keep` is the log length up to the
+    // last frame it accepted.
     let log_path = dir.join("job.log");
-    let recovered = JobLog::recover(&log_path).map_err(|e| format!("job log: {e}"))?;
-    let mut campaign = match recovered {
-        Some(blob) => {
-            let cp = CampaignCheckpoint::from_blob(&blob)
-                .map_err(|e| format!("checkpoint decode: {e}"))?;
+    let frames = JobLog::recover(&log_path).map_err(|e| format!("job log: {e}"))?;
+    let folded = CampaignCheckpoint::fold(frames.iter().map(|f| f.payload.as_slice()));
+    let keep = folded.accepted.checked_sub(1).map_or(0, |i| frames[i].end);
+    let mut campaign = match folded.checkpoint {
+        Some(cp) => {
             let c = Campaign::restore(deployment.scenario.clone(), &cp)
                 .map_err(|e| format!("checkpoint restore: {e}"))?;
             shared.resumes_total.inc();
@@ -586,7 +591,12 @@ fn drive_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<JobEnd, St
         .map_err(|e| format!("event stream: {e}"))?;
     update_row(shared, id, &campaign, Some(events_file));
 
+    // Cut the log back to the last frame the fold accepted, so the frames
+    // this run appends land where the next recovery reaches them.
     let mut log = JobLog::open(&log_path).map_err(|e| format!("job log: {e}"))?;
+    log.truncate(keep)
+        .map_err(|e| format!("job log truncate: {e}"))?;
+    let mut logged = campaign.rows_done();
     let mut pending: Vec<CampaignEvent> = Vec::new();
     campaign
         .begin(&mut |e: &CampaignEvent| pending.push(e.clone()))
@@ -609,11 +619,13 @@ fn drive_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<JobEnd, St
         let outcome = campaign
             .step(&mut |e: &CampaignEvent| pending.push(e.clone()))
             .map_err(|e| e.to_string())?;
-        // Durability order: the checkpoint hits the log (fsync) before
-        // the chunk's events become visible anywhere. A kill between the
-        // two loses at most the event line, never accumulated state.
-        log.append(&campaign.checkpoint().to_blob())
+        // Durability order: the chunk's delta frame — the rows released
+        // since the previous frame — hits the log (fsync) before the
+        // chunk's events become visible anywhere. A kill between the two
+        // loses at most the event line, never accumulated state.
+        log.append(&campaign.delta_blob(logged))
             .map_err(|e| format!("checkpoint append: {e}"))?;
+        logged = campaign.rows_done();
         update_row(shared, id, &campaign, None);
         flush_events(shared, id, &mut pending);
         match outcome {

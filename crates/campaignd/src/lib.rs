@@ -13,13 +13,14 @@
 //! with resume-from-sequence semantics.
 //!
 //! The load-bearing property is durability. Every corpus chunk a
-//! campaign completes is checkpointed to the job's write-ahead log —
-//! fsync'd, checksummed, appended *before* the chunk's events are
-//! published ([`wal`]). A daemon killed with `SIGKILL` restarts over
-//! the same state directory, replays each log to its last intact
-//! checkpoint, validates the scenario fingerprint, and resumes every
-//! in-flight job — bit-identically, because the job spec only admits
-//! deterministic release boundaries ([`spec`]).
+//! campaign completes is checkpointed to the job's write-ahead log as a
+//! delta frame holding that chunk's rows — fsync'd, checksummed,
+//! appended *before* the chunk's events are published ([`wal`]). A
+//! daemon killed with `SIGKILL` restarts over the same state directory,
+//! folds each log's intact frames into its last durable checkpoint,
+//! validates the scenario fingerprint, and resumes every in-flight job
+//! — bit-identically, because the job spec only admits deterministic
+//! release boundaries ([`spec`]).
 //!
 //! ```text
 //!  client ──JOB_SUBMIT──▶ ┌────────────────────────────────┐

@@ -12,10 +12,16 @@
 //! - **Append-only framed log** ([`JobLog`]): each record is
 //!   `magic ∥ len ∥ payload ∥ fnv64(payload)`, appended with
 //!   `fdatasync` before the daemon acts on the state it describes.
-//!   Recovery scans forward and stops at the first frame that is
-//!   incomplete or fails its checksum, so a crash mid-append yields the
-//!   *previous* checkpoint — never garbage. Used for campaign
-//!   checkpoints, one per corpus chunk.
+//!   Recovery scans forward and hands back every intact frame, stopping
+//!   at the first one that is incomplete or fails its checksum, so a
+//!   crash mid-append loses only the frame being written — never yields
+//!   garbage. Used for campaign checkpoints: one delta frame per corpus
+//!   chunk, holding just that chunk's rows, so an append costs O(chunk)
+//!   and the daemon folds the frames back into the full checkpoint
+//!   (`CampaignCheckpoint::fold`). Before appending again the daemon
+//!   [truncates](JobLog::truncate) the log to the end of the last frame
+//!   the fold accepted; otherwise new frames would land behind a torn
+//!   tail, where recovery never reaches them.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -65,11 +71,41 @@ pub struct JobLog {
     file: File,
 }
 
+/// One intact record [`JobLog::recover`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    /// The record's payload.
+    pub payload: Vec<u8>,
+    /// The log's length up to the end of this record: what
+    /// [`JobLog::truncate`] keeps to drop everything after it.
+    pub end: u64,
+}
+
 impl JobLog {
     /// Opens (creating if absent) the log at `path` for appending.
     pub fn open(path: &Path) -> io::Result<JobLog> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(JobLog { file })
+    }
+
+    /// Cuts the log back to its first `len` bytes and syncs the cut, so
+    /// the next [`append`](JobLog::append) lands at `len`. A resuming
+    /// daemon passes the [`Frame::end`] of the last frame its fold
+    /// accepted (0 for none), dropping a torn or rejected tail. A `len`
+    /// past the end is an error.
+    pub fn truncate(&mut self, len: u64) -> io::Result<()> {
+        let size = self.file.metadata()?.len();
+        if len > size {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "job log is shorter than the length to keep",
+            ));
+        }
+        if len < size {
+            self.file.set_len(len)?;
+            self.file.sync_data()?;
+        }
+        Ok(())
     }
 
     /// Appends one framed record and syncs it to disk before returning.
@@ -90,22 +126,22 @@ impl JobLog {
         self.file.sync_data()
     }
 
-    /// Scans the log at `path` and returns the payload of the last
-    /// intact record, or `None` when the log is absent or holds no
-    /// complete record. A torn or corrupt tail frame is ignored — the
-    /// scan stops at the last record whose magic, length and checksum
-    /// all verify, which is exactly the state the daemon had made
-    /// durable before the crash.
-    pub fn recover(path: &Path) -> io::Result<Option<Vec<u8>>> {
+    /// Scans the log at `path` and returns every intact record in order
+    /// — none when the log is absent. The scan stops at the first frame
+    /// whose magic, length or checksum fails to verify (a torn or
+    /// corrupt tail), so the records returned are exactly what the
+    /// daemon had made durable before the crash. The file is left as it
+    /// is; [`JobLog::truncate`] drops the tail.
+    pub fn recover(path: &Path) -> io::Result<Vec<Frame>> {
         let mut bytes = Vec::new();
         match File::open(path) {
             Ok(mut f) => {
                 f.read_to_end(&mut bytes)?;
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e),
         }
-        let mut last: Option<Vec<u8>> = None;
+        let mut frames = Vec::new();
         let mut pos = 0usize;
         while let Some(header) = bytes.get(pos..pos + 8) {
             let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
@@ -125,10 +161,13 @@ impl JobLog {
             if u64::from_le_bytes(sum.try_into().unwrap()) != fnv(payload) {
                 break;
             }
-            last = Some(payload.to_vec());
             pos += 16 + len;
+            frames.push(Frame {
+                payload: payload.to_vec(),
+                end: pos as u64,
+            });
         }
-        Ok(last)
+        Ok(frames)
     }
 }
 
@@ -165,30 +204,68 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn payloads(path: &Path) -> Vec<Vec<u8>> {
+        JobLog::recover(path)
+            .unwrap()
+            .into_iter()
+            .map(|f| f.payload)
+            .collect()
+    }
+
+    fn tear(path: &Path) {
+        let mut f = OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(&LOG_MAGIC.to_le_bytes()).unwrap();
+        f.write_all(&100u32.to_le_bytes()).unwrap();
+        f.write_all(b"only-part-of-the-payload").unwrap();
+    }
+
     #[test]
-    fn recover_returns_last_record_and_survives_torn_tail() {
+    fn recover_returns_every_record_and_survives_torn_tail() {
         let dir = tmp_dir("log");
         let path = dir.join("job.log");
-        assert!(JobLog::recover(&path).unwrap().is_none());
+        assert!(JobLog::recover(&path).unwrap().is_empty());
         {
             let mut log = JobLog::open(&path).unwrap();
             log.append(b"one").unwrap();
             log.append(b"two-two").unwrap();
         }
-        assert_eq!(JobLog::recover(&path).unwrap().unwrap(), b"two-two");
-        // A torn append (partial frame) must not hide the last good record.
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&LOG_MAGIC.to_le_bytes()).unwrap();
-            f.write_all(&100u32.to_le_bytes()).unwrap();
-            f.write_all(b"only-part-of-the-payload").unwrap();
-        }
-        assert_eq!(JobLog::recover(&path).unwrap().unwrap(), b"two-two");
+        let frames = JobLog::recover(&path).unwrap();
+        assert_eq!(payloads(&path), [&b"one"[..], b"two-two"]);
+        assert_eq!(frames[0].end, 16 + 3);
+        assert_eq!(frames[1].end, std::fs::metadata(&path).unwrap().len());
+        // A torn append (partial frame) must not hide the good records.
+        tear(&path);
+        assert_eq!(payloads(&path), [&b"one"[..], b"two-two"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn truncation_at_every_byte_yields_prior_record_or_none() {
+    fn frames_appended_after_a_truncated_torn_tail_are_recovered() {
+        let dir = tmp_dir("torn");
+        let path = dir.join("job.log");
+        JobLog::open(&path).unwrap().append(b"before").unwrap();
+        tear(&path);
+        let frames = JobLog::recover(&path).unwrap();
+        assert_eq!(frames.len(), 1);
+        let mut log = JobLog::open(&path).unwrap();
+        log.truncate(frames[0].end).unwrap();
+        log.append(b"after-1").unwrap();
+        log.append(b"after-2").unwrap();
+        assert_eq!(
+            payloads(&path),
+            [&b"before"[..], b"after-1", b"after-2"],
+            "frames written after the crash must be reachable"
+        );
+        // Keeping everything is a no-op; keeping more than exists fails.
+        let len = std::fs::metadata(&path).unwrap().len();
+        log.truncate(len).unwrap();
+        assert!(log.truncate(len + 1).is_err());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncation_at_every_byte_yields_the_whole_frames_before_the_cut() {
         let dir = tmp_dir("trunc");
         let path = dir.join("job.log");
         {
@@ -198,14 +275,16 @@ mod tests {
         }
         let full = std::fs::read(&path).unwrap();
         let first_len = 16 + 5;
-        for cut in 0..full.len() {
+        for cut in 0..=full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let got = JobLog::recover(&path).unwrap();
-            if cut < first_len {
-                assert!(got.is_none(), "cut {cut}");
+            let want: &[&[u8]] = if cut < first_len {
+                &[]
             } else if cut < full.len() {
-                assert_eq!(got.as_deref(), Some(&b"alpha"[..]), "cut {cut}");
-            }
+                &[b"alpha"]
+            } else {
+                &[b"alpha", b"beta-beta"]
+            };
+            assert_eq!(payloads(&path), want, "cut {cut}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -2,7 +2,7 @@
 //! over real sockets, concurrent jobs over shared deployments, and
 //! graceful suspend/resume.
 
-use fia_campaign::{Campaign, NullObserver};
+use fia_campaign::{Campaign, CampaignEvent, NullObserver};
 use fia_campaignd::{
     start, CampaignClient, DaemonConfig, JobAttack, JobDefense, JobModel, JobOracle, JobOutcome,
     JobSpec,
@@ -224,14 +224,7 @@ fn graceful_shutdown_suspends_and_restart_resumes() {
     let mut spec = small_spec(9);
     spec.throttle_ms = 100;
     let id = client.submit(&spec).unwrap();
-    loop {
-        let row = client.status(id).unwrap();
-        if row.chunks_done >= 1 {
-            break;
-        }
-        assert!(!row.state.is_terminal(), "job ended before suspend");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for_chunks(&mut client, id, 1);
     daemon.shutdown();
 
     // Restart over the same state directory: the job resumes from its
@@ -243,6 +236,80 @@ fn graceful_shutdown_suspends_and_restart_resumes() {
     assert!(row.resumes >= 1, "expected a checkpoint resume");
     let outcome = client.report(id).unwrap();
     assert_eq!(outcome.to_blob(), reference_outcome(&spec).to_blob());
+
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Polls job `id` until it has issued at least `chunks` chunks.
+fn wait_for_chunks(client: &mut CampaignClient, id: u64, chunks: u64) {
+    loop {
+        let row = client.status(id).unwrap();
+        if row.chunks_done >= chunks {
+            return;
+        }
+        assert!(!row.state.is_terminal(), "job ended before suspend");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn torn_log_tail_does_not_hide_checkpoints_written_after_restart() {
+    let dir = state_dir("torn");
+    let mut spec = small_spec(13);
+    spec.throttle_ms = 100;
+
+    // Run 1 makes a chunk durable and suspends; then a crash mid-append
+    // leaves a torn frame at the tail of the job log.
+    let daemon = start(DaemonConfig::new(&dir)).unwrap();
+    let mut client = CampaignClient::connect(daemon.addr()).unwrap();
+    let id = client.submit(&spec).unwrap();
+    wait_for_chunks(&mut client, id, 1);
+    daemon.shutdown();
+    let log = dir.join("jobs").join(id.to_string()).join("job.log");
+    {
+        use std::io::Write;
+        let mut f = std::fs::OpenOptions::new().append(true).open(&log).unwrap();
+        f.write_all(&fia_campaignd::wal::LOG_MAGIC.to_le_bytes())
+            .unwrap();
+        f.write_all(&4096u32.to_le_bytes()).unwrap();
+        f.write_all(b"half a frame").unwrap();
+    }
+
+    // Run 2 resumes and makes more chunks durable; run 3 must resume
+    // from there, not from before the tear.
+    let daemon = start(DaemonConfig::new(&dir)).unwrap();
+    let mut client = CampaignClient::connect(daemon.addr()).unwrap();
+    wait_for_chunks(&mut client, id, 3);
+    daemon.shutdown();
+    let daemon = start(DaemonConfig::new(&dir)).unwrap();
+    let mut client = CampaignClient::connect(daemon.addr()).unwrap();
+    let row = client.wait_terminal(id, Duration::from_secs(60)).unwrap();
+    assert_eq!(row.state, JobState::Completed, "detail: {}", row.detail);
+    assert_eq!(
+        client.report(id).unwrap().to_blob(),
+        reference_outcome(&spec).to_blob()
+    );
+
+    // Every resume starts exactly where the chunks observers saw before
+    // it ended: a `Started` event carries the last `ChunkDone`'s cursor.
+    let mut lines = Vec::new();
+    client
+        .attach(id, 0, |_, json| lines.push(json.to_string()))
+        .unwrap();
+    let mut starts = 0;
+    let mut seen = 0;
+    for line in &lines {
+        match CampaignEvent::from_json(line).unwrap() {
+            CampaignEvent::Started { rows_done, .. } => {
+                assert_eq!(rows_done, seen, "resume {starts} went back in the log");
+                starts += 1;
+            }
+            CampaignEvent::ChunkDone { rows_done, .. } => seen = rows_done,
+            _ => {}
+        }
+    }
+    assert!(starts >= 3, "expected three runs of the job, saw {starts}");
 
     daemon.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();

@@ -429,6 +429,23 @@ impl Matrix {
         })
     }
 
+    /// In-place vertical concatenation `self = [self ; rhs]`. The buffer
+    /// grows with amortized doubling, so appending `n` rows one chunk at
+    /// a time copies O(n) elements in total — unlike repeated
+    /// [`Matrix::vstack`], which copies the whole matrix every time.
+    pub fn append_rows(&mut self, rhs: &Matrix) -> Result<()> {
+        if self.cols != rhs.cols {
+            return Err(LinAlgError::ShapeMismatch {
+                left: self.shape(),
+                right: rhs.shape(),
+                op: "append_rows",
+            });
+        }
+        self.data.extend_from_slice(&rhs.data);
+        self.rows += rhs.rows;
+        Ok(())
+    }
+
     /// `true` if all elements are finite (no NaN/±inf).
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -608,6 +625,33 @@ mod tests {
         let v = a.vstack(&a).unwrap();
         assert_eq!(v.shape(), (4, 2));
         assert_eq!(v.col(0), vec![1.0, 3.0, 1.0, 3.0]);
+    }
+
+    #[test]
+    fn append_rows_matches_vstack() {
+        let a = m22();
+        let mut grown = Matrix::zeros(0, 2);
+        let mut stacked = Matrix::zeros(0, 2);
+        for _ in 0..5 {
+            grown.append_rows(&a).unwrap();
+            stacked = stacked.vstack(&a).unwrap();
+            assert_eq!(grown, stacked);
+        }
+        assert_eq!(grown.shape(), (10, 2));
+        grown.append_rows(&Matrix::zeros(0, 2)).unwrap();
+        assert_eq!(grown.shape(), (10, 2));
+        let err = grown.append_rows(&Matrix::zeros(1, 3)).unwrap_err();
+        assert!(matches!(
+            err,
+            LinAlgError::ShapeMismatch {
+                op: "append_rows",
+                ..
+            }
+        ));
+        assert_eq!(
+            grown, stacked,
+            "a rejected append leaves the matrix as it was"
+        );
     }
 
     #[test]
