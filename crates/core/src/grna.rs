@@ -673,9 +673,10 @@ mod tests {
         }
     }
 
-    /// Shared fixture: trains LR on the correlated data and runs GRNA
-    /// against the redundant (target) block.
-    fn run_grna(config: GrnaConfig) -> (f64, f64) {
+    /// Shared fixture: trains LR on the correlated data and GRNA against
+    /// the redundant (target) block. Returns the generator, `x_adv` and
+    /// the target block's ground truth.
+    fn train_on_fixture(config: GrnaConfig) -> (TrainedGenerator, Matrix, Matrix) {
         let ds = correlated_dataset(3);
         let model = LogisticRegression::fit(
             &ds,
@@ -691,9 +692,14 @@ mod tests {
         let x_adv = ds.features.select_columns(&adv).unwrap();
         let truth = ds.features.select_columns(&target).unwrap();
         let conf = model.predict_proba(&ds.features);
+        let generator = Grna::new(&model, &adv, &target, config).train(&x_adv, &conf);
+        (generator, x_adv, truth)
+    }
 
-        let attack = Grna::new(&model, &adv, &target, config);
-        let generator = attack.train(&x_adv, &conf);
+    /// Runs [`train_on_fixture`] and scores one inference draw against
+    /// the truth and against uniform random guessing.
+    fn run_grna(config: GrnaConfig) -> (f64, f64) {
+        let (generator, x_adv, truth) = train_on_fixture(config);
         let est = generator.infer(&x_adv, 99);
         let mse = mse_per_feature(&est, &truth);
         let rg = random_guess_uniform(truth.rows(), truth.cols(), 1);
@@ -896,6 +902,56 @@ mod tests {
             assert_eq!(a, b, "weights diverged across kernel backends");
         }
         assert_eq!(dispatched.infer(&x_adv, 3), scalar.infer(&x_adv, 3));
+    }
+
+    /// FNV-1a over every element's bit pattern, shapes included. `-0.0`
+    /// hashes as `+0.0`: the kernel contract licenses the sign of an
+    /// exact zero to differ, and nothing else.
+    fn fnv64_bits(mats: &[Matrix]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for m in mats {
+            eat(m.rows() as u64);
+            eat(m.cols() as u64);
+            for &v in m.as_slice() {
+                eat(if v == 0.0 { 0 } else { v.to_bits() });
+            }
+        }
+        h
+    }
+
+    // The two golden fingerprints below pin f64 training bit for bit
+    // against a reference run of the tape, optimizer and kernels. Unlike
+    // the determinism tests above, which compare two runs of the same
+    // build, they catch a rewrite that shifts every run the same way.
+    // They must hold on every kernel backend.
+
+    #[test]
+    fn generator_weights_match_golden_fingerprint() {
+        let (generator, _, _) = train_on_fixture(small_grna());
+        assert_eq!(
+            fnv64_bits(&generator.parameter_snapshot()),
+            0x1b0f_a006_8348_e48f,
+            "GRNA generator weights moved"
+        );
+    }
+
+    #[test]
+    fn free_variable_estimates_match_golden_fingerprint() {
+        let (generator, _, _) = train_on_fixture(GrnaConfig {
+            use_generator: false,
+            epochs: 30,
+            ..small_grna()
+        });
+        assert_eq!(
+            fnv64_bits(&generator.parameter_snapshot()),
+            0xcf5f_3f38_f07e_9392,
+            "free-variable ablation estimates moved"
+        );
     }
 
     #[test]
