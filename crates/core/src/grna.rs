@@ -2,9 +2,9 @@
 //!
 //! The adversary accumulates `n` prediction records `(x_adv, v)` and
 //! trains a generator `fG(x_adv ∪ r; θG) → x̂_target` so that the frozen
-//! vertical FL model's output on the assembled sample
-//! `x = scatter(x_adv, x̂_target)` matches the observed confidence
-//! vector. The loss (Eqn 9) is
+//! vertical FL model's output on the assembled sample `x` — the columns
+//! of `[x_adv | x̂_target]` gathered into the model's feature order —
+//! matches the observed confidence vector. The loss (Eqn 9) is
 //!
 //! ```text
 //! ℓ(f(x_adv, fG(x_adv, r)), v)  +  Ω(fG)
@@ -146,9 +146,10 @@ pub struct Grna<'a, M: DifferentiableModel> {
     adv_indices: Vec<usize>,
     target_indices: Vec<usize>,
     config: GrnaConfig,
-    /// Constant scatter matrix mapping `[x_adv | x̂_target]` (in that
-    /// concatenation order) to the model's global feature order.
-    scatter: Matrix,
+    /// For each global feature, its column in the concatenation
+    /// `[x_adv | x̂_target]`: gathering these columns assembles the
+    /// model's input in its own feature order.
+    gather: Vec<usize>,
 }
 
 impl<'a, M: DifferentiableModel> Grna<'a, M> {
@@ -172,15 +173,11 @@ impl<'a, M: DifferentiableModel> Grna<'a, M> {
         assert!(seen.iter().all(|&s| s), "indices must cover 0..{d}");
         assert!(!target_indices.is_empty(), "target side must own features");
 
-        // Scatter matrix P: row k of the concatenated layout maps to its
-        // global column. x_global = [x_adv | x_target] · P.
-        let d_adv = adv_indices.len();
-        let mut scatter = Matrix::zeros(d_adv + target_indices.len(), d);
-        for (k, &f) in adv_indices.iter().enumerate() {
-            scatter[(k, f)] = 1.0;
-        }
-        for (k, &f) in target_indices.iter().enumerate() {
-            scatter[(d_adv + k, f)] = 1.0;
+        // Column k of the concatenated layout holds global feature f:
+        // x_global[:, f] = [x_adv | x_target][:, gather[f]].
+        let mut gather = vec![0; d];
+        for (k, &f) in adv_indices.iter().chain(target_indices).enumerate() {
+            gather[f] = k;
         }
 
         Grna {
@@ -188,7 +185,7 @@ impl<'a, M: DifferentiableModel> Grna<'a, M> {
             adv_indices: adv_indices.to_vec(),
             target_indices: target_indices.to_vec(),
             config,
-            scatter,
+            gather,
         }
     }
 
@@ -258,8 +255,7 @@ impl<'a, M: DifferentiableModel> Grna<'a, M> {
                 let xhat = gen.forward(&mut tape, gen_in, true);
                 let xadv_var = tape.input(xb);
                 let cat = tape.concat_cols(xadv_var, xhat);
-                let scatter = tape.input(self.scatter.clone());
-                let full = tape.matmul(cat, scatter);
+                let full = tape.gather_cols(cat, &self.gather);
                 let vhat = self.model.forward_frozen(&mut tape, full);
                 let target_v = tape.input(vb);
                 let mut loss = tape.mse_loss(vhat, target_v);
@@ -321,8 +317,7 @@ impl<'a, M: DifferentiableModel> Grna<'a, M> {
             let xhat = tape.param(&params, free);
             let xadv_var = tape.input(x_adv.clone());
             let cat = tape.concat_cols(xadv_var, xhat);
-            let scatter = tape.input(self.scatter.clone());
-            let full = tape.matmul(cat, scatter);
+            let full = tape.gather_cols(cat, &self.gather);
             let vhat = self.model.forward_frozen(&mut tape, full);
             let target_v = tape.input(confidences.clone());
             let loss = tape.mse_loss(vhat, target_v);
@@ -774,9 +769,9 @@ mod tests {
 
     #[test]
     fn scatter_matrix_reassembles_interleaved_indices() {
-        // Use a split with interleaved indices and verify the attack's
-        // reconstruction feeds the model consistently: train briefly and
-        // check inferred width + determinism.
+        // Use a split with interleaved indices and verify the column
+        // gather feeds the model consistently: train briefly and check
+        // inferred width + determinism.
         let ds = correlated_dataset(8);
         let model = LogisticRegression::fit(
             &ds,

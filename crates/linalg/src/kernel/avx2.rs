@@ -84,16 +84,24 @@ unsafe fn store2(p: *mut f64, nr: usize, ml: __m256i, mh: __m256i, v0: __m256d, 
 /// `out += a · b` (both row-major, `b` is `k × n`).
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(super) fn gemm_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_driver(a, b, out, m, k, n, false);
+    gemm_driver(a, b, out, m, k, n, false, false);
 }
 
 /// `out += a · btᵀ` (`bt` is the transposed right factor, `n × k`).
 /// The B packing performs the transpose, so the same microkernel runs.
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(super) fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_driver(a, bt, out, m, k, n, true);
+    gemm_driver(a, bt, out, m, k, n, false, true);
 }
 
+/// `out += atᵀ · b` (`at` is the transposed left factor, `k × m`). The
+/// A packing performs the transpose, so the same microkernel runs.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    gemm_driver(at, b, out, m, k, n, true, false);
+}
+
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
 fn gemm_driver(
     a: &[f64],
@@ -102,6 +110,7 @@ fn gemm_driver(
     m: usize,
     k: usize,
     n: usize,
+    a_is_transposed: bool,
     b_is_transposed: bool,
 ) {
     if m == 0 || n == 0 || k == 0 {
@@ -123,7 +132,11 @@ fn gemm_driver(
             }
             for i0 in (0..m).step_by(MR) {
                 let mr = MR.min(m - i0);
-                pack_a(a, &mut ap, i0, mr, k0, kc, k);
+                if a_is_transposed {
+                    pack_a_t(a, &mut ap, i0, mr, k0, kc, m);
+                } else {
+                    pack_a(a, &mut ap, i0, mr, k0, kc, k);
+                }
                 for s in 0..strips {
                     let j = j0 + s * NR;
                     let nr = NR.min(j0 + nc - j);
@@ -146,6 +159,17 @@ fn pack_a(a: &[f64], ap: &mut [f64], i0: usize, mr: usize, k0: usize, kc: usize,
             } else {
                 0.0
             };
+        }
+    }
+}
+
+/// As [`pack_a`] but gathers from a transposed (`k × m`) factor, whose
+/// strip columns are contiguous — the pack performs the transpose.
+fn pack_a_t(at: &[f64], ap: &mut [f64], i0: usize, mr: usize, k0: usize, kc: usize, m: usize) {
+    for kk in 0..kc {
+        let src = &at[(k0 + kk) * m + i0..];
+        for r in 0..MR {
+            ap[kk * MR + r] = if r < mr { src[r] } else { 0.0 };
         }
     }
 }

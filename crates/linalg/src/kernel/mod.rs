@@ -176,10 +176,11 @@ pub fn gemm_acc_with(
 
 /// `out += a · btᵀ` for row-major `a` (`m × k`), `bt` (`n × k`, the
 /// already-transposed right factor), `out` (`m × n`) — the kernel behind
-/// [`crate::Matrix::matmul_transposed`] (the batched ESA solve). The
-/// AVX2 arm packs `bt` into column panels (the packing performs the
-/// transpose) and runs the same order-preserving tile kernel, so both
-/// arms agree bitwise.
+/// [`crate::Matrix::matmul_transposed`] (the batched ESA solve and the
+/// tape's `g · Bᵀ` gradient). The AVX2 arm packs `bt` into column panels
+/// (the packing performs the transpose); the scalar arm transposes `bt`
+/// once so its vectorizable row kernel runs. Both keep the `k`-ascending
+/// per-element order, so the arms agree bitwise.
 pub fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     gemm_tn_acc_with(active_backend(), a, bt, out, m, k, n);
 }
@@ -201,6 +202,39 @@ pub fn gemm_tn_acc_with(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `resolve` only yields Avx2 when the CPU supports it.
         Backend::Avx2 => unsafe { avx2::gemm_tn_acc(a, bt, out, m, k, n) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => unreachable!("resolve() never yields Avx2 off x86-64"),
+    });
+}
+
+/// `out += atᵀ · b` for row-major `at` (`k × m`, the already-transposed
+/// left factor), `b` (`k × n`), `out` (`m × n`) — the kernel behind
+/// [`crate::Matrix::transpose_matmul`] (the tape's `Aᵀ · g` weight
+/// gradient). Neither arm copies `at`: the AVX2 arm's A packing performs
+/// the transpose, and the scalar arm's row kernel reads `at` strided.
+/// Both keep the `k`-ascending per-element order of [`gemm_acc`] on the
+/// transposed factor, so the arms agree bitwise.
+pub fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    gemm_at_acc_with(active_backend(), at, b, out, m, k, n);
+}
+
+/// [`gemm_at_acc`] on an explicit backend arm.
+pub fn gemm_at_acc_with(
+    backend: Backend,
+    at: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    check_gemm_shapes(at.len(), b.len(), out.len(), m, k, n);
+    let backend = resolve(backend);
+    telemetry::record_gemm(backend, m, k, n, || match backend {
+        Backend::Scalar => scalar::gemm_at_acc(at, b, out, m, k, n),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `resolve` only yields Avx2 when the CPU supports it.
+        Backend::Avx2 => unsafe { avx2::gemm_at_acc(at, b, out, m, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
         Backend::Avx2 => unreachable!("resolve() never yields Avx2 off x86-64"),
     });

@@ -16,62 +16,62 @@ const SCALAR_CUTOVER: usize = 64 * 1024;
 /// `out += a · b`, row-major. Accumulates `k`-ascending per output
 /// element (blocked and plain orderings agree bit-for-bit).
 pub(super) fn gemm_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    if m * k + k * n > SCALAR_CUTOVER {
-        for k0 in (0..k).step_by(SCALAR_KC) {
-            let k1 = (k0 + SCALAR_KC).min(k);
-            for i in 0..m {
-                row_kernel(
-                    &a[i * k..(i + 1) * k],
-                    b,
-                    &mut out[i * n..(i + 1) * n],
-                    k0,
-                    k1,
-                    n,
-                );
-            }
-        }
-    } else {
-        for i in 0..m {
-            row_kernel(
-                &a[i * k..(i + 1) * k],
-                b,
-                &mut out[i * n..(i + 1) * n],
-                0,
-                k,
-                n,
-            );
-        }
-    }
+    gemm_rows(|i, kk| a[i * k + kk], b, out, m, k, n);
 }
 
-/// Accumulates `o_row[j] += Σ_{k0≤kk<k1} a_row[kk] · b[kk][j]`.
-#[inline]
-fn row_kernel(a_row: &[f64], b: &[f64], o_row: &mut [f64], k0: usize, k1: usize, n: usize) {
-    for (kk, &a_ik) in a_row[k0..k1].iter().enumerate() {
-        if a_ik == 0.0 {
-            continue;
-        }
-        let b_row = &b[(k0 + kk) * n..(k0 + kk + 1) * n];
-        for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
-            *o += a_ik * bv;
-        }
-    }
+/// `out += atᵀ · b` with the left factor stored transposed (`at` is
+/// `k × m`): the same row kernel as [`gemm_acc`], reading `a[i][kk]` as
+/// `at[kk][i]`, so the per-element order (and the zero skip) is exactly
+/// that of transposing `at` first and calling [`gemm_acc`].
+pub(super) fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    gemm_rows(|i, kk| at[kk * m + i], b, out, m, k, n);
 }
 
-/// `out += a · btᵀ` with `bt` stored `n × k`: every output element is a
-/// contiguous row-dot, accumulated `k`-ascending. The fold seeds from the
-/// existing `out` value (not a fresh zero) so the accumulation order is
-/// the same left fold the AVX2 microkernel performs — bit-identical even
-/// when `out` arrives non-zero. For the zero-initialized call the old
-/// `matmul_transposed` made, seeding from `0.0` is the identical fold.
+/// `out += a · btᵀ` with `bt` stored `n × k`. A per-element row-dot is a
+/// sequential fold that does not vectorize, so this arm transposes `bt`
+/// once and runs the [`gemm_acc`] row kernel, whose inner loop does. The
+/// accumulation is the same `k`-ascending sequence seeded from `out`;
+/// the row kernel's zero skip can only change the sign of an exact zero.
 pub(super) fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for (j, o) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
-            *o = a_row
-                .iter()
-                .zip(bt[j * k..(j + 1) * k].iter())
-                .fold(*o, |acc, (&x, &y)| acc + x * y);
+    let mut b = vec![0.0; k * n];
+    for (j, bt_row) in bt.chunks_exact(k.max(1)).enumerate() {
+        for (kk, &v) in bt_row.iter().enumerate() {
+            b[kk * n + j] = v;
+        }
+    }
+    gemm_acc(a, &b, out, m, k, n);
+}
+
+/// The ikj loop nest behind every f64 product on this arm; `a(i, kk)`
+/// reads the left factor in whatever layout the caller stores it.
+/// Switches to `k`-blocking once the working set outgrows the caches.
+#[inline(always)]
+fn gemm_rows(
+    a: impl Fn(usize, usize) -> f64,
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let kc = if m * k + k * n > SCALAR_CUTOVER {
+        SCALAR_KC
+    } else {
+        k.max(1)
+    };
+    for k0 in (0..k).step_by(kc) {
+        let k1 = (k0 + kc).min(k);
+        for (i, o_row) in out.chunks_exact_mut(n.max(1)).enumerate() {
+            for kk in k0..k1 {
+                let a_ik = a(i, kk);
+                if a_ik == 0.0 {
+                    continue;
+                }
+                let b_row = &b[kk * n..(kk + 1) * n];
+                for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
+                    *o += a_ik * bv;
+                }
+            }
         }
     }
 }

@@ -255,12 +255,10 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Computes `self · rhs_tᵀ` from an already-transposed right factor:
-    /// every output element is a dot product of two contiguous rows, the
-    /// friendliest access pattern row-major storage allows. Callers that
-    /// reuse a transposed factor across many products (the batched ESA
-    /// solve) amortize the transpose once instead of paying strided reads
-    /// per product.
+    /// Computes `self · rhs_tᵀ` from an already-transposed right factor
+    /// ([`crate::kernel::gemm_tn_acc`]): the same bits as
+    /// `self.matmul(&rhs_t.transpose())` without the caller forming the
+    /// transpose.
     pub fn matmul_transposed(&self, rhs_t: &Matrix) -> Result<Matrix> {
         if self.cols != rhs_t.cols {
             return Err(LinAlgError::ShapeMismatch {
@@ -277,6 +275,29 @@ impl Matrix {
             self.rows,
             self.cols,
             rhs_t.rows,
+        );
+        Ok(out)
+    }
+
+    /// Computes `selfᵀ · rhs` ([`crate::kernel::gemm_at_acc`]): the same
+    /// bits as `self.transpose().matmul(rhs)` without forming the
+    /// transpose.
+    pub fn transpose_matmul(&self, rhs: &Matrix) -> Result<Matrix> {
+        if self.rows != rhs.rows {
+            return Err(LinAlgError::ShapeMismatch {
+                left: self.shape(),
+                right: rhs.shape(),
+                op: "transpose_matmul",
+            });
+        }
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        crate::kernel::gemm_at_acc(
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            self.cols,
+            self.rows,
+            rhs.cols,
         );
         Ok(out)
     }

@@ -108,13 +108,26 @@ pub fn argmax(a: &[f64]) -> usize {
 
 /// Numerically-stable softmax.
 pub fn softmax(z: &[f64]) -> Vec<f64> {
-    if z.is_empty() {
-        return Vec::new();
-    }
+    let mut out = vec![0.0; z.len()];
+    softmax_into(z, &mut out);
+    out
+}
+
+/// [`softmax`] written into `out` (same length as `z`) instead of a fresh
+/// vector.
+///
+/// # Panics
+/// Panics on a length mismatch.
+pub fn softmax_into(z: &[f64], out: &mut [f64]) {
+    assert_eq!(z.len(), out.len(), "softmax_into: length mismatch");
     let max = z.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = z.iter().map(|&x| (x - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    for (o, &x) in out.iter_mut().zip(z) {
+        *o = (x - max).exp();
+    }
+    let sum: f64 = out.iter().sum();
+    for o in out.iter_mut() {
+        *o /= sum;
+    }
 }
 
 /// Logistic sigmoid `1 / (1 + e^{-x})`, stable for large |x|.

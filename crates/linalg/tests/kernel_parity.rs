@@ -88,9 +88,9 @@ fn gemm_tn_bit_identical_across_backends() {
     }
     let mut rng = StdRng::seed_from_u64(0x5eed_0002);
     for (m, k, n) in shapes(&mut rng) {
-        // gemm_tn computes Aᵀ·B from a stored k×m A.
-        let a = rand_vec(&mut rng, k * m);
-        let b = rand_vec(&mut rng, k * n);
+        // gemm_tn computes A·Bᵀ from a stored n×k B.
+        let a = rand_vec(&mut rng, m * k);
+        let b = rand_vec(&mut rng, n * k);
         let init = rand_vec(&mut rng, m * n);
         let mut out_s = init.clone();
         let mut out_v = init;
@@ -102,6 +102,64 @@ fn gemm_tn_bit_identical_across_backends() {
         });
         assert_bitwise_eq(&out_s, &out_v, "gemm_tn_acc", (m, k, n));
     }
+}
+
+#[test]
+fn gemm_at_bit_identical_across_backends() {
+    if !fia_linalg::avx2_available() {
+        eprintln!("skipping: no AVX2 on this host");
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(0x5eed_0007);
+    for (m, k, n) in shapes(&mut rng) {
+        // gemm_at computes Aᵀ·B from a stored k×m A.
+        let a = rand_vec(&mut rng, k * m);
+        let b = rand_vec(&mut rng, k * n);
+        let init = rand_vec(&mut rng, m * n);
+        let mut out_s = init.clone();
+        let mut out_v = init;
+        with_backend(Backend::Scalar, || {
+            kernel::gemm_at_acc(&a, &b, &mut out_s, m, k, n)
+        });
+        with_backend(Backend::Avx2, || {
+            kernel::gemm_at_acc(&a, &b, &mut out_v, m, k, n)
+        });
+        assert_bitwise_eq(&out_s, &out_v, "gemm_at_acc", (m, k, n));
+    }
+}
+
+#[test]
+fn transposed_operand_products_match_explicit_transpose_bitwise() {
+    // The tape's MatMul backward relies on this: `g·Bᵀ` and `Aᵀ·g` formed
+    // inside the kernel are the same bits, on each arm, as transposing
+    // first — zero signs and zero operands included.
+    let mut rng = StdRng::seed_from_u64(0x5eed_0008);
+    let backends = if fia_linalg::avx2_available() {
+        vec![Backend::Scalar, Backend::Avx2]
+    } else {
+        vec![Backend::Scalar]
+    };
+    for (m, k, n) in shapes(&mut rng) {
+        let mut a = Matrix::from_vec(m, k, rand_vec(&mut rng, m * k)).unwrap();
+        let b = Matrix::from_vec(n, k, rand_vec(&mut rng, n * k)).unwrap();
+        let c = Matrix::from_vec(m, n, rand_vec(&mut rng, m * n)).unwrap();
+        // Exact zeros exercise the scalar arm's zero skip.
+        a.as_mut_slice()[0] = 0.0;
+        for &backend in &backends {
+            with_backend(backend, || {
+                let tn = a.matmul_transposed(&b).unwrap();
+                let via_t = a.matmul(&b.transpose()).unwrap();
+                assert_eq!(bits(&tn), bits(&via_t), "{backend:?} a·bᵀ {:?}", (m, k, n));
+                let at = a.transpose_matmul(&c).unwrap();
+                let via_t = a.transpose().matmul(&c).unwrap();
+                assert_eq!(bits(&at), bits(&via_t), "{backend:?} aᵀ·c {:?}", (m, k, n));
+            });
+        }
+    }
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 #[test]
@@ -121,13 +179,14 @@ fn matrix_level_routing_bit_identical_across_backends() {
                 a.matmul_blocked(&b, 32).unwrap(),
                 a.matmul_transposed(&bt).unwrap(),
                 par_matmul_with(&a, &b, 3).unwrap(),
+                a.transpose().transpose_matmul(&b).unwrap(),
             )
         };
         let s = with_backend(Backend::Scalar, run);
         let v = with_backend(Backend::Avx2, run);
-        for (which, (ms, mv)) in [s.0, s.1, s.2, s.3]
+        for (which, (ms, mv)) in [s.0, s.1, s.2, s.3, s.4]
             .iter()
-            .zip([v.0, v.1, v.2, v.3])
+            .zip([v.0, v.1, v.2, v.3, v.4])
             .enumerate()
         {
             assert_bitwise_eq(

@@ -229,6 +229,68 @@ mod tests {
     }
 
     #[test]
+    fn gather_cols_with_repeated_column_gradcheck() {
+        // Column 2 is gathered three times and column 1 never, so the
+        // backward must both accumulate and leave a zero gradient.
+        let params = tiny_params(&[(3, 4)], 8);
+        assert_gradients_ok(
+            &params,
+            |tape, vars| {
+                let g = tape.gather_cols(vars[0], &[2, 0, 2, 3, 2]);
+                let w = tape.input(Matrix::from_fn(3, 5, |i, j| 0.5 + 0.1 * (i + 2 * j) as f64));
+                let sq = tape.hadamard(g, g);
+                let weighted = tape.hadamard(sq, w);
+                tape.sum_all(weighted)
+            },
+            1e-5,
+            1e-6,
+        );
+    }
+
+    /// Entries of both signs at least 0.2 from zero, so a finite
+    /// difference never crosses the kink at 0.
+    fn off_kink_params() -> Params {
+        let mut p = Params::new();
+        p.insert(Matrix::from_fn(3, 4, |i, j| {
+            let magnitude = 0.2 + 0.15 * ((i * 4 + j) % 5) as f64;
+            if (i + j) % 2 == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        }));
+        p
+    }
+
+    #[test]
+    fn relu_gradcheck_away_from_kink() {
+        assert_gradients_ok(
+            &off_kink_params(),
+            |tape, vars| {
+                let y = tape.relu(vars[0]);
+                let t = tape.input(Matrix::filled(3, 4, 0.1));
+                tape.mse_loss(y, t)
+            },
+            1e-5,
+            1e-6,
+        );
+    }
+
+    #[test]
+    fn leaky_relu_gradcheck_away_from_kink() {
+        assert_gradients_ok(
+            &off_kink_params(),
+            |tape, vars| {
+                let y = tape.leaky_relu(vars[0], 0.1);
+                let t = tape.input(Matrix::filled(3, 4, -0.05));
+                tape.mse_loss(y, t)
+            },
+            1e-5,
+            1e-6,
+        );
+    }
+
+    #[test]
     fn report_counts_coordinates() {
         let params = tiny_params(&[(2, 2)], 7);
         let r = check_gradients(&params, |tape, vars| tape.sum_all(vars[0]), 1e-5);

@@ -100,8 +100,8 @@ pub struct Adam {
     /// Numerical fuzz.
     pub eps: f64,
     t: u64,
-    m: Vec<Option<Matrix>>,
-    v: Vec<Option<Matrix>>,
+    /// First and second moments per parameter slot, zeroed on first use.
+    moments: Vec<Option<(Matrix, Matrix)>>,
 }
 
 impl Adam {
@@ -113,54 +113,40 @@ impl Adam {
             beta2: 0.999,
             eps: 1e-8,
             t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    fn ensure(&mut self, idx: usize) {
-        if self.m.len() <= idx {
-            self.m.resize(idx + 1, None);
-            self.v.resize(idx + 1, None);
+            moments: Vec::new(),
         }
     }
 }
 
 impl Optimizer for Adam {
+    /// Updates `m`, `v` and the parameter in place, one pass per
+    /// parameter over its slices.
     fn step(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]) {
         self.t += 1;
         let t = self.t as f64;
         let bc1 = 1.0 - self.beta1.powf(t);
         let bc2 = 1.0 - self.beta2.powf(t);
+        let (b1, b2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let (c1, c2) = (1.0 - b1, 1.0 - b2);
         for (id, grad) in grads {
-            let idx = id.index();
-            self.ensure(idx);
-            let m_new = match &self.m[idx] {
-                Some(m) => m
-                    .scale(self.beta1)
-                    .add(&grad.scale(1.0 - self.beta1))
-                    .expect("shape stable"),
-                None => grad.scale(1.0 - self.beta1),
-            };
-            let g2 = grad.hadamard(grad).expect("same shape");
-            let v_new = match &self.v[idx] {
-                Some(v) => v
-                    .scale(self.beta2)
-                    .add(&g2.scale(1.0 - self.beta2))
-                    .expect("shape stable"),
-                None => g2.scale(1.0 - self.beta2),
-            };
             let p = params.get_mut(*id);
-            let (rows, cols) = p.shape();
-            for i in 0..rows {
-                for j in 0..cols {
-                    let mhat = m_new[(i, j)] / bc1;
-                    let vhat = v_new[(i, j)] / bc2;
-                    p[(i, j)] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-                }
+            assert_eq!(p.shape(), grad.shape(), "Adam: gradient shape mismatch");
+            let idx = id.index();
+            if self.moments.len() <= idx {
+                self.moments.resize(idx + 1, None);
             }
-            self.m[idx] = Some(m_new);
-            self.v[idx] = Some(v_new);
+            let (m, v) = self.moments[idx].get_or_insert_with(|| {
+                let (rows, cols) = p.shape();
+                (Matrix::zeros(rows, cols), Matrix::zeros(rows, cols))
+            });
+            let state = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+            for ((p, (m, v)), &g) in p.as_mut_slice().iter_mut().zip(state).zip(grad.as_slice()) {
+                *m = *m * b1 + g * c1;
+                *v = *v * b2 + g * g * c2;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *p -= lr * mhat / (vhat.sqrt() + eps);
+            }
         }
     }
 }
@@ -219,6 +205,70 @@ mod tests {
         let val = params.get(w)[(0, 0)];
         assert!(val < 1.0 && val > 0.0);
         assert!((val - 0.95f64.powi(10)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn adam_update_matches_plain_formula_bitwise() {
+        // The in-place update against the textbook per-matrix formula it
+        // replaced, over several steps on a 1-row, a 1-column and a
+        // ragged 54-row parameter. The formula's first step starts from no
+        // moments at all, the in-place one from zeroed moments; they may
+        // differ only in the sign of an exact zero.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut draw = |rows: usize, cols: usize| {
+            Matrix::from_fn(rows, cols, |_, _| {
+                let v: f64 = rng.gen_range(-1.0..1.0);
+                if rng.gen_bool(0.05) {
+                    0.0
+                } else {
+                    v
+                }
+            })
+        };
+        let shapes = [(1, 9), (6, 1), (54, 17)];
+        let mut params = Params::new();
+        let ids: Vec<ParamId> = shapes
+            .iter()
+            .map(|&(r, c)| params.insert(draw(r, c)))
+            .collect();
+        let mut want: Vec<Matrix> = ids.iter().map(|&id| params.get(id).clone()).collect();
+        let mut moments: Vec<Option<(Matrix, Matrix)>> = vec![None; ids.len()];
+        let mut opt = Adam::new(3e-3);
+        for t in 1..=4 {
+            let grads: Vec<(ParamId, Matrix)> = ids
+                .iter()
+                .zip(&shapes)
+                .map(|(&id, &(r, c))| (id, draw(r, c)))
+                .collect();
+            opt.step(&mut params, &grads);
+
+            let bc1 = 1.0 - opt.beta1.powf(t as f64);
+            let bc2 = 1.0 - opt.beta2.powf(t as f64);
+            for ((p, slot), (_, g)) in want.iter_mut().zip(&mut moments).zip(&grads) {
+                let g2 = g.hadamard(g).unwrap();
+                let (m, v) = match slot.take() {
+                    Some((m, v)) => (
+                        m.scale(opt.beta1).add(&g.scale(1.0 - opt.beta1)).unwrap(),
+                        v.scale(opt.beta2).add(&g2.scale(1.0 - opt.beta2)).unwrap(),
+                    ),
+                    None => (g.scale(1.0 - opt.beta1), g2.scale(1.0 - opt.beta2)),
+                };
+                *p = Matrix::from_fn(p.rows(), p.cols(), |i, j| {
+                    let (mhat, vhat) = (m[(i, j)] / bc1, v[(i, j)] / bc2);
+                    p[(i, j)] - opt.lr * mhat / (vhat.sqrt() + opt.eps)
+                });
+                *slot = Some((m, v));
+            }
+            for (&id, w) in ids.iter().zip(&want) {
+                for (&x, &y) in params.get(id).as_slice().iter().zip(w.as_slice()) {
+                    assert!(
+                        x.to_bits() == y.to_bits() || (x == 0.0 && y == 0.0),
+                        "step {t}: {x:e} vs formula {y:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

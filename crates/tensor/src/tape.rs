@@ -4,16 +4,6 @@ use crate::params::{ParamId, Params};
 use fia_linalg::{Matrix, Precision};
 use rand::Rng;
 
-/// Matrix product at the tape's precision: full f64 by default, the
-/// mixed f32 kernel (f64 accumulation at reduction boundaries) when the
-/// tape was built with [`Tape::with_precision`]`(Precision::F32)`.
-fn mm(precision: Precision, a: &Matrix, b: &Matrix) -> fia_linalg::Result<Matrix> {
-    match precision {
-        Precision::F64 => a.matmul(b),
-        Precision::F32 => a.matmul_mixed(b),
-    }
-}
-
 /// Handle to a value on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarId(usize);
@@ -82,10 +72,10 @@ enum Op {
         mask: Matrix,
     },
     ConcatCols(VarId, VarId),
-    SliceCols {
+    /// `out[:, j] = x[:, cols[j]]`; repeated source columns are allowed.
+    GatherCols {
         x: VarId,
-        start: usize,
-        end: usize,
+        cols: Vec<usize>,
     },
 }
 
@@ -242,11 +232,12 @@ impl Tape {
     /// Panics on inner-dimension mismatch — tapes are built by library
     /// code with statically known layer shapes, so a mismatch is a bug.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = mm(
-            self.precision,
-            &self.nodes[a.0].value,
-            &self.nodes[b.0].value,
-        )
+        let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let v = match self.precision {
+            Precision::F64 => av.matmul(bv),
+            // Mixed f32 kernel, f64 accumulation at reduction boundaries.
+            Precision::F32 => av.matmul_mixed(bv),
+        }
         .expect("tape matmul: shape mismatch");
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::MatMul(a, b), ng)
@@ -289,9 +280,9 @@ impl Tape {
         assert_eq!(bv.rows(), 1, "bias must be a row vector");
         assert_eq!(av.cols(), bv.cols(), "bias width mismatch");
         let mut out = av.clone();
+        let brow = bv.row(0);
         for i in 0..out.rows() {
-            let brow = bv.row(0).to_vec();
-            for (o, b) in out.row_mut(i).iter_mut().zip(brow.iter()) {
+            for (o, b) in out.row_mut(i).iter_mut().zip(brow) {
                 *o += b;
             }
         }
@@ -352,8 +343,7 @@ impl Tape {
         let av = &self.nodes[a.0].value;
         let mut out = Matrix::zeros(av.rows(), av.cols());
         for i in 0..av.rows() {
-            let s = fia_linalg::vecops::softmax(av.row(i));
-            out.row_mut(i).copy_from_slice(&s);
+            fia_linalg::vecops::softmax_into(av.row(i), out.row_mut(i));
         }
         let ng = self.needs(a);
         self.push(out, Op::SoftmaxRows(a), ng)
@@ -375,15 +365,9 @@ impl Tape {
     /// Column means: `[m×n] → [1×n]`.
     pub fn col_mean(&mut self, a: VarId) -> VarId {
         let av = &self.nodes[a.0].value;
-        let (m, n) = av.shape();
-        let mut out = Matrix::zeros(1, n);
-        for i in 0..m {
-            for (j, &x) in av.row(i).iter().enumerate() {
-                out[(0, j)] += x;
-            }
-        }
-        for j in 0..n {
-            out[(0, j)] /= m as f64;
+        let mut out = col_sums(av);
+        for o in out.as_mut_slice() {
+            *o /= av.rows() as f64;
         }
         let ng = self.needs(a);
         self.push(out, Op::ColMean(a), ng)
@@ -431,11 +415,11 @@ impl Tape {
         let mut soft = Matrix::zeros(m, n);
         let mut loss = 0.0;
         for i in 0..m {
-            let s = fia_linalg::vecops::softmax(z.row(i));
-            for (j, &p) in s.iter().enumerate() {
-                loss -= t[(i, j)] * p.max(1e-300).ln();
+            let s = soft.row_mut(i);
+            fia_linalg::vecops::softmax_into(z.row(i), s);
+            for (&p, &tv) in s.iter().zip(t.row(i)) {
+                loss -= tv * p.max(1e-300).ln();
             }
-            soft.row_mut(i).copy_from_slice(&s);
         }
         loss /= m as f64;
         let ng = self.needs(logits) || self.needs(target);
@@ -466,16 +450,19 @@ impl Tape {
         let mut xhat = Matrix::zeros(m, n);
         let mut inv_std = vec![0.0; m];
         let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
+        for (i, istd_i) in inv_std.iter_mut().enumerate() {
             let row = xv.row(i);
             let mu = fia_linalg::vecops::mean(row);
             let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f64>() / n as f64;
             let istd = 1.0 / (var + eps).sqrt();
-            inv_std[i] = istd;
-            for j in 0..n {
-                let h = (row[j] - mu) * istd;
-                xhat[(i, j)] = h;
-                out[(i, j)] = gv[(0, j)] * h + bv[(0, j)];
+            *istd_i = istd;
+            let hrow = xhat.row_mut(i);
+            for (h, &x) in hrow.iter_mut().zip(row) {
+                *h = (x - mu) * istd;
+            }
+            let affine = gv.row(0).iter().zip(bv.row(0));
+            for ((o, &h), (&gj, &bj)) in out.row_mut(i).iter_mut().zip(&*hrow).zip(affine) {
+                *o = gj * h + bj;
             }
         }
         let ng = self.needs(x) || self.needs(gamma) || self.needs(beta);
@@ -529,12 +516,29 @@ impl Tape {
 
     /// Column slice `a[:, start..end]`.
     pub fn slice_cols(&mut self, a: VarId, start: usize, end: usize) -> VarId {
-        let av = &self.nodes[a.0].value;
-        assert!(start < end && end <= av.cols(), "slice_cols: bad range");
-        let cols: Vec<usize> = (start..end).collect();
-        let v = av.select_columns(&cols).expect("validated range");
+        assert!(
+            start < end && end <= self.nodes[a.0].value.cols(),
+            "slice_cols: bad range"
+        );
+        self.gather_cols(a, &(start..end).collect::<Vec<_>>())
+    }
+
+    /// Column gather `out[:, j] = a[:, cols[j]]`: a pure copy forward,
+    /// whose backward adds each output column's gradient back into its
+    /// source column (so a repeated source accumulates). GRNA assembles
+    /// the model's input `x = [x_adv | x̂_target]` in global feature order
+    /// with it.
+    ///
+    /// # Panics
+    /// Panics if a column index is out of range.
+    pub fn gather_cols(&mut self, a: VarId, cols: &[usize]) -> VarId {
+        let v = self.nodes[a.0]
+            .value
+            .select_columns(cols)
+            .expect("gather_cols: column out of range");
         let ng = self.needs(a);
-        self.push(v, Op::SliceCols { x: a, start, end }, ng)
+        let cols = cols.to_vec();
+        self.push(v, Op::GatherCols { x: a, cols }, ng)
     }
 
     // ------------------------------------------------------------------
@@ -632,16 +636,23 @@ impl Tape {
             Op::Input | Op::Param(_) => {}
             Op::MatMul(a, b) => {
                 let (a, b) = (*a, *b);
-                let prec = self.precision;
-                if self.needs(a) {
-                    let bt = self.nodes[b.0].value.transpose();
-                    let da = mm(prec, g, &bt).expect("shapes consistent");
-                    self.accumulate(a, da);
+                let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                // dA = g·Bᵀ and dB = Aᵀ·g. At f64 the kernel forms each
+                // transposed operand inside its packing; the mixed-precision
+                // path transposes first and runs its own kernel.
+                let da = self.needs(a).then(|| match self.precision {
+                    Precision::F64 => g.matmul_transposed(bv),
+                    Precision::F32 => g.matmul_mixed(&bv.transpose()),
+                });
+                let db = self.needs(b).then(|| match self.precision {
+                    Precision::F64 => av.transpose_matmul(g),
+                    Precision::F32 => av.transpose().matmul_mixed(g),
+                });
+                if let Some(da) = da {
+                    self.accumulate(a, da.expect("shapes consistent"));
                 }
-                if self.needs(b) {
-                    let at = self.nodes[a.0].value.transpose();
-                    let db = mm(prec, &at, g).expect("shapes consistent");
-                    self.accumulate(b, db);
+                if let Some(db) = db {
+                    self.accumulate(b, db.expect("shapes consistent"));
                 }
             }
             Op::Add(a, b) => {
@@ -671,13 +682,7 @@ impl Tape {
                 let (a, bias) = (*a, *bias);
                 self.accumulate_ref(a, g);
                 if self.needs(bias) {
-                    let mut db = Matrix::zeros(1, g.cols());
-                    for i in 0..g.rows() {
-                        for (j, &v) in g.row(i).iter().enumerate() {
-                            db[(0, j)] += v;
-                        }
-                    }
-                    self.accumulate(bias, db);
+                    self.accumulate(bias, col_sums(g));
                 }
             }
             Op::Scale(a, c) => {
@@ -690,42 +695,26 @@ impl Tape {
             }
             Op::Relu(a) => {
                 let a = *a;
-                let da = Matrix::from_fn(g.rows(), g.cols(), |i, j| {
-                    if self.nodes[a.0].value[(i, j)] > 0.0 {
-                        g[(i, j)]
-                    } else {
-                        0.0
-                    }
-                });
+                let x = &self.nodes[a.0].value;
+                let da = zip_map(g, x, |g, x| if x > 0.0 { g } else { 0.0 });
                 self.accumulate(a, da);
             }
             Op::LeakyRelu(a, alpha) => {
                 let (a, alpha) = (*a, *alpha);
-                let da = Matrix::from_fn(g.rows(), g.cols(), |i, j| {
-                    if self.nodes[a.0].value[(i, j)] > 0.0 {
-                        g[(i, j)]
-                    } else {
-                        alpha * g[(i, j)]
-                    }
-                });
+                let x = &self.nodes[a.0].value;
+                let da = zip_map(g, x, |g, x| if x > 0.0 { g } else { alpha * g });
                 self.accumulate(a, da);
             }
             Op::Sigmoid(a) => {
                 let a = *a;
                 let y = &self.nodes[idx].value;
-                let da = Matrix::from_fn(g.rows(), g.cols(), |i, j| {
-                    let s = y[(i, j)];
-                    g[(i, j)] * s * (1.0 - s)
-                });
+                let da = zip_map(g, y, |g, s| g * s * (1.0 - s));
                 self.accumulate(a, da);
             }
             Op::Tanh(a) => {
                 let a = *a;
                 let y = &self.nodes[idx].value;
-                let da = Matrix::from_fn(g.rows(), g.cols(), |i, j| {
-                    let t = y[(i, j)];
-                    g[(i, j)] * (1.0 - t * t)
-                });
+                let da = zip_map(g, y, |g, t| g * (1.0 - t * t));
                 self.accumulate(a, da);
             }
             Op::SoftmaxRows(a) => {
@@ -748,8 +737,7 @@ impl Tape {
             Op::Log(a) => {
                 let a = *a;
                 let x = &self.nodes[a.0].value;
-                let da =
-                    Matrix::from_fn(g.rows(), g.cols(), |i, j| g[(i, j)] / x[(i, j)].max(1e-300));
+                let da = zip_map(g, x, |g, x| g / x.max(1e-300));
                 self.accumulate(a, da);
             }
             Op::ColMean(a) => {
@@ -780,11 +768,12 @@ impl Tape {
                     let tv = &self.nodes[t.0].value;
                     pv.sub(tv).expect("mse shapes equal").scale(coeff)
                 };
+                let neg = self.needs(t).then(|| diff.scale(-1.0));
                 if self.needs(p) {
-                    self.accumulate(p, diff.clone());
+                    self.accumulate(p, diff);
                 }
-                if self.needs(t) {
-                    self.accumulate(t, diff.scale(-1.0));
+                if let Some(neg) = neg {
+                    self.accumulate(t, neg);
                 }
             }
             Op::CrossEntropyLogits {
@@ -793,26 +782,29 @@ impl Tape {
                 softmax,
             } => {
                 let (logits, target) = (*logits, *target);
-                let soft = softmax.clone();
-                let tv = self.nodes[target.0].value.clone();
-                let m = soft.rows() as f64;
-                let coeff = g[(0, 0)] / m;
-                if self.needs(logits) {
-                    // For soft targets with Σ_j t_ij = s_i,
-                    // dL/dz_ij = (s_i · softmax_ij − t_ij) / m.
-                    let mut dz = Matrix::zeros(soft.rows(), soft.cols());
-                    for i in 0..soft.rows() {
-                        let tsum: f64 = tv.row(i).iter().sum();
-                        for j in 0..soft.cols() {
-                            dz[(i, j)] = coeff * (tsum * soft[(i, j)] - tv[(i, j)]);
+                let tv = &self.nodes[target.0].value;
+                let coeff = g[(0, 0)] / softmax.rows() as f64;
+                // For soft targets with Σ_j t_ij = s_i,
+                // dL/dz_ij = (s_i · softmax_ij − t_ij) / m.
+                let dz = self.needs(logits).then(|| {
+                    let mut dz = Matrix::zeros(softmax.rows(), softmax.cols());
+                    for i in 0..softmax.rows() {
+                        let trow = tv.row(i);
+                        let tsum: f64 = trow.iter().sum();
+                        let pairs = softmax.row(i).iter().zip(trow);
+                        for (d, (&s, &t)) in dz.row_mut(i).iter_mut().zip(pairs) {
+                            *d = coeff * (tsum * s - t);
                         }
                     }
+                    dz
+                });
+                let dt = self
+                    .needs(target)
+                    .then(|| softmax.map(|s| -coeff * s.max(1e-300).ln()));
+                if let Some(dz) = dz {
                     self.accumulate(logits, dz);
                 }
-                if self.needs(target) {
-                    let dt = Matrix::from_fn(soft.rows(), soft.cols(), |i, j| {
-                        -coeff * soft[(i, j)].max(1e-300).ln()
-                    });
+                if let Some(dt) = dt {
                     self.accumulate(target, dt);
                 }
             }
@@ -824,49 +816,50 @@ impl Tape {
                 inv_std,
             } => {
                 let (x, gamma, beta) = (*x, *gamma, *beta);
-                let xhat = xhat.clone();
-                let inv_std = inv_std.clone();
-                let gv = self.nodes[gamma.0].value.clone();
-                let (m, n) = xhat.shape();
-                if self.needs(gamma) {
+                let gv = self.nodes[gamma.0].value.row(0);
+                let n = xhat.cols();
+                let dg = self.needs(gamma).then(|| {
                     let mut dg = Matrix::zeros(1, n);
-                    for i in 0..m {
-                        for j in 0..n {
-                            dg[(0, j)] += g[(i, j)] * xhat[(i, j)];
+                    for i in 0..xhat.rows() {
+                        let terms = g.row(i).iter().zip(xhat.row(i));
+                        for (d, (&gij, &h)) in dg.as_mut_slice().iter_mut().zip(terms) {
+                            *d += gij * h;
                         }
                     }
-                    self.accumulate(gamma, dg);
-                }
-                if self.needs(beta) {
-                    let mut db = Matrix::zeros(1, n);
-                    for i in 0..m {
-                        for j in 0..n {
-                            db[(0, j)] += g[(i, j)];
-                        }
-                    }
-                    self.accumulate(beta, db);
-                }
-                if self.needs(x) {
-                    // Standard LayerNorm backward:
-                    // dx̂ = g ⊙ γ;
-                    // dx = (dx̂ − mean(dx̂) − x̂ ⊙ mean(dx̂ ⊙ x̂)) · invσ
-                    let mut dx = Matrix::zeros(m, n);
-                    for i in 0..m {
+                    dg
+                });
+                let db = self.needs(beta).then(|| col_sums(g));
+                // Standard LayerNorm backward:
+                // dx̂ = g ⊙ γ;
+                // dx = (dx̂ − mean(dx̂) − x̂ ⊙ mean(dx̂ ⊙ x̂)) · invσ
+                let dx = self.needs(x).then(|| {
+                    let mut dx = Matrix::zeros(xhat.rows(), n);
+                    for (i, &istd) in inv_std.iter().enumerate() {
+                        let (grow, hrow) = (g.row(i), xhat.row(i));
                         let mut sum_dxhat = 0.0;
                         let mut sum_dxhat_xhat = 0.0;
-                        for j in 0..n {
-                            let dxh = g[(i, j)] * gv[(0, j)];
+                        for ((&gij, &gj), &h) in grow.iter().zip(gv).zip(hrow) {
+                            let dxh = gij * gj;
                             sum_dxhat += dxh;
-                            sum_dxhat_xhat += dxh * xhat[(i, j)];
+                            sum_dxhat_xhat += dxh * h;
                         }
                         let mean_dxhat = sum_dxhat / n as f64;
                         let mean_dxhat_xhat = sum_dxhat_xhat / n as f64;
-                        for j in 0..n {
-                            let dxh = g[(i, j)] * gv[(0, j)];
-                            dx[(i, j)] =
-                                (dxh - mean_dxhat - xhat[(i, j)] * mean_dxhat_xhat) * inv_std[i];
+                        let terms = grow.iter().zip(gv).zip(hrow);
+                        for (d, ((&gij, &gj), &h)) in dx.row_mut(i).iter_mut().zip(terms) {
+                            let dxh = gij * gj;
+                            *d = (dxh - mean_dxhat - h * mean_dxhat_xhat) * istd;
                         }
                     }
+                    dx
+                });
+                if let Some(dg) = dg {
+                    self.accumulate(gamma, dg);
+                }
+                if let Some(db) = db {
+                    self.accumulate(beta, db);
+                }
+                if let Some(dx) = dx {
                     self.accumulate(x, dx);
                 }
             }
@@ -889,19 +882,44 @@ impl Tape {
                     self.accumulate(b, db);
                 }
             }
-            Op::SliceCols { x, start, end } => {
-                let (x, start, end) = (*x, *start, *end);
-                let xv = &self.nodes[x.0].value;
-                let mut dx = Matrix::zeros(xv.rows(), xv.cols());
+            Op::GatherCols { x, cols } => {
+                let x = *x;
+                let mut dx = Matrix::zeros(g.rows(), self.nodes[x.0].value.cols());
                 for i in 0..g.rows() {
-                    for (off, j) in (start..end).enumerate() {
-                        dx[(i, j)] = g[(i, off)];
+                    let dst = dx.row_mut(i);
+                    for (&c, &v) in cols.iter().zip(g.row(i)) {
+                        dst[c] += v;
                     }
                 }
                 self.accumulate(x, dx);
             }
         }
     }
+}
+
+/// `out[i] = f(g[i], x[i])` over two same-shape matrices: one pass over
+/// contiguous slices, which vectorizes when `f` is a branch-free select
+/// or arithmetic (the activation backward rules).
+fn zip_map(g: &Matrix, x: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
+    debug_assert_eq!(g.shape(), x.shape(), "zip_map: shape mismatch");
+    let data = g
+        .as_slice()
+        .iter()
+        .zip(x.as_slice())
+        .map(|(&g, &x)| f(g, x))
+        .collect();
+    Matrix::from_vec(g.rows(), g.cols(), data).expect("shape preserved")
+}
+
+/// Column sums `[m×n] → [1×n]`, accumulated row by row from zero.
+fn col_sums(a: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(1, a.cols());
+    for i in 0..a.rows() {
+        for (o, &v) in out.as_mut_slice().iter_mut().zip(a.row(i)) {
+            *o += v;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1157,6 +1175,234 @@ mod tests {
             Precision::F32
         );
         assert_eq!(Tape::new().precision(), Precision::F64);
+    }
+
+    // ------------------------------------------------------------------
+    // Bit-for-bit sweep: every rewritten forward and backward rule against
+    // the plain per-element formula it replaced. Shapes cover a single
+    // row, a single column and a ragged 54-row batch (the last mini-batch
+    // of an epoch over 1 462 rows at batch size 64).
+    // ------------------------------------------------------------------
+
+    const SWEEP_SHAPES: [(usize, usize); 3] = [(1, 9), (6, 1), (54, 17)];
+
+    /// Seeded operand in [-1, 1) with about 5% exact zeros (the ReLU kink
+    /// and the scalar GEMM's zero skip both see them).
+    fn operand(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Matrix::from_fn(rows, cols, |_, _| {
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            if rng.gen_bool(0.05) {
+                0.0
+            } else {
+                v
+            }
+        })
+    }
+
+    /// Equal bit patterns, except that `-0.0` matches `+0.0` — the one
+    /// difference the kernel contract licenses.
+    fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (&x, &y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits() || (x == 0.0 && y == 0.0),
+                "{what}: element {i} is {x:e}, formula gives {y:e}"
+            );
+        }
+    }
+
+    /// Every kernel arm this host can run.
+    fn backends() -> Vec<fia_linalg::Backend> {
+        let mut b = vec![fia_linalg::Backend::Scalar];
+        if fia_linalg::avx2_available() {
+            b.push(fia_linalg::Backend::Avx2);
+        }
+        b
+    }
+
+    /// Runs `op` on a trainable `x` and backpropagates the upstream
+    /// gradient `up` into it (`loss = Σ op(x) ⊙ up`). Returns the forward
+    /// value and `x`'s gradient.
+    fn unary_pass(
+        x: &Matrix,
+        up: &Matrix,
+        op: impl Fn(&mut Tape, VarId) -> VarId,
+    ) -> (Matrix, Matrix) {
+        let mut params = Params::new();
+        let xid = params.insert(x.clone());
+        let mut tape = Tape::new();
+        let xv = tape.param(&params, xid);
+        let y = op(&mut tape, xv);
+        let u = tape.input(up.clone());
+        let weighted = tape.hadamard(y, u);
+        let loss = tape.sum_all(weighted);
+        tape.backward(loss);
+        (tape.value(y).clone(), tape.grad(xv).unwrap().clone())
+    }
+
+    #[test]
+    fn activation_rules_match_plain_formulas_bitwise() {
+        let alpha = 0.01;
+        for (s, &(m, n)) in SWEEP_SHAPES.iter().enumerate() {
+            let x = operand(m, n, 10 + s as u64);
+            let up = operand(m, n, 20 + s as u64);
+            let pick = |f: &dyn Fn(f64, f64) -> f64, a: &Matrix| {
+                Matrix::from_fn(m, n, |i, j| f(a[(i, j)], up[(i, j)]))
+            };
+
+            let (y, dx) = unary_pass(&x, &up, |t, v| t.relu(v));
+            assert_bits_eq(&y, &x.map(|v| v.max(0.0)), "relu forward");
+            let want = pick(&|x, g| if x > 0.0 { g } else { 0.0 }, &x);
+            assert_bits_eq(&dx, &want, "relu backward");
+
+            let (y, dx) = unary_pass(&x, &up, |t, v| t.leaky_relu(v, alpha));
+            assert_bits_eq(
+                &y,
+                &x.map(|v| if v > 0.0 { v } else { alpha * v }),
+                "leaky forward",
+            );
+            let want = pick(&|x, g| if x > 0.0 { g } else { alpha * g }, &x);
+            assert_bits_eq(&dx, &want, "leaky backward");
+
+            let (y, dx) = unary_pass(&x, &up, |t, v| t.sigmoid(v));
+            assert_bits_eq(&y, &x.map(fia_linalg::vecops::sigmoid), "sigmoid forward");
+            assert_bits_eq(
+                &dx,
+                &pick(&|s, g| g * s * (1.0 - s), &y),
+                "sigmoid backward",
+            );
+
+            let (y, dx) = unary_pass(&x, &up, |t, v| t.tanh(v));
+            assert_bits_eq(&y, &x.map(f64::tanh), "tanh forward");
+            assert_bits_eq(&dx, &pick(&|t, g| g * (1.0 - t * t), &y), "tanh backward");
+        }
+    }
+
+    #[test]
+    fn layer_norm_matches_plain_formulas_bitwise() {
+        let eps = 1e-5;
+        for (s, &(m, n)) in SWEEP_SHAPES.iter().enumerate() {
+            let x = operand(m, n, 30 + s as u64);
+            let gamma = operand(1, n, 40 + s as u64);
+            let beta = operand(1, n, 50 + s as u64);
+            let up = operand(m, n, 60 + s as u64);
+
+            let mut params = Params::new();
+            let ids = [x.clone(), gamma.clone(), beta.clone()].map(|p| params.insert(p));
+            let mut tape = Tape::new();
+            let [xv, gv, bv] = ids.map(|id| tape.param(&params, id));
+            let y = tape.layer_norm(xv, gv, bv, eps);
+            let u = tape.input(up.clone());
+            let weighted = tape.hadamard(y, u);
+            let loss = tape.sum_all(weighted);
+            tape.backward(loss);
+
+            let mut xhat = Matrix::zeros(m, n);
+            let mut inv_std = vec![0.0; m];
+            let mut out = Matrix::zeros(m, n);
+            for i in 0..m {
+                let row = x.row(i);
+                let mu = fia_linalg::vecops::mean(row);
+                let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f64>() / n as f64;
+                inv_std[i] = 1.0 / (var + eps).sqrt();
+                for j in 0..n {
+                    xhat[(i, j)] = (row[j] - mu) * inv_std[i];
+                    out[(i, j)] = gamma[(0, j)] * xhat[(i, j)] + beta[(0, j)];
+                }
+            }
+            let (mut dg, mut db, mut dx) = (
+                Matrix::zeros(1, n),
+                Matrix::zeros(1, n),
+                Matrix::zeros(m, n),
+            );
+            for i in 0..m {
+                for j in 0..n {
+                    dg[(0, j)] += up[(i, j)] * xhat[(i, j)];
+                    db[(0, j)] += up[(i, j)];
+                }
+                let (mut sum_dxhat, mut sum_dxhat_xhat) = (0.0, 0.0);
+                for j in 0..n {
+                    let dxh = up[(i, j)] * gamma[(0, j)];
+                    sum_dxhat += dxh;
+                    sum_dxhat_xhat += dxh * xhat[(i, j)];
+                }
+                let (mean_dxhat, mean_dxhat_xhat) =
+                    (sum_dxhat / n as f64, sum_dxhat_xhat / n as f64);
+                for j in 0..n {
+                    let dxh = up[(i, j)] * gamma[(0, j)];
+                    dx[(i, j)] = (dxh - mean_dxhat - xhat[(i, j)] * mean_dxhat_xhat) * inv_std[i];
+                }
+            }
+            assert_bits_eq(tape.value(y), &out, "layer_norm forward");
+            assert_bits_eq(tape.grad(xv).unwrap(), &dx, "layer_norm dx");
+            assert_bits_eq(tape.grad(gv).unwrap(), &dg, "layer_norm dgamma");
+            assert_bits_eq(tape.grad(bv).unwrap(), &db, "layer_norm dbeta");
+        }
+    }
+
+    #[test]
+    fn linear_layer_rules_match_plain_formulas_bitwise() {
+        // y = x·W + b: the bias broadcast and both MatMul gradient
+        // products (g·Wᵀ and xᵀ·g, formed inside the kernel), on every
+        // kernel arm.
+        for backend in backends() {
+            for (s, &(m, n)) in SWEEP_SHAPES.iter().enumerate() {
+                let k = 5 + s;
+                let x = operand(m, k, 70 + s as u64);
+                let w = operand(k, n, 80 + s as u64);
+                let b = operand(1, n, 90 + s as u64);
+                let up = operand(m, n, 100 + s as u64);
+                fia_linalg::with_backend(backend, || {
+                    let mut params = Params::new();
+                    let ids = [x.clone(), w.clone(), b.clone()].map(|p| params.insert(p));
+                    let mut tape = Tape::new();
+                    let [xv, wv, bv] = ids.map(|id| tape.param(&params, id));
+                    let xw = tape.matmul(xv, wv);
+                    let y = tape.add_row_broadcast(xw, bv);
+                    let u = tape.input(up.clone());
+                    let weighted = tape.hadamard(y, u);
+                    let loss = tape.sum_all(weighted);
+                    tape.backward(loss);
+
+                    let xw_want = tape.value(xw).clone();
+                    let y_want = Matrix::from_fn(m, n, |i, j| xw_want[(i, j)] + b[(0, j)]);
+                    assert_bits_eq(tape.value(y), &y_want, "bias broadcast forward");
+                    let db =
+                        Matrix::from_fn(1, n, |_, j| (0..m).fold(0.0, |acc, i| acc + up[(i, j)]));
+                    assert_bits_eq(tape.grad(bv).unwrap(), &db, "bias gradient");
+                    let dx = Matrix::from_fn(m, k, |i, p| {
+                        (0..n).fold(0.0, |acc, l| acc + up[(i, l)] * w[(p, l)])
+                    });
+                    assert_bits_eq(tape.grad(xv).unwrap(), &dx, "matmul g·Wᵀ");
+                    let dw = Matrix::from_fn(k, n, |p, q| {
+                        (0..m).fold(0.0, |acc, i| acc + x[(i, p)] * up[(i, q)])
+                    });
+                    assert_bits_eq(tape.grad(wv).unwrap(), &dw, "matmul xᵀ·g");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn gather_cols_copies_forward_and_accumulates_backward() {
+        let mut params = Params::new();
+        let x =
+            params.insert(Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap());
+        let mut tape = Tape::new();
+        let xv = tape.param(&params, x);
+        let y = tape.gather_cols(xv, &[2, 0, 2]);
+        assert_eq!(tape.value(y).as_slice(), &[3.0, 1.0, 3.0, 6.0, 4.0, 6.0]);
+        let up = tape
+            .input(Matrix::from_rows(&[vec![1.0, 10.0, 100.0], vec![2.0, 20.0, 200.0]]).unwrap());
+        let weighted = tape.hadamard(y, up);
+        let loss = tape.sum_all(weighted);
+        tape.backward(loss);
+        // Column 1 is never gathered; column 2 collects both of its uses.
+        assert_eq!(
+            tape.grad(xv).unwrap().as_slice(),
+            &[10.0, 0.0, 101.0, 20.0, 0.0, 202.0]
+        );
     }
 
     #[test]
