@@ -4,11 +4,67 @@
 //! 256×256+ is asserted locally and report-only under
 //! `FIA_BENCH_NO_ASSERT` (shared CI runners make wall-clock ratios
 //! noisy).
+//!
+//! The GRNA section measures the tape, not just the kernel: the GEMM
+//! flops one training issues (the `fia_kernel_gemm_flops_total`
+//! counters) over its median wall time, next to plain `matmul`
+//! throughput at the generator's forward shapes, and the heap
+//! allocations per training step from a counting allocator installed in
+//! this bench binary only.
 
 use fia_bench::harness::Harness;
 use fia_core::{Grna, GrnaConfig};
 use fia_linalg::{avx2_available, with_backend, Backend, Matrix, Precision};
 use fia_models::{LogisticRegression, LrConfig, PredictProba};
+use fia_telemetry::InstrumentValue;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The system allocator, counting every allocation (`alloc`,
+/// `alloc_zeroed` and `realloc` calls).
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// relaxed atomic and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// GEMM flops issued so far in this process, summed over backend arms.
+fn gemm_flops() -> u64 {
+    fia_telemetry::global()
+        .snapshot()
+        .entries
+        .iter()
+        .filter(|e| e.name == "fia_kernel_gemm_flops_total")
+        .map(|e| match e.value {
+            InstrumentValue::Counter(v) => v,
+            _ => 0,
+        })
+        .sum()
+}
 
 /// Deterministic dense operand without pulling in an RNG: values in
 /// roughly [-1, 1], no exact zeros (the scalar arm zero-skips).
@@ -96,19 +152,67 @@ fn grna_training(h: &mut Harness) {
         epochs: 6,
         ..GrnaConfig::paper()
     };
+    let train = |cfg: &GrnaConfig| {
+        Grna::new(&model, &adv, &target, cfg.clone())
+            .train(std::hint::black_box(&x_adv), std::hint::black_box(&conf))
+    };
 
     let mut medians = Vec::new();
     for precision in [Precision::F64, Precision::F32] {
         let cfg = base.clone().with_precision(precision);
-        let r = h.bench(&format!("grna_train_{}", precision.name()), || {
-            Grna::new(&model, &adv, &target, cfg.clone())
-                .train(std::hint::black_box(&x_adv), std::hint::black_box(&conf))
-        });
+        let r = h.bench(&format!("grna_train_{}", precision.name()), || train(&cfg));
         medians.push(r.median_ns);
     }
     if let [f64_ns, f32_ns] = medians[..] {
         h.metric("grna_train_f32_speedup", f64_ns / f32_ns);
     }
+    if avx2_available() && fia_linalg::detected_backend() != Backend::Scalar {
+        h.bench("grna_train_f64_scalar", || {
+            with_backend(Backend::Scalar, || train(&base))
+        });
+    }
+
+    // What one f64 training issues: GEMM flops and heap allocations.
+    let (flops_before, allocs_before) = (gemm_flops(), ALLOCATIONS.load(Ordering::Relaxed));
+    std::hint::black_box(train(&base));
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    let flops = gemm_flops() - flops_before;
+    let steps = base.epochs * x_adv.rows().div_ceil(base.batch_size);
+    let train_gflops = flops as f64 / medians[0];
+    h.metric("grna_train_gflops", train_gflops);
+    h.metric("grna_train_allocs_per_step", allocs as f64 / steps as f64);
+
+    // The kernel-only ceiling: `matmul` at the generator's forward
+    // shapes (mini-batch × layer widths), one round of every layer.
+    let mut widths = vec![adv.len() + target.len()];
+    widths.extend(&base.hidden);
+    widths.push(target.len());
+    let layers: Vec<(Matrix, Matrix)> = widths
+        .windows(2)
+        .enumerate()
+        .map(|(l, w)| {
+            let salt = 2 * l;
+            (
+                operand(base.batch_size, w[0], salt),
+                operand(w[0], w[1], salt + 1),
+            )
+        })
+        .collect();
+    let round = h.bench("matmul_grna_forward_shapes_f64", || {
+        for (a, w) in &layers {
+            std::hint::black_box(a.matmul(w).unwrap());
+        }
+    });
+    let round_flops: usize = widths
+        .windows(2)
+        .map(|w| 2 * base.batch_size * w[0] * w[1])
+        .sum();
+    let kernel_gflops = round_flops as f64 / round.median_ns;
+    h.metric("matmul_grna_forward_shapes_gflops", kernel_gflops);
+    h.metric(
+        "grna_train_gflops_over_matmul",
+        train_gflops / kernel_gflops,
+    );
 }
 
 fn main() {

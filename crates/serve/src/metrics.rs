@@ -124,6 +124,16 @@ impl AcceptErrorKind {
     }
 }
 
+/// A server thread's entry in `fia_serve_threads`; see
+/// [`ServerMetrics::own_thread`].
+pub(crate) struct OwnedThread(Arc<ServerMetrics>);
+
+impl Drop for OwnedThread {
+    fn drop(&mut self) {
+        self.0.shift_threads(-1);
+    }
+}
+
 /// Live counters shared by every server thread.
 pub struct ServerMetrics {
     registry: Arc<Registry>,
@@ -136,6 +146,10 @@ pub struct ServerMetrics {
     uptime: Arc<Gauge>,
     connections_open: Arc<Gauge>,
     connections_total: Arc<Counter>,
+    threads: Arc<Gauge>,
+    /// The count behind `threads`, changed and published under one lock
+    /// so concurrent thread exits cannot publish out of order.
+    live_threads: Mutex<u64>,
     /// One counter per [`AcceptErrorKind`], in `ALL` order.
     accept_errors: Vec<Arc<Counter>>,
     replicas: Vec<ReplicaCounters>,
@@ -216,6 +230,11 @@ impl ServerMetrics {
                 "fia_serve_connections_total",
                 "Client connections accepted over the server's lifetime.",
             ),
+            threads: registry.gauge(
+                "fia_serve_threads",
+                "Threads this server owns (reactor and replica batchers).",
+            ),
+            live_threads: Mutex::new(0),
             accept_errors: AcceptErrorKind::ALL
                 .iter()
                 .map(|kind| {
@@ -282,6 +301,21 @@ impl ServerMetrics {
     /// connection count after the close.
     pub(crate) fn record_connection_closed(&self, open_now: u64) {
         self.connections_open.set(open_now as f64);
+    }
+
+    /// Counts one server-owned thread in `fia_serve_threads` until the
+    /// returned guard drops. The spawner takes the guard and moves it
+    /// into the thread, so the gauge is exact once spawning returns and
+    /// falls when the thread exits (also by unwinding).
+    pub(crate) fn own_thread(self: &Arc<Self>) -> OwnedThread {
+        self.shift_threads(1);
+        OwnedThread(Arc::clone(self))
+    }
+
+    fn shift_threads(&self, up: i64) {
+        let mut live = self.live_threads.lock().expect("thread count lock");
+        *live = live.checked_add_signed(up).expect("thread count in range");
+        self.threads.set(*live as f64);
     }
 
     /// Records one coalesced prediction round answering `rows` queries
@@ -698,6 +732,24 @@ mod tests {
         m.record_connection_closed(0);
         assert_eq!(m.report().open_connections, 0);
         assert_eq!(m.report().total_connections, 2);
+    }
+
+    #[test]
+    fn thread_gauge_counts_live_guards_even_across_threads() {
+        let m = Arc::new(ServerMetrics::new());
+        let a = m.own_thread();
+        let b = m.own_thread();
+        assert_eq!(m.threads.get(), 2.0);
+        std::thread::spawn(move || drop(b)).join().unwrap();
+        assert_eq!(m.threads.get(), 1.0);
+        let panicked = std::thread::spawn(move || {
+            let _owned = a;
+            panic!("batcher died");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert_eq!(m.threads.get(), 0.0, "an unwinding thread lowers the gauge");
+        assert!(m.exposition().contains("fia_serve_threads 0"));
     }
 
     #[test]

@@ -192,7 +192,11 @@ impl ReplicaPool {
                 round_cost,
                 tracer: tracer.clone(),
             };
-            handles.push(std::thread::spawn(move || batcher_loop(&ctx, &rx)));
+            let owned = metrics.own_thread();
+            handles.push(std::thread::spawn(move || {
+                let _owned = owned;
+                batcher_loop(&ctx, &rx)
+            }));
             queues.push(ReplicaQueue { tx, depth_rows });
         }
         (ReplicaPool { queues }, handles)

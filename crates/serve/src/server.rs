@@ -202,9 +202,13 @@ impl PredictionServer {
         });
 
         let (reactor, waker) = Reactor::new(listener, shared)?;
+        let owned = metrics.own_thread();
         let reactor = std::thread::Builder::new()
             .name("fia-serve-reactor".to_string())
-            .spawn(move || reactor.run())?;
+            .spawn(move || {
+                let _owned = owned;
+                reactor.run()
+            })?;
 
         Ok(ServerHandle {
             addr,

@@ -1,9 +1,11 @@
 //! Reactor soak and regression battery: the properties the
 //! thread-per-connection server could not provide.
 //!
-//! * hundreds of idle connections cost *zero* additional threads, and
-//!   connection bookkeeping is bounded by live connections (the old
-//!   server reaped finished handles only when the next client arrived);
+//! * hundreds of idle connections cost *zero* additional threads (the
+//!   server's own `fia_serve_threads` gauge stays at one reactor plus
+//!   one batcher per replica), and connection bookkeeping is bounded by
+//!   live connections (the old server reaped finished handles only when
+//!   the next client arrived);
 //! * `shutdown()` returns promptly with idle connections open (the old
 //!   server could hang joining a thread whose `set_read_timeout` had
 //!   silently failed);
@@ -45,6 +47,18 @@ fn spawn(config: ServeConfig) -> (Arc<VflSystem<LogisticRegression>>, ServerHand
     (system, server)
 }
 
+/// The server's `fia_serve_threads` gauge: the threads it owns, counted
+/// by the server itself. Unlike the process-wide count it cannot see the
+/// servers that sibling tests in this binary spawn.
+fn server_threads(server: &ServerHandle) -> f64 {
+    server
+        .metrics_text()
+        .lines()
+        .find_map(|l| l.strip_prefix("fia_serve_threads "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("fia_serve_threads gauge in the exposition")
+}
+
 /// This process's live thread count (Linux); elsewhere returns `None`
 /// and thread-budget assertions are skipped.
 fn thread_count() -> Option<usize> {
@@ -72,10 +86,12 @@ fn eventually(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
 #[test]
 fn idle_connections_cost_no_threads_and_bookkeeping_stays_bounded() {
     const IDLE: usize = 512;
-    let (_system, server) = spawn(ServeConfig::default());
+    let config = ServeConfig::default();
+    let owned = (1 + config.replicas) as f64;
+    let (_system, server) = spawn(config);
     let addr = server.addr();
+    assert_eq!(server_threads(&server), owned, "one reactor + one batcher");
 
-    let before = thread_count();
     let conns: Vec<TcpStream> = (0..IDLE)
         .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("connect #{i} failed: {e}")))
         .collect();
@@ -90,13 +106,12 @@ fn idle_connections_cost_no_threads_and_bookkeeping_stays_bounded() {
     assert_eq!(server.metrics().total_connections, IDLE as u64);
 
     // The whole point of the reactor: 512 connected clients, zero new
-    // threads. (A small slack absorbs unrelated test-harness threads.)
-    if let (Some(before), Some(now)) = (before, thread_count()) {
-        assert!(
-            now <= before + 4,
-            "{IDLE} idle connections grew the thread count {before} -> {now}"
-        );
-    }
+    // threads.
+    assert_eq!(
+        server_threads(&server),
+        owned,
+        "{IDLE} idle connections grew the server's threads"
+    );
 
     // Dropping the clients shrinks the bookkeeping back to zero without
     // any new connection arriving to trigger a reap.
@@ -124,6 +139,8 @@ fn soak_512_connections_every_response_arrives() {
         ..ServeConfig::default()
     });
     let addr = server.addr();
+    let owned = server_threads(&server);
+    assert_eq!(owned, 3.0, "one reactor + two batchers");
     let before = thread_count();
 
     let load = std::thread::spawn(move || {
@@ -145,6 +162,11 @@ fn soak_512_connections_every_response_arrives() {
         if let (Some(p), Some(now)) = (peak, thread_count()) {
             peak = Some(p.max(now));
         }
+        assert_eq!(
+            server_threads(&server),
+            owned,
+            "soak grew the server's threads"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
     let report = load.join().expect("load thread").expect("open-loop soak");
