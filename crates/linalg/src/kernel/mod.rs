@@ -215,21 +215,8 @@ pub fn gemm_tn_acc_with(
 /// Both keep the `k`-ascending per-element order of [`gemm_acc`] on the
 /// transposed factor, so the arms agree bitwise.
 pub fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_at_acc_with(active_backend(), at, b, out, m, k, n);
-}
-
-/// [`gemm_at_acc`] on an explicit backend arm.
-pub fn gemm_at_acc_with(
-    backend: Backend,
-    at: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
     check_gemm_shapes(at.len(), b.len(), out.len(), m, k, n);
-    let backend = resolve(backend);
+    let backend = resolve(active_backend());
     telemetry::record_gemm(backend, m, k, n, || match backend {
         Backend::Scalar => scalar::gemm_at_acc(at, b, out, m, k, n),
         #[cfg(target_arch = "x86_64")]

@@ -25,7 +25,7 @@
 use fia_telemetry::{encode_prometheus, global, Counter, Gauge, Histogram, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Cap on retained latency samples; beyond it Algorithm R keeps a
@@ -130,7 +130,7 @@ pub(crate) struct OwnedThread(Arc<ServerMetrics>);
 
 impl Drop for OwnedThread {
     fn drop(&mut self) {
-        self.0.shift_threads(-1);
+        self.0.shift_threads(false);
     }
 }
 
@@ -230,11 +230,6 @@ impl ServerMetrics {
                 "fia_serve_connections_total",
                 "Client connections accepted over the server's lifetime.",
             ),
-            threads: registry.gauge(
-                "fia_serve_threads",
-                "Threads this server owns (reactor and replica batchers).",
-            ),
-            live_threads: Mutex::new(0),
             accept_errors: AcceptErrorKind::ALL
                 .iter()
                 .map(|kind| {
@@ -245,6 +240,11 @@ impl ServerMetrics {
                     )
                 })
                 .collect(),
+            threads: registry.gauge(
+                "fia_serve_threads",
+                "Threads this server owns (reactor and replica batchers).",
+            ),
+            live_threads: Mutex::new(0),
             replicas,
             reservoir: Mutex::new(Reservoir::new()),
             registry,
@@ -308,13 +308,23 @@ impl ServerMetrics {
     /// into the thread, so the gauge is exact once spawning returns and
     /// falls when the thread exits (also by unwinding).
     pub(crate) fn own_thread(self: &Arc<Self>) -> OwnedThread {
-        self.shift_threads(1);
+        self.shift_threads(true);
         OwnedThread(Arc::clone(self))
     }
 
-    fn shift_threads(&self, up: i64) {
-        let mut live = self.live_threads.lock().expect("thread count lock");
-        *live = live.checked_add_signed(up).expect("thread count in range");
+    /// Never panics: it runs in `OwnedThread::drop`, possibly while the
+    /// thread unwinds. A poisoned lock still holds a valid count, since
+    /// every update is a single store.
+    fn shift_threads(&self, up: bool) {
+        let mut live = self
+            .live_threads
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *live = if up {
+            *live + 1
+        } else {
+            live.saturating_sub(1)
+        };
         self.threads.set(*live as f64);
     }
 

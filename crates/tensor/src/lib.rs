@@ -6,7 +6,7 @@
 //! multilayer perceptrons with ReLU/sigmoid/tanh activations, softmax and
 //! fused losses, LayerNorm (the GRN generator applies it after every
 //! hidden layer), dropout (the Section VII countermeasure), and the
-//! concat/slice plumbing that stitches the adversary's features, the
+//! concat/gather plumbing that stitches the adversary's features, the
 //! random vector and the generated target features together.
 //!
 //! Design: a [`Tape`] is a flat vector of nodes appended in topological
