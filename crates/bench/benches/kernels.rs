@@ -1,9 +1,8 @@
-//! Kernel-layer benches: matmul GFLOP/s across backend × precision, and
-//! GRNA generator training under the f64 vs mixed-f32 tape. Results land
-//! in `BENCH_kernels.json`; the ≥ 2× AVX2-vs-scalar matmul bar at
-//! 256×256+ is asserted locally and report-only under
-//! `FIA_BENCH_NO_ASSERT` (shared CI runners make wall-clock ratios
-//! noisy).
+//! Kernel-layer benches: matmul GFLOP/s per backend, and GRNA generator
+//! training on the tape. Results land in `BENCH_kernels.json`; the ≥ 2×
+//! AVX2-vs-scalar matmul bar at 256×256+ is asserted locally and
+//! report-only under `FIA_BENCH_NO_ASSERT` (shared CI runners make
+//! wall-clock ratios noisy).
 //!
 //! The GRNA section measures the tape, not just the kernel: the GEMM
 //! flops one training issues (the `fia_kernel_gemm_flops_total`
@@ -14,7 +13,7 @@
 
 use fia_bench::harness::Harness;
 use fia_core::{Grna, GrnaConfig};
-use fia_linalg::{avx2_available, with_backend, Backend, Matrix, Precision};
+use fia_linalg::{avx2_available, with_backend, Backend, Matrix};
 use fia_models::{LogisticRegression, LrConfig, PredictProba};
 use fia_telemetry::InstrumentValue;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -96,19 +95,12 @@ fn matmul_sweep(h: &mut Harness) -> Vec<(usize, f64)> {
         let b = operand(n, n, 2);
         let mut medians = Vec::new();
         for &backend in backends {
-            for precision in [Precision::F64, Precision::F32] {
-                let name = format!("matmul_{n}_{}_{}", precision.name(), backend.name());
-                let r = h.bench(&name, || {
-                    with_backend(backend, || match precision {
-                        Precision::F64 => a.matmul(std::hint::black_box(&b)),
-                        Precision::F32 => a.matmul_mixed(std::hint::black_box(&b)),
-                    })
-                });
-                h.metric(&format!("{name}_gflops"), gflops(n, r.median_ns));
-                if precision == Precision::F64 {
-                    medians.push(r.median_ns);
-                }
-            }
+            let name = format!("matmul_{n}_f64_{}", backend.name());
+            let r = h.bench(&name, || {
+                with_backend(backend, || a.matmul(std::hint::black_box(&b)))
+            });
+            h.metric(&format!("{name}_gflops"), gflops(n, r.median_ns));
+            medians.push(r.median_ns);
         }
         if let [scalar_ns, avx2_ns] = medians[..] {
             let speedup = scalar_ns / avx2_ns;
@@ -119,9 +111,8 @@ fn matmul_sweep(h: &mut Harness) -> Vec<(usize, f64)> {
     speedups
 }
 
-/// Smoke-sized GRNA training (the attack's hot loop) under both tape
-/// precisions, on a synthetic deployment shaped like the paper's primary
-/// one.
+/// Smoke-sized GRNA training (the attack's hot loop) on a synthetic
+/// deployment shaped like the paper's primary one.
 fn grna_training(h: &mut Harness) {
     let cfg = fia_data::SynthConfig {
         n_samples: 400,
@@ -157,28 +148,20 @@ fn grna_training(h: &mut Harness) {
             .train(std::hint::black_box(&x_adv), std::hint::black_box(&conf))
     };
 
-    let mut medians = Vec::new();
-    for precision in [Precision::F64, Precision::F32] {
-        let cfg = base.clone().with_precision(precision);
-        let r = h.bench(&format!("grna_train_{}", precision.name()), || train(&cfg));
-        medians.push(r.median_ns);
-    }
-    if let [f64_ns, f32_ns] = medians[..] {
-        h.metric("grna_train_f32_speedup", f64_ns / f32_ns);
-    }
+    let train_ns = h.bench("grna_train_f64", || train(&base)).median_ns;
     if avx2_available() && fia_linalg::detected_backend() != Backend::Scalar {
         h.bench("grna_train_f64_scalar", || {
             with_backend(Backend::Scalar, || train(&base))
         });
     }
 
-    // What one f64 training issues: GEMM flops and heap allocations.
+    // What one training issues: GEMM flops and heap allocations.
     let (flops_before, allocs_before) = (gemm_flops(), ALLOCATIONS.load(Ordering::Relaxed));
     std::hint::black_box(train(&base));
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
     let flops = gemm_flops() - flops_before;
     let steps = base.epochs * x_adv.rows().div_ceil(base.batch_size);
-    let train_gflops = flops as f64 / medians[0];
+    let train_gflops = flops as f64 / train_ns;
     h.metric("grna_train_gflops", train_gflops);
     h.metric("grna_train_allocs_per_step", allocs as f64 / steps as f64);
 

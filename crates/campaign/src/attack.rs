@@ -35,12 +35,7 @@ pub enum AttackSpec {
     /// differentiable model; random forests are attacked through a
     /// distilled surrogate trained with `distill`.
     Grna {
-        /// Generator training configuration. This carries the
-        /// [`GrnaConfig::precision`] knob verbatim: campaigns train the
-        /// generator under the mixed-f32 tape when it is set to
-        /// `Precision::F32` (inference and every other campaign stage
-        /// stay f64, so default-precision reports remain bit-identical
-        /// across kernel backends).
+        /// Generator training configuration.
         config: GrnaConfig,
         /// Base seed of the inference-time noise draws.
         infer_seed: u64,

@@ -26,7 +26,7 @@
 //! per-sample free-variable "naive regression" solved through the model).
 
 use crate::engine::{row_seed, Attack, AttackResult, QueryBatch};
-use fia_linalg::{Matrix, Precision};
+use fia_linalg::Matrix;
 use fia_models::DifferentiableModel;
 use fia_tensor::{
     normal_matrix, standard_normal, xavier_uniform, Adam, Optimizer, ParamId, Params, Tape, VarId,
@@ -73,13 +73,6 @@ pub struct GrnaConfig {
     /// sample's unknowns become free variables optimized directly through
     /// the frozen model (the paper's "naive regression model").
     pub use_generator: bool,
-    /// Compute precision of the *training* tapes' matmuls. Default
-    /// [`Precision::F64`] (bit-identical across kernel backends);
-    /// [`Precision::F32`] opts into the mixed-precision kernels — faster
-    /// generator training at f32 accuracy, with reconstruction quality
-    /// pinned within tolerance of the f64 run by test. Inference tapes
-    /// always run f64.
-    pub precision: Precision,
 }
 
 impl GrnaConfig {
@@ -100,7 +93,6 @@ impl GrnaConfig {
             use_noise_input: true,
             use_variance_constraint: true,
             use_generator: true,
-            precision: Precision::F64,
         }
     }
 
@@ -117,12 +109,6 @@ impl GrnaConfig {
     /// Overrides the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the training precision (see [`GrnaConfig::precision`]).
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -249,7 +235,7 @@ impl<'a, M: DifferentiableModel> Grna<'a, M> {
             for chunk in order.chunks(cfg.batch_size.max(1)) {
                 let xb = x_adv.select_rows(chunk).expect("rows in range");
                 let vb = confidences.select_rows(chunk).expect("rows in range");
-                let mut tape = Tape::with_precision(cfg.precision);
+                let mut tape = Tape::new();
 
                 let gen_in = self.generator_input(&mut tape, &xb, chunk.len(), &mut rng);
                 let xhat = gen.forward(&mut tape, gen_in, true);
@@ -313,7 +299,7 @@ impl<'a, M: DifferentiableModel> Grna<'a, M> {
         let mut opt = Adam::new(cfg.lr * 10.0); // free variables need a hotter rate
 
         for _ in 0..cfg.epochs {
-            let mut tape = Tape::with_precision(cfg.precision);
+            let mut tape = Tape::new();
             let xhat = tape.param(&params, free);
             let xadv_var = tape.input(x_adv.clone());
             let cat = tape.concat_cols(xadv_var, xhat);
@@ -664,7 +650,6 @@ mod tests {
             use_noise_input: true,
             use_variance_constraint: true,
             use_generator: true,
-            precision: Precision::F64,
         }
     }
 
@@ -946,26 +931,6 @@ mod tests {
             fnv64_bits(&generator.parameter_snapshot()),
             0xcf5f_3f38_f07e_9392,
             "free-variable ablation estimates moved"
-        );
-    }
-
-    #[test]
-    fn f32_training_quality_within_tolerance_of_f64() {
-        // The mixed-precision path follows a genuinely different training
-        // trajectory (f32 rounding per step), so the pin is on attack
-        // *quality*, not on weights: per-feature reconstruction MSE must
-        // stay within a stated tolerance of the f64 run, and must still
-        // clearly beat random guessing.
-        let (mse64, rg) = run_grna(small_grna());
-        let (mse32, _) = run_grna(small_grna().with_precision(Precision::F32));
-        println!("GRNA per-feature MSE: f64 = {mse64:.6}, f32 = {mse32:.6} (random {rg:.6})");
-        assert!(
-            mse32 <= mse64 * 1.25 + 0.005,
-            "f32 quality drifted: f32 {mse32} vs f64 {mse64}"
-        );
-        assert!(
-            mse32 < 0.75 * rg,
-            "f32 GRNA mse {mse32} not clearly better than random {rg}"
         );
     }
 

@@ -33,7 +33,6 @@
 //! branching rate, the ESA error upper bound (Eqn 15), random-guess
 //! baselines, and the correlation diagnostics of Fig. 10.
 
-pub mod audit;
 pub mod baseline;
 pub mod engine;
 mod esa;
@@ -43,7 +42,6 @@ pub mod oracle;
 mod pra;
 mod telemetry;
 
-pub use audit::{AuditReport, Finding, Severity};
 pub use engine::{row_seed, Attack, AttackEngine, AttackResult, QueryBatch};
 pub use esa::EqualitySolvingAttack;
 pub use grna::{Grna, GrnaConfig, TrainedGenerator};

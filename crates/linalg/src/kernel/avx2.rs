@@ -1,4 +1,4 @@
-//! x86-64 AVX2(+FMA) arm.
+//! x86-64 AVX2 arm.
 //!
 //! GEBP-style blocked GEMM: operands are packed into panel buffers
 //! (`MR`-row strips of A, `NR`-column strips of B, zero-padded at the
@@ -14,21 +14,18 @@
 //! (store/reload is exact). That is precisely the scalar arm's
 //! per-element accumulation sequence, so f64 results match the scalar
 //! arm bit-for-bit (up to the sign of exact zeros: the scalar arm skips
-//! `a_ik == 0` terms, this arm adds the signed-zero product). FMA is
-//! used only in the f32 mixed-precision kernel, where tolerance — not
-//! bit-equality — is the contract.
+//! `a_ik == 0` terms, this arm adds the signed-zero product). The
+//! kernels enable the `fma` target feature, since the arm is only
+//! selected on CPUs that have it, but never fuse a multiply and an add.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
-use super::MIXED_KC;
 use core::arch::x86_64::*;
 
 /// Microkernel tile height (output rows held in registers).
 const MR: usize = 4;
 /// Microkernel tile width in f64 columns (two `__m256d`).
 const NR: usize = 8;
-/// Microkernel tile width in f32 columns (two `__m256`).
-const NRF: usize = 16;
 /// `k`-panel depth: one packed A strip (`MR × KC` f64 = 8 KiB) stays L1
 /// resident while the B panel streams.
 const KC: usize = 256;
@@ -283,137 +280,6 @@ fn microkernel(
     }
     if mr > 3 {
         unsafe { store2(pm.add(base + 3 * n), nr, ml, mh, c30, c31) };
-    }
-}
-
-// ----------------------------------------------------------------------
-// f32 mixed-precision GEMM
-// ----------------------------------------------------------------------
-
-/// Mixed-precision `out += a32 · b32`: a 4×16 f32 tile accumulates with
-/// 8-lane FMA inside each [`MIXED_KC`]-deep `k` panel and is widened
-/// (`_mm256_cvtps_pd`) into the f64 output at the panel boundary — the
-/// same reduction boundary as the scalar arm, so both arms share one
-/// error profile (agreement is to f32 tolerance, not bitwise).
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(super) fn gemm_mixed_acc(
-    a32: &[f32],
-    b32: &[f32],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let kc_cap = k.min(MIXED_KC);
-    let nc_cap = n.min(NC).div_ceil(NRF) * NRF;
-    let mut bp = vec![0.0_f32; kc_cap * nc_cap];
-    let mut ap = vec![0.0_f32; MR * kc_cap];
-    for k0 in (0..k).step_by(MIXED_KC) {
-        let kc = MIXED_KC.min(k - k0);
-        for j0 in (0..n).step_by(NC) {
-            let nc = NC.min(n - j0);
-            let strips = nc.div_ceil(NRF);
-            for s in 0..strips {
-                let dst = &mut bp[s * kc * NRF..(s + 1) * kc * NRF];
-                let jw = NRF.min(nc - s * NRF);
-                for kk in 0..kc {
-                    let src = &b32[(k0 + kk) * n + j0 + s * NRF..];
-                    for jj in 0..NRF {
-                        dst[kk * NRF + jj] = if jj < jw { src[jj] } else { 0.0 };
-                    }
-                }
-            }
-            for i0 in (0..m).step_by(MR) {
-                let mr = MR.min(m - i0);
-                for kk in 0..kc {
-                    for r in 0..MR {
-                        ap[kk * MR + r] = if r < mr {
-                            a32[(i0 + r) * k + k0 + kk]
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-                for s in 0..strips {
-                    let j = j0 + s * NRF;
-                    let nr = NRF.min(j0 + nc - j);
-                    let strip = &bp[s * kc * NRF..(s + 1) * kc * NRF];
-                    microkernel_f32(&ap, strip, out, i0, mr, j, nr, n, kc);
-                }
-            }
-        }
-    }
-}
-
-/// 4×16 f32 FMA tile; partial sums start at zero each panel and are
-/// widened into the f64 output when the panel ends.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma")]
-fn microkernel_f32(
-    ap: &[f32],
-    bp: &[f32],
-    out: &mut [f64],
-    i0: usize,
-    mr: usize,
-    j: usize,
-    nr: usize,
-    n: usize,
-    kc: usize,
-) {
-    let zero = _mm256_setzero_ps();
-    let mut acc = [[zero; 2]; MR];
-    let bpp = bp.as_ptr();
-    for (kk, a4) in ap.chunks_exact(MR).take(kc).enumerate() {
-        // SAFETY: the packed strip holds kc * NRF elements.
-        let b0 = unsafe { _mm256_loadu_ps(bpp.add(kk * NRF)) };
-        let b1 = unsafe { _mm256_loadu_ps(bpp.add(kk * NRF + 8)) };
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(a4[r]);
-            row[0] = _mm256_fmadd_ps(av, b0, row[0]);
-            row[1] = _mm256_fmadd_ps(av, b1, row[1]);
-        }
-    }
-    let pm = out.as_mut_ptr();
-    for (r, row) in acc.iter().enumerate().take(mr) {
-        let p = unsafe { pm.add((i0 + r) * n + j) };
-        // SAFETY: flushes touch only the first `nr` columns of row i0+r.
-        unsafe { flush_f32(p, row[0], nr.min(NR)) };
-        if nr > NR {
-            unsafe { flush_f32(p.add(NR), row[1], nr - NR) };
-        }
-    }
-}
-
-/// Widens one 8-lane f32 partial-sum vector to f64 and accumulates it
-/// into up to `lanes` (≤ 8) output columns.
-///
-/// Safety: `p` must be valid for reads and writes of `lanes` f64 values.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn flush_f32(p: *mut f64, v: __m256, lanes: usize) {
-    let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-    let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v));
-    acc4(p, lo, lanes.min(4));
-    if lanes > 4 {
-        acc4(p.add(4), hi, lanes - 4);
-    }
-}
-
-/// `p[0..lanes] += v[0..lanes]` (masked when `lanes < 4`).
-///
-/// Safety: `p` must be valid for reads and writes of `lanes` f64 values.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn acc4(p: *mut f64, v: __m256d, lanes: usize) {
-    if lanes == 4 {
-        _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), v));
-    } else if lanes > 0 {
-        let m = lane_mask(lanes);
-        let cur = _mm256_maskload_pd(p, m);
-        _mm256_maskstore_pd(p, m, _mm256_add_pd(cur, v));
     }
 }
 

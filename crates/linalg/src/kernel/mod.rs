@@ -7,9 +7,9 @@
 //!
 //! * [`Backend::Scalar`] — portable Rust loops, byte-for-byte the
 //!   pre-kernel-layer semantics. Always available.
-//! * [`Backend::Avx2`] — explicit `std::arch` x86-64 AVX2(+FMA)
-//!   microkernels with packed A/B panel layouts, a register-blocked
-//!   4×8 inner tile and masked edge handling.
+//! * [`Backend::Avx2`] — explicit `std::arch` x86-64 AVX2 microkernels
+//!   with packed A/B panel layouts, a register-blocked 4×8 inner tile
+//!   and masked edge handling.
 //!
 //! The arm is chosen **once** per process via
 //! `is_x86_feature_detected!` (see [`detected_backend`]); setting
@@ -21,23 +21,17 @@
 //!
 //! # Numerical contract
 //!
-//! The `f64` kernels (`gemm*`, [`axpy`], the elementwise `v*` family)
+//! The kernels (`gemm*`, [`axpy`], the elementwise `v*` family)
 //! preserve the scalar arm's accumulation order *exactly*: every output
 //! element accumulates its `k` contributions in ascending order with a
 //! separately rounded multiply and add (no FMA contraction). Both arms
 //! therefore produce **bit-identical** results — attack outputs do not
 //! depend on which backend ran, and `FIA_FORCE_SCALAR=1` is a pure
-//! performance switch. Two documented exceptions:
-//!
-//! * [`dot`] reduces across lanes (4 partial sums combined pairwise at
-//!   the end), so the AVX2 arm may differ from scalar by a few ULP —
-//!   bounded by `4·ε·Σ|aᵢbᵢ|` in the parity sweep. Nothing
-//!   result-affecting in the attack stack consumes `dot`.
-//! * [`gemm_mixed_acc`] is the opt-in f32 mixed-precision path (GRNA
-//!   generator training): inputs and multiplies are `f32` (the AVX2 arm
-//!   uses 8-lane FMA), partial sums are flushed into the `f64` output at
-//!   every `k`-panel boundary. The two arms agree to f32 tolerance, not
-//!   bitwise.
+//! performance switch. The one documented exception is [`dot`], which
+//! reduces across lanes (4 partial sums combined pairwise at the end),
+//! so the AVX2 arm may differ from scalar by a few ULP — bounded by
+//! `4·ε·Σ|aᵢbᵢ|` in the parity sweep. Nothing result-affecting in the
+//! attack stack consumes `dot`.
 
 mod scalar;
 mod telemetry;
@@ -48,18 +42,13 @@ mod avx2;
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-/// `k`-panel width shared by both arms of the mixed-precision kernel:
-/// the reduction boundary at which f32 partial sums are rounded into the
-/// f64 accumulator. Keeping it backend-independent keeps the f32 path's
-/// error profile stable under dispatch.
-pub(crate) const MIXED_KC: usize = 256;
-
 /// A compute backend arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Portable scalar loops — the reference semantics.
     Scalar,
-    /// x86-64 AVX2+FMA microkernels (runtime-detected).
+    /// x86-64 AVX2 microkernels (runtime-detected; the host must also
+    /// have FMA).
     Avx2,
 }
 
@@ -74,8 +63,8 @@ impl Backend {
     }
 }
 
-/// `true` when the running CPU supports the AVX2+FMA arm (independent of
-/// any `FIA_FORCE_SCALAR` override).
+/// `true` when the running CPU has AVX2 and FMA, which the AVX2 arm
+/// requires (independent of any `FIA_FORCE_SCALAR` override).
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -222,38 +211,6 @@ pub fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `resolve` only yields Avx2 when the CPU supports it.
         Backend::Avx2 => unsafe { avx2::gemm_at_acc(at, b, out, m, k, n) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => unreachable!("resolve() never yields Avx2 off x86-64"),
-    });
-}
-
-/// `out += demote(a) · demote(b)` computed in f32 — the opt-in
-/// mixed-precision arm of GRNA generator training. `a32`/`b32` are the
-/// row-major f32 operands; products accumulate in f32 within
-/// [`MIXED_KC`]-wide `k` panels and are flushed into the f64 `out` at
-/// every panel boundary. The AVX2 arm uses 8-lane FMA; both arms agree
-/// to f32 tolerance (not bitwise), which the opt-in contract documents.
-pub fn gemm_mixed_acc(a32: &[f32], b32: &[f32], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_mixed_acc_with(active_backend(), a32, b32, out, m, k, n);
-}
-
-/// [`gemm_mixed_acc`] on an explicit backend arm.
-pub fn gemm_mixed_acc_with(
-    backend: Backend,
-    a32: &[f32],
-    b32: &[f32],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    check_gemm_shapes(a32.len(), b32.len(), out.len(), m, k, n);
-    let backend = resolve(backend);
-    telemetry::record_gemm(backend, m, k, n, || match backend {
-        Backend::Scalar => scalar::gemm_mixed_acc(a32, b32, out, m, k, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `resolve` only yields Avx2 when the CPU supports it.
-        Backend::Avx2 => unsafe { avx2::gemm_mixed_acc(a32, b32, out, m, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
         Backend::Avx2 => unreachable!("resolve() never yields Avx2 off x86-64"),
     });

@@ -1,12 +1,9 @@
 //! Portable scalar arm — the reference semantics every other backend
-//! must reproduce (bitwise for the f64 kernels, to f32 tolerance for the
-//! mixed-precision one).
+//! must reproduce bit for bit (up to [`dot`]'s documented ULP bound).
 //!
 //! These loops are byte-for-byte the pre-kernel-layer implementations
 //! that used to live in `Matrix`/`vecops`, so routing through the
 //! dispatch changed nothing for `FIA_FORCE_SCALAR=1` runs.
-
-use super::MIXED_KC;
 
 /// `k`-block width the scalar gemm switches to once the working set
 /// outgrows L1/L2 — same cutover the old `Matrix::matmul` used.
@@ -71,40 +68,6 @@ fn gemm_rows(
                 for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
                     *o += a_ik * bv;
                 }
-            }
-        }
-    }
-}
-
-/// Mixed-precision `out += a32 · b32`: f32 products accumulate in an f32
-/// row buffer within each [`MIXED_KC`]-wide `k` panel and are flushed
-/// into the f64 output at the panel boundary — the same reduction
-/// boundary the AVX2 arm uses, so both arms share one error profile.
-pub(super) fn gemm_mixed_acc(
-    a32: &[f32],
-    b32: &[f32],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let mut acc = vec![0.0f32; n];
-    for k0 in (0..k).step_by(MIXED_KC) {
-        let k1 = (k0 + MIXED_KC).min(k);
-        for i in 0..m {
-            acc.fill(0.0);
-            for kk in k0..k1 {
-                let aik = a32[i * k + kk];
-                let b_row = &b32[kk * n..(kk + 1) * n];
-                for (s, &bv) in acc.iter_mut().zip(b_row.iter()) {
-                    *s += aik * bv;
-                }
-            }
-            for (o, &s) in out[i * n..(i + 1) * n].iter_mut().zip(acc.iter()) {
-                *o += f64::from(s);
             }
         }
     }

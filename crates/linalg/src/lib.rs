@@ -17,12 +17,11 @@
 //! small/medium systems the attacks produce (`(c−1) × d_target` matrices).
 //! The dense hot loops are nonetheless fast: every multiply and
 //! elementwise op dispatches through the [`kernel`] module, which selects
-//! between a portable scalar arm and explicit AVX2+FMA microkernels once
-//! at runtime (`FIA_FORCE_SCALAR=1` pins the scalar arm). The f64 kernels
-//! are bit-identical across backends; [`Matrix::matmul_mixed`] offers an
-//! opt-in f32 mixed-precision product ([`Precision`] knob upstream), and
-//! [`par_matmul`] stripes output rows across scoped threads with each
-//! worker running the same dispatched microkernel on its tile.
+//! between a portable scalar arm and explicit AVX2 microkernels once at
+//! runtime (`FIA_FORCE_SCALAR=1` pins the scalar arm). The kernels are
+//! bit-identical across backends, and [`par_matmul`] stripes output rows
+//! across scoped threads with each worker running the same dispatched
+//! microkernel on its tile.
 
 mod cholesky;
 mod error;
@@ -32,7 +31,6 @@ mod lu;
 mod matrix;
 mod parallel;
 mod pinv;
-mod precision;
 mod qr;
 mod svd;
 pub mod vecops;
@@ -45,7 +43,6 @@ pub use lu::{inverse, lu_decompose, lu_solve, solve, LuDecomposition};
 pub use matrix::Matrix;
 pub use parallel::{default_workers, par_matmul, par_matmul_with};
 pub use pinv::{pinv, pinv_with_tolerance};
-pub use precision::Precision;
 pub use qr::{qr, QrDecomposition};
 pub use svd::{svd, Svd};
 

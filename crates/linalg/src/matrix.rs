@@ -235,26 +235,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Mixed-precision multiplication `self * rhs` computed in f32 with
-    /// f64 accumulation at reduction boundaries — the opt-in fast path
-    /// behind GRNA generator training's `Precision::F32` knob (see
-    /// [`crate::kernel::gemm_mixed_acc`]). Roughly half the memory
-    /// traffic and twice the SIMD width of the f64 path, at f32 accuracy.
-    pub fn matmul_mixed(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(LinAlgError::ShapeMismatch {
-                left: self.shape(),
-                right: rhs.shape(),
-                op: "matmul_mixed",
-            });
-        }
-        let a32: Vec<f32> = self.data.iter().map(|&x| x as f32).collect();
-        let b32: Vec<f32> = rhs.data.iter().map(|&x| x as f32).collect();
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        crate::kernel::gemm_mixed_acc(&a32, &b32, &mut out.data, self.rows, self.cols, rhs.cols);
-        Ok(out)
-    }
-
     /// Computes `self · rhs_tᵀ` from an already-transposed right factor
     /// ([`crate::kernel::gemm_tn_acc`]): the same bits as
     /// `self.matmul(&rhs_t.transpose())` without the caller forming the

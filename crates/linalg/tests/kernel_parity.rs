@@ -4,10 +4,10 @@
 //! microkernels preserve the scalar arm's per-element, k-ascending
 //! accumulation order, so every f64 entry point except `dot` must agree
 //! exactly — the only licensed difference is the sign of an exact zero,
-//! which `==` treats as equal. `dot` carries a documented ULP bound and
-//! `gemm_mixed` an f32-level tolerance; both are checked against their
-//! stated bounds here, on randomized shapes that deliberately include
-//! ragged edges (`n % 8 != 0`, `m % 4 != 0`, tiny and skinny matrices).
+//! which `==` treats as equal. `dot` carries a documented ULP bound,
+//! checked here. Every check runs on randomized shapes that deliberately
+//! include ragged edges (`n % 8 != 0`, `m % 4 != 0`, tiny and skinny
+//! matrices).
 
 use fia_linalg::kernel::{self, Backend};
 use fia_linalg::{par_matmul_with, with_backend, Matrix};
@@ -20,7 +20,7 @@ fn rand_vec(rng: &mut StdRng, len: usize) -> Vec<f64> {
 }
 
 /// Shape sweep: randomized dims plus fixed ragged/degenerate cases that
-/// exercise every masked edge of the 4×8 (and 16-wide f32) microkernels.
+/// exercise every masked edge of the 4×8 microkernel.
 fn shapes(rng: &mut StdRng) -> Vec<(usize, usize, usize)> {
     let mut s = vec![
         (1, 1, 1),
@@ -257,60 +257,6 @@ fn dot_agrees_within_documented_ulp_bound() {
             (d_s - d_v).abs() <= bound,
             "dot len {len}: scalar {d_s:e} vs avx2 {d_v:e} exceeds bound {bound:e}"
         );
-    }
-}
-
-#[test]
-fn gemm_mixed_within_f32_tolerance_of_f64_reference() {
-    let mut rng = StdRng::seed_from_u64(0x5eed_0006);
-    for (m, k, n) in shapes(&mut rng) {
-        let a = rand_vec(&mut rng, m * k);
-        let b = rand_vec(&mut rng, k * n);
-        let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-        let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-
-        // Exact reference in f64 (values round-trip f32 losslessly after
-        // demotion, so the remaining error is pure f32 accumulation).
-        let mut reference = vec![0.0f64; m * n];
-        kernel::gemm_acc(
-            &a32.iter().map(|&x| f64::from(x)).collect::<Vec<_>>(),
-            &b32.iter().map(|&x| f64::from(x)).collect::<Vec<_>>(),
-            &mut reference,
-            m,
-            k,
-            n,
-        );
-
-        let backends = if fia_linalg::avx2_available() {
-            vec![Backend::Scalar, Backend::Avx2]
-        } else {
-            vec![Backend::Scalar]
-        };
-        for backend in backends {
-            let mut out = vec![0.0f64; m * n];
-            with_backend(backend, || {
-                kernel::gemm_mixed_acc(&a32, &b32, &mut out, m, k, n)
-            });
-            for i in 0..m {
-                for j in 0..n {
-                    // First-order f32 summation error: k + 2 rounding steps
-                    // against the absolute dot product, with a 4× margin.
-                    let abs_dot: f64 = (0..k)
-                        .map(|kk| (f64::from(a32[i * k + kk]) * f64::from(b32[kk * n + j])).abs())
-                        .sum();
-                    let bound = 4.0 * (k as f64 + 2.0) * f64::from(f32::EPSILON) * abs_dot
-                        + f64::from(f32::MIN_POSITIVE);
-                    let got = out[i * n + j];
-                    let want = reference[i * n + j];
-                    assert!(
-                        (got - want).abs() <= bound,
-                        "gemm_mixed {backend:?} shape {:?} at ({i},{j}): \
-                         {got:e} vs {want:e}, bound {bound:e}",
-                        (m, k, n)
-                    );
-                }
-            }
-        }
     }
 }
 

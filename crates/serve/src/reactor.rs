@@ -165,8 +165,8 @@ struct PendingRound {
     /// Ad-hoc requests have a single part whose release *is* the output.
     adhoc: bool,
     failed: Option<String>,
-    /// The `serve.request` span (traced requests only); finishes when
-    /// the response is staged.
+    /// The `serve.request` span (traced requests only); finishes just
+    /// before the response is staged.
     req_span: Option<Span>,
     /// Per-part `serve.dispatch` spans, finished as parts complete.
     dispatch_spans: Vec<Option<Span>>,
@@ -181,6 +181,20 @@ enum AuditKind {
     Stored { indices: Vec<u32>, cached: u64 },
     /// Ad-hoc feature query: row count only (no stored identity).
     Features { rows: u64 },
+}
+
+/// Records a traced request's outcome (plus its cache hits, if any) and
+/// finishes its `serve.request` span. Every answer path calls this
+/// *before* staging the response, so a client that reads the trace
+/// right after the reply always finds the span.
+fn finish_request_span(span: Option<Span>, outcome: &str, cached_rows: u64) {
+    if let Some(s) = span {
+        s.record_str("outcome", outcome);
+        if cached_rows > 0 {
+            s.record_u64("cached_rows", cached_rows);
+        }
+        s.finish();
+    }
 }
 
 /// The event loop. Owns the listener, every client socket, the poller
@@ -654,9 +668,7 @@ impl Reactor {
         }
         let n = self.shared.info.n_samples;
         if let Some(&bad) = indices.iter().find(|&&i| (i as usize) >= n) {
-            if let Some(s) = &req_span {
-                s.record_str("outcome", "rejected");
-            }
+            finish_request_span(req_span, "rejected", 0);
             self.shared.metrics.record_error();
             let resp =
                 Response::Error(format!("sample index {bad} out of range (n_samples = {n})"));
@@ -672,9 +684,7 @@ impl Reactor {
             // directly. It still counts as one query in the ledger,
             // exactly as the client meters it.
             self.audit_stored(id, &raw, 0);
-            if let Some(s) = &req_span {
-                s.record_str("outcome", "ok");
-            }
+            finish_request_span(req_span, "ok", 0);
             let resp = Response::Scores {
                 scores: Matrix::zeros(0, self.shared.info.n_classes),
                 cached_rows: 0,
@@ -697,10 +707,7 @@ impl Reactor {
         if groups.is_empty() {
             // Fully cache-served: no round, no protocol cost.
             self.audit_stored(id, &raw, hits);
-            if let Some(s) = &req_span {
-                s.record_str("outcome", "ok");
-                s.record_u64("cached_rows", hits);
-            }
+            finish_request_span(req_span, "ok", hits);
             let resp = Response::Scores {
                 scores: out,
                 cached_rows: hits as u32,
@@ -772,9 +779,7 @@ impl Reactor {
         let req_span = self.open_request_span(trace, "predict_features");
         let widths = &self.shared.info.party_widths;
         if slices.len() != widths.len() {
-            if let Some(s) = &req_span {
-                s.record_str("outcome", "rejected");
-            }
+            finish_request_span(req_span, "rejected", 0);
             self.shared.metrics.record_error();
             let resp = Response::Error(format!(
                 "expected {} party feature blocks, got {}",
@@ -790,9 +795,7 @@ impl Reactor {
         }
         for (p, (block, &width)) in slices.iter().zip(widths).enumerate() {
             if block.cols() != width {
-                if let Some(s) = &req_span {
-                    s.record_str("outcome", "rejected");
-                }
+                finish_request_span(req_span, "rejected", 0);
                 self.shared.metrics.record_error();
                 let resp = Response::Error(format!(
                     "party {p} block is {} wide, expected {width}",
@@ -802,9 +805,7 @@ impl Reactor {
                 return;
             }
             if block.rows() != rows {
-                if let Some(s) = &req_span {
-                    s.record_str("outcome", "rejected");
-                }
+                finish_request_span(req_span, "rejected", 0);
                 self.shared.metrics.record_error();
                 let resp = Response::Error("party blocks must be row-aligned".to_string());
                 self.stage_response(id, seq, t0, &resp, true);
@@ -813,9 +814,7 @@ impl Reactor {
         }
         if rows == 0 {
             self.audit_features(id, 0);
-            if let Some(s) = &req_span {
-                s.record_str("outcome", "ok");
-            }
+            finish_request_span(req_span, "ok", 0);
             let resp = Response::Scores {
                 scores: Matrix::zeros(0, self.shared.info.n_classes),
                 cached_rows: 0,
@@ -912,12 +911,8 @@ impl Reactor {
                 false,
             ),
         };
-        if let Some(s) = &p.req_span {
-            s.record_str("outcome", if is_error { "error" } else { "ok" });
-            if p.hits > 0 {
-                s.record_u64("cached_rows", p.hits);
-            }
-        }
+        let outcome = if is_error { "error" } else { "ok" };
+        finish_request_span(p.req_span.take(), outcome, p.hits);
         let resume = {
             let Some(conn) = self.conns.get_mut(&p.conn) else {
                 return; // connection died while the round ran

@@ -130,9 +130,9 @@ pub(crate) struct Shared {
     pub(crate) audit: bool,
 }
 
-/// Where the server-side span id space starts (see [`Shared::tracer`]):
-/// server span ids are `>= SERVER_SPAN_ID_BASE`, client span ids below
-/// it, so a merged trace tells the two processes apart by id alone.
+/// Where the server-side span id space starts: server span ids are
+/// `>= SERVER_SPAN_ID_BASE`, client span ids below it, so a merged trace
+/// tells the two processes apart by id alone.
 pub const SERVER_SPAN_ID_BASE: u64 = 1 << 32;
 
 /// The prediction service; [`PredictionServer::spawn`] is its only

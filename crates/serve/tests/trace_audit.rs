@@ -101,24 +101,71 @@ fn traced_queries_open_linked_request_spans() {
 
 #[test]
 fn rejected_traced_requests_record_the_outcome() {
-    let server = spawn(ServeConfig::default());
-    let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
-    oracle.set_trace_context(Some(TraceContext {
-        trace_id: 7,
-        parent_span: 9,
-    }));
-    assert!(oracle.predict_batch(&[N]).is_err(), "out of range rejects");
-    let jsonl = server.trace_jsonl();
-    let req = jsonl
-        .lines()
-        .find(|l| l.contains("\"name\":\"serve.request\""))
-        .expect("rejection still traced");
-    assert!(req.contains("\"outcome\":\"rejected\""), "{req}");
+    // One traced request per answer path, each on a fresh server. Its
+    // span is read from `server.trace_jsonl()` right after the reply,
+    // with no wait: the reactor finishes a request's span before it
+    // stages the response.
+    type Query = fn(&mut RemoteOracle) -> bool;
+    let rejected = "\"outcome\":\"rejected\"";
+    let ok = "\"outcome\":\"ok\"";
+    // (input, rows fetched untraced first, traced query, span fields)
+    let cases: [(&str, &[usize], Query, &[&str]); 4] = [
+        (
+            "out-of-range index",
+            &[],
+            |o| o.predict_batch(&[N]).is_ok(),
+            &[rejected, "\"op\":\"predict_by_index\""],
+        ),
+        (
+            "missing party block",
+            &[],
+            |o| o.predict_features(&[Matrix::zeros(1, 3)]).is_ok(),
+            &[rejected, "\"op\":\"predict_features\""],
+        ),
+        (
+            "dispatched round",
+            &[],
+            |o| o.predict_batch(&[0, 1]).is_ok(),
+            &[ok],
+        ),
+        (
+            "fully cache-served",
+            &[0, 1],
+            |o| o.predict_batch(&[0, 1]).is_ok(),
+            &[ok, "\"cached_rows\":2"],
+        ),
+    ];
+    for (what, warm, query, fields) in cases {
+        let server = spawn(ServeConfig {
+            cache_capacity: N,
+            ..ServeConfig::default()
+        });
+        let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
+        if !warm.is_empty() {
+            oracle.predict_batch(warm).expect("warm the cache");
+        }
+        oracle.set_trace_context(Some(TraceContext {
+            trace_id: 7,
+            parent_span: 9,
+        }));
+        let answered = query(&mut oracle);
+        let jsonl = server.trace_jsonl();
+        let spans: Vec<&str> = jsonl
+            .lines()
+            .filter(|l| l.contains("\"name\":\"serve.request\""))
+            .collect();
+        assert_eq!(spans.len(), 1, "{what}: request still traced: {jsonl}");
+        for field in fields {
+            assert!(spans[0].contains(field), "{what}: {}", spans[0]);
+        }
 
-    // And the rejection never reaches the audit ledger.
-    let audit = oracle.audit_report().expect("audit");
-    assert!(audit.clients.is_empty(), "{audit:?}");
-    server.shutdown();
+        // Rejections never reach the audit ledger.
+        let audit = oracle.audit_report().expect("audit");
+        let queries: u64 = audit.clients.iter().map(|c| c.queries).sum();
+        let expected = u64::from(!warm.is_empty()) + u64::from(answered);
+        assert_eq!(queries, expected, "{what}: {audit:?}");
+        server.shutdown();
+    }
 }
 
 #[test]

@@ -52,5 +52,3 @@ pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, Params};
 pub use schedule::{clip_grad_norm, Constant, CosineAnnealing, LrSchedule, StepDecay};
 pub use tape::{Tape, VarId};
-
-pub use fia_linalg::Precision;

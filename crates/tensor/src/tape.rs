@@ -1,7 +1,7 @@
 //! The autograd tape: forward construction and reverse-mode backward.
 
 use crate::params::{ParamId, Params};
-use fia_linalg::{Matrix, Precision};
+use fia_linalg::Matrix;
 use rand::Rng;
 
 /// Handle to a value on a [`Tape`].
@@ -97,12 +97,6 @@ pub struct Tape {
     /// are generator outputs — but diagnostic tooling (saliency, the
     /// gradient-checker) wants input grads, so it is configurable.
     grad_for_inputs: bool,
-    /// Compute precision for the matmul-heavy ops (forward *and* backward
-    /// products). Everything else — activations, reductions, LayerNorm,
-    /// optimizer state upstream — stays f64 regardless, which is where
-    /// the mixed path's "f64 accumulation at reduction boundaries"
-    /// contract lives.
-    precision: Precision,
 }
 
 impl Default for Tape {
@@ -117,7 +111,6 @@ impl Tape {
         Tape {
             nodes: Vec::new(),
             grad_for_inputs: false,
-            precision: Precision::F64,
         }
     }
 
@@ -127,25 +120,7 @@ impl Tape {
         Tape {
             nodes: Vec::new(),
             grad_for_inputs: true,
-            precision: Precision::F64,
         }
-    }
-
-    /// Creates a tape whose matmul ops (forward and backward) run at the
-    /// given [`Precision`]. `Precision::F64` is identical to
-    /// [`Tape::new`]; `Precision::F32` is the opt-in mixed-precision path
-    /// GRNA generator training uses.
-    pub fn with_precision(precision: Precision) -> Self {
-        Tape {
-            nodes: Vec::new(),
-            grad_for_inputs: false,
-            precision,
-        }
-    }
-
-    /// The precision this tape's matmuls run at.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     fn push(&mut self, value: Matrix, op: Op, needs_grad: bool) -> VarId {
@@ -233,12 +208,7 @@ impl Tape {
     /// code with statically known layer shapes, so a mismatch is a bug.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
         let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        let v = match self.precision {
-            Precision::F64 => av.matmul(bv),
-            // Mixed f32 kernel, f64 accumulation at reduction boundaries.
-            Precision::F32 => av.matmul_mixed(bv),
-        }
-        .expect("tape matmul: shape mismatch");
+        let v = av.matmul(bv).expect("tape matmul: shape mismatch");
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::MatMul(a, b), ng)
     }
@@ -637,17 +607,10 @@ impl Tape {
             Op::MatMul(a, b) => {
                 let (a, b) = (*a, *b);
                 let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                // dA = g·Bᵀ and dB = Aᵀ·g. At f64 the kernel forms each
-                // transposed operand inside its packing; the mixed-precision
-                // path transposes first and runs its own kernel.
-                let da = self.needs(a).then(|| match self.precision {
-                    Precision::F64 => g.matmul_transposed(bv),
-                    Precision::F32 => g.matmul_mixed(&bv.transpose()),
-                });
-                let db = self.needs(b).then(|| match self.precision {
-                    Precision::F64 => av.transpose_matmul(g),
-                    Precision::F32 => av.transpose().matmul_mixed(g),
-                });
+                // dA = g·Bᵀ and dB = Aᵀ·g; the kernel forms each transposed
+                // operand inside its packing.
+                let da = self.needs(a).then(|| g.matmul_transposed(bv));
+                let db = self.needs(b).then(|| av.transpose_matmul(g));
                 if let Some(da) = da {
                     self.accumulate(a, da.expect("shapes consistent"));
                 }
@@ -1143,38 +1106,6 @@ mod tests {
         let loss = tape.sum_all(y);
         tape.backward(loss);
         assert_eq!(tape.grad(wv).unwrap()[(0, 0)], 2.0);
-    }
-
-    #[test]
-    fn f32_tape_matches_f64_to_single_precision() {
-        use fia_linalg::Precision;
-        let mut params = Params::new();
-        let w = params.insert(Matrix::from_fn(6, 4, |i, j| {
-            ((i * 4 + j) as f64 * 0.137).sin() * 0.5
-        }));
-        let x_val = Matrix::from_fn(3, 6, |i, j| ((i * 6 + j) as f64 * 0.311).cos());
-        let t_val = Matrix::from_fn(3, 4, |i, j| ((i + j) as f64 * 0.21).sin());
-
-        let run = |precision: Precision| {
-            let mut tape = Tape::with_precision(precision);
-            let x = tape.input(x_val.clone());
-            let wv = tape.param(&params, w);
-            let y = tape.matmul(x, wv);
-            let t = tape.input(t_val.clone());
-            let loss = tape.mse_loss(y, t);
-            tape.backward(loss);
-            (tape.value(loss)[(0, 0)], tape.grad(wv).unwrap().clone())
-        };
-
-        let (l64, g64) = run(Precision::F64);
-        let (l32, g32) = run(Precision::F32);
-        assert!((l64 - l32).abs() < 1e-5, "loss drifted: {l64} vs {l32}");
-        assert!(g64.max_abs_diff(&g32).unwrap() < 1e-5);
-        assert_eq!(
-            Tape::with_precision(Precision::F32).precision(),
-            Precision::F32
-        );
-        assert_eq!(Tape::new().precision(), Precision::F64);
     }
 
     // ------------------------------------------------------------------
