@@ -143,21 +143,21 @@ fn grna_training(h: &mut Harness) {
         epochs: 6,
         ..GrnaConfig::paper()
     };
-    let train = |cfg: &GrnaConfig| {
-        Grna::new(&model, &adv, &target, cfg.clone())
+    let train = || {
+        Grna::new(&model, &adv, &target, base.clone())
             .train(std::hint::black_box(&x_adv), std::hint::black_box(&conf))
     };
 
-    let train_ns = h.bench("grna_train_f64", || train(&base)).median_ns;
+    let train_ns = h.bench("grna_train_f64", train).median_ns;
     if avx2_available() && fia_linalg::detected_backend() != Backend::Scalar {
         h.bench("grna_train_f64_scalar", || {
-            with_backend(Backend::Scalar, || train(&base))
+            with_backend(Backend::Scalar, train)
         });
     }
 
     // What one training issues: GEMM flops and heap allocations.
     let (flops_before, allocs_before) = (gemm_flops(), ALLOCATIONS.load(Ordering::Relaxed));
-    std::hint::black_box(train(&base));
+    std::hint::black_box(train());
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
     let flops = gemm_flops() - flops_before;
     let steps = base.epochs * x_adv.rows().div_ceil(base.batch_size);

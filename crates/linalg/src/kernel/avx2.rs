@@ -14,9 +14,10 @@
 //! (store/reload is exact). That is precisely the scalar arm's
 //! per-element accumulation sequence, so f64 results match the scalar
 //! arm bit-for-bit (up to the sign of exact zeros: the scalar arm skips
-//! `a_ik == 0` terms, this arm adds the signed-zero product). The
-//! kernels enable the `fma` target feature, since the arm is only
-//! selected on CPUs that have it, but never fuse a multiply and an add.
+//! `a_ik == 0` terms, this arm adds the signed-zero product). No kernel
+//! fuses a multiply and an add. The `fma` target feature on the kernels
+//! and the FMA check in [`avx2_available`](super::avx2_available) are
+//! kept only pending a decision on which hosts get this arm.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 

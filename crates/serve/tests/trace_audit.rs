@@ -106,36 +106,46 @@ fn rejected_traced_requests_record_the_outcome() {
     // with no wait: the reactor finishes a request's span before it
     // stages the response.
     type Query = fn(&mut RemoteOracle) -> bool;
-    let rejected = "\"outcome\":\"rejected\"";
-    let ok = "\"outcome\":\"ok\"";
-    // (input, rows fetched untraced first, traced query, span fields)
-    let cases: [(&str, &[usize], Query, &[&str]); 4] = [
+    // (input, rows fetched untraced first, traced query, answered, span
+    // fields besides the outcome)
+    type Case = (
+        &'static str,
+        &'static [usize],
+        Query,
+        bool,
+        &'static [&'static str],
+    );
+    let cases: [Case; 4] = [
         (
             "out-of-range index",
             &[],
             |o| o.predict_batch(&[N]).is_ok(),
-            &[rejected, "\"op\":\"predict_by_index\""],
+            false,
+            &["\"op\":\"predict_by_index\""],
         ),
         (
             "missing party block",
             &[],
             |o| o.predict_features(&[Matrix::zeros(1, 3)]).is_ok(),
-            &[rejected, "\"op\":\"predict_features\""],
+            false,
+            &["\"op\":\"predict_features\""],
         ),
         (
             "dispatched round",
             &[],
             |o| o.predict_batch(&[0, 1]).is_ok(),
-            &[ok],
+            true,
+            &[],
         ),
         (
             "fully cache-served",
             &[0, 1],
             |o| o.predict_batch(&[0, 1]).is_ok(),
-            &[ok, "\"cached_rows\":2"],
+            true,
+            &["\"cached_rows\":2"],
         ),
     ];
-    for (what, warm, query, fields) in cases {
+    for (what, warm, query, answered, fields) in cases {
         let server = spawn(ServeConfig {
             cache_capacity: N,
             ..ServeConfig::default()
@@ -148,22 +158,32 @@ fn rejected_traced_requests_record_the_outcome() {
             trace_id: 7,
             parent_span: 9,
         }));
-        let answered = query(&mut oracle);
+        assert_eq!(query(&mut oracle), answered, "{what}: answered");
         let jsonl = server.trace_jsonl();
         let spans: Vec<&str> = jsonl
             .lines()
             .filter(|l| l.contains("\"name\":\"serve.request\""))
             .collect();
         assert_eq!(spans.len(), 1, "{what}: request still traced: {jsonl}");
-        for field in fields {
+        let outcome = if answered {
+            "\"outcome\":\"ok\""
+        } else {
+            "\"outcome\":\"rejected\""
+        };
+        for field in [outcome].iter().chain(fields) {
             assert!(spans[0].contains(field), "{what}: {}", spans[0]);
         }
 
-        // Rejections never reach the audit ledger.
         let audit = oracle.audit_report().expect("audit");
-        let queries: u64 = audit.clients.iter().map(|c| c.queries).sum();
-        let expected = u64::from(!warm.is_empty()) + u64::from(answered);
-        assert_eq!(queries, expected, "{what}: {audit:?}");
+        if answered {
+            // The answered query is ledgered after the untraced warm-up.
+            let queries: u64 = audit.clients.iter().map(|c| c.queries).sum();
+            let expected = 1 + u64::from(!warm.is_empty());
+            assert_eq!(queries, expected, "{what}: {audit:?}");
+        } else {
+            // Rejections (all unwarmed) never reach the audit ledger.
+            assert!(audit.clients.is_empty(), "{what}: {audit:?}");
+        }
         server.shutdown();
     }
 }
