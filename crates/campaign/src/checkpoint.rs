@@ -422,6 +422,37 @@ mod tests {
         }
     }
 
+    /// Pins the blob byte for byte, FNV-1a trailer included: a layout or
+    /// checksum change must show up here as a deliberate edit.
+    #[test]
+    fn blob_bytes_are_golden() {
+        let hex: String = sample()
+            .to_blob()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let golden = concat!(
+            "014bacf1",                                             // magic
+            "01",                                                   // version
+            "1000",                                                 // fingerprint length
+            "64656164626565666361666566303064",                     // fingerprint
+            "2a00000000000000",                                     // seed
+            "2a000000",                                             // meter length
+            "01030700000000000000f4010000000000000300000000000000", // meter
+            "60000000000000000500000000000000",
+            "0300000000000000", // rows_done
+            "0300000000000000", // chunks_issued
+            "2000000000000000", // chunk
+            "0300000000000000", // rows
+            "0400000000000000", // cols
+            "000000000000c03f000000000000b03f555555555555a53f000000000000a03f", // cells
+            "000000000000f23f000000000000e23f000000000000d83f000000000000d23f",
+            "0000000000000140000000000000f13fabaaaaaaaaaae63f000000000000e13f",
+            "ed1a45ea556d7e53", // FNV-1a
+        );
+        assert_eq!(hex, golden);
+    }
+
     #[test]
     fn blob_round_trips_bit_exactly() {
         let cp = sample();

@@ -519,6 +519,14 @@ mod tests {
         assert_eq!(a.x_adv, b.x_adv);
     }
 
+    /// Pins the fingerprint's value, not just its equalities: shared
+    /// deployments and checkpoints are keyed on it.
+    #[test]
+    fn fingerprint_is_golden() {
+        let spec = ScenarioSpec::paper(PaperDataset::CreditCard).with_seed(7);
+        assert_eq!(spec.fingerprint(), "8f24b89fa50ed567");
+    }
+
     #[test]
     fn fingerprint_stable_and_sensitive() {
         let base = ScenarioSpec::paper(PaperDataset::CreditCard).with_seed(7);
