@@ -1,11 +1,10 @@
-//! Substrate benches: linear algebra kernels (including the blocked and
-//! parallel multiplies), autograd throughput, model training/prediction,
-//! and the design-choice ablations from DESIGN.md §6.
+//! Substrate benches: linear algebra kernels, autograd throughput, model
+//! training/prediction, and the design-choice ablations from DESIGN.md §6.
 
 use fia_bench::experiments::ablation;
 use fia_bench::harness::Harness;
 use fia_bench::profiles::ExperimentConfig;
-use fia_linalg::{lstsq, par_matmul, pinv, svd, Matrix};
+use fia_linalg::{pinv, svd, Matrix};
 use fia_models::{DecisionTree, LogisticRegression, LrConfig, PredictProba, TreeConfig};
 use fia_tensor::{Params, Tape};
 use rand::{rngs::StdRng, SeedableRng};
@@ -14,19 +13,9 @@ fn linalg_kernels(h: &mut Harness) {
     let a = Matrix::from_fn(40, 12, |i, j| ((i * 13 + j * 7) % 17) as f64 - 8.0);
     h.bench("svd_40x12", || svd(std::hint::black_box(&a)));
     h.bench("pinv_40x12", || pinv(std::hint::black_box(&a)));
-    let rhs: Vec<f64> = (0..40).map(|i| (i as f64 * 0.37).sin()).collect();
-    h.bench("lstsq_40x12", || {
-        lstsq(std::hint::black_box(&a), std::hint::black_box(&rhs))
-    });
     let m = Matrix::from_fn(128, 128, |i, j| ((i + j) % 9) as f64 * 0.1);
     h.bench("matmul_128", || m.matmul(std::hint::black_box(&m)));
     let big = Matrix::from_fn(384, 384, |i, j| ((i * 7 + j) % 11) as f64 * 0.1);
-    h.bench("matmul_blocked_384", || {
-        big.matmul_blocked(std::hint::black_box(&big), 64)
-    });
-    h.bench("par_matmul_384", || {
-        par_matmul(std::hint::black_box(&big), std::hint::black_box(&big))
-    });
     let bt = big.transpose();
     h.bench("matmul_transposed_384", || {
         big.matmul_transposed(std::hint::black_box(&bt))

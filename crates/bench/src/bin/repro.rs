@@ -15,11 +15,16 @@ use fia_bench::experiments::{
 use fia_bench::profiles::ExperimentConfig;
 use std::time::Instant;
 
+const EXPERIMENTS: &[&str] = &[
+    "table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11ab", "fig11cd",
+    "fig11ef", "ablation", "all",
+];
+
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--profile quick|smoke|medium|paper] [--seed N] <experiment>...\n\
-         experiments: table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 \
-         fig11ab fig11cd fig11ef ablation all"
+         experiments: {}",
+        EXPERIMENTS.join(" ")
     );
     std::process::exit(2);
 }
@@ -45,6 +50,13 @@ fn main() {
         }
     }
     if experiments.is_empty() {
+        usage();
+    }
+    if let Some(unknown) = experiments
+        .iter()
+        .find(|e| !EXPERIMENTS.contains(&e.as_str()))
+    {
+        eprintln!("repro: unknown experiment `{unknown}`");
         usage();
     }
 

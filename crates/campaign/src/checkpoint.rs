@@ -25,6 +25,7 @@
 //! accepts only full checkpoints.
 
 use crate::budget::{BudgetMeter, QueryBudget};
+use crate::spec::fnv;
 use fia_core::QueryCost;
 use fia_linalg::Matrix;
 
@@ -92,16 +93,6 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-/// FNV-1a over bytes (the blob's trailing integrity checksum).
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
 
 /// A little-endian byte cursor shared by the checkpoint and budget-meter
 /// codecs.
@@ -210,7 +201,7 @@ impl BlobHeader<'_> {
         for &v in cells {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        let sum = fnv(&out);
+        let sum = fnv(0, &out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
@@ -339,7 +330,7 @@ impl CampaignCheckpoint {
         }
         let (body, tail) = blob.split_at(blob.len() - 8);
         let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv(body) != stored {
+        if fnv(0, body) != stored {
             return Err(CheckpointError::Corrupt("checksum mismatch"));
         }
         let mut c = Cursor::new(body);
@@ -515,7 +506,7 @@ mod tests {
         // report version skew, not a checksum error.
         blob[4] = 9;
         let body_len = blob.len() - 8;
-        let sum = fnv(&blob[..body_len]);
+        let sum = fnv(0, &blob[..body_len]);
         blob[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             CampaignCheckpoint::from_blob(&blob),
@@ -525,7 +516,7 @@ mod tests {
         let mut blob = cp.to_blob();
         blob[0] ^= 0xFF;
         let body_len = blob.len() - 8;
-        let sum = fnv(&blob[..body_len]);
+        let sum = fnv(0, &blob[..body_len]);
         blob[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             CampaignCheckpoint::from_blob(&blob),

@@ -381,8 +381,9 @@ impl ScenarioSpec {
     }
 }
 
-/// FNV-1a over bytes with a basis tweak.
-fn fnv(basis: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a over bytes with a basis tweak; `basis = 0` is plain FNV-1a (the
+/// checkpoint blob's trailing checksum).
+pub(crate) fn fnv(basis: u64, bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64 ^ basis.wrapping_mul(0x100000001b3);
     for &b in bytes {
         h ^= u64::from(b);

@@ -21,6 +21,7 @@
 
 use crate::metrics;
 use fia_linalg::Matrix;
+use std::sync::OnceLock;
 
 /// A batch of accumulated prediction-round observations: one row per
 /// query the adversary saw answered.
@@ -172,10 +173,22 @@ impl Default for AttackEngine {
     }
 }
 
+/// The host's available parallelism (1 when it cannot be queried).
+/// Cached — the underlying query is a syscall, and engines are built on
+/// the per-batch hot path.
+fn default_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 impl AttackEngine {
     /// Engine sized to the host's available parallelism.
     pub fn new() -> Self {
-        Self::with_workers(fia_linalg::default_workers())
+        Self::with_workers(default_workers())
     }
 
     /// Engine with an explicit worker count (`0` is treated as `1`).
@@ -348,5 +361,10 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].target_indices, vec![0]);
         assert_eq!(results[1].target_indices, vec![1]);
+    }
+
+    #[test]
+    fn default_workers_positive() {
+        assert!(default_workers() >= 1);
     }
 }

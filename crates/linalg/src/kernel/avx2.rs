@@ -15,9 +15,7 @@
 //! per-element accumulation sequence, so f64 results match the scalar
 //! arm bit-for-bit (up to the sign of exact zeros: the scalar arm skips
 //! `a_ik == 0` terms, this arm adds the signed-zero product). No kernel
-//! fuses a multiply and an add. The `fma` target feature on the kernels
-//! and the FMA check in [`avx2_available`](super::avx2_available) are
-//! kept only pending a decision on which hosts get this arm.
+//! fuses a multiply and an add, so the arm needs AVX2 alone.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
@@ -80,27 +78,27 @@ unsafe fn store2(p: *mut f64, nr: usize, ml: __m256i, mh: __m256i, v0: __m256d, 
 }
 
 /// `out += a · b` (both row-major, `b` is `k × n`).
-#[target_feature(enable = "avx2", enable = "fma")]
+#[target_feature(enable = "avx2")]
 pub(super) fn gemm_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     gemm_driver(a, b, out, m, k, n, false, false);
 }
 
 /// `out += a · btᵀ` (`bt` is the transposed right factor, `n × k`).
 /// The B packing performs the transpose, so the same microkernel runs.
-#[target_feature(enable = "avx2", enable = "fma")]
+#[target_feature(enable = "avx2")]
 pub(super) fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     gemm_driver(a, bt, out, m, k, n, false, true);
 }
 
 /// `out += atᵀ · b` (`at` is the transposed left factor, `k × m`). The
 /// A packing performs the transpose, so the same microkernel runs.
-#[target_feature(enable = "avx2", enable = "fma")]
+#[target_feature(enable = "avx2")]
 pub(super) fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     gemm_driver(at, b, out, m, k, n, true, false);
 }
 
 #[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma")]
+#[target_feature(enable = "avx2")]
 fn gemm_driver(
     a: &[f64],
     b: &[f64],
@@ -215,7 +213,7 @@ fn pack_b_tn(bt: &[f64], bp: &mut [f64], k0: usize, kc: usize, j0: usize, nc: us
 /// (`add(mul)` — deliberately *not* FMA, to preserve the scalar arm's
 /// rounding sequence).
 #[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma")]
+#[target_feature(enable = "avx2")]
 fn microkernel(
     ap: &[f64],
     bp: &[f64],
@@ -288,38 +286,9 @@ fn microkernel(
 // Vector kernels
 // ----------------------------------------------------------------------
 
-/// Lane-parallel dot: 4 running lane sums, combined pairwise at the end,
-/// scalar tail. Reassociates the reduction, hence the documented ULP
-/// bound instead of bit-equality.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(super) fn dot(a: &[f64], b: &[f64]) -> f64 {
-    let chunks = a.len() / 4;
-    let mut acc = _mm256_setzero_pd();
-    let (pa, pb) = (a.as_ptr(), b.as_ptr());
-    for c in 0..chunks {
-        // SAFETY: c*4 + 4 <= len by construction.
-        let (av, bv) = unsafe {
-            (
-                _mm256_loadu_pd(pa.add(c * 4)),
-                _mm256_loadu_pd(pb.add(c * 4)),
-            )
-        };
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(av, bv));
-    }
-    let lo = _mm256_castpd256_pd128(acc);
-    let hi = _mm256_extractf128_pd::<1>(acc);
-    let s2 = _mm_add_pd(lo, hi);
-    let s1 = _mm_add_sd(s2, _mm_unpackhi_pd(s2, s2));
-    let mut total = _mm_cvtsd_f64(s1);
-    for i in chunks * 4..a.len() {
-        total += a[i] * b[i];
-    }
-    total
-}
-
 /// `y ← y + alpha·x`; elementwise `add(mul)` matches the scalar arm
 /// bit-for-bit.
-#[target_feature(enable = "avx2", enable = "fma")]
+#[target_feature(enable = "avx2")]
 pub(super) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     let chunks = y.len() / 4;
     let av = _mm256_set1_pd(alpha);

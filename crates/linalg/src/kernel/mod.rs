@@ -21,17 +21,13 @@
 //!
 //! # Numerical contract
 //!
-//! The kernels (`gemm*`, [`axpy`], the elementwise `v*` family)
-//! preserve the scalar arm's accumulation order *exactly*: every output
+//! Every kernel (`gemm*`, [`axpy`], the elementwise `v*` family)
+//! preserves the scalar arm's accumulation order *exactly*: every output
 //! element accumulates its `k` contributions in ascending order with a
-//! separately rounded multiply and add (no FMA contraction). Both arms
-//! therefore produce **bit-identical** results — attack outputs do not
-//! depend on which backend ran, and `FIA_FORCE_SCALAR=1` is a pure
-//! performance switch. The one documented exception is [`dot`], which
-//! reduces across lanes (4 partial sums combined pairwise at the end),
-//! so the AVX2 arm may differ from scalar by a few ULP — bounded by
-//! `4·ε·Σ|aᵢbᵢ|` in the parity sweep. Nothing result-affecting in the
-//! attack stack consumes `dot`.
+//! separately rounded multiply and add (no FMA contraction), and no
+//! kernel reduces across lanes. Both arms therefore produce
+//! **bit-identical** results — attack outputs do not depend on which
+//! backend ran, and `FIA_FORCE_SCALAR=1` is a pure performance switch.
 
 mod scalar;
 mod telemetry;
@@ -47,8 +43,7 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// Portable scalar loops — the reference semantics.
     Scalar,
-    /// x86-64 AVX2 microkernels (runtime-detected; the host must also
-    /// have FMA).
+    /// x86-64 AVX2 microkernels (runtime-detected).
     Avx2,
 }
 
@@ -63,12 +58,12 @@ impl Backend {
     }
 }
 
-/// `true` when the running CPU has AVX2 and FMA, which the AVX2 arm
-/// requires (independent of any `FIA_FORCE_SCALAR` override).
+/// `true` when the running CPU has AVX2, which the AVX2 arm requires
+/// (independent of any `FIA_FORCE_SCALAR` override).
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        std::arch::is_x86_feature_detected!("avx2")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -107,15 +102,14 @@ pub fn active_backend() -> Backend {
 /// Runs `f` with every dispatched kernel on the current thread pinned to
 /// `backend` — the hook parity tests and benches use to compare arms in
 /// one process. The override nests, is restored on unwind, and does not
-/// propagate to spawned threads ([`crate::par_matmul`] captures the
-/// caller's backend before fanning out, so it *does* honor the override).
+/// propagate to spawned threads.
 ///
 /// # Panics
-/// Panics if `backend` is [`Backend::Avx2`] on a host without AVX2+FMA.
+/// Panics if `backend` is [`Backend::Avx2`] on a host without AVX2.
 pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
     assert!(
         backend != Backend::Avx2 || avx2_available(),
-        "with_backend: AVX2 arm requested but host lacks avx2+fma"
+        "with_backend: AVX2 arm requested but host lacks avx2"
     );
     struct Restore(Option<Backend>);
     impl Drop for Restore {
@@ -132,27 +126,12 @@ pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
 // ----------------------------------------------------------------------
 
 /// `out += a · b` for row-major `a` (`m × k`), `b` (`k × n`), `out`
-/// (`m × n`) — the single inner kernel behind [`crate::Matrix::matmul`],
-/// [`crate::Matrix::matmul_blocked`] and the per-worker tiles of
-/// [`crate::par_matmul`]. Accumulation is `k`-ascending per output
-/// element on both arms (see the module docs), so all callers agree
-/// bitwise.
+/// (`m × n`) — the kernel behind [`crate::Matrix::matmul`].
+/// Accumulation is `k`-ascending per output element on both arms (see
+/// the module docs), so the arms agree bitwise.
 pub fn gemm_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_acc_with(active_backend(), a, b, out, m, k, n);
-}
-
-/// [`gemm_acc`] on an explicit backend arm.
-pub fn gemm_acc_with(
-    backend: Backend,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
     check_gemm_shapes(a.len(), b.len(), out.len(), m, k, n);
-    let backend = resolve(backend);
+    let backend = resolve(active_backend());
     telemetry::record_gemm(backend, m, k, n, || match backend {
         Backend::Scalar => scalar::gemm_acc(a, b, out, m, k, n),
         #[cfg(target_arch = "x86_64")]
@@ -171,21 +150,8 @@ pub fn gemm_acc_with(
 /// once so its vectorizable row kernel runs. Both keep the `k`-ascending
 /// per-element order, so the arms agree bitwise.
 pub fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_tn_acc_with(active_backend(), a, bt, out, m, k, n);
-}
-
-/// [`gemm_tn_acc`] on an explicit backend arm.
-pub fn gemm_tn_acc_with(
-    backend: Backend,
-    a: &[f64],
-    bt: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
     check_gemm_shapes(a.len(), bt.len(), out.len(), m, k, n);
-    let backend = resolve(backend);
+    let backend = resolve(active_backend());
     telemetry::record_gemm(backend, m, k, n, || match backend {
         Backend::Scalar => scalar::gemm_tn_acc(a, bt, out, m, k, n),
         #[cfg(target_arch = "x86_64")]
@@ -219,30 +185,6 @@ pub fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n
 // ----------------------------------------------------------------------
 // Vector kernels
 // ----------------------------------------------------------------------
-
-/// Dot product of two equal-length slices.
-///
-/// The AVX2 arm reduces across 4 lane accumulators, so it may differ
-/// from the scalar arm by a few ULP (bounded by `4·ε·Σ|aᵢbᵢ|`).
-///
-/// # Panics
-/// Panics on a length mismatch.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    dot_with(active_backend(), a, b)
-}
-
-/// [`dot`] on an explicit backend arm.
-pub fn dot_with(backend: Backend, a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    match resolve(backend) {
-        Backend::Scalar => scalar::dot(a, b),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `resolve` only yields Avx2 when the CPU supports it.
-        Backend::Avx2 => unsafe { avx2::dot(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => unreachable!("resolve() never yields Avx2 off x86-64"),
-    }
-}
 
 /// `y ← y + alpha·x` in place. Elementwise (no reduction), so both arms
 /// are bit-identical.
@@ -403,12 +345,6 @@ mod tests {
         gemm_acc(&[], &[], &mut out1, 1, 0, 1);
         assert_eq!(out1, [5.0]);
         let _ = a;
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn dot_mismatch_panics() {
-        let _ = dot(&[1.0, 2.0], &[1.0]);
     }
 
     #[test]

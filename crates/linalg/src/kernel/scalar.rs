@@ -1,5 +1,5 @@
 //! Portable scalar arm — the reference semantics every other backend
-//! must reproduce bit for bit (up to [`dot`]'s documented ULP bound).
+//! must reproduce bit for bit.
 //!
 //! These loops are byte-for-byte the pre-kernel-layer implementations
 //! that used to live in `Matrix`/`vecops`, so routing through the
@@ -71,13 +71,6 @@ fn gemm_rows(
             }
         }
     }
-}
-
-/// Sequential dot product — the reference the AVX2 arm's lane-reduced
-/// variant is ULP-bounded against.
-#[inline]
-pub(super) fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
 }
 
 /// `y ← y + alpha·x`.

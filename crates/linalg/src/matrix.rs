@@ -209,32 +209,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Cache-blocked matrix multiplication. Since the kernel layer now
-    /// picks its own panel sizes per backend, this is the same dispatched
-    /// multiply as [`Matrix::matmul`]; the `block` hint is retained for
-    /// API compatibility (results never depended on it — every blocking
-    /// accumulates in the same per-element order).
-    pub fn matmul_blocked(&self, rhs: &Matrix, block: usize) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(LinAlgError::ShapeMismatch {
-                left: self.shape(),
-                right: rhs.shape(),
-                op: "matmul_blocked",
-            });
-        }
-        let _ = block;
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        crate::kernel::gemm_acc(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            rhs.cols,
-        );
-        Ok(out)
-    }
-
     /// Computes `self · rhs_tᵀ` from an already-transposed right factor
     /// ([`crate::kernel::gemm_tn_acc`]): the same bits as
     /// `self.matmul(&rhs_t.transpose())` without the caller forming the

@@ -3,11 +3,9 @@
 //! These operate on plain `&[f64]` slices so callers do not need to wrap
 //! short-lived vectors in [`crate::Matrix`].
 
-/// Dot product of two equal-length slices, dispatched through the
-/// [`crate::kernel`] backend. The AVX2 arm reduces across SIMD lanes, so
-/// it may differ from the scalar arm by a few ULP (documented bound in
-/// the kernel module); every other `vecops` routine is bit-identical
-/// across backends.
+/// `y ← y + alpha * x` in place, dispatched through the
+/// [`crate::kernel`] backend (bit-identical across backends — the update
+/// is elementwise, no reduction).
 ///
 /// # Panics
 /// Panics if the lengths differ — same contract in debug and release
@@ -15,32 +13,8 @@
 /// ops (a slice helper has no `Result` channel, so the mismatch is a
 /// programming error and fails loudly).
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    crate::kernel::dot(a, b)
-}
-
-/// Euclidean (L2) norm.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// `y ← y + alpha * x` in place, dispatched through the
-/// [`crate::kernel`] backend (bit-identical across backends — the update
-/// is elementwise, no reduction).
-///
-/// # Panics
-/// Panics if the lengths differ — same contract in debug and release
-/// builds; see [`dot`].
-#[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     crate::kernel::axpy(alpha, x, y)
-}
-
-/// Element-wise difference `a - b` as a new vector.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len(), "sub: length mismatch");
-    a.iter().zip(b.iter()).map(|(&x, &y)| x - y).collect()
 }
 
 /// Arithmetic mean; `0.0` for an empty slice.
@@ -156,26 +130,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dot_known() {
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-    }
-
-    #[test]
-    fn norm2_known() {
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn axpy_in_place() {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, 3.0], &mut y);
         assert_eq!(y, vec![3.0, 7.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn dot_length_mismatch_panics() {
-        let _ = dot(&[1.0, 2.0], &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -2,15 +2,14 @@
 //!
 //! The f64 contract (see `fia_linalg::kernel`) is *bit identity*: the AVX2
 //! microkernels preserve the scalar arm's per-element, k-ascending
-//! accumulation order, so every f64 entry point except `dot` must agree
-//! exactly — the only licensed difference is the sign of an exact zero,
-//! which `==` treats as equal. `dot` carries a documented ULP bound,
-//! checked here. Every check runs on randomized shapes that deliberately
-//! include ragged edges (`n % 8 != 0`, `m % 4 != 0`, tiny and skinny
-//! matrices).
+//! accumulation order, so every f64 entry point must agree exactly — the
+//! only licensed difference is the sign of an exact zero, which `==`
+//! treats as equal. Every check runs on randomized shapes that
+//! deliberately include ragged edges (`n % 8 != 0`, `m % 4 != 0`, tiny
+//! and skinny matrices).
 
 use fia_linalg::kernel::{self, Backend};
-use fia_linalg::{par_matmul_with, with_backend, Matrix};
+use fia_linalg::{with_backend, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -176,19 +175,13 @@ fn matrix_level_routing_bit_identical_across_backends() {
         let run = || {
             (
                 a.matmul(&b).unwrap(),
-                a.matmul_blocked(&b, 32).unwrap(),
                 a.matmul_transposed(&bt).unwrap(),
-                par_matmul_with(&a, &b, 3).unwrap(),
                 a.transpose().transpose_matmul(&b).unwrap(),
             )
         };
         let s = with_backend(Backend::Scalar, run);
         let v = with_backend(Backend::Avx2, run);
-        for (which, (ms, mv)) in [s.0, s.1, s.2, s.3, s.4]
-            .iter()
-            .zip([v.0, v.1, v.2, v.3, v.4])
-            .enumerate()
-        {
+        for (which, (ms, mv)) in [s.0, s.1, s.2].iter().zip([v.0, v.1, v.2]).enumerate() {
             assert_bitwise_eq(
                 ms.as_slice(),
                 mv.as_slice(),
@@ -234,29 +227,6 @@ fn axpy_and_elementwise_bit_identical_across_backends() {
         assert_bitwise_eq(s.1.as_slice(), v.1.as_slice(), "sub", (len, 0, 0));
         assert_bitwise_eq(s.2.as_slice(), v.2.as_slice(), "hadamard", (len, 0, 0));
         assert_bitwise_eq(s.3.as_slice(), v.3.as_slice(), "scale", (len, 0, 0));
-    }
-}
-
-#[test]
-fn dot_agrees_within_documented_ulp_bound() {
-    if !fia_linalg::avx2_available() {
-        eprintln!("skipping: no AVX2 on this host");
-        return;
-    }
-    let mut rng = StdRng::seed_from_u64(0x5eed_0005);
-    for len in [1usize, 4, 5, 8, 13, 100, 1023, 4096] {
-        let a = rand_vec(&mut rng, len);
-        let b = rand_vec(&mut rng, len);
-        let d_s = with_backend(Backend::Scalar, || kernel::dot(&a, &b));
-        let d_v = with_backend(Backend::Avx2, || kernel::dot(&a, &b));
-        // Documented bound: |Δ| ≤ 4·ε·Σ|aᵢ·bᵢ| (re-association across 4
-        // lanes plus the pairwise horizontal reduction).
-        let abs_sum: f64 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
-        let bound = 4.0 * f64::EPSILON * abs_sum;
-        assert!(
-            (d_s - d_v).abs() <= bound,
-            "dot len {len}: scalar {d_s:e} vs avx2 {d_v:e} exceeds bound {bound:e}"
-        );
     }
 }
 

@@ -146,11 +146,24 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.bytes::<8>()?))
     }
 
-    /// Reads a `usize` (checked against the remaining buffer to bound
-    /// allocations on corrupt input).
+    /// Reads a `usize`, rejecting values that do not fit the platform's
+    /// `usize`. The value is not checked against the remaining buffer, so
+    /// it must not size an allocation on its own.
     pub fn usize(&mut self) -> Result<usize, DecodeError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| DecodeError::Corrupt(format!("length {v} overflows")))
+    }
+
+    /// Reads the item count of a sequence whose items each take at least
+    /// `min_item_bytes` of the stream. A count the remaining buffer
+    /// cannot hold is [`DecodeError::UnexpectedEof`], so a corrupt count
+    /// never sizes an allocation.
+    pub(crate) fn count(&mut self, min_item_bytes: usize) -> Result<usize, DecodeError> {
+        let n = self.usize()?;
+        if n.saturating_mul(min_item_bytes) > self.buf.len() - self.pos {
+            return Err(DecodeError::UnexpectedEof);
+        }
+        Ok(n)
     }
 
     /// Reads an `f64`.
@@ -174,10 +187,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed `f64` vector.
     pub fn f64_vec(&mut self) -> Result<Vec<f64>, DecodeError> {
-        let n = self.usize()?;
-        if n.saturating_mul(8).saturating_add(self.pos) > self.buf.len() {
-            return Err(DecodeError::UnexpectedEof);
-        }
+        let n = self.count(8)?;
         (0..n).map(|_| self.f64()).collect()
     }
 

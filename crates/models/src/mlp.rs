@@ -322,7 +322,9 @@ impl Mlp {
             other => return Err(DecodeError::Corrupt(format!("bad activation {other}"))),
         };
         let dropout = if r.bool()? { Some(r.f64()?) } else { None };
-        let n_layers = r.usize()?;
+        // Each layer takes at least two matrix headers and its LayerNorm
+        // flag.
+        let n_layers = r.count(2 * 16 + 1)?;
         if n_layers == 0 {
             return Err(DecodeError::Corrupt("network with no layers".into()));
         }

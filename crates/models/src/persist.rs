@@ -42,7 +42,8 @@ impl LogisticRegression {
                 weights.cols()
             )));
         }
-        if n_classes < 2 || (weights.cols() != 1 && weights.cols() != n_classes) {
+        let binary = n_classes == 2 && weights.cols() == 1;
+        if n_classes < 2 || !(binary || weights.cols() == n_classes) {
             return Err(DecodeError::Corrupt(format!(
                 "inconsistent class count {n_classes} for {} weight columns",
                 weights.cols()
@@ -86,8 +87,9 @@ impl DecisionTree {
         }
         let n_features = r.usize()?;
         let n_classes = r.usize()?;
-        let len = r.usize()?;
-        if !(len + 1).is_power_of_two() || len == 0 {
+        // Each node takes at least its tag byte.
+        let len = r.count(1)?;
+        if len == 0 || !len.checked_add(1).is_some_and(usize::is_power_of_two) {
             return Err(DecodeError::Corrupt(format!(
                 "node array length {len} is not 2^k − 1"
             )));
@@ -152,13 +154,14 @@ impl RandomForest {
         }
         let n_features = r.usize()?;
         let n_classes = r.usize()?;
-        let n_trees = r.usize()?;
+        // Each tree takes at least its payload length prefix.
+        let n_trees = r.count(8)?;
         if n_trees == 0 {
             return Err(DecodeError::Corrupt("forest with zero trees".into()));
         }
         let mut trees = Vec::with_capacity(n_trees);
         for _ in 0..n_trees {
-            let len = r.usize()?;
+            let len = r.count(1)?;
             let mut payload = Vec::with_capacity(len);
             for _ in 0..len {
                 payload.push(r.u8()?);

@@ -5,9 +5,10 @@
 
 use fia_data::{make_classification, normalize_dataset, Dataset, SynthConfig};
 use fia_linalg::Matrix;
+use fia_models::bytesio::Writer;
 use fia_models::{
-    DecisionTree, ForestConfig, LogisticRegression, PredictProba, RandomForest, TreeConfig,
-    TreeNode,
+    Activation, DecisionTree, ForestConfig, LogisticRegression, LrConfig, Mlp, MlpConfig,
+    PredictProba, RandomForest, TreeConfig, TreeNode,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -216,4 +217,91 @@ fn tree_decode_never_panics_on_corruption() {
             }
         }
     }
+}
+
+/// Every model decoder rejects each proper prefix of a trained model's
+/// bytes, and survives every single-bit flip and every crafted oversized
+/// count with `Ok` or `Err`: a corrupt count must never size an
+/// allocation or overflow the decoder's arithmetic.
+#[test]
+fn model_decoders_survive_truncation_and_bit_flips() {
+    let binary = dataset(21, 2, 4);
+    let multi = dataset(22, 3, 4);
+    let lr_cfg = LrConfig {
+        epochs: 2,
+        ..LrConfig::default()
+    };
+    let tree_cfg = TreeConfig {
+        max_depth: 3,
+        ..TreeConfig::default()
+    };
+    let forest_cfg = ForestConfig {
+        n_trees: 3,
+        tree: tree_cfg.clone(),
+        seed: 23,
+        n_threads: 1,
+        ..ForestConfig::default()
+    };
+    let mlp_cfg = MlpConfig {
+        hidden: vec![4],
+        activation: Activation::Tanh,
+        layer_norm: true,
+        dropout: Some(0.1),
+        epochs: 1,
+        batch_size: 32,
+        lr: 1e-2,
+        seed: 24,
+    };
+    let mut tree_rng = StdRng::seed_from_u64(25);
+    type Decode = fn(&[u8]) -> bool;
+    let models: [(&str, Vec<u8>, Decode); 4] = [
+        (
+            "lr",
+            LogisticRegression::fit(&binary, &lr_cfg).to_bytes(),
+            |b| LogisticRegression::from_bytes(b).is_ok(),
+        ),
+        (
+            "dt",
+            DecisionTree::fit(&multi, &tree_cfg, &mut tree_rng).to_bytes(),
+            |b| DecisionTree::from_bytes(b).is_ok(),
+        ),
+        (
+            "rf",
+            RandomForest::fit(&multi, &forest_cfg).to_bytes(),
+            |b| RandomForest::from_bytes(b).is_ok(),
+        ),
+        ("mlp", Mlp::fit(&multi, &mlp_cfg).to_bytes(), |b| {
+            Mlp::from_bytes(b).is_ok()
+        }),
+    ];
+    for (name, bytes, decode) in &models {
+        assert!(decode(bytes), "{name}: intact bytes must decode");
+        for len in 0..bytes.len() {
+            assert!(!decode(&bytes[..len]), "{name}: {len}-byte prefix decoded");
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    // Headers whose counts claim far more items than the buffer holds.
+    let header = |magic: &[u8; 4], counts: &[u64]| {
+        let mut w = Writer::with_header(*magic, 1);
+        for &c in counts {
+            w.u64(c);
+        }
+        w.finish()
+    };
+    for nodes in [(1 << 40) - 1, u64::MAX] {
+        assert!(DecisionTree::from_bytes(&header(b"FIDT", &[4, 2, nodes])).is_err());
+    }
+    assert!(RandomForest::from_bytes(&header(b"FIRF", &[4, 2, u64::MAX])).is_err());
+    assert!(RandomForest::from_bytes(&header(b"FIRF", &[4, 2, 1, 1 << 40])).is_err());
+    let mut mlp = header(b"FINN", &[4, 3]);
+    mlp.extend_from_slice(&[0, 0]); // ReLU, no dropout
+    mlp.extend_from_slice(&u64::MAX.to_le_bytes());
+    assert!(Mlp::from_bytes(&mlp).is_err());
 }

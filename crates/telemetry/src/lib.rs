@@ -17,9 +17,9 @@
 //!   [`global()`].
 //! * [`Tracer`] / [`Span`] — hierarchical scoped timers with *explicit*
 //!   parent handles: no thread-local magic, so a span crosses
-//!   `par_matmul`'s scoped threads and batcher threads by ordinary
-//!   borrows. Finished spans collect into [`SpanRecord`]s and render to
-//!   JSONL ([`Tracer::to_jsonl`]).
+//!   `AttackEngine`'s scoped stripe threads and batcher threads by
+//!   ordinary borrows. Finished spans collect into [`SpanRecord`]s and
+//!   render to JSONL ([`Tracer::to_jsonl`]).
 //! * [`TelemetrySnapshot`] — a plain-old-data point-in-time view
 //!   ([`Registry::snapshot`]) with counter-exact deltas
 //!   ([`TelemetrySnapshot::delta_since`]) and hand-rolled JSON, the

@@ -1,7 +1,7 @@
 //! Hierarchical scoped timers with explicit parent handles.
 //!
 //! There is deliberately no thread-local "current span": the workspace's
-//! parallelism is scoped threads (`par_matmul` workers, serve batchers),
+//! parallelism is scoped threads (`AttackEngine` stripes, serve batchers),
 //! and implicit context would either not cross those boundaries or
 //! require per-thread bookkeeping. Instead a parent [`Span`] is an
 //! ordinary value — [`Span::child`] takes `&self`, so handing a span to
