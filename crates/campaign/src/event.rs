@@ -479,6 +479,36 @@ mod tests {
         assert_eq!(EventLog::new().to_jsonl(), "");
     }
 
+    #[test]
+    fn event_line_bytes_are_golden() {
+        let started = CampaignEvent::Started {
+            fingerprint: "8f24b89fa50ed567".to_string(),
+            rows_planned: 284,
+            rows_done: 0,
+            budget: QueryBudget::rows(100),
+        };
+        assert_eq!(
+            started.to_json(),
+            r#"{"event":"started","fingerprint":"8f24b89fa50ed567","rows_done":0,"rows_planned":284,"budget":{"max_queries":null,"max_rows":100}}"#
+        );
+        let chunk = CampaignEvent::ChunkDone {
+            chunk: 2,
+            rows_done: 24,
+            rows_planned: 80,
+            cost: QueryCost {
+                queries: 3,
+                rows: 24,
+                cached_rows: u64::MAX,
+            },
+            duration: Duration::from_micros(1500),
+            elapsed: Duration::from_micros(4000),
+        };
+        assert_eq!(
+            chunk.to_json(),
+            r#"{"event":"chunk-done","chunk":2,"rows_done":24,"rows_planned":80,"duration_us":1500,"elapsed_us":4000,"queries":3,"rows":24,"cached_rows":18446744073709551615}"#
+        );
+    }
+
     fn random_event(rng: &mut impl rand::Rng) -> CampaignEvent {
         let cost = QueryCost {
             queries: rng.gen::<u64>() >> 8,

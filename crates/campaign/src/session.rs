@@ -800,6 +800,15 @@ mod tests {
     }
 
     #[test]
+    fn trace_id_is_golden() {
+        // The fingerprint pinned by `spec::tests::fingerprint_is_golden`.
+        assert_eq!(
+            derive_trace_id("8f24b89fa50ed567", 7),
+            0x7349_c3ad_cd7c_c98e
+        );
+    }
+
+    #[test]
     fn completed_campaign_is_exact_and_metered() {
         let mut campaign = lr_campaign(11);
         let mut log = EventLog::new();

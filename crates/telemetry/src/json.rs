@@ -452,6 +452,69 @@ mod tests {
         assert_eq!(array(&["1".into(), "null".into()]), "[1,null]");
     }
 
+    // Golden bytes: every writer in the workspace (span traces, event
+    // lines, telemetry snapshots, perfbench records) emits exactly what
+    // these pin, so a rewrite of the writer must leave them untouched.
+
+    #[test]
+    fn object_builder_bytes_are_golden() {
+        assert_eq!(ObjectBuilder::new().build(), "{}");
+        assert_eq!(ObjectBuilder::default().build(), "{}");
+        let s = ObjectBuilder::new()
+            .str("s", "v")
+            .u64("zero", 0)
+            .u64("max", u64::MAX)
+            .f64("x", -1.5)
+            .bool("t", true)
+            .bool("f", false)
+            .raw("r", "[1,null]")
+            .str("k\"\\\n\u{1}", "")
+            .build();
+        assert_eq!(
+            s,
+            r#"{"s":"v","zero":0,"max":18446744073709551615,"x":-1.5,"t":true,"f":false,"r":[1,null],"k\"\\\n\u0001":""}"#
+        );
+    }
+
+    #[test]
+    fn escape_bytes_are_golden() {
+        assert_eq!(escape(""), "");
+        assert_eq!(escape("\""), r#"\""#);
+        assert_eq!(escape("\\"), r"\\");
+        assert_eq!(escape("\n\r\t"), r"\n\r\t");
+        assert_eq!(escape("\u{1}\u{1f}"), r"\u0001\u001f");
+        assert_eq!(escape("a\u{8}b\u{c}c"), r"a\u0008b\u000cc");
+        // DEL and multi-byte UTF-8 pass through unescaped.
+        assert_eq!(escape("\u{7f}"), "\u{7f}");
+        assert_eq!(escape("héllo π ✓ 𝄞"), "héllo π ✓ 𝄞");
+        assert_eq!(escape("é\"𝄞\n"), "é\\\"𝄞\\n");
+    }
+
+    #[test]
+    fn float_bytes_are_golden() {
+        for (v, want) in [
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+            (-0.0, "-0"),
+            (0.0, "0"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (1e-7, "0.0000001"),
+        ] {
+            assert_eq!(number(v), want, "{v:?}");
+            assert_eq!(
+                ObjectBuilder::new().f64("v", v).build(),
+                format!("{{\"v\":{want}}}")
+            );
+        }
+        let big = format!("1{}", "0".repeat(300));
+        assert_eq!(number(1e300), big);
+        assert_eq!(
+            ObjectBuilder::new().f64("v", 1e300).build(),
+            format!("{{\"v\":{big}}}")
+        );
+    }
+
     #[test]
     fn parse_round_trips_builder_output() {
         let s = ObjectBuilder::new()

@@ -317,6 +317,59 @@ mod tests {
     }
 
     #[test]
+    fn record_json_bytes_are_golden() {
+        let mut r = SpanRecord {
+            id: 7,
+            parent: None,
+            name: "serve.\"req\"\n".to_string(),
+            start_us: 12,
+            unix_us: 1_700_000_000_000_012,
+            dur_us: 0,
+            fields: vec![
+                ("rows".to_string(), FieldValue::U64(u64::MAX)),
+                ("frac".to_string(), FieldValue::F64(0.25)),
+                ("nan".to_string(), FieldValue::F64(f64::NAN)),
+                ("neg_zero".to_string(), FieldValue::F64(-0.0)),
+                ("op".to_string(), FieldValue::Str("a\tb é".to_string())),
+            ],
+        };
+        assert_eq!(
+            r.to_json(),
+            r#"{"id":7,"parent":null,"name":"serve.\"req\"\n","start_us":12,"unix_us":1700000000000012,"dur_us":0,"rows":18446744073709551615,"frac":0.25,"nan":null,"neg_zero":-0,"op":"a\tb é"}"#
+        );
+        r.parent = Some(u64::MAX);
+        r.fields.clear();
+        assert_eq!(
+            r.to_json(),
+            r#"{"id":7,"parent":18446744073709551615,"name":"serve.\"req\"\n","start_us":12,"unix_us":1700000000000012,"dur_us":0}"#
+        );
+    }
+
+    #[test]
+    fn jsonl_is_the_records_json_lines() {
+        assert_eq!(Tracer::new().to_jsonl(), "");
+        let t = Tracer::new();
+        let root = t.root("run");
+        std::thread::scope(|scope| {
+            for i in 0..2u64 {
+                let root = &root;
+                scope.spawn(move || {
+                    let c = root.child("worker");
+                    c.record_u64("idx", i);
+                    c.record_f64("share", 0.5 * i as f64);
+                    c.record_str("note", "x\"y");
+                });
+            }
+        });
+        root.record_f64("inf", f64::INFINITY);
+        root.finish();
+        let recs = t.records();
+        assert_eq!(recs.len(), 3);
+        let want: String = recs.iter().map(|r| r.to_json() + "\n").collect();
+        assert_eq!(t.to_jsonl(), want);
+    }
+
+    #[test]
     fn unix_us_anchors_the_monotonic_offsets() {
         let t = Tracer::new();
         t.root("a").finish();
