@@ -7,72 +7,136 @@
 //! (for the campaign daemon's event-replay path) a small recursive
 //! parser — so each crate stops re-implementing them.
 //!
+//! Every compact JSON writer (span and event lines, telemetry
+//! snapshots, perfbench records) goes through [`ObjectBuilder`], which
+//! appends each field straight to one output buffer. A trace export
+//! renders every span into the same buffer, so a 100k-span JSONL export
+//! is one growing `String`, not a few allocations per field.
+//!
 //! The parser keeps numbers as their **raw source token** ([`Value::Num`])
 //! instead of eagerly converting to `f64`: the workspace round-trips
 //! `u64` counters (span ids, sequence numbers) that do not fit in an
 //! `f64` mantissa, so the consumer chooses `as_u64`/`as_f64` per field.
 
+use std::fmt::Write as _;
+
 /// Escapes `s` for inclusion inside a JSON string literal (quotes not
 /// included).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped as by [`escape`]. Text that needs no
+/// escaping is copied in one piece; otherwise the clean runs between the
+/// escaped bytes are. Every byte that needs escaping is ASCII, so the run
+/// boundaries are always char boundaries.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
     }
-    out
+    out.push_str(&s[clean..]);
 }
 
 /// Formats an `f64` as a JSON number. JSON has no `NaN`/`Infinity`
 /// literals, so those serialize as `null`.
 pub fn number(v: f64) -> String {
+    let mut out = String::new();
+    number_into(&mut out, v);
+    out
+}
+
+fn number_into(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
 /// An incremental `{...}` builder producing one compact JSON object.
-#[derive(Debug, Default)]
+/// Each field is appended straight to the output buffer.
+#[derive(Debug)]
 pub struct ObjectBuilder {
-    parts: Vec<String>,
+    out: String,
+    /// `true` until the first field is written (no comma before it).
+    empty: bool,
+}
+
+impl Default for ObjectBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ObjectBuilder {
     /// An empty object.
     pub fn new() -> Self {
-        Self::default()
+        Self::append_to(String::new())
+    }
+
+    /// An empty object that [`ObjectBuilder::build`] appends to `out` —
+    /// how a JSONL export renders every line into one buffer.
+    pub(crate) fn append_to(mut out: String) -> Self {
+        out.push('{');
+        ObjectBuilder { out, empty: true }
+    }
+
+    /// Writes the separator and `"key":`.
+    fn key(&mut self, key: &str) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out.push('"');
+        escape_into(&mut self.out, key);
+        self.out.push_str("\":");
     }
 
     /// Adds a pre-serialized JSON value under `key`.
     pub fn raw(mut self, key: &str, value: &str) -> Self {
-        self.parts.push(format!("\"{}\":{}", escape(key), value));
+        self.key(key);
+        self.out.push_str(value);
         self
     }
 
     /// Adds a string field.
-    pub fn str(self, key: &str, value: &str) -> Self {
-        let v = format!("\"{}\"", escape(value));
-        self.raw(key, &v)
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        self.key(key);
+        self.out.push('"');
+        escape_into(&mut self.out, value);
+        self.out.push('"');
+        self
     }
 
     /// Adds an unsigned integer field.
-    pub fn u64(self, key: &str, value: u64) -> Self {
-        self.raw(key, &value.to_string())
+    pub fn u64(mut self, key: &str, value: u64) -> Self {
+        self.key(key);
+        let _ = write!(self.out, "{value}");
+        self
     }
 
     /// Adds a float field (`null` for non-finite values).
-    pub fn f64(self, key: &str, value: f64) -> Self {
-        let v = number(value);
-        self.raw(key, &v)
+    pub fn f64(mut self, key: &str, value: f64) -> Self {
+        self.key(key);
+        number_into(&mut self.out, value);
+        self
     }
 
     /// Adds a boolean field.
@@ -81,8 +145,9 @@ impl ObjectBuilder {
     }
 
     /// Closes the object.
-    pub fn build(self) -> String {
-        format!("{{{}}}", self.parts.join(","))
+    pub fn build(mut self) -> String {
+        self.out.push('}');
+        self.out
     }
 }
 

@@ -178,7 +178,9 @@ impl TelemetrySnapshot {
             .iter()
             .map(InstrumentSnapshot::to_json)
             .collect::<Vec<_>>();
-        format!("{{\"instruments\":{}}}", json::array(&items))
+        ObjectBuilder::new()
+            .raw("instruments", &json::array(&items))
+            .build()
     }
 }
 
@@ -312,6 +314,44 @@ mod tests {
             }
             other => panic!("expected histogram, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn json_bytes_are_golden() {
+        let entry = |name: &str, labels: &[(&str, &str)], value| InstrumentSnapshot {
+            name: name.to_string(),
+            help: "ignored".to_string(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            value,
+        };
+        let snap = TelemetrySnapshot {
+            entries: vec![
+                entry("c_total", &[("k", "v\"w")], InstrumentValue::Counter(3)),
+                entry("g_val", &[], InstrumentValue::Gauge(f64::NAN)),
+                entry(
+                    "h_us",
+                    &[("a", "1"), ("b", "2")],
+                    InstrumentValue::Histogram(HistogramSnapshot {
+                        buckets: vec![0, 2, 1],
+                        count: 3,
+                        sum: 7,
+                    }),
+                ),
+            ],
+        };
+        assert_eq!(
+            snap.to_json(),
+            concat!(
+                r#"{"instruments":["#,
+                r#"{"name":"c_total","kind":"counter","labels":[{"key":"k","value":"v\"w"}],"value":3},"#,
+                r#"{"name":"g_val","kind":"gauge","labels":[],"value":null},"#,
+                r#"{"name":"h_us","kind":"histogram","labels":[{"key":"a","value":"1"},{"key":"b","value":"2"}],"count":3,"sum":7,"buckets":[0,2,1]}"#,
+                r#"]}"#
+            )
+        );
     }
 
     #[test]

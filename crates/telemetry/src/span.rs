@@ -48,19 +48,20 @@ pub struct SpanRecord {
 impl SpanRecord {
     /// One compact JSON object (a JSONL line, sans newline).
     pub fn to_json(&self) -> String {
-        let mut b = ObjectBuilder::new()
-            .u64("id", self.id)
-            .raw(
-                "parent",
-                &self
-                    .parent
-                    .map(|p| p.to_string())
-                    .unwrap_or_else(|| "null".to_string()),
-            )
-            .str("name", &self.name)
-            .u64("start_us", self.start_us)
-            .u64("unix_us", self.unix_us)
-            .u64("dur_us", self.dur_us);
+        self.render(ObjectBuilder::new())
+    }
+
+    /// Appends this record's fields to `b` and closes the object.
+    fn render(&self, b: ObjectBuilder) -> String {
+        let b = b.u64("id", self.id);
+        let mut b = match self.parent {
+            Some(p) => b.u64("parent", p),
+            None => b.raw("parent", "null"),
+        }
+        .str("name", &self.name)
+        .u64("start_us", self.start_us)
+        .u64("unix_us", self.unix_us)
+        .u64("dur_us", self.dur_us);
         for (k, v) in &self.fields {
             b = match v {
                 FieldValue::U64(n) => b.u64(k, *n),
@@ -157,11 +158,14 @@ impl Tracer {
     }
 
     /// Renders every finished span as one JSONL line each (trailing
-    /// newline included when non-empty).
+    /// newline included when non-empty). Each record renders in place
+    /// into the one export buffer while the records lock is held; no
+    /// record is cloned.
     pub fn to_jsonl(&self) -> String {
+        let records = self.inner.records.lock().expect("tracer records lock");
         let mut out = String::new();
-        for r in self.records() {
-            out.push_str(&r.to_json());
+        for r in records.iter() {
+            out = r.render(ObjectBuilder::append_to(out));
             out.push('\n');
         }
         out
