@@ -1049,8 +1049,13 @@ impl Reactor {
     }
 }
 
+/// Stages `resp`, or the prediction reactor's typed error when it does
+/// not encode (a report blob over the frame cap).
 fn stage(conn: &mut Conn, resp: &Response) {
-    let payload = encode_response(resp).expect("response encodes");
+    let payload = encode_response(resp).unwrap_or_else(|_| {
+        encode_response(&Response::Error("response encoding failed".to_string()))
+            .expect("error responses always encode")
+    });
     push_frame(conn, &payload);
 }
 

@@ -176,7 +176,8 @@ pub enum WireError {
     Io(std::io::Error),
     /// The stream ended inside a frame.
     Truncated,
-    /// The length prefix exceeds [`MAX_FRAME_LEN`].
+    /// A frame payload exceeds [`MAX_FRAME_LEN`]: a length prefix read
+    /// off the stream, or a payload the encoder built.
     TooLarge(usize),
     /// Unknown message tag.
     BadTag(u8),
@@ -820,6 +821,12 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
             out.extend_from_slice(msg.as_bytes());
         }
     }
+    // The peer's `read_frame` refuses an over-cap length prefix after
+    // reading only the prefix, so sending one would leave the payload in
+    // the stream to be misread as later frames.
+    if out.len() > MAX_FRAME_LEN {
+        return Err(WireError::TooLarge(out.len()));
+    }
     Ok(out)
 }
 
@@ -1327,6 +1334,24 @@ mod tests {
             read_frame(&mut cursor),
             Err(WireError::TooLarge(_))
         ));
+    }
+
+    #[test]
+    fn over_cap_responses_do_not_encode() {
+        let text = "x".repeat(MAX_FRAME_LEN - 4);
+        for resp in [
+            Response::TraceJsonl(text.clone()),
+            Response::MetricsText(text),
+        ] {
+            assert!(matches!(
+                encode_response(&resp),
+                Err(WireError::TooLarge(n)) if n == MAX_FRAME_LEN + 1
+            ));
+        }
+        // Tag + length prefix + text lands exactly on the cap.
+        let payload =
+            encode_response(&Response::MetricsText("x".repeat(MAX_FRAME_LEN - 5))).unwrap();
+        assert_eq!(payload.len(), MAX_FRAME_LEN);
     }
 
     #[test]

@@ -12,7 +12,8 @@ use fia_data::{make_classification, normalize_dataset, SynthConfig};
 use fia_defense::{DefensePipeline, RoundingDefense};
 use fia_linalg::Matrix;
 use fia_models::{DecisionTree, LogisticRegression, TreeConfig};
-use fia_serve::{LoadConfig, PredictionServer, RemoteOracle, ServeConfig};
+use fia_serve::wire::MAX_FRAME_LEN;
+use fia_serve::{ClientError, LoadConfig, PredictionServer, RemoteOracle, ServeConfig};
 use fia_vfl::{VerticalPartition, VflSystem};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -468,6 +469,35 @@ fn info_ping_empty_batches_and_rejections() {
 
     let m = server.metrics();
     assert_eq!(m.errors, 3);
+    server.shutdown();
+}
+
+#[test]
+fn over_cap_reply_is_rejected_and_the_connection_survives() {
+    // A 2-feature, 256-class LR: one more ad-hoc row than fits the frame
+    // cap pushes the score reply over it.
+    const CLASSES: usize = 256;
+    let rows = MAX_FRAME_LEN / (CLASSES * 8) + 1;
+    let w = Matrix::from_fn(2, CLASSES, |i, j| ((i + j) % 7) as f64 * 0.1);
+    let model = LogisticRegression::from_parameters(w, vec![0.0; CLASSES], CLASSES);
+    let global = Matrix::from_fn(4, 2, |i, j| (i + j) as f64 * 0.25);
+    let partition = VerticalPartition::contiguous(&[1, 1]);
+    let system = Arc::new(VflSystem::from_global(model, partition, &global));
+    let server =
+        PredictionServer::spawn(system, identity_defense(), ServeConfig::default()).expect("bind");
+    let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
+
+    let err = oracle
+        .predict_features(&[Matrix::zeros(rows, 1), Matrix::zeros(rows, 1)])
+        .unwrap_err();
+    assert!(matches!(err, ClientError::Rejected(_)), "{err}");
+    // The reply was never length-prefixed past the cap, so the stream is
+    // still in frame sync.
+    oracle.ping().expect("ping after the rejected reply");
+    let ok = oracle
+        .predict_features(&[Matrix::zeros(1, 1), Matrix::zeros(1, 1)])
+        .expect("small query after the rejected reply");
+    assert_eq!(ok.shape(), (1, CLASSES));
     server.shutdown();
 }
 
