@@ -30,7 +30,7 @@ use crate::error::CampaignError;
 use crate::event::{CampaignEvent, CampaignObserver};
 use crate::model::TrainedModel;
 use crate::report::{AttackReport, CampaignOutcome, CampaignReport};
-use crate::spec::{OracleSpec, ResolvedScenario};
+use crate::spec::{fnv, OracleSpec, ResolvedScenario};
 use fia_core::{metrics, AttackEngine, PredictionOracle, QueryBatch, QueryCost, TraceContext};
 use fia_defense::{DefensePipeline, ScoreDefense};
 use fia_linalg::Matrix;
@@ -168,12 +168,7 @@ pub struct Campaign {
 /// with the seed — stable across reruns of one scenario, distinct
 /// across scenarios and seeds.
 fn derive_trace_id(fingerprint: &str, seed: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in fingerprint.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h ^ seed
+    fnv(0, fingerprint.as_bytes()) ^ seed
 }
 
 impl Campaign {
