@@ -72,38 +72,29 @@ fn number_into(out: &mut String, v: f64) {
 
 /// An incremental `{...}` builder producing one compact JSON object.
 /// Each field is appended straight to the output buffer.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ObjectBuilder {
     out: String,
-    /// `true` until the first field is written (no comma before it).
-    empty: bool,
-}
-
-impl Default for ObjectBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Whether a field, and so the opening `{`, has been written.
+    open: bool,
 }
 
 impl ObjectBuilder {
     /// An empty object.
     pub fn new() -> Self {
-        Self::append_to(String::new())
+        Self::default()
     }
 
     /// An empty object that [`ObjectBuilder::build`] appends to `out` —
     /// how a JSONL export renders every line into one buffer.
-    pub(crate) fn append_to(mut out: String) -> Self {
-        out.push('{');
-        ObjectBuilder { out, empty: true }
+    pub(crate) fn append_to(out: String) -> Self {
+        ObjectBuilder { out, open: false }
     }
 
-    /// Writes the separator and `"key":`.
+    /// Writes the opening `{` or the separating `,`, then `"key":`.
     fn key(&mut self, key: &str) {
-        if !self.empty {
-            self.out.push(',');
-        }
-        self.empty = false;
+        self.out.push(if self.open { ',' } else { '{' });
+        self.open = true;
         self.out.push('"');
         escape_into(&mut self.out, key);
         self.out.push_str("\":");
@@ -146,6 +137,9 @@ impl ObjectBuilder {
 
     /// Closes the object.
     pub fn build(mut self) -> String {
+        if !self.open {
+            self.out.push('{');
+        }
         self.out.push('}');
         self.out
     }
@@ -488,62 +482,15 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn escape_covers_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-        assert_eq!(escape("plain"), "plain");
-    }
-
-    #[test]
-    fn object_builder_round_trip() {
-        let s = ObjectBuilder::new()
-            .str("name", "x\"y")
-            .u64("n", 3)
-            .f64("v", 1.5)
-            .bool("ok", true)
-            .raw("inner", "[1,2]")
-            .build();
-        assert_eq!(
-            s,
-            "{\"name\":\"x\\\"y\",\"n\":3,\"v\":1.5,\"ok\":true,\"inner\":[1,2]}"
-        );
-    }
-
-    #[test]
-    fn non_finite_floats_are_null() {
-        assert_eq!(number(f64::NAN), "null");
-        assert_eq!(number(f64::INFINITY), "null");
-        assert_eq!(array(&["1".into(), "null".into()]), "[1,null]");
-    }
-
     // Golden bytes: every writer in the workspace (span traces, event
     // lines, telemetry snapshots, perfbench records) emits exactly what
     // these pin, so a rewrite of the writer must leave them untouched.
 
     #[test]
-    fn object_builder_bytes_are_golden() {
-        assert_eq!(ObjectBuilder::new().build(), "{}");
-        assert_eq!(ObjectBuilder::default().build(), "{}");
-        let s = ObjectBuilder::new()
-            .str("s", "v")
-            .u64("zero", 0)
-            .u64("max", u64::MAX)
-            .f64("x", -1.5)
-            .bool("t", true)
-            .bool("f", false)
-            .raw("r", "[1,null]")
-            .str("k\"\\\n\u{1}", "")
-            .build();
-        assert_eq!(
-            s,
-            r#"{"s":"v","zero":0,"max":18446744073709551615,"x":-1.5,"t":true,"f":false,"r":[1,null],"k\"\\\n\u0001":""}"#
-        );
-    }
-
-    #[test]
-    fn escape_bytes_are_golden() {
+    fn escape_covers_specials() {
         assert_eq!(escape(""), "");
+        assert_eq!(escape("plain"), "plain");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\""), r#"\""#);
         assert_eq!(escape("\\"), r"\\");
         assert_eq!(escape("\n\r\t"), r"\n\r\t");
@@ -556,7 +503,27 @@ mod tests {
     }
 
     #[test]
-    fn float_bytes_are_golden() {
+    fn object_builder_round_trip() {
+        assert_eq!(ObjectBuilder::new().build(), "{}");
+        assert_eq!(ObjectBuilder::default().build(), "{}");
+        let s = ObjectBuilder::new()
+            .str("name", "x\"y")
+            .u64("zero", 0)
+            .u64("max", u64::MAX)
+            .f64("v", -1.5)
+            .bool("ok", true)
+            .bool("no", false)
+            .raw("inner", "[1,null]")
+            .str("k\"\\\n\u{1}", "")
+            .build();
+        assert_eq!(
+            s,
+            r#"{"name":"x\"y","zero":0,"max":18446744073709551615,"v":-1.5,"ok":true,"no":false,"inner":[1,null],"k\"\\\n\u0001":""}"#
+        );
+    }
+
+    #[test]
+    fn non_finite_floats_are_null() {
         for (v, want) in [
             (f64::NAN, "null"),
             (f64::INFINITY, "null"),
@@ -578,6 +545,7 @@ mod tests {
             ObjectBuilder::new().f64("v", 1e300).build(),
             format!("{{\"v\":{big}}}")
         );
+        assert_eq!(array(&["1".into(), "null".into()]), "[1,null]");
     }
 
     #[test]
