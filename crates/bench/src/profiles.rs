@@ -123,8 +123,12 @@ mod tests {
         let c = cfg.seed_for("fig5", 1);
         assert_ne!(a, b);
         assert_ne!(a, c);
-        // Deterministic.
+        // Deterministic, and pinned: every figure's trials derive from it.
         assert_eq!(a, cfg.seed_for("fig5", 0));
+        assert_eq!(
+            cfg.seed_for("fig5/Credit card/0.2", 0),
+            0x7984_d027_0890_6f31
+        );
     }
 
     #[test]

@@ -601,6 +601,7 @@ mod tests {
         assert_ne!(a, b, "different labels must change the fingerprint");
         assert_ne!(a, c, "different class count must change the fingerprint");
         assert_eq!(a, spec_of((0..10).map(|i| i % 2).collect(), 2));
+        assert_eq!(a, "3346e4b557212024");
     }
 
     #[test]

@@ -232,6 +232,14 @@ mod tests {
         let frames = JobLog::recover(&path).unwrap();
         assert_eq!(payloads(&path), [&b"one"[..], b"two-two"]);
         assert_eq!(frames[0].end, 16 + 3);
+        // The first frame byte for byte: magic, length, payload, FNV-1a.
+        assert_eq!(
+            std::fs::read(&path).unwrap()[..19],
+            [
+                0x01, 0x4C, 0x4A, 0x46, 3, 0, 0, 0, b'o', b'n', b'e', 0xAF, 0x5C, 0xCA, 0x21, 0x19,
+                0xAA, 0x08, 0x1A
+            ]
+        );
         assert_eq!(frames[1].end, std::fs::metadata(&path).unwrap().len());
         // A torn append (partial frame) must not hide the good records.
         tear(&path);

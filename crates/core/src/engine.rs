@@ -343,6 +343,9 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
+        // Pinned values: PRA and GRNA inference draws are keyed on them.
+        assert_eq!(a, 0x1135_5f62_5e88_3b34);
+        assert_eq!(d, 0xdfe2_e363_14ae_fecf);
     }
 
     #[test]

@@ -201,8 +201,23 @@ mod tests {
         let out1 = ScoreDefense::defend_batch(&d, &round1);
         let out1_again = ScoreDefense::defend_batch(&d, &round1);
         let out2 = ScoreDefense::defend_batch(&d, &round2);
-        // Deterministic per batch content…
+        // Deterministic per batch content, and pinned bit for bit…
         assert_eq!(out1, out1_again);
+        let bits: Vec<u64> = out1.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x3fe7_f67f_d41b_c909,
+                0x3fbc_b7f9_4291_479d,
+                0x3fc1_ca04_0e48_380d,
+                0x3fd6_8261_7306_9c20,
+                0x3fd5_6b32_df09_c5c3,
+                0x3fd4_126b_adef_9e1e,
+                0x3fa4_c86d_a405_2089,
+                0x3fed_c9d0_8363_6938,
+                0x3f9d_3514_4b88_97fa,
+            ]
+        );
         // …but round 2's noise is not round 1's shifted by the same
         // deltas (which a fixed seed would produce and an adversary
         // could difference away).
