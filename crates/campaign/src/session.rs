@@ -35,9 +35,7 @@ use fia_core::{metrics, AttackEngine, PredictionOracle, QueryBatch, QueryCost, T
 use fia_defense::{DefensePipeline, ScoreDefense};
 use fia_linalg::Matrix;
 use fia_models::PredictProba;
-use fia_serve::{
-    AuditSummary, MetricsReport, PredictionServer, RemoteOracle, ServeConfig, ServerHandle,
-};
+use fia_serve::{AuditSummary, PredictionServer, RemoteOracle, ServeConfig, ServerHandle};
 use fia_telemetry::{global, Counter, Span, TelemetrySnapshot, Tracer};
 use fia_vfl::VflSystem;
 use std::sync::Arc;
@@ -359,15 +357,6 @@ impl Campaign {
     /// boundary.
     pub fn spent(&self) -> QueryCost {
         self.spent
-    }
-
-    /// The served oracle's live server metrics (`None` for in-process
-    /// sessions or before the first run).
-    pub fn server_metrics(&mut self) -> Option<MetricsReport> {
-        match self.oracle.as_mut()? {
-            OracleHandle::Served { client, .. } => client.server_metrics().ok(),
-            _ => None,
-        }
     }
 
     /// A live Prometheus-style scrape of the served oracle's telemetry

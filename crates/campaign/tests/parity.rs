@@ -152,7 +152,7 @@ fn served_rerun_is_cache_served_and_identical() {
         first.attack("esa").unwrap().estimates,
         second.attack("esa").unwrap().estimates
     );
-    assert!(campaign.server_metrics().is_some());
+    assert!(campaign.server_metrics_text().is_some());
     campaign.shutdown();
-    assert!(campaign.server_metrics().is_none());
+    assert!(campaign.server_metrics_text().is_none());
 }

@@ -4,7 +4,6 @@
 //! endpoint.
 
 use crate::audit::AuditSummary;
-use crate::metrics::MetricsReport;
 use crate::wire::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, ServerInfo,
     WireError,
@@ -215,15 +214,6 @@ impl RemoteOracle {
             _ => Err(ClientError::Protocol(
                 "MetricsText answered with wrong variant",
             )),
-        }
-    }
-
-    /// The server's live metrics snapshot.
-    pub fn server_metrics(&mut self) -> Result<MetricsReport, ClientError> {
-        match self.call(&Request::Metrics)? {
-            Response::Metrics(m) => Ok(m),
-            Response::Error(why) => Err(ClientError::Rejected(why)),
-            _ => Err(ClientError::Protocol("Metrics answered with wrong variant")),
         }
     }
 

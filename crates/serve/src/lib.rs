@@ -23,10 +23,11 @@
 //!   ([`ServeConfig::replicas`]), each owning a cheap clone of the
 //!   deployment, with the [`fia_defense::DefensePipeline`] applied once
 //!   per round at each replica's score-release boundary, graceful
-//!   shutdown, and live [`ServerMetrics`] (throughput, p50/p99 latency,
-//!   per-replica batch fill, cache hit rate, connection gauges). Four
-//!   thousand idle clients cost four thousand fds, not four thousand
-//!   threads.
+//!   shutdown, and live [`ServerMetrics`] (throughput, a request-latency
+//!   histogram, per-replica batch fill, cache hit rate, connection
+//!   gauges), scraped remotely through the one `MetricsText` wire op and
+//!   read in-process through [`ServerHandle::metrics`]. Four thousand
+//!   idle clients cost four thousand fds, not four thousand threads.
 //! * [`ShardMap`] — consistent contiguous row-range sharding of the
 //!   stored prediction set across the replicas: stored-index queries
 //!   route by shard, ad-hoc feature queries by least-loaded replica.

@@ -1,74 +1,23 @@
-//! Per-server metrics: throughput, latency percentiles, batch fill,
+//! Per-server metrics: throughput, request latency, batch fill,
 //! per-replica round/row gauges and released-score-cache hit rates.
 //!
-//! Since the telemetry PR the counters are [`fia_telemetry`] instruments
-//! on a per-server [`Registry`] — still lock-free atomics on the hot
-//! path, but now also scrapeable: [`ServerMetrics::exposition`] renders
-//! the server's registry (merged with the process-global one, which
-//! holds kernel/campaign/attack instruments) as Prometheus-style text,
-//! and that is what the `MetricsText` wire op returns. Each server owns
-//! its *own* registry so parallel deployments in one process — the
-//! normal test topology — never share counters. [`ServerMetrics::report`]
-//! still folds everything into the same plain-old-data [`MetricsReport`]
-//! wire shape as before; it is now a view over the instruments.
+//! The counters are [`fia_telemetry`] instruments on a per-server
+//! [`Registry`]: lock-free atomics on the hot path, and scrapeable.
+//! [`ServerMetrics::exposition`] renders the server's registry (merged
+//! with the process-global one, which holds kernel/campaign/attack
+//! instruments) as Prometheus-style text, and that is what the
+//! `MetricsText` wire op returns — the server's one remote metrics
+//! surface. Each server owns its *own* registry so parallel deployments
+//! in one process — the normal test topology — never share counters.
+//! [`ServerMetrics::report`] folds the instruments into the
+//! plain-old-data [`MetricsReport`] for in-process readers.
 //!
-//! Latency percentiles come from a bounded *seeded reservoir sample*
-//! (Algorithm R): once the reservoir is full, the `n`-th observation
-//! replaces a uniformly random slot with probability `cap/n`, so at any
-//! point the reservoir is a uniform sample of everything seen and the
-//! interpolated percentiles are unbiased estimates of the true stream
-//! quantiles. (The previous scheme kept every `k`-th sample and doubled
-//! `k` on overflow, which over-weighted whatever phase of the run the
-//! current stride happened to align with.) The RNG is seeded per server,
-//! so a replayed run reproduces its percentile estimates exactly.
+//! Request latency has one record: the `fia_serve_request_duration_us`
+//! histogram in the scrape.
 
 use fia_telemetry::{encode_prometheus, global, Counter, Gauge, Histogram, Registry};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-
-/// Cap on retained latency samples; beyond it Algorithm R keeps a
-/// uniform random sample of the whole stream in O(1) memory.
-const LATENCY_RESERVOIR: usize = 65_536;
-
-/// Seed for the reservoir's replacement RNG — fixed so replayed runs
-/// reproduce their percentile estimates.
-const RESERVOIR_SEED: u64 = 0x5eed_1a7e;
-
-/// Bounded uniform sample of a latency stream (Vitter's Algorithm R).
-#[derive(Debug)]
-struct Reservoir {
-    samples: Vec<u64>,
-    /// Observations offered so far (≥ `samples.len()`).
-    seen: u64,
-    rng: StdRng,
-}
-
-impl Reservoir {
-    fn new() -> Self {
-        Reservoir {
-            samples: Vec::new(),
-            seen: 0,
-            rng: StdRng::seed_from_u64(RESERVOIR_SEED),
-        }
-    }
-
-    fn push(&mut self, v: u64) {
-        self.seen += 1;
-        if self.samples.len() < LATENCY_RESERVOIR {
-            self.samples.push(v);
-        } else {
-            // Keep the new observation with probability cap/seen, in a
-            // uniformly random slot — the invariant that makes the
-            // retained set a uniform sample of the stream.
-            let j = self.rng.gen_range(0..self.seen);
-            if (j as usize) < LATENCY_RESERVOIR {
-                self.samples[j as usize] = v;
-            }
-        }
-    }
-}
 
 /// Per-replica round/row counters.
 struct ReplicaCounters {
@@ -153,7 +102,6 @@ pub struct ServerMetrics {
     /// One counter per [`AcceptErrorKind`], in `ALL` order.
     accept_errors: Vec<Arc<Counter>>,
     replicas: Vec<ReplicaCounters>,
-    reservoir: Mutex<Reservoir>,
 }
 
 impl std::fmt::Debug for ServerMetrics {
@@ -246,7 +194,6 @@ impl ServerMetrics {
             ),
             live_threads: Mutex::new(0),
             replicas,
-            reservoir: Mutex::new(Reservoir::new()),
             registry,
         }
     }
@@ -262,7 +209,7 @@ impl ServerMetrics {
     }
 
     /// Switches this server's instrument recording on/off (the bench's
-    /// overhead-pricing knob; percentile sampling is gated too).
+    /// overhead-pricing knob).
     pub fn set_recording(&self, on: bool) {
         self.registry.set_recording(on);
     }
@@ -272,12 +219,6 @@ impl ServerMetrics {
     pub fn record_request(&self, latency_us: u64) {
         self.requests.inc();
         self.latency_us.record(latency_us);
-        if self.registry.recording() {
-            self.reservoir
-                .lock()
-                .expect("metrics lock")
-                .push(latency_us);
-        }
     }
 
     /// Records one rejected request.
@@ -363,10 +304,6 @@ impl ServerMetrics {
         let rounds: u64 = replica_rounds.iter().sum();
         let rows: u64 = replica_rows.iter().sum();
         let uptime_secs = self.started.elapsed().as_secs_f64();
-        let (p50, p99) = {
-            let res = self.reservoir.lock().expect("metrics lock");
-            percentiles(&res.samples)
-        };
         MetricsReport {
             requests,
             rows,
@@ -382,8 +319,6 @@ impl ServerMetrics {
             } else {
                 rows as f64 / rounds as f64
             },
-            p50_latency_us: p50,
-            p99_latency_us: p99,
             uptime_secs,
             throughput_rps: if uptime_secs > 0.0 {
                 requests as f64 / uptime_secs
@@ -396,7 +331,7 @@ impl ServerMetrics {
     }
 }
 
-/// `(p50, p99)` of the retained latency samples, in microseconds.
+/// `(p50, p99)` of latency samples, in microseconds.
 ///
 /// Quantiles use linear interpolation between the two closest order
 /// statistics (the same convention as numpy's default): the empty
@@ -419,8 +354,8 @@ pub(crate) fn percentiles(samples: &[u64]) -> (f64, f64) {
     (rank(0.50), rank(0.99))
 }
 
-/// A point-in-time metrics snapshot — what `Metrics` requests return and
-/// what the serve bench records.
+/// A point-in-time metrics snapshot, read in-process through
+/// `ServerHandle::metrics` — what tests and the serve benches record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
     /// Completed requests.
@@ -444,10 +379,6 @@ pub struct MetricsReport {
     pub accept_errors: u64,
     /// Mean queries per round — the coalescer's fill factor.
     pub mean_batch_fill: f64,
-    /// Median end-to-end service latency, microseconds.
-    pub p50_latency_us: f64,
-    /// 99th-percentile service latency, microseconds.
-    pub p99_latency_us: f64,
     /// Seconds since the server started.
     pub uptime_secs: f64,
     /// Requests per second over the whole uptime.
@@ -459,10 +390,6 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// Number of scalar `f64` slots a report occupies on the wire
-    /// (the per-replica gauges travel separately, length-prefixed).
-    pub const WIRE_VALUES: usize = 14;
-
     /// Fraction of stored-index rows answered from the cache.
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -487,50 +414,6 @@ impl MetricsReport {
             })
             .collect()
     }
-
-    /// Flattens the scalar part of the report for the wire codec (fixed
-    /// field order).
-    pub fn as_wire_values(&self) -> [f64; Self::WIRE_VALUES] {
-        [
-            self.requests as f64,
-            self.rows as f64,
-            self.rounds as f64,
-            self.errors as f64,
-            self.cache_hits as f64,
-            self.cache_misses as f64,
-            self.open_connections as f64,
-            self.total_connections as f64,
-            self.accept_errors as f64,
-            self.mean_batch_fill,
-            self.p50_latency_us,
-            self.p99_latency_us,
-            self.uptime_secs,
-            self.throughput_rps,
-        ]
-    }
-
-    /// Rebuilds the scalar part of a report from its wire encoding; the
-    /// per-replica gauges start empty and are filled by the codec.
-    pub fn from_wire_values(v: &[f64; Self::WIRE_VALUES]) -> Self {
-        MetricsReport {
-            requests: v[0] as u64,
-            rows: v[1] as u64,
-            rounds: v[2] as u64,
-            errors: v[3] as u64,
-            cache_hits: v[4] as u64,
-            cache_misses: v[5] as u64,
-            open_connections: v[6] as u64,
-            total_connections: v[7] as u64,
-            accept_errors: v[8] as u64,
-            mean_batch_fill: v[9],
-            p50_latency_us: v[10],
-            p99_latency_us: v[11],
-            uptime_secs: v[12],
-            throughput_rps: v[13],
-            replica_rounds: Vec::new(),
-            replica_rows: Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -552,9 +435,6 @@ mod tests {
         assert_eq!(r.rounds, 2);
         assert_eq!(r.errors, 1);
         assert!((r.mean_batch_fill - 6.0).abs() < 1e-12);
-        // Interpolated quantiles of [100, 200, 300, 400].
-        assert!((r.p50_latency_us - 250.0).abs() < 1e-9);
-        assert!((r.p99_latency_us - 397.0).abs() < 1e-9);
         assert!(r.uptime_secs >= 0.0);
     }
 
@@ -563,7 +443,6 @@ mod tests {
         let r = ServerMetrics::new().report();
         assert_eq!(r.requests, 0);
         assert_eq!(r.mean_batch_fill, 0.0);
-        assert_eq!(r.p50_latency_us, 0.0);
         assert_eq!(r.cache_hit_rate(), 0.0);
     }
 
@@ -632,47 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_stays_bounded_and_uniform_in_scale() {
-        let m = ServerMetrics::new();
-        let n = LATENCY_RESERVOIR as u64 + 50_000;
-        for i in 0..n {
-            m.record_request(i);
-        }
-        let res = m.reservoir.lock().unwrap();
-        assert_eq!(res.samples.len(), LATENCY_RESERVOIR);
-        assert_eq!(res.seen, n);
-        drop(res);
-        // A uniform sample of 0..n keeps the estimated quantiles near
-        // the true stream quantiles, not near one stride phase.
-        let r = m.report();
-        let n = n as f64;
-        assert!(
-            (r.p50_latency_us - 0.5 * n).abs() < 0.02 * n,
-            "{}",
-            r.p50_latency_us
-        );
-        assert!(
-            (r.p99_latency_us - 0.99 * n).abs() < 0.02 * n,
-            "{}",
-            r.p99_latency_us
-        );
-    }
-
-    #[test]
-    fn reservoir_is_seeded_and_reproducible() {
-        let run = || {
-            let m = ServerMetrics::new();
-            for i in 0..(LATENCY_RESERVOIR as u64 + 1000) {
-                m.record_request(i * 7 % 5000);
-            }
-            m.report()
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.p50_latency_us, b.p50_latency_us);
-        assert_eq!(a.p99_latency_us, b.p99_latency_us);
-    }
-
-    #[test]
     fn exposition_covers_the_serve_instruments() {
         let m = ServerMetrics::with_replicas(2);
         m.record_request(150);
@@ -700,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn recording_toggle_freezes_counters_and_percentiles() {
+    fn recording_toggle_freezes_counters() {
         let m = ServerMetrics::new();
         m.set_recording(false);
         m.record_request(123);
@@ -708,7 +546,6 @@ mod tests {
         let r = m.report();
         assert_eq!(r.requests, 0);
         assert_eq!(r.errors, 0);
-        assert_eq!(r.p50_latency_us, 0.0);
         m.set_recording(true);
         m.record_request(123);
         assert_eq!(m.report().requests, 1);
@@ -760,29 +597,5 @@ mod tests {
         assert!(panicked.is_err());
         assert_eq!(m.threads.get(), 0.0, "an unwinding thread lowers the gauge");
         assert!(m.exposition().contains("fia_serve_threads 0"));
-    }
-
-    #[test]
-    fn wire_values_round_trip() {
-        let r = MetricsReport {
-            requests: 10,
-            rows: 20,
-            rounds: 5,
-            errors: 1,
-            cache_hits: 7,
-            cache_misses: 13,
-            open_connections: 3,
-            total_connections: 42,
-            accept_errors: 2,
-            mean_batch_fill: 4.0,
-            p50_latency_us: 120.0,
-            p99_latency_us: 900.0,
-            uptime_secs: 1.5,
-            throughput_rps: 6.66,
-            replica_rounds: Vec::new(),
-            replica_rows: Vec::new(),
-        };
-        let back = MetricsReport::from_wire_values(&r.as_wire_values());
-        assert_eq!(r, back);
     }
 }

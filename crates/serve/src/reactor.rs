@@ -542,10 +542,6 @@ impl Reactor {
                 let info = self.shared.info.clone();
                 self.stage_response(id, seq, t0, &Response::Info(info), false);
             }
-            Ok(Request::Metrics) => {
-                let report = self.shared.metrics.report();
-                self.stage_response(id, seq, t0, &Response::Metrics(report), false);
-            }
             Ok(Request::MetricsText) => {
                 let text = self.shared.metrics.exposition();
                 self.stage_response(id, seq, t0, &Response::MetricsText(text), false);

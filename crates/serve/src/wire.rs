@@ -17,7 +17,6 @@ use fia_linalg::Matrix;
 use std::io::{Read, Write};
 
 use crate::audit::{AuditSummary, ClientAudit};
-use crate::metrics::MetricsReport;
 
 /// Hard cap on a frame payload (64 MiB). A length prefix above the cap
 /// is treated as corruption rather than an allocation request.
@@ -29,7 +28,6 @@ mod req_tag {
     pub const PREDICT_BY_INDEX: u8 = 0x02;
     pub const PREDICT_FEATURES: u8 = 0x03;
     pub const INFO: u8 = 0x04;
-    pub const METRICS: u8 = 0x05;
     pub const SHUTDOWN: u8 = 0x06;
     pub const METRICS_TEXT: u8 = 0x07;
     // Traced prediction ops carry a 16-byte trace context *before* the
@@ -56,7 +54,6 @@ mod resp_tag {
     pub const PONG: u8 = 0x81;
     pub const SCORES: u8 = 0x82;
     pub const INFO: u8 = 0x83;
-    pub const METRICS: u8 = 0x84;
     pub const SHUTTING_DOWN: u8 = 0x85;
     pub const METRICS_TEXT: u8 = 0x86;
     pub const TRACE_JSONL: u8 = 0x87;
@@ -240,8 +237,6 @@ pub enum Request {
     PredictFeatures(Vec<Matrix>),
     /// Ask for the deployment's static facts.
     Info,
-    /// Ask for the server's live metrics snapshot.
-    Metrics,
     /// Ask the server to shut down gracefully.
     Shutdown,
     /// Ask for the full telemetry surface as Prometheus-style text
@@ -303,8 +298,6 @@ pub enum Response {
     },
     /// Deployment facts.
     Info(ServerInfo),
-    /// Live metrics snapshot.
-    Metrics(MetricsReport),
     /// Acknowledgement that the server is shutting down.
     ShuttingDown,
     /// Prometheus-style text exposition of the server's telemetry.
@@ -616,7 +609,6 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, WireError> {
             }
         }
         Request::Info => out.push(req_tag::INFO),
-        Request::Metrics => out.push(req_tag::METRICS),
         Request::Shutdown => out.push(req_tag::SHUTDOWN),
         Request::MetricsText => out.push(req_tag::METRICS_TEXT),
         Request::PredictByIndexTraced(indices, ctx) => {
@@ -702,7 +694,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         req_tag::PREDICT_BY_INDEX => Request::PredictByIndex(get_indices(&mut scan)?),
         req_tag::PREDICT_FEATURES => Request::PredictFeatures(get_feature_blocks(&mut scan)?),
         req_tag::INFO => Request::Info,
-        req_tag::METRICS => Request::Metrics,
         req_tag::SHUTDOWN => Request::Shutdown,
         req_tag::METRICS_TEXT => Request::MetricsText,
         req_tag::PREDICT_BY_INDEX_TRACED => {
@@ -752,21 +743,6 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
             put_u32(&mut out, info.party_widths.len() as u32);
             for &w in &info.party_widths {
                 put_u32(&mut out, w as u32);
-            }
-        }
-        Response::Metrics(m) => {
-            out.push(resp_tag::METRICS);
-            for v in m.as_wire_values() {
-                put_f64(&mut out, v);
-            }
-            // Per-replica gauges, length-prefixed: (rounds, rows) pairs.
-            if m.replica_rounds.len() != m.replica_rows.len() {
-                return Err(WireError::Malformed("replica gauge length mismatch"));
-            }
-            put_u32(&mut out, m.replica_rounds.len() as u32);
-            for (&rounds, &rows) in m.replica_rounds.iter().zip(&m.replica_rows) {
-                put_f64(&mut out, rounds as f64);
-                put_f64(&mut out, rows as f64);
             }
         }
         Response::ShuttingDown => out.push(resp_tag::SHUTTING_DOWN),
@@ -864,22 +840,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                 n_classes,
                 party_widths,
             })
-        }
-        resp_tag::METRICS => {
-            let mut vals = [0.0f64; MetricsReport::WIRE_VALUES];
-            for v in vals.iter_mut() {
-                *v = scan.f64()?;
-            }
-            let mut report = MetricsReport::from_wire_values(&vals);
-            let replicas = scan.u32()? as usize;
-            if replicas > 4096 {
-                return Err(WireError::Malformed("implausible replica count"));
-            }
-            for _ in 0..replicas {
-                report.replica_rounds.push(scan.f64()? as u64);
-                report.replica_rows.push(scan.f64()? as u64);
-            }
-            Response::Metrics(report)
         }
         resp_tag::SHUTTING_DOWN => Response::ShuttingDown,
         resp_tag::METRICS_TEXT => {
@@ -1023,7 +983,7 @@ mod tests {
     }
 
     fn random_request(rng: &mut StdRng, case: usize) -> Request {
-        match case % 18 {
+        match case % 17 {
             0 => Request::Ping,
             1 => {
                 // Includes the empty batch when n == 0.
@@ -1042,17 +1002,16 @@ mod tests {
                 Request::PredictFeatures(slices)
             }
             3 => Request::Info,
-            4 => Request::Metrics,
-            5 => Request::MetricsText,
-            6 => Request::Shutdown,
-            7 => {
+            4 => Request::MetricsText,
+            5 => Request::Shutdown,
+            6 => {
                 let n = rng.gen_range(0..40usize);
                 Request::PredictByIndexTraced(
                     (0..n).map(|_| rng.gen_range(0..10_000u32)).collect(),
                     random_trace(rng),
                 )
             }
-            8 => {
+            7 => {
                 let parties = rng.gen_range(1..4usize);
                 let rows = rng.gen_range(0..8usize);
                 let slices = (0..parties)
@@ -1063,9 +1022,9 @@ mod tests {
                     .collect();
                 Request::PredictFeaturesTraced(slices, random_trace(rng))
             }
-            9 => Request::TraceExport,
-            10 => Request::AuditReport,
-            11 => {
+            8 => Request::TraceExport,
+            9 => Request::AuditReport,
+            10 => {
                 let n = rng.gen_range(0..32usize);
                 Request::DeclareSession(
                     (0..n)
@@ -1073,15 +1032,15 @@ mod tests {
                         .collect(),
                 )
             }
-            12 => {
+            11 => {
                 // Includes the empty blob when n == 0.
                 let n = rng.gen_range(0..256usize);
                 Request::JobSubmit((0..n).map(|_| rng.gen::<u32>() as u8).collect())
             }
-            13 => Request::JobStatus(rng.gen()),
-            14 => Request::JobList,
-            15 => Request::JobCancel(rng.gen()),
-            16 => Request::JobAttach {
+            12 => Request::JobStatus(rng.gen()),
+            13 => Request::JobList,
+            14 => Request::JobCancel(rng.gen()),
+            15 => Request::JobAttach {
                 id: rng.gen(),
                 from_seq: rng.gen_range(0..100_000u64),
             },
@@ -1116,7 +1075,7 @@ mod tests {
     }
 
     fn random_response(rng: &mut StdRng, case: usize) -> Response {
-        match case % 16 {
+        match case % 15 {
             0 => Response::Pong,
             1 => {
                 let rows = rng.gen_range(0..16usize);
@@ -1134,51 +1093,30 @@ mod tests {
                     .map(|_| rng.gen_range(1..64usize))
                     .collect(),
             }),
-            3 => {
-                let replicas = rng.gen_range(0..5usize);
-                Response::Metrics(MetricsReport {
-                    requests: rng.gen_range(0..1_000_000u64),
-                    rows: rng.gen_range(0..1_000_000u64),
-                    rounds: rng.gen_range(0..1_000_000u64),
-                    errors: rng.gen_range(0..100u64),
-                    cache_hits: rng.gen_range(0..1_000_000u64),
-                    cache_misses: rng.gen_range(0..1_000_000u64),
-                    open_connections: rng.gen_range(0..10_000u64),
-                    total_connections: rng.gen_range(0..1_000_000u64),
-                    accept_errors: rng.gen_range(0..1_000u64),
-                    mean_batch_fill: rng.gen::<f64>() * 64.0,
-                    p50_latency_us: rng.gen::<f64>() * 1e4,
-                    p99_latency_us: rng.gen::<f64>() * 1e5,
-                    uptime_secs: rng.gen::<f64>() * 1e3,
-                    throughput_rps: rng.gen::<f64>() * 1e5,
-                    replica_rounds: (0..replicas).map(|_| rng.gen_range(0..1_000u64)).collect(),
-                    replica_rows: (0..replicas).map(|_| rng.gen_range(0..10_000u64)).collect(),
-                })
-            }
-            4 => Response::ShuttingDown,
-            5 => Response::MetricsText(
+            3 => Response::ShuttingDown,
+            4 => Response::MetricsText(
                 "# TYPE fia_serve_requests_total counter\nfia_serve_requests_total 7\n"
                     .repeat(rng.gen_range(0..4usize)),
             ),
-            6 => Response::Error("sample index 99 out of range (n_samples = 10)".to_string()),
-            7 => Response::TraceJsonl(
+            5 => Response::Error("sample index 99 out of range (n_samples = 10)".to_string()),
+            6 => Response::TraceJsonl(
                 "{\"id\":4294967296,\"parent\":7,\"name\":\"serve.request\"}\n"
                     .repeat(rng.gen_range(0..4usize)),
             ),
-            8 => Response::Audit(random_audit(rng)),
-            9 => Response::SessionAck,
-            10 => Response::JobAccepted(rng.gen()),
-            11 => Response::JobInfo(random_job_info(rng)),
-            12 => {
+            7 => Response::Audit(random_audit(rng)),
+            8 => Response::SessionAck,
+            9 => Response::JobAccepted(rng.gen()),
+            10 => Response::JobInfo(random_job_info(rng)),
+            11 => {
                 let n = rng.gen_range(0..6usize);
                 Response::JobTable((0..n).map(|_| random_job_info(rng)).collect())
             }
-            13 => Response::JobEvent {
+            12 => Response::JobEvent {
                 id: rng.gen(),
                 seq: rng.gen_range(0..100_000u64),
                 json: "{\"event\":\"chunk-done\",\"chunk\":3}".to_string(),
             },
-            14 => Response::JobEventsEnd {
+            13 => Response::JobEventsEnd {
                 id: rng.gen(),
                 next_seq: rng.gen_range(0..100_000u64),
             },
@@ -1356,11 +1294,13 @@ mod tests {
 
     #[test]
     fn unknown_tags_rejected() {
-        assert!(matches!(decode_request(&[0x7F]), Err(WireError::BadTag(_))));
-        assert!(matches!(
-            decode_response(&[0x42]),
-            Err(WireError::BadTag(_))
-        ));
+        // 0x05/0x84 were the retired binary metrics op.
+        for tag in [0x05, 0x7F] {
+            assert!(matches!(decode_request(&[tag]), Err(WireError::BadTag(t)) if t == tag));
+        }
+        for tag in [0x42, 0x84] {
+            assert!(matches!(decode_response(&[tag]), Err(WireError::BadTag(t)) if t == tag));
+        }
     }
 
     #[test]
@@ -1391,7 +1331,6 @@ mod tests {
             expect
         );
         assert_eq!(encode_request(&Request::Info).unwrap(), vec![0x04]);
-        assert_eq!(encode_request(&Request::Metrics).unwrap(), vec![0x05]);
         assert_eq!(encode_request(&Request::Shutdown).unwrap(), vec![0x06]);
         assert_eq!(encode_request(&Request::MetricsText).unwrap(), vec![0x07]);
     }

@@ -425,7 +425,6 @@ fn concurrent_clients_each_get_their_own_rows() {
         m.mean_batch_fill
     );
     assert!(m.rounds < m.requests);
-    assert!(m.p99_latency_us >= m.p50_latency_us);
     server.shutdown();
 }
 

@@ -43,6 +43,23 @@ fn env_u64(key: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// Sum of every sample of `name` in a `MetricsText` scrape, across its
+/// label sets (0 when the scrape has none).
+fn sample_sum(scrape: &str, name: &str) -> f64 {
+    scrape
+        .lines()
+        .filter_map(|line| {
+            let (series, value) = line.rsplit_once(' ')?;
+            let metric = series.split('{').next()?;
+            if metric == name {
+                value.parse::<f64>().ok()
+            } else {
+                None
+            }
+        })
+        .sum()
+}
+
 /// A small deterministic LR deployment for the self-hosted demo.
 fn demo_server() -> ServerHandle {
     let w = Matrix::from_fn(D, C, |i, j| ((1 + i * C + j) as f64).sin());
@@ -213,27 +230,26 @@ fn main() {
     let live = std::io::stdout().is_terminal();
     for frame in 1..=frames {
         std::thread::sleep(interval);
-        let m = oracle.server_metrics().expect("metrics");
+        let scrape = oracle.metrics_text().expect("metrics");
+        let m = |name| sample_sum(&scrape, name);
         let audit = oracle.audit_report().expect("audit");
         if live {
             // In a terminal, redraw in place like `top`.
             print!("\x1b[2J\x1b[H");
         }
+        let uptime = m("fia_serve_uptime_seconds");
+        let requests = m("fia_serve_requests_total");
+        let rows = m("fia_serve_replica_rows_total");
+        let rounds = m("fia_serve_replica_rounds_total");
+        let hits = m("fia_serve_cache_hit_rows_total");
+        println!("fia-top — {addr} — frame {frame}/{frames}  up {uptime:.1}s");
         println!(
-            "fia-top — {addr} — frame {frame}/{frames}  up {:.1}s",
-            m.uptime_secs
-        );
-        println!(
-            "server: {} req  {} rows  {} rounds  {} err  cache {}/{}  {:.1} rps  fill {:.2}  conns {}",
-            m.requests,
-            m.rows,
-            m.rounds,
-            m.errors,
-            m.cache_hits,
-            m.cache_hits + m.cache_misses,
-            m.throughput_rps,
-            m.mean_batch_fill,
-            m.open_connections,
+            "server: {requests} req  {rows} rows  {rounds} rounds  {} err  cache {hits}/{}  {:.1} rps  fill {:.2}  conns {}",
+            m("fia_serve_errors_total"),
+            hits + m("fia_serve_cache_miss_rows_total"),
+            requests / uptime.max(1e-9),
+            rows / rounds.max(1.0),
+            m("fia_serve_connections_open"),
         );
         println!(
             "{:<18} {:>8} {:>8} {:>8} {:>9} {:>8} {:>7} {:>8}  FLAGS",

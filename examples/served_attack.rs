@@ -84,16 +84,13 @@ fn main() {
         rerun.attack("esa").unwrap().estimates == report.attack("esa").unwrap().estimates
     );
 
-    // 5. What the server saw, then tear it down.
-    let m = campaign.server_metrics().expect("served scenario");
-    println!(
-        "server: {} requests in {} rounds (mean fill {:.2}), p50 {:.0}µs / p99 {:.0}µs",
-        m.requests, m.rounds, m.mean_batch_fill, m.p50_latency_us, m.p99_latency_us
-    );
-    println!(
-        "pool: rounds per replica {:?}, cache hit rate {:.1}%",
-        m.replica_rounds,
-        100.0 * m.cache_hit_rate()
-    );
+    // 5. What the server saw, from its `MetricsText` scrape: request and
+    //    round counts, per-replica rows, cache hits and the latency
+    //    histogram. Then tear it down.
+    let scrape = campaign.server_metrics_text().expect("served scenario");
+    println!("server scrape:");
+    for sample in scrape.lines().filter(|l| l.starts_with("fia_serve_")) {
+        println!("{sample}");
+    }
     campaign.shutdown();
 }
