@@ -35,7 +35,7 @@ use fia_core::{metrics, AttackEngine, PredictionOracle, QueryBatch, QueryCost, T
 use fia_defense::{DefensePipeline, ScoreDefense};
 use fia_linalg::Matrix;
 use fia_models::PredictProba;
-use fia_serve::{AuditSummary, PredictionServer, RemoteOracle, ServeConfig, ServerHandle};
+use fia_serve::{AuditSummary, PredictionServer, RemoteOracle, ServerHandle};
 use fia_telemetry::{global, Counter, Span, TelemetrySnapshot, Tracer};
 use fia_vfl::VflSystem;
 use std::sync::Arc;
@@ -720,21 +720,10 @@ impl Campaign {
                 Arc::clone(&self.scenario.defense),
             )),
             OracleSpec::Served(cfg) => {
-                let serve_cfg = ServeConfig {
-                    bind: "127.0.0.1:0".to_string(),
-                    replicas: cfg.replicas,
-                    batch_cap: cfg.batch_cap,
-                    batch_deadline: cfg.batch_deadline,
-                    coalesce: true,
-                    cache_capacity: cfg.cache_capacity,
-                    cache_seed: self.scenario.seed ^ 0x5C0_7E5,
-                    round_cost: cfg.round_cost,
-                    audit: true,
-                };
                 let server = PredictionServer::spawn(
                     Arc::clone(&self.scenario.system),
                     Arc::clone(&self.scenario.defense),
-                    serve_cfg,
+                    cfg.serve_config(self.scenario.seed),
                 )
                 .map_err(CampaignError::Spawn)?;
                 let mut client = RemoteOracle::connect(server.addr())

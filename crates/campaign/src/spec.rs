@@ -22,6 +22,7 @@ use crate::model::{ModelSpec, TrainedModel};
 use fia_data::{Dataset, PaperDataset, SplitSpec};
 use fia_defense::DefensePipeline;
 use fia_linalg::Matrix;
+use fia_serve::ServeConfig;
 use fia_vfl::{ThreatModel, VerticalPartition, VflSystem};
 use std::sync::Arc;
 use std::time::Duration;
@@ -92,6 +93,27 @@ impl Default for ServedConfig {
             batch_cap: 64,
             batch_deadline: Duration::from_micros(500),
             round_cost: Duration::ZERO,
+        }
+    }
+}
+
+impl ServedConfig {
+    /// The server configuration this tuning deploys for a scenario
+    /// seeded with `scenario_seed`: an ephemeral port, coalescing and the
+    /// audit ledger on, and a cache seed derived from the scenario's.
+    /// The campaign session and campaignd's shared deployments both
+    /// spawn through it, so they observe the same deployment.
+    pub fn serve_config(&self, scenario_seed: u64) -> ServeConfig {
+        ServeConfig {
+            bind: "127.0.0.1:0".to_string(),
+            replicas: self.replicas,
+            batch_cap: self.batch_cap,
+            batch_deadline: self.batch_deadline,
+            coalesce: true,
+            cache_capacity: self.cache_capacity,
+            cache_seed: scenario_seed ^ 0x5C0_7E5,
+            round_cost: self.round_cost,
+            audit: true,
         }
     }
 }

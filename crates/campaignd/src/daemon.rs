@@ -35,9 +35,7 @@ use fia_campaign::{
 };
 use fia_serve::sys::{drain_wake_pipe, fd_of, wake_pair, Event, Interest, Poller, Waker};
 use fia_serve::wire::{decode_request, encode_response, Request, Response, MAX_FRAME_LEN};
-use fia_serve::{
-    JobState, JobStatusInfo, PredictionServer, RemoteOracle, ServeConfig, ServerHandle,
-};
+use fia_serve::{JobState, JobStatusInfo, PredictionServer, RemoteOracle, ServerHandle};
 use fia_telemetry::{encode_prometheus, global, Counter, Tracer};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::OpenOptions;
@@ -499,26 +497,13 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
 }
 
 fn spawn_deployment_server(scenario: &ResolvedScenario) -> Result<ServerHandle, String> {
-    // Mirror the campaign layer's served-oracle tuning so a daemon-run
-    // job observes the same deployment the in-process path would spawn.
     let OracleSpec::Served(cfg) = scenario.oracle_spec() else {
         return Err("shared oracle requires a served scenario".to_string());
-    };
-    let serve_cfg = ServeConfig {
-        bind: "127.0.0.1:0".to_string(),
-        replicas: cfg.replicas,
-        batch_cap: cfg.batch_cap,
-        batch_deadline: cfg.batch_deadline,
-        coalesce: true,
-        cache_capacity: cfg.cache_capacity,
-        cache_seed: scenario.seed() ^ 0x5C0_7E5,
-        round_cost: cfg.round_cost,
-        audit: true,
     };
     PredictionServer::spawn(
         Arc::clone(scenario.system()),
         Arc::clone(scenario.defense()),
-        serve_cfg,
+        cfg.serve_config(scenario.seed()),
     )
     .map_err(|e| format!("could not spawn shared deployment: {e}"))
 }
