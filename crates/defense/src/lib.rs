@@ -2,9 +2,11 @@
 
 //! # fia-defense — countermeasures from Section VII
 //!
-//! * [`RoundingDefense`] / [`RoundedModel`] — coarsen confidence scores
-//!   to `b` floating digits before releasing them (Fig. 11a–d). Breaks
-//!   ESA at aggressive rounding; GRNA is largely insensitive.
+//! * [`RoundingDefense`] — coarsen confidence scores to `b` floating
+//!   digits before releasing them (Fig. 11a–d). Breaks ESA at aggressive
+//!   rounding; GRNA is largely insensitive.
+//! * [`NoiseDefense`] — perturb released scores with clamped,
+//!   renormalised Gaussian noise.
 //! * Dropout — plumbed through [`fia_models::MlpConfig::with_dropout`];
 //!   [`dropout_defended_mlp`] is the convenience constructor used by the
 //!   Fig. 11e–f benches.
@@ -16,7 +18,8 @@
 //!   responses that would leak too much.
 //! * [`ScoreDefense`] / [`DefensePipeline`] — the batch-first hook every
 //!   score-transforming defense implements, matching the protocol's
-//!   batched release rounds.
+//!   batched release rounds. A deployment applies its defenses here, at
+//!   the score-release boundary, and nowhere else.
 
 pub mod screening;
 pub mod verify;
@@ -26,8 +29,8 @@ mod noise;
 mod rounding;
 
 pub use batch::{DefensePipeline, ScoreDefense};
-pub use noise::{NoiseDefense, NoisyModel};
-pub use rounding::{RoundedModel, RoundingDefense};
+pub use noise::NoiseDefense;
+pub use rounding::RoundingDefense;
 
 use fia_data::Dataset;
 use fia_models::{Mlp, MlpConfig};

@@ -12,11 +12,9 @@
 //! only gradually, since the generator learns from many noisy outputs.
 
 use fia_linalg::Matrix;
-use fia_models::PredictProba;
 use fia_tensor::standard_normal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
 
 /// Gaussian-noise defense configuration.
 #[derive(Debug, Clone, Copy)]
@@ -62,73 +60,10 @@ impl NoiseDefense {
     }
 }
 
-/// Model wrapper applying the noise defense at the protocol boundary.
-///
-/// Interior mutability (a mutex around the RNG stream counter) keeps the
-/// [`PredictProba`] interface unchanged while every prediction draws
-/// fresh noise.
-pub struct NoisyModel<M: PredictProba> {
-    inner: M,
-    sigma: f64,
-    rng: Mutex<StdRng>,
-}
-
-impl<M: PredictProba> NoisyModel<M> {
-    /// Wraps `inner` with noise level `sigma`.
-    pub fn new(inner: M, sigma: f64, seed: u64) -> Self {
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        NoisyModel {
-            inner,
-            sigma,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-        }
-    }
-
-    /// The undefended model.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-}
-
-impl<M: PredictProba> PredictProba for NoisyModel<M> {
-    fn predict_proba(&self, x: &Matrix) -> Matrix {
-        let clean = self.inner.predict_proba(x);
-        let mut rng = self.rng.lock().expect("rng mutex poisoned");
-        let mut out = clean;
-        for i in 0..out.rows() {
-            let row = out.row_mut(i);
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v + self.sigma * standard_normal(&mut *rng)).clamp(0.0, 1.0);
-                sum += *v;
-            }
-            if sum > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= sum;
-                }
-            } else {
-                let c = row.len() as f64;
-                for v in row.iter_mut() {
-                    *v = 1.0 / c;
-                }
-            }
-        }
-        out
-    }
-
-    fn n_features(&self) -> usize {
-        self.inner.n_features()
-    }
-
-    fn n_classes(&self) -> usize {
-        self.inner.n_classes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fia_models::LogisticRegression;
+    use fia_models::{LogisticRegression, PredictProba};
 
     fn toy_model() -> LogisticRegression {
         let w = Matrix::from_fn(3, 3, |i, j| 0.3 * (i as f64 + 1.0) - 0.2 * j as f64);
@@ -172,17 +107,5 @@ mod tests {
                 .sum::<f64>()
         };
         assert!(dev(&large) > 3.0 * dev(&small));
-    }
-
-    #[test]
-    fn noisy_model_wrapper_changes_scores() {
-        let model = toy_model();
-        let x = Matrix::from_fn(4, 3, |i, j| (i + j) as f64 / 6.0);
-        let clean = model.predict_proba(&x);
-        let defended = NoisyModel::new(model, 0.1, 9);
-        let noisy = defended.predict_proba(&x);
-        assert_eq!(noisy.shape(), clean.shape());
-        assert!(noisy.max_abs_diff(&clean).unwrap() > 1e-3);
-        assert_eq!(defended.n_classes(), 3);
     }
 }

@@ -5,7 +5,6 @@
 //! point digits before revealing it."
 
 use fia_linalg::Matrix;
-use fia_models::PredictProba;
 
 /// Rounds confidence scores *down* to `b` floating-point digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,50 +37,9 @@ impl RoundingDefense {
     }
 }
 
-/// A model wrapper applying the rounding defense at the protocol
-/// boundary; implements [`PredictProba`] so every attack consumes the
-/// defended scores transparently.
-pub struct RoundedModel<M: PredictProba> {
-    inner: M,
-    defense: RoundingDefense,
-}
-
-impl<M: PredictProba> RoundedModel<M> {
-    /// Wraps `inner` with the given rounding policy.
-    pub fn new(inner: M, defense: RoundingDefense) -> Self {
-        RoundedModel { inner, defense }
-    }
-
-    /// The undefended model.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// The active rounding policy.
-    pub fn defense(&self) -> RoundingDefense {
-        self.defense
-    }
-}
-
-impl<M: PredictProba> PredictProba for RoundedModel<M> {
-    fn predict_proba(&self, x: &Matrix) -> Matrix {
-        self.defense.round_matrix(&self.inner.predict_proba(x))
-    }
-
-    fn n_features(&self) -> usize {
-        self.inner.n_features()
-    }
-
-    fn n_classes(&self) -> usize {
-        self.inner.n_classes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fia_linalg::Matrix;
-    use fia_models::LogisticRegression;
 
     #[test]
     fn rounds_down_not_nearest() {
@@ -97,20 +55,6 @@ mod tests {
         let v = 0.123456;
         assert!((d.round_value(v) - 0.123).abs() < 1e-12);
         assert!((d.round_value(v) - v).abs() < 1e-3);
-    }
-
-    #[test]
-    fn wrapped_model_rounds_scores() {
-        let w = Matrix::from_rows(&[vec![1.0], vec![1.0]]).unwrap();
-        let model = LogisticRegression::from_parameters(w, vec![0.0], 2);
-        let defended = RoundedModel::new(model, RoundingDefense::coarse());
-        let p = defended.predict_proba(&Matrix::from_rows(&[vec![0.3, 0.4]]).unwrap());
-        // Every score has at most one decimal digit.
-        for &v in p.as_slice() {
-            assert!(((v * 10.0) - (v * 10.0).round()).abs() < 1e-12, "score {v}");
-        }
-        assert_eq!(defended.n_classes(), 2);
-        assert_eq!(defended.n_features(), 2);
     }
 
     #[test]

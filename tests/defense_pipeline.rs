@@ -1,14 +1,12 @@
-//! Integration tests for defended deployments: the countermeasure
-//! wrappers must compose with the VFL protocol and the attack suite
-//! end-to-end.
+//! Integration tests for defended deployments: defenses applied at the
+//! score-release boundary must compose with the VFL protocol and the
+//! attack suite end-to-end.
 
 use fia::attacks::{
     metrics, Attack, AttackEngine, EqualitySolvingAttack, Grna, GrnaConfig, QueryBatch,
 };
 use fia::data::{PaperDataset, SplitSpec};
-use fia::defense::{
-    DefensePipeline, NoiseDefense, NoisyModel, RoundedModel, RoundingDefense, ScoreDefense,
-};
+use fia::defense::{DefensePipeline, NoiseDefense, RoundingDefense, ScoreDefense};
 use fia::models::{LogisticRegression, LrConfig, Mlp, MlpConfig, PredictProba};
 use fia::vfl::{AdversaryView, ThreatModel, VerticalPartition, VflSystem};
 
@@ -30,12 +28,12 @@ fn deployment(
 fn rounded_model_through_protocol_degrades_esa() {
     let (split, partition, model) = deployment(41);
     let attack_model = model.clone();
+    let system = VflSystem::from_global(model, partition, &split.prediction.features);
+    let mut view = AdversaryView::collect(&system, &ThreatModel::active_only());
 
-    // Deploy the *defended* model: the protocol only ever reveals rounded
-    // scores.
-    let defended = RoundedModel::new(model, RoundingDefense::coarse());
-    let system = VflSystem::from_global(defended, partition, &split.prediction.features);
-    let view = AdversaryView::collect(&system, &ThreatModel::active_only());
+    // The release boundary only ever reveals rounded scores.
+    let release = DefensePipeline::new().then(RoundingDefense::coarse());
+    view.confidences = release.defend_batch(&view.confidences);
     // Every observed score has one decimal digit.
     for &v in view.confidences.as_slice() {
         assert!(((v * 10.0) - (v * 10.0).round()).abs() < 1e-9);
@@ -64,9 +62,10 @@ fn rounded_model_through_protocol_degrades_esa() {
 fn noisy_model_through_protocol_still_feeds_grna() {
     let (split, partition, model) = deployment(43);
     let attack_model = model.clone();
-    let defended = NoisyModel::new(model, 0.02, 7);
-    let system = VflSystem::from_global(defended, partition, &split.prediction.features);
-    let view = AdversaryView::collect(&system, &ThreatModel::active_only());
+    let system = VflSystem::from_global(model, partition, &split.prediction.features);
+    let mut view = AdversaryView::collect(&system, &ThreatModel::active_only());
+    let release = DefensePipeline::new().then(NoiseDefense::new(0.02, 7));
+    view.confidences = release.defend_batch(&view.confidences);
 
     // Scores are still distributions after noise + renormalization.
     for i in 0..view.confidences.rows() {
@@ -103,8 +102,7 @@ fn noisy_model_through_protocol_still_feeds_grna() {
 #[test]
 fn batched_defense_pipeline_composes_at_the_protocol_boundary() {
     // A rounding+noise pipeline applied to a whole released round must
-    // degrade batched ESA the same way the individually-wrapped defenses
-    // do — the batch hook and the per-record wrappers are one mechanism.
+    // degrade batched ESA the same way each defense does alone.
     let (split, partition, model) = deployment(53);
     let attack_model = model.clone();
     let system = VflSystem::from_global(model, partition, &split.prediction.features);
