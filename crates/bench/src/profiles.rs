@@ -102,12 +102,7 @@ impl ExperimentConfig {
     /// Derives a deterministic per-(experiment, trial) seed.
     pub fn seed_for(&self, experiment: &str, trial: usize) -> u64 {
         // FNV-1a over the experiment tag, mixed with the trial index.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in experiment.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^ self.seed.rotate_left(17) ^ ((trial as u64) << 48)
+        fia_core::fnv(0, experiment.as_bytes()) ^ self.seed.rotate_left(17) ^ ((trial as u64) << 48)
     }
 }
 

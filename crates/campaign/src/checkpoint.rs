@@ -25,8 +25,7 @@
 //! accepts only full checkpoints.
 
 use crate::budget::{BudgetMeter, QueryBudget};
-use crate::spec::fnv;
-use fia_core::QueryCost;
+use fia_core::{fnv, QueryCost};
 use fia_linalg::Matrix;
 
 /// Blob magic: `0xF1A_C4B01` truncated to 32 bits, little-endian on the

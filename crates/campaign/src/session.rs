@@ -30,8 +30,8 @@ use crate::error::CampaignError;
 use crate::event::{CampaignEvent, CampaignObserver};
 use crate::model::TrainedModel;
 use crate::report::{AttackReport, CampaignOutcome, CampaignReport};
-use crate::spec::{fnv, OracleSpec, ResolvedScenario};
-use fia_core::{metrics, AttackEngine, PredictionOracle, QueryBatch, QueryCost, TraceContext};
+use crate::spec::{OracleSpec, ResolvedScenario};
+use fia_core::{fnv, metrics, AttackEngine, PredictionOracle, QueryBatch, QueryCost, TraceContext};
 use fia_defense::{DefensePipeline, ScoreDefense};
 use fia_linalg::Matrix;
 use fia_models::PredictProba;

@@ -19,6 +19,7 @@
 //!   a [`Campaign`](crate::Campaign).
 
 use crate::model::{ModelSpec, TrainedModel};
+use fia_core::{fnv, fnv_words};
 use fia_data::{Dataset, PaperDataset, SplitSpec};
 use fia_defense::DefensePipeline;
 use fia_linalg::Matrix;
@@ -284,15 +285,14 @@ impl ScenarioSpec {
                 // Hash the whole dataset — features, labels and class
                 // count — so two custom datasets share a fingerprint
                 // only when every training-relevant byte agrees.
-                let mut h = fnv(0x5EED, &[]);
-                for &v in ds.features.as_slice() {
-                    h = (h ^ v.to_bits()).wrapping_mul(0x100000001b3);
-                }
-                for &y in &ds.labels {
-                    h = (h ^ y as u64).wrapping_mul(0x100000001b3);
-                }
-                h = (h ^ ds.n_classes as u64).wrapping_mul(0x100000001b3);
-                format!("custom:{}#{h:016x}", ds.name)
+                let words = ds
+                    .features
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .chain(ds.labels.iter().map(|&y| y as u64))
+                    .chain([ds.n_classes as u64]);
+                format!("custom:{}#{:016x}", ds.name, fnv_words(0x5EED, words))
             }
         };
         let partition = match &self.partition {
@@ -401,17 +401,6 @@ impl ScenarioSpec {
             system,
         }
     }
-}
-
-/// FNV-1a over bytes with a basis tweak; `basis = 0` is plain FNV-1a (the
-/// checkpoint blob's trailing checksum and the session's trace id).
-pub(crate) fn fnv(basis: u64, bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64 ^ basis.wrapping_mul(0x100000001b3);
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// The resolved data side of a scenario (stage one of the build): the

@@ -23,6 +23,7 @@
 //!   the fold accepted; otherwise new frames would land behind a torn
 //!   tail, where recovery never reaches them.
 
+use fia_core::fnv;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -33,17 +34,6 @@ pub const LOG_MAGIC: u32 = 0x464A_4C01;
 /// Upper bound on a single log record; a campaign checkpoint for the
 /// largest in-tree scenario is well under this.
 pub const MAX_RECORD_LEN: usize = 1 << 24;
-
-/// FNV-1a over a byte slice — the same checksum the campaign
-/// checkpoint blob uses, applied here per log frame.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Writes `bytes` to `path` atomically: temp file in the same
 /// directory, fsync, rename over the destination, fsync the directory.
@@ -121,7 +111,7 @@ impl JobLog {
         frame.extend_from_slice(&LOG_MAGIC.to_le_bytes());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(payload);
-        frame.extend_from_slice(&fnv(payload).to_le_bytes());
+        frame.extend_from_slice(&fnv(0, payload).to_le_bytes());
         self.file.write_all(&frame)?;
         self.file.sync_data()
     }
@@ -158,7 +148,7 @@ impl JobLog {
             let Some(sum) = bytes.get(pos + 8 + len..pos + 16 + len) else {
                 break;
             };
-            if u64::from_le_bytes(sum.try_into().unwrap()) != fnv(payload) {
+            if u64::from_le_bytes(sum.try_into().unwrap()) != fnv(0, payload) {
                 break;
             }
             pos += 16 + len;

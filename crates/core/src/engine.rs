@@ -244,13 +244,7 @@ impl AttackEngine {
 /// the same randomness no matter where in a batch (or which stripe) it
 /// lands.
 pub fn row_seed(base: u64, x_adv: &[f64], confidence: &[f64]) -> u64 {
-    // FNV-1a over the raw f64 bits.
-    let mut h = 0xcbf29ce484222325u64 ^ base.wrapping_mul(0x100000001b3);
-    for &v in x_adv.iter().chain(confidence.iter()) {
-        h ^= v.to_bits();
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    crate::fnv_words(base, x_adv.iter().chain(confidence).map(|v| v.to_bits()))
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ pub mod baseline;
 pub mod engine;
 mod esa;
 mod grna;
+mod hash;
 pub mod metrics;
 pub mod oracle;
 mod pra;
@@ -45,6 +46,7 @@ mod telemetry;
 pub use engine::{row_seed, Attack, AttackEngine, AttackResult, QueryBatch};
 pub use esa::EqualitySolvingAttack;
 pub use grna::{Grna, GrnaConfig, TrainedGenerator};
+pub use hash::{fnv, fnv_words};
 pub use oracle::{
     accumulate_batch, run_over_oracle, OracleError, PredictionOracle, QueryCost, TraceContext,
 };

@@ -65,13 +65,8 @@ impl ScoreDefense for NoiseDefense {
     /// perturbation by differencing rounds, while a given batch remains
     /// deterministic for reproducible experiments.
     fn defend_batch(&self, scores: &Matrix) -> Matrix {
-        // FNV-1a over the raw score bits.
-        let mut h = 0xcbf29ce484222325u64 ^ self.seed.wrapping_mul(0x100000001b3);
-        for &v in scores.as_slice() {
-            h ^= v.to_bits();
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        NoiseDefense::new(self.sigma, h).perturb(scores)
+        let key = fia_core::fnv_words(self.seed, scores.as_slice().iter().map(|v| v.to_bits()));
+        NoiseDefense::new(self.sigma, key).perturb(scores)
     }
 }
 
