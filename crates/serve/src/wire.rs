@@ -909,13 +909,18 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 // ---------------------------------------------------------------------
 // Framing over a stream.
 
-/// Writes one frame: `u32` length prefix + payload.
+/// Writes one frame: `u32` length prefix + payload, assembled into one
+/// buffer and handed to the writer in one `write_all`, so a
+/// `TCP_NODELAY` socket sends the frame as one segment rather than a
+/// lone 4-byte prefix followed by the payload.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::TooLarge(payload.len()));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -1470,5 +1475,31 @@ mod tests {
         let back = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(decode_request(&back).unwrap(), req);
         assert!(matches!(read_frame(&mut cursor), Ok(None)));
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        // Counts `write` calls; accepts every byte it is offered.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = encode_request(&Request::PredictByIndex(vec![3, 1, 4])).unwrap();
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.writes, 1, "prefix and payload leave in one write");
+        assert_eq!(&w.bytes[..4], &(payload.len() as u32).to_le_bytes());
+        assert_eq!(&w.bytes[4..], &payload[..]);
     }
 }
