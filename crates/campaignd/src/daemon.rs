@@ -33,7 +33,9 @@ use crate::wal::{self, JobLog};
 use fia_campaign::{
     Campaign, CampaignCheckpoint, CampaignEvent, OracleSpec, ResolvedScenario, StepOutcome,
 };
-use fia_serve::sys::{drain_wake_pipe, fd_of, wake_pair, Event, Interest, Poller, Waker};
+use fia_serve::sys::{
+    drain_wake_pipe, fd_of, wake_pair, AcceptBackoff, Event, Interest, Poller, Waker,
+};
 use fia_serve::wire::{decode_request, encode_response, Request, Response, MAX_FRAME_LEN};
 use fia_serve::{JobState, JobStatusInfo, PredictionServer, RemoteOracle, ServerHandle};
 use fia_telemetry::{encode_prometheus, global, Counter, Tracer};
@@ -675,6 +677,9 @@ struct Reactor {
     shared: Arc<Shared>,
     poller: Poller,
     listener: TcpListener,
+    /// fia-serve's accept policy: under fd exhaustion the listener is
+    /// paused, not left to wake the loop hot.
+    accept: AcceptBackoff,
     wake_rx: UnixStream,
     conns: HashMap<u64, Conn>,
     next_token: u64,
@@ -689,6 +694,7 @@ impl Reactor {
             shared,
             poller,
             listener,
+            accept: AcceptBackoff::new(LISTENER_TOKEN),
             wake_rx,
             conns: HashMap::new(),
             next_token: 0,
@@ -703,11 +709,15 @@ impl Reactor {
                 self.flush_all();
                 return;
             }
-            events.clear();
-            if let Err(e) = self
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(250)))
+            if self
+                .accept
+                .resume_due(&mut self.poller, fd_of(&self.listener))
             {
+                self.accept_ready();
+            }
+            events.clear();
+            let timeout = self.accept.wait_timeout(Duration::from_millis(250));
+            if let Err(e) = self.poller.wait(&mut events, Some(timeout)) {
                 if e.kind() == ErrorKind::Interrupted {
                     continue;
                 }
@@ -741,12 +751,17 @@ impl Reactor {
     }
 
     fn accept_ready(&mut self) {
+        if self.accept.is_paused() {
+            return;
+        }
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    self.accept.accepted();
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
                     if self
@@ -768,8 +783,14 @@ impl Reactor {
                     );
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
+                Err(e) => {
+                    if !self
+                        .accept
+                        .failed(&e, &mut self.poller, fd_of(&self.listener))
+                    {
+                        return;
+                    }
+                }
             }
         }
     }

@@ -14,7 +14,7 @@
 //!   row count.
 //!
 //! The [`ScoreCache`] sits here, strictly *after* the defense pipeline
-//! in dataflow terms: what it stores is what a replica's batcher
+//! in dataflow terms: what it stores is what a replica's round
 //! *released* (post-defense), keyed by stored-sample index. Hits are
 //! answered without touching any replica queue — no joint round, no
 //! simulated protocol cost — and re-release the first-released bytes
@@ -106,8 +106,8 @@ impl Dispatcher {
     /// Phase 1 of a stored-index request (synchronous, no pool traffic):
     /// fill cache hits directly into the output matrix and group the
     /// misses by owning shard. The reactor registers the plan's groups
-    /// as in-flight parts, dispatches each with [`Self::send_stored_part`],
-    /// and folds releases back in with [`Self::finish_stored_part`].
+    /// as in-flight parts, builds each with [`Part::stored`], and folds
+    /// releases back in with [`Self::finish_stored_part`].
     pub fn plan_stored(&self, indices: &[usize]) -> StoredPlan {
         let n = indices.len();
         let mut out = Matrix::zeros(n, self.n_classes);
@@ -145,32 +145,6 @@ impl Dispatcher {
         }
     }
 
-    /// Phase 2: dispatches one planned miss group to its shard,
-    /// threading the request's dispatch-span id (if traced) into the
-    /// job so the batcher's round span can link back. A send that fails
-    /// mid-shutdown drops the job, whose reply guard delivers the error
-    /// completion — the caller never has to special-case it.
-    pub fn send_stored_part(
-        &self,
-        shard: usize,
-        group: &[(usize, usize)],
-        reply: ReplyTo,
-        trace_parent: Option<u64>,
-    ) {
-        let sub_indices: Vec<usize> = group.iter().map(|&(_, idx)| idx).collect();
-        let rows = sub_indices.len();
-        let _ = self.pool.send(
-            shard,
-            Job {
-                input: RoundInput::Stored(sub_indices),
-                rows,
-                reply,
-                trace_parent,
-                enqueued: Instant::now(),
-            },
-        );
-    }
-
     /// Phase 3: admits one sub-round's released rows into the cache and
     /// scatters the *canonical* bytes back into request order. `admit`
     /// returns the already-resident row when a concurrent request
@@ -190,27 +164,93 @@ impl Dispatcher {
         }
     }
 
-    /// Dispatches an ad-hoc feature request to the least-loaded replica.
-    /// Never cached: an ad-hoc query names no stored row, so there is no
-    /// stable identity to key a re-release on. Failure is delivered via
-    /// the reply guard, as in [`Self::send_stored_part`].
-    pub fn send_adhoc(
-        &self,
+    /// The replica `part` goes to now: its shard, or the least-loaded
+    /// replica for an ad-hoc part.
+    fn replica_of(&self, part: &Part) -> usize {
+        part.replica.unwrap_or_else(|| self.pool.least_loaded())
+    }
+
+    /// Queues `part` on its replica's batcher. A send that fails
+    /// mid-shutdown drops the job, whose reply guard delivers the error
+    /// completion — the caller never has to special-case it.
+    pub fn send(&self, part: Part) {
+        let _ = self.pool.send(self.replica_of(&part), part.job);
+    }
+
+    /// Whether `part` is small enough, and rounds cheap enough, for
+    /// [`Self::run_here`] ever to run it on the calling thread.
+    pub fn fits_here(&self, part: &Part) -> bool {
+        self.pool.fits_here(part.job.rows)
+    }
+
+    /// Runs `part` as a round on the calling thread when
+    /// [`ReplicaPool::run_here`] allows it, counting it in
+    /// `fia_serve_reactor_rounds_total`; otherwise queues it as
+    /// [`Self::send`] does.
+    pub fn run_here(&self, part: Part) {
+        let replica = self.replica_of(&part);
+        match self.pool.run_here(replica, part.job) {
+            Ok(()) => self.metrics.record_reactor_round(),
+            Err(job) => {
+                let _ = self.pool.send(replica, job);
+            }
+        }
+    }
+}
+
+/// One planned sub-round and where it goes.
+pub(crate) struct Part {
+    /// The owning shard's replica; `None` for an ad-hoc part, which goes
+    /// to the least-loaded replica when it is sent.
+    replica: Option<usize>,
+    job: Job,
+}
+
+impl Part {
+    /// Phase 2 of a stored-index request: the job for one planned miss
+    /// group, threading the request's dispatch-span id (if traced) into
+    /// it so the round span can link back. The reactor sends it with
+    /// [`Dispatcher::send`] or [`Dispatcher::run_here`].
+    pub fn stored(
+        shard: usize,
+        group: &[(usize, usize)],
+        reply: ReplyTo,
+        trace_parent: Option<u64>,
+    ) -> Part {
+        let sub_indices: Vec<usize> = group.iter().map(|&(_, idx)| idx).collect();
+        let rows = sub_indices.len();
+        Part {
+            replica: Some(shard),
+            job: Job {
+                input: RoundInput::Stored(sub_indices),
+                rows,
+                reply,
+                trace_parent,
+                enqueued: Instant::now(),
+            },
+        }
+    }
+
+    /// The job for an ad-hoc feature request. It has no shard: it goes
+    /// to whichever replica is least loaded when it is sent. Never
+    /// cached: an ad-hoc query names no stored row, so there is no
+    /// stable identity to key a re-release on.
+    pub fn adhoc(
         blocks: Vec<Matrix>,
         rows: usize,
         reply: ReplyTo,
         trace_parent: Option<u64>,
-    ) {
-        let _ = self.pool.send(
-            self.pool.least_loaded(),
-            Job {
+    ) -> Part {
+        Part {
+            replica: None,
+            job: Job {
                 input: RoundInput::AdHoc(blocks),
                 rows,
                 reply,
                 trace_parent,
                 enqueued: Instant::now(),
             },
-        );
+        }
     }
 }
 

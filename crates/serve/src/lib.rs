@@ -22,7 +22,9 @@
 //!   writes — and feeds a *replica pool* of batchers
 //!   ([`ServeConfig::replicas`]), each owning a cheap clone of the
 //!   deployment, with the [`fia_defense::DefensePipeline`] applied once
-//!   per round at each replica's score-release boundary, graceful
+//!   per round at each replica's score-release boundary (a lone small
+//!   round with an idle replica runs on the reactor thread instead, the
+//!   same round code without the two thread handoffs), graceful
 //!   shutdown, and live [`ServerMetrics`] (throughput, a request-latency
 //!   histogram, per-replica batch fill, cache hit rate, connection
 //!   gauges), scraped remotely through the one `MetricsText` wire op and

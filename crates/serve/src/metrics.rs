@@ -28,7 +28,7 @@ struct ReplicaCounters {
 /// Classified `accept()` failures — the label set of
 /// `fia_serve_accept_errors_total{kind=}`. The old server collapsed all
 /// of these into one anonymous sleep; the reactor counts them and picks
-/// a policy per kind (see `crate::reactor::classify_accept_error`).
+/// a policy per kind (see `crate::sys::classify_accept_error`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AcceptErrorKind {
     /// fd or memory exhaustion (`EMFILE`/`ENFILE`/`ENOBUFS`/`ENOMEM`):
@@ -102,6 +102,7 @@ pub struct ServerMetrics {
     /// One counter per [`AcceptErrorKind`], in `ALL` order.
     accept_errors: Vec<Arc<Counter>>,
     replicas: Vec<ReplicaCounters>,
+    reactor_rounds: Arc<Counter>,
 }
 
 impl std::fmt::Debug for ServerMetrics {
@@ -194,6 +195,10 @@ impl ServerMetrics {
             ),
             live_threads: Mutex::new(0),
             replicas,
+            reactor_rounds: registry.counter(
+                "fia_serve_reactor_rounds_total",
+                "Prediction rounds the reactor thread ran itself, not a batcher.",
+            ),
             registry,
         }
     }
@@ -275,6 +280,12 @@ impl ServerMetrics {
         let r = &self.replicas[replica.min(self.replicas.len() - 1)];
         r.rounds.inc();
         r.rows.add(rows as u64);
+    }
+
+    /// Records one round that the reactor thread ran itself. The round
+    /// is also counted per replica by [`Self::record_round`].
+    pub(crate) fn record_reactor_round(&self) {
+        self.reactor_rounds.inc();
     }
 
     /// Records the cache outcome of one stored-index request: `hits`

@@ -13,10 +13,24 @@
 //! `Clone` shares the model, partition and party tables — so a 4-replica
 //! pool holds the stored prediction set in memory once.
 //!
-//! Each replica's batcher applies the [`DefensePipeline`] once per round
-//! at its own score-release boundary, exactly as the single-batcher
+//! Every round, wherever it runs, goes through one function,
+//! `run_round`, which applies the [`DefensePipeline`] once per round at
+//! the replica's score-release boundary, exactly as the single-batcher
 //! server did: sharding changes *where* a round runs, never *what* is
 //! released.
+//!
+//! A round usually runs on the replica's batcher thread. The reactor
+//! may instead run a lone job itself through [`ReplicaPool::run_here`]
+//! when the replica is idle, the job fits one coalesced round and
+//! rounds simulate no cost: that saves the two cross-thread handoffs
+//! (job channel, completion channel plus waker) around a round that
+//! does a few microseconds of work. The replica's row gauge doubles as
+//! its lock, so a replica still runs one round at a time.
+//!
+//! Invariant: a round must not panic. On the reactor thread a panic
+//! takes every connection down, not one replica. Every input reaching a
+//! round has been validated first: stored indices against the sample
+//! range, ad-hoc blocks against the party widths and row alignment.
 
 use crate::coalesce::{Coalescer, Coalescible};
 use crate::metrics::ServerMetrics;
@@ -42,12 +56,12 @@ pub(crate) struct Job {
     pub rows: usize,
     pub reply: ReplyTo,
     /// Server-side span id of the dispatch that enqueued this job, when
-    /// the originating request carried a trace context. The batcher's
+    /// the originating request carried a trace context. The round's
     /// `serve.round` span links to it, joining the round into the
     /// request's trace.
     pub trace_parent: Option<u64>,
-    /// When the job entered the queue — prices the coalescer's batch
-    /// wait into the round span.
+    /// When the job was planned — prices the coalescer's batch wait
+    /// into the round span.
     pub enqueued: Instant,
 }
 
@@ -57,8 +71,9 @@ pub(crate) enum ReplyTo {
     /// any in-process dispatch path).
     #[cfg_attr(not(test), allow(dead_code))]
     Channel(Sender<Result<Matrix, String>>),
-    /// The reactor's completion queue: the batcher pushes the result
-    /// and nudges the event loop awake.
+    /// The reactor's completion queue: the round pushes the result and,
+    /// unless the reactor ran the round itself, nudges the event loop
+    /// awake.
     Reactor(ReactorReply),
 }
 
@@ -84,6 +99,10 @@ pub(crate) struct ReactorReply {
     pending_id: u64,
     part: usize,
     sent: bool,
+    /// `false` when the reactor runs the round itself: it drains the
+    /// completion in the same loop pass, so a wake would only cost it a
+    /// spurious readiness event.
+    wake: bool,
 }
 
 impl ReactorReply {
@@ -94,6 +113,7 @@ impl ReactorReply {
             pending_id,
             part,
             sent: false,
+            wake: true,
         }
     }
 
@@ -107,7 +127,9 @@ impl ReactorReply {
             part: self.part,
             result,
         });
-        self.waker.wake();
+        if self.wake {
+            self.waker.wake();
+        }
     }
 }
 
@@ -137,18 +159,37 @@ impl Coalescible for Job {
     }
 }
 
-/// The dispatcher-facing half of one replica: where to enqueue jobs and
-/// how many rows are already waiting there.
+/// The dispatcher-facing half of one replica: where to enqueue jobs,
+/// how many rows are already waiting or running there, and its round.
 struct ReplicaQueue {
     tx: Sender<Job>,
     depth_rows: Arc<AtomicUsize>,
+    /// The replica's round context, shared with its batcher thread.
+    round: Arc<dyn RunRound>,
+}
+
+/// One replica's round, callable from any thread. It hides the model
+/// type, so the reactor that calls it through [`ReplicaPool::run_here`]
+/// stays monomorphic.
+trait RunRound: Send + Sync {
+    fn run_round(&self, jobs: Vec<Job>);
+}
+
+impl<M: PredictProba + Send + Sync> RunRound for ReplicaCtx<M> {
+    fn run_round(&self, jobs: Vec<Job>) {
+        run_round(self, jobs)
+    }
 }
 
 /// Dispatcher-side handle to the pool's queues. The batcher threads'
 /// join handles live separately in the server handle (the pool is owned
-/// by the shared state, which every connection thread holds).
+/// by the shared state, which the reactor holds).
 pub(crate) struct ReplicaPool {
     queues: Vec<ReplicaQueue>,
+    /// Rows of the largest job [`Self::run_here`] runs on the calling
+    /// thread: one coalesced round's row cap, or 0 when rounds simulate
+    /// a cost, which the caller must never sleep through.
+    run_here_rows: usize,
 }
 
 impl ReplicaPool {
@@ -178,7 +219,7 @@ impl ReplicaPool {
             let party_widths = (0..partition.n_parties())
                 .map(|p| partition.features_of(fia_vfl::PartyId(p)).len())
                 .collect();
-            let ctx = ReplicaCtx {
+            let ctx = Arc::new(ReplicaCtx {
                 id,
                 // A replica, not a second copy: shares the read-only
                 // deployment state behind the caller's Arc.
@@ -191,15 +232,31 @@ impl ReplicaPool {
                 coalescer,
                 round_cost,
                 tracer: tracer.clone(),
-            };
+            });
             let owned = metrics.own_thread();
+            let batcher = Arc::clone(&ctx);
             handles.push(std::thread::spawn(move || {
                 let _owned = owned;
-                batcher_loop(&ctx, &rx)
+                batcher_loop(&batcher, &rx)
             }));
-            queues.push(ReplicaQueue { tx, depth_rows });
+            queues.push(ReplicaQueue {
+                tx,
+                depth_rows,
+                round: ctx,
+            });
         }
-        (ReplicaPool { queues }, handles)
+        let run_here_rows = if round_cost.is_zero() {
+            coalescer.max_rows
+        } else {
+            0
+        };
+        (
+            ReplicaPool {
+                queues,
+                run_here_rows,
+            },
+            handles,
+        )
     }
 
     /// Number of replicas in the pool.
@@ -208,17 +265,54 @@ impl ReplicaPool {
     }
 
     /// Enqueues `job` on `replica`'s queue, accounting its rows into the
-    /// replica's load gauge. Fails only during shutdown.
+    /// replica's load gauge before the batcher can see the job, so the
+    /// batcher's release never runs ahead of it. Fails only during
+    /// shutdown.
     pub fn send(&self, replica: usize, job: Job) -> Result<(), String> {
         let q = &self.queues[replica];
         let rows = job.rows;
-        match q.tx.send(job) {
-            Ok(()) => {
-                q.depth_rows.fetch_add(rows, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(_) => Err("server is shutting down".to_string()),
+        q.depth_rows.fetch_add(rows, Ordering::Relaxed);
+        q.tx.send(job).map_err(|_| {
+            q.depth_rows.fetch_sub(rows, Ordering::Relaxed);
+            "server is shutting down".to_string()
+        })
+    }
+
+    /// Whether a job of `rows` rows may ever run on the calling thread:
+    /// it fits one coalesced round (`rows ≤ max_rows`: the batch cap, or
+    /// 1 with coalescing off), so the caller never stalls for longer
+    /// than one normal round, and rounds simulate no cost (`round_cost`
+    /// is zero), so the caller never sleeps.
+    pub fn fits_here(&self, rows: usize) -> bool {
+        rows <= self.run_here_rows
+    }
+
+    /// Runs `job` as a round of its own on the calling thread, or hands
+    /// it back to be queued. It runs here only when [`Self::fits_here`]
+    /// allows its size and `replica` is idle: the replica's row gauge
+    /// moves from 0 to `job.rows` in one compare-and-swap, and the
+    /// round's own release returns it to 0. No other round can start on
+    /// the replica meanwhile: the reactor, the only thread that
+    /// enqueues, is the one running it.
+    ///
+    /// The round delivers its reply without the reactor wake, since the
+    /// caller drains the completion itself.
+    pub fn run_here(&self, replica: usize, mut job: Job) -> Result<(), Job> {
+        let q = &self.queues[replica];
+        // Acquire pairs with the Release of `run_round`'s gauge release,
+        // so the replica's previous round happens-before this one.
+        if !self.fits_here(job.rows)
+            || q.depth_rows
+                .compare_exchange(0, job.rows, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
+            return Err(job);
         }
+        if let ReplyTo::Reactor(r) = &mut job.reply {
+            r.wake = false;
+        }
+        q.round.run_round(vec![job]);
+        Ok(())
     }
 
     /// The replica with the fewest queued rows right now (ties broken by
@@ -240,7 +334,8 @@ impl ReplicaPool {
     }
 }
 
-/// Everything one replica's batcher thread owns.
+/// Everything one replica's round needs, shared by its batcher thread
+/// and [`ReplicaPool::run_here`].
 struct ReplicaCtx<M: PredictProba> {
     id: usize,
     system: VflSystem<M>,
@@ -352,9 +447,9 @@ fn run_round<M: PredictProba>(ctx: &ReplicaCtx<M>, jobs: Vec<Job>) {
         offset += job_rows;
         reply.send(Ok(part));
     }
-    // Every job reached this queue through `ReplicaPool::send`, which
-    // accounted its rows, so the gauge cannot underflow.
-    ctx.depth_rows.fetch_sub(total, Ordering::Relaxed);
+    // Every job was accounted into the gauge first, by
+    // `ReplicaPool::send` or `run_here`, so it cannot underflow.
+    ctx.depth_rows.fetch_sub(total, Ordering::Release);
 }
 
 #[cfg(test)]
@@ -450,6 +545,33 @@ mod tests {
             h.join().expect("join");
         }
         assert_eq!(pool.queued_rows(0), 10);
+    }
+
+    #[test]
+    fn run_here_takes_only_an_idle_replica_and_a_one_round_job() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (pool, handles, metrics, _) = spawn_pool(1, &stop);
+        let (tx, rx) = mpsc::channel();
+        let lone = || job(RoundInput::Stored(vec![2]), 1, ReplyTo::Channel(tx.clone()));
+        // A busy replica (rows queued or running) hands the job back.
+        pool.queues[0].depth_rows.store(3, Ordering::Relaxed);
+        assert!(pool.run_here(0, lone()).is_err());
+        pool.queues[0].depth_rows.store(0, Ordering::Relaxed);
+        // Past the 16-row round cap: handed back, even when idle.
+        let big = job(
+            RoundInput::Stored(vec![0; 17]),
+            17,
+            ReplyTo::Channel(tx.clone()),
+        );
+        assert!(pool.run_here(0, big).is_err());
+        // Idle and small: the round runs on this thread, so the reply is
+        // already there and the gauge is released when it returns.
+        assert!(pool.run_here(0, lone()).is_ok());
+        let scores = rx.try_recv().expect("answered in place").expect("round ok");
+        assert_eq!(scores, toy_system().predict_batch(&[2]));
+        assert_eq!(pool.queued_rows(0), 0);
+        assert_eq!(metrics.report().replica_rounds, vec![1]);
+        shutdown(&stop, handles);
     }
 
     #[test]

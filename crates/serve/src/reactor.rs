@@ -14,30 +14,42 @@
 //! * inbound bytes are assembled *incrementally* per connection and
 //!   complete frames are decoded with the same `wire.rs` codec the
 //!   blocking path used;
-//! * prediction work still flows to the [`Dispatcher`] → replica-pool
-//!   batchers by channel; completed sub-rounds come back on a
-//!   completion queue plus a [`Waker`] nudge, and responses are written
-//!   through the reactor's writable-readiness machinery — a slow reader
-//!   buffers its own responses and never blocks a batcher;
+//! * prediction work flows through the [`Dispatcher`] to the replica
+//!   pool. The reactor holds back the first prediction part of each
+//!   loop pass if it fits one coalesced round and rounds cost nothing.
+//!   If it stays the pass's only part, the reactor offers it to
+//!   [`Dispatcher::run_here`](crate::dispatch::Dispatcher::run_here),
+//!   which runs it as a round on this thread when its replica is idle:
+//!   a lone closed-loop client then wakes one server thread per
+//!   request, not three. Anything else — a second part in the pass, a
+//!   busy replica, a large part, a simulated round cost — is queued to
+//!   the replica batchers by channel, so bursts still coalesce.
+//!   Completed sub-rounds come back on a completion queue (plus a
+//!   [`Waker`] nudge from a batcher), and responses are written through
+//!   the reactor's writable-readiness machinery — a slow reader buffers
+//!   its own responses and never blocks a batcher;
 //! * responses are emitted strictly in per-connection request order
 //!   (pipelined clients see FIFO answers even though rounds complete
 //!   out of order);
-//! * accept errors are classified ([`classify_accept_error`]) and
-//!   counted per kind (`fia_serve_accept_errors_total{kind=}`); fd
-//!   exhaustion backs off exponentially with listener interest
-//!   suspended, so the EMFILE regime is a counted, paced retry instead
-//!   of a silent hot loop;
+//! * accept errors are classified ([`sys::classify_accept_error`]) and
+//!   counted per kind (`fia_serve_accept_errors_total{kind=}`); the
+//!   shared [`AcceptBackoff`] policy pauses the listener, with its
+//!   interest suspended, under fd exhaustion, so the EMFILE regime is a
+//!   counted, paced retry instead of a silent hot loop;
 //! * shutdown drains: the listener closes immediately, queued jobs are
 //!   answered by the batchers, buffered responses are flushed (bounded
 //!   by [`DRAIN_DEADLINE`]), and the loop exits with every connection
 //!   accounted for.
 
 use crate::audit::{AuditLedger, AuditSummary};
-use crate::dispatch::StoredPlan;
+use crate::dispatch::{Part, StoredPlan};
 use crate::metrics::AcceptErrorKind;
 use crate::pool::{Completion, ReactorReply, ReplyTo};
 use crate::server::Shared;
-use crate::sys::{self, drain_wake_pipe, fd_of, Event, Interest, Poller, Waker};
+use crate::sys::{
+    self, classify_accept_error, drain_wake_pipe, fd_of, AcceptBackoff, Event, Interest, Poller,
+    Waker,
+};
 use crate::wire::{decode_request, encode_response, Request, Response, MAX_FRAME_LEN};
 use fia_core::TraceContext;
 use fia_linalg::Matrix;
@@ -63,11 +75,6 @@ const TICK: Duration = Duration::from_millis(50);
 /// How long a draining server waits for buffered responses to flush
 /// before force-closing the stragglers.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
-
-/// Accept-error backoff window under resource exhaustion: starts here,
-/// doubles per consecutive exhausted accept, caps at the max.
-const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// In-flight prediction requests per connection before the reactor
 /// stops reading from it — backpressure for pipelining clients, so one
@@ -213,8 +220,13 @@ pub(crate) struct Reactor {
     waker: Waker,
     wake_rx: UnixStream,
     scratch: Vec<u8>,
-    accept_backoff: Duration,
-    accept_paused_until: Option<Instant>,
+    accept: AcceptBackoff,
+    /// The first prediction part planned in this loop pass, held back
+    /// so that a lone part can run on this thread (see `settle`).
+    held: Option<Part>,
+    /// This pass planned a part that could not be held: every part goes
+    /// to the batcher queues at once, so a burst coalesces.
+    burst: bool,
     /// Drain deadline, set once the stop flag is noticed.
     draining: Option<Instant>,
     /// Per-client leakage audit ledger; `None` when [`crate::ServeConfig`]
@@ -251,8 +263,9 @@ impl Reactor {
                 waker,
                 wake_rx,
                 scratch: vec![0u8; 64 * 1024],
-                accept_backoff: ACCEPT_BACKOFF_MIN,
-                accept_paused_until: None,
+                accept: AcceptBackoff::new(LISTENER_TOKEN),
+                held: None,
+                burst: false,
                 draining: None,
                 ledger,
             },
@@ -310,9 +323,7 @@ impl Reactor {
                     }
                 }
             }
-            while let Ok(c) = self.completion_rx.try_recv() {
-                self.on_completion(c);
-            }
+            self.settle();
         }
         // Any pending completions past this point belong to connections
         // that no longer exist; the batchers drain and exit on their own
@@ -320,22 +331,60 @@ impl Reactor {
     }
 
     fn wait_timeout(&self) -> Duration {
-        let now = Instant::now();
-        let mut t = TICK;
-        if let Some(until) = self.accept_paused_until {
-            t = t.min(until.saturating_duration_since(now));
-        }
+        let mut t = self.accept.wait_timeout(TICK);
         if let Some(deadline) = self.draining {
-            t = t.min(deadline.saturating_duration_since(now));
+            t = t.min(deadline.saturating_duration_since(Instant::now()));
         }
         t
+    }
+
+    // -----------------------------------------------------------------
+    // Sending prediction parts.
+
+    /// Sends one planned part on its way. The first part of a loop pass
+    /// is held for `settle` if it could run on this thread; any other
+    /// part starts a burst, which sends the held part and every later
+    /// part of the pass straight to the queues.
+    fn submit(&mut self, part: Part) {
+        if !self.burst && self.held.is_none() && self.shared.dispatcher.fits_here(&part) {
+            self.held = Some(part);
+            return;
+        }
+        self.burst = true;
+        if let Some(first) = self.held.take() {
+            self.shared.dispatcher.send(first);
+        }
+        self.shared.dispatcher.send(part);
+    }
+
+    /// Ends a loop pass: offers a still-held part to
+    /// [`Dispatcher::run_here`](crate::dispatch::Dispatcher::run_here),
+    /// then drains completions. A completion can resume a paused
+    /// connection and parse new frames, so this repeats until nothing
+    /// is held and no completion is pending. A round run here delivers
+    /// its completion without a wake, so this drain is what answers it.
+    fn settle(&mut self) {
+        loop {
+            self.burst = false;
+            if let Some(part) = self.held.take() {
+                self.shared.dispatcher.run_here(part);
+            }
+            let mut drained = false;
+            while let Ok(c) = self.completion_rx.try_recv() {
+                drained = true;
+                self.on_completion(c);
+            }
+            if !drained && self.held.is_none() {
+                return;
+            }
+        }
     }
 
     // -----------------------------------------------------------------
     // Accepting.
 
     fn on_accept(&mut self) {
-        if self.draining.is_some() || self.accept_paused_until.is_some() {
+        if self.draining.is_some() || self.accept.is_paused() {
             return;
         }
         loop {
@@ -344,7 +393,7 @@ impl Reactor {
             };
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    self.accept_backoff = ACCEPT_BACKOFF_MIN;
+                    self.accept.accepted();
                     // A socket that can't go nonblocking can't be driven
                     // by the event loop: close it rather than proceed
                     // with a mode that would hang the loop (the blocking
@@ -375,58 +424,25 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) => {
-                    let kind = classify_accept_error(&e);
-                    self.shared.metrics.record_accept_error(kind);
-                    match kind {
-                        // Per-connection failures consume the pending
-                        // connection; keep accepting.
-                        AcceptErrorKind::Aborted | AcceptErrorKind::Interrupted => continue,
-                        // Resource exhaustion: back off exponentially.
-                        AcceptErrorKind::Exhausted => {
-                            self.pause_accept(true);
-                            return;
-                        }
-                        // Unknown persistent errors: pace retries at the
-                        // floor instead of spinning.
-                        AcceptErrorKind::Setup | AcceptErrorKind::Other => {
-                            self.pause_accept(false);
-                            return;
-                        }
+                    self.shared
+                        .metrics
+                        .record_accept_error(classify_accept_error(&e));
+                    let fd = fd_of(listener);
+                    if !self.accept.failed(&e, &mut self.poller, fd) {
+                        return;
                     }
                 }
             }
         }
     }
 
-    /// Suspends accepting for one backoff window. Listener *interest*
-    /// is dropped too: under level-triggered readiness a still-pending
-    /// connection would otherwise wake the loop hot for the whole pause.
-    fn pause_accept(&mut self, exponential: bool) {
-        let pause = if exponential {
-            let p = self.accept_backoff;
-            self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
-            p
-        } else {
-            ACCEPT_BACKOFF_MIN
-        };
-        self.accept_paused_until = Some(Instant::now() + pause);
-        if let Some(l) = &self.listener {
-            let _ = self.poller.modify(fd_of(l), LISTENER_TOKEN, Interest::NONE);
-        }
-    }
-
     fn maybe_resume_accept(&mut self) {
-        let Some(until) = self.accept_paused_until else {
+        let Some(l) = &self.listener else {
             return;
         };
-        if Instant::now() < until {
-            return;
+        if self.accept.resume_due(&mut self.poller, fd_of(l)) {
+            self.on_accept();
         }
-        self.accept_paused_until = None;
-        if let Some(l) = &self.listener {
-            let _ = self.poller.modify(fd_of(l), LISTENER_TOKEN, Interest::READ);
-        }
-        self.on_accept();
     }
 
     // -----------------------------------------------------------------
@@ -732,6 +748,19 @@ impl Reactor {
             indices: raw,
             cached: hits,
         });
+        let parts: Vec<Part> = groups
+            .iter()
+            .zip(&dispatch_spans)
+            .enumerate()
+            .map(|(part, ((shard, group), span))| {
+                Part::stored(
+                    *shard,
+                    group,
+                    self.reply_to(pid, part),
+                    span.as_ref().map(|d| d.id()),
+                )
+            })
+            .collect();
         self.pending.insert(
             pid,
             PendingRound {
@@ -749,19 +778,19 @@ impl Reactor {
                 audit,
             },
         );
-        let round = self.pending.get(&pid).expect("just inserted");
-        for (part, (shard, group)) in round.groups.iter().enumerate() {
-            let reply = ReplyTo::Reactor(ReactorReply::new(
-                self.completion_tx.clone(),
-                self.waker.clone(),
-                pid,
-                part,
-            ));
-            let parent = round.dispatch_spans[part].as_ref().map(|d| d.id());
-            self.shared
-                .dispatcher
-                .send_stored_part(*shard, group, reply, parent);
+        for part in parts {
+            self.submit(part);
         }
+    }
+
+    /// The completion route for part `part` of pending request `pid`.
+    fn reply_to(&self, pid: u64, part: usize) -> ReplyTo {
+        ReplyTo::Reactor(ReactorReply::new(
+            self.completion_tx.clone(),
+            self.waker.clone(),
+            pid,
+            part,
+        ))
     }
 
     fn start_adhoc(
@@ -833,6 +862,7 @@ impl Reactor {
             .ledger
             .is_some()
             .then_some(AuditKind::Features { rows: rows as u64 });
+        let part = Part::adhoc(slices, rows, self.reply_to(pid, 0), parent);
         self.pending.insert(
             pid,
             PendingRound {
@@ -850,15 +880,7 @@ impl Reactor {
                 audit,
             },
         );
-        let reply = ReplyTo::Reactor(ReactorReply::new(
-            self.completion_tx.clone(),
-            self.waker.clone(),
-            pid,
-            0,
-        ));
-        self.shared
-            .dispatcher
-            .send_adhoc(slices, rows, reply, parent);
+        self.submit(part);
     }
 
     // -----------------------------------------------------------------
@@ -1059,7 +1081,8 @@ impl Reactor {
             return;
         }
         self.draining = Some(Instant::now() + DRAIN_DEADLINE);
-        self.accept_paused_until = None;
+        // The listener closes now, so no pause is left to wait out.
+        self.accept = AcceptBackoff::new(LISTENER_TOKEN);
         if let Some(l) = self.listener.take() {
             let _ = self.poller.deregister(fd_of(&l));
             // Dropping the listener closes it: new connects are refused
@@ -1075,87 +1098,5 @@ impl Reactor {
             }
             self.flush_and_update(id);
         }
-    }
-}
-
-/// What went wrong in `accept()`, coarse enough to be a counter label
-/// and precise enough to pick a policy: per-connection failures are
-/// retried immediately, resource exhaustion backs off.
-pub(crate) fn classify_accept_error(e: &io::Error) -> AcceptErrorKind {
-    // Raw errno values (Linux; EMFILE/ENFILE/ENOMEM are identical on
-    // the other unices this crate compiles for).
-    const EMFILE: i32 = 24;
-    const ENFILE: i32 = 23;
-    const ENOMEM: i32 = 12;
-    #[cfg(target_os = "linux")]
-    const ENOBUFS: i32 = 105;
-    #[cfg(not(target_os = "linux"))]
-    const ENOBUFS: i32 = 55;
-
-    if matches!(e.raw_os_error(), Some(EMFILE | ENFILE | ENOMEM | ENOBUFS))
-        || e.kind() == io::ErrorKind::OutOfMemory
-    {
-        return AcceptErrorKind::Exhausted;
-    }
-    match e.kind() {
-        io::ErrorKind::ConnectionAborted | io::ErrorKind::ConnectionReset => {
-            AcceptErrorKind::Aborted
-        }
-        io::ErrorKind::Interrupted => AcceptErrorKind::Interrupted,
-        _ => AcceptErrorKind::Other,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accept_errors_classify_by_errno_and_kind() {
-        // EMFILE / ENFILE / ENOMEM / ENOBUFS are the fd-or-memory
-        // exhaustion regime thousands of clients actually hit.
-        for errno in [24, 23, 12, if cfg!(target_os = "linux") { 105 } else { 55 }] {
-            assert_eq!(
-                classify_accept_error(&io::Error::from_raw_os_error(errno)),
-                AcceptErrorKind::Exhausted,
-                "errno {errno}"
-            );
-        }
-        assert_eq!(
-            classify_accept_error(&io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                "peer gave up in the backlog"
-            )),
-            AcceptErrorKind::Aborted
-        );
-        assert_eq!(
-            classify_accept_error(&io::Error::new(io::ErrorKind::Interrupted, "signal")),
-            AcceptErrorKind::Interrupted
-        );
-        assert_eq!(
-            classify_accept_error(&io::Error::new(io::ErrorKind::PermissionDenied, "firewall")),
-            AcceptErrorKind::Other
-        );
-        // WouldBlock never reaches the classifier in the accept loop,
-        // but if it did it must not be misread as exhaustion.
-        assert_eq!(
-            classify_accept_error(&io::Error::new(io::ErrorKind::WouldBlock, "empty backlog")),
-            AcceptErrorKind::Other
-        );
-    }
-
-    #[test]
-    fn exhaustion_backoff_doubles_and_caps() {
-        // The policy the reactor applies via pause_accept(true).
-        let mut backoff = ACCEPT_BACKOFF_MIN;
-        let mut seen = Vec::new();
-        for _ in 0..10 {
-            seen.push(backoff);
-            backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-        }
-        assert_eq!(seen[0], Duration::from_millis(10));
-        assert_eq!(seen[1], Duration::from_millis(20));
-        assert!(seen.windows(2).all(|w| w[1] >= w[0]), "monotone");
-        assert_eq!(*seen.last().unwrap(), ACCEPT_BACKOFF_MAX, "capped");
     }
 }

@@ -16,6 +16,19 @@
 //!   the [`DefensePipeline`] applied once per round at the score-release
 //!   boundary.
 //!
+//! Where a round runs: a loop pass of the reactor that plans exactly
+//! one prediction part runs it on the reactor thread itself, provided
+//! its replica is idle, the part fits one coalesced round
+//! ([`ServeConfig::batch_cap`]) and rounds cost nothing
+//! ([`ServeConfig::round_cost`] is zero). A closed-loop client sending
+//! one small query at a time then skips the handoff to a batcher and
+//! back, which costs far more than the prediction itself. Every other
+//! part — a burst, a multi-shard request, a large part, a costed round —
+//! goes to the replica's batcher, where concurrent traffic coalesces.
+//! Both paths run the same round code, so spans, metrics, the defense,
+//! the cache and the audit ledger see no difference;
+//! `fia_serve_reactor_rounds_total` counts the rounds the reactor ran.
+//!
 //! One round in flight *per replica* keeps the faithfulness of the
 //! modelled deployment (the `m` parties run one secure computation at a
 //! time per backend) while scaling throughput with the replica count.
@@ -60,7 +73,10 @@ pub struct ServeConfig {
     /// range-sharded across them (`1` reproduces PR 2's single-batcher
     /// server exactly).
     pub replicas: usize,
-    /// Row budget per coalesced round.
+    /// Row budget per coalesced round. It also bounds the parts the
+    /// reactor may run as a round of its own: a lone part of more rows
+    /// goes to the replica's batcher, so the reactor never stalls for
+    /// longer than one normal round.
     pub batch_cap: usize,
     /// Deadline past a round's first request (see
     /// [`Coalescer`](crate::Coalescer)).
@@ -77,7 +93,9 @@ pub struct ServeConfig {
     /// in-tree deployment evaluates the model in the clear, so the
     /// per-round protocol overhead a real VFL serving stack pays
     /// (secure aggregation, HE, party round trips) would be invisible;
-    /// setting this reinstates it. `Duration::ZERO` for tests.
+    /// setting this reinstates it. `Duration::ZERO` for tests. Any
+    /// nonzero cost keeps every round on the batcher threads: the reactor
+    /// runs a lone round itself only when it would not sleep.
     pub round_cost: Duration,
     /// Per-client audit ledger ([`crate::AuditLedger`]): query/row/
     /// distinct-row counters, sliding-window rates and probe-shape flags
@@ -115,7 +133,8 @@ impl ServeConfig {
 
 /// State shared by the reactor and the server handle. Deliberately not
 /// generic over the model type: the generic deployment lives inside the
-/// pool's batcher threads, so connection handling stays monomorphic.
+/// pool's round contexts, behind a trait object, so connection handling
+/// stays monomorphic.
 pub(crate) struct Shared {
     pub(crate) dispatcher: Dispatcher,
     pub(crate) metrics: Arc<ServerMetrics>,

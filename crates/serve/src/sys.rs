@@ -9,17 +9,22 @@
 //! `FIA_FORCE_SCALAR=1` for the SIMD kernels). Both backends expose the
 //! same level-triggered readiness contract, so the reactor is written
 //! once and CI exercises both arms.
+//!
+//! [`AcceptBackoff`] is the accept policy every event loop over a
+//! [`Poller`] shares: the prediction server's reactor and
+//! `fia-campaignd`'s daemon loop.
 
 #![allow(unsafe_code)]
 
 #[cfg(not(unix))]
 compile_error!("fia-serve's reactor needs a POSIX readiness API (epoll/poll)");
 
+use crate::metrics::AcceptErrorKind;
 use std::io;
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What a registered fd should be watched for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -522,6 +527,124 @@ pub fn fd_of(s: &impl AsRawFd) -> RawFd {
     s.as_raw_fd()
 }
 
+// ---------------------------------------------------------------------
+// Accept policy.
+
+/// Accept-error backoff window under resource exhaustion: starts here,
+/// doubles per consecutive exhausted accept, caps at the max.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
+/// The accept policy for a nonblocking listener on a level-triggered
+/// [`Poller`]. A failure that used up one pending connection (aborted,
+/// interrupted) is retried at once. fd or memory exhaustion pauses
+/// accepting for a window that starts at 10 ms and doubles up to 1 s
+/// while exhaustion repeats; any other error pauses for 10 ms. While
+/// paused, the listener's interest is dropped: a still-pending
+/// connection would otherwise wake the loop hot for the whole pause.
+#[derive(Debug)]
+pub struct AcceptBackoff {
+    /// The listener's poller token.
+    token: u64,
+    /// The next exhaustion pause.
+    backoff: Duration,
+    paused_until: Option<Instant>,
+}
+
+impl AcceptBackoff {
+    /// A policy for the listener registered under `token`.
+    pub fn new(token: u64) -> Self {
+        AcceptBackoff {
+            token,
+            backoff: ACCEPT_BACKOFF_MIN,
+            paused_until: None,
+        }
+    }
+
+    /// Records a successful accept: the next exhaustion pause starts
+    /// from the floor again.
+    pub fn accepted(&mut self) {
+        self.backoff = ACCEPT_BACKOFF_MIN;
+    }
+
+    /// Handles an `accept()` error other than `WouldBlock` on the
+    /// listener `listener`. Returns `true` when the caller should keep
+    /// accepting; otherwise accepting is paused, with the listener's
+    /// interest dropped, until [`Self::resume_due`] restores it.
+    pub fn failed(&mut self, e: &io::Error, poller: &mut Poller, listener: RawFd) -> bool {
+        let pause = match classify_accept_error(e) {
+            AcceptErrorKind::Aborted | AcceptErrorKind::Interrupted => return true,
+            AcceptErrorKind::Exhausted => self.next_pause(),
+            AcceptErrorKind::Setup | AcceptErrorKind::Other => ACCEPT_BACKOFF_MIN,
+        };
+        self.paused_until = Some(Instant::now() + pause);
+        let _ = poller.modify(listener, self.token, Interest::NONE);
+        false
+    }
+
+    /// The exhaustion pause to take now; doubles the next one.
+    fn next_pause(&mut self) -> Duration {
+        let pause = self.backoff;
+        self.backoff = (self.backoff * 2).min(ACCEPT_BACKOFF_MAX);
+        pause
+    }
+
+    /// Whether accepting is paused.
+    pub fn is_paused(&self) -> bool {
+        self.paused_until.is_some()
+    }
+
+    /// `timeout`, cut short so a wait ends when the pause does.
+    pub fn wait_timeout(&self, timeout: Duration) -> Duration {
+        match self.paused_until {
+            Some(until) => timeout.min(until.saturating_duration_since(Instant::now())),
+            None => timeout,
+        }
+    }
+
+    /// Ends a pause whose window has passed and restores the listener's
+    /// read interest. Returns `true` when it did: the caller should
+    /// accept what queued during the pause.
+    pub fn resume_due(&mut self, poller: &mut Poller, listener: RawFd) -> bool {
+        match self.paused_until {
+            Some(until) if Instant::now() >= until => {
+                self.paused_until = None;
+                let _ = poller.modify(listener, self.token, Interest::READ);
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// What went wrong in `accept()`, coarse enough to be a counter label
+/// and precise enough to pick a policy: per-connection failures are
+/// retried immediately, resource exhaustion backs off.
+pub(crate) fn classify_accept_error(e: &io::Error) -> AcceptErrorKind {
+    // Raw errno values (Linux; EMFILE/ENFILE/ENOMEM are identical on
+    // the other unices this crate compiles for).
+    const EMFILE: i32 = 24;
+    const ENFILE: i32 = 23;
+    const ENOMEM: i32 = 12;
+    #[cfg(target_os = "linux")]
+    const ENOBUFS: i32 = 105;
+    #[cfg(not(target_os = "linux"))]
+    const ENOBUFS: i32 = 55;
+
+    if matches!(e.raw_os_error(), Some(EMFILE | ENFILE | ENOMEM | ENOBUFS))
+        || e.kind() == io::ErrorKind::OutOfMemory
+    {
+        return AcceptErrorKind::Exhausted;
+    }
+    match e.kind() {
+        io::ErrorKind::ConnectionAborted | io::ErrorKind::ConnectionReset => {
+            AcceptErrorKind::Aborted
+        }
+        io::ErrorKind::Interrupted => AcceptErrorKind::Interrupted,
+        _ => AcceptErrorKind::Other,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -753,6 +876,102 @@ mod tests {
                 .wait(&mut events, Some(Duration::from_millis(500)))
                 .expect("wait");
             assert!(events.iter().any(|e| e.token == 99));
+        }
+    }
+
+    #[test]
+    fn accept_errors_classify_by_errno_and_kind() {
+        // EMFILE / ENFILE / ENOMEM / ENOBUFS are the fd-or-memory
+        // exhaustion regime thousands of clients actually hit.
+        for errno in [24, 23, 12, if cfg!(target_os = "linux") { 105 } else { 55 }] {
+            assert_eq!(
+                classify_accept_error(&io::Error::from_raw_os_error(errno)),
+                AcceptErrorKind::Exhausted,
+                "errno {errno}"
+            );
+        }
+        assert_eq!(
+            classify_accept_error(&io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "peer gave up in the backlog"
+            )),
+            AcceptErrorKind::Aborted
+        );
+        assert_eq!(
+            classify_accept_error(&io::Error::new(io::ErrorKind::Interrupted, "signal")),
+            AcceptErrorKind::Interrupted
+        );
+        assert_eq!(
+            classify_accept_error(&io::Error::new(io::ErrorKind::PermissionDenied, "firewall")),
+            AcceptErrorKind::Other
+        );
+        // WouldBlock never reaches the classifier in the accept loop,
+        // but if it did it must not be misread as exhaustion.
+        assert_eq!(
+            classify_accept_error(&io::Error::new(io::ErrorKind::WouldBlock, "empty backlog")),
+            AcceptErrorKind::Other
+        );
+    }
+
+    #[test]
+    fn exhaustion_backoff_doubles_and_caps() {
+        let mut accept = AcceptBackoff::new(0);
+        let seen: Vec<Duration> = (0..10).map(|_| accept.next_pause()).collect();
+        assert_eq!(seen[0], Duration::from_millis(10));
+        assert_eq!(seen[1], Duration::from_millis(20));
+        assert!(seen.windows(2).all(|w| w[1] >= w[0]), "monotone");
+        assert_eq!(*seen.last().unwrap(), ACCEPT_BACKOFF_MAX, "capped");
+        accept.accepted();
+        assert_eq!(accept.next_pause(), ACCEPT_BACKOFF_MIN, "a success resets");
+    }
+
+    /// Under `EMFILE` with a connection pending, the paused listener
+    /// reports no readiness (the level-triggered wake that would spin an
+    /// event loop) until the pause has passed and `resume_due` restores
+    /// its interest.
+    #[test]
+    fn exhausted_listener_stays_quiet_until_the_pause_ends() {
+        const LISTENER: u64 = 7;
+        for backend in backends() {
+            let mut poller = Poller::with_backend(backend).expect("poller");
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            listener.set_nonblocking(true).expect("nonblocking");
+            let fd = fd_of(&listener);
+            poller
+                .register(fd, LISTENER, Interest::READ)
+                .expect("register listener");
+            let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+            let mut events = Vec::new();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("wait");
+            assert!(events.iter().any(|e| e.token == LISTENER && e.readable));
+
+            let mut accept = AcceptBackoff::new(LISTENER);
+            let t0 = Instant::now();
+            assert!(!accept.failed(&io::Error::from_raw_os_error(24), &mut poller, fd));
+            assert!(accept.is_paused());
+            assert!(accept.wait_timeout(Duration::from_secs(1)) <= ACCEPT_BACKOFF_MIN);
+            let deadline = t0 + Duration::from_secs(5);
+            loop {
+                let resumed = accept.resume_due(&mut poller, fd);
+                events.clear();
+                poller
+                    .wait(&mut events, Some(Duration::ZERO))
+                    .expect("wait");
+                let ready = events.iter().any(|e| e.token == LISTENER);
+                assert_eq!(ready, resumed, "{backend:?}: readiness tracks the pause");
+                if ready {
+                    assert!(
+                        t0.elapsed() >= ACCEPT_BACKOFF_MIN,
+                        "{backend:?}: woke early"
+                    );
+                    assert!(!accept.is_paused());
+                    break;
+                }
+                assert!(Instant::now() < deadline, "{backend:?}: pause never ended");
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
     }
 

@@ -4,6 +4,7 @@
 //! remote replay must reproduce the in-process `AttackEngine` result —
 //! the acceptance bar is per-feature-MSE agreement within 1e-9.
 
+use fia_core::TraceContext;
 use fia_core::{
     accumulate_batch, metrics::mse_per_feature, run_over_oracle, AttackEngine,
     EqualitySolvingAttack, Grna, GrnaConfig, PathRestrictionAttack, PredictionOracle, QueryBatch,
@@ -12,10 +13,16 @@ use fia_data::{make_classification, normalize_dataset, SynthConfig};
 use fia_defense::{DefensePipeline, RoundingDefense};
 use fia_linalg::Matrix;
 use fia_models::{DecisionTree, LogisticRegression, TreeConfig};
-use fia_serve::wire::MAX_FRAME_LEN;
-use fia_serve::{ClientError, LoadConfig, PredictionServer, RemoteOracle, ServeConfig};
+use fia_serve::wire::{
+    decode_response, encode_request, read_frame, write_frame, Request, Response, MAX_FRAME_LEN,
+};
+use fia_serve::{
+    ClientError, LoadConfig, PredictionServer, RemoteOracle, ServeConfig, ServerHandle,
+};
 use fia_vfl::{VerticalPartition, VflSystem};
 use rand::{rngs::StdRng, SeedableRng};
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -587,4 +594,194 @@ fn open_loop_generator_honors_schedule_and_counts_everything() {
     let m = server.metrics();
     assert!(m.requests >= 80);
     server.shutdown();
+}
+
+/// `fia_serve_reactor_rounds_total` from the server's scrape.
+fn reactor_rounds(server: &ServerHandle) -> u64 {
+    let text = server.metrics_text();
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("fia_serve_reactor_rounds_total "))
+        .unwrap_or_else(|| panic!("no reactor-rounds counter in\n{text}"));
+    line.rsplit(' ')
+        .next()
+        .unwrap()
+        .parse()
+        .expect("integer counter")
+}
+
+/// Pulls `"key":N` out of a JSONL span line.
+fn field_u64(line: &str, key: &str) -> Option<u64> {
+    let needle = format!("\"{key}\":");
+    let at = line.find(&needle)? + needle.len();
+    let rest = &line[at..];
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// Which rounds the reactor runs itself: a lone part with an idle
+/// replica, at most one coalesced round of rows and no simulated round
+/// cost. Every case checks its scores bit for bit against the
+/// in-process deployment and the delta of `fia_serve_reactor_rounds_total`.
+#[test]
+fn lone_parts_run_on_the_reactor_and_everything_else_queues() {
+    type System = VflSystem<LogisticRegression>;
+    // (case, config, rounds the reactor must run, traffic)
+    type Case = (&'static str, ServeConfig, u64, fn(&ServerHandle, &System));
+    let cases: [Case; 6] = [
+        (
+            "lone sequential stored-index and ad-hoc requests",
+            ServeConfig::default(),
+            12,
+            |server, system| {
+                let rounds_before = server.metrics().rounds;
+                let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
+                for i in 0..8 {
+                    let rows = [i, (i * 5 + 3) % N, (i * 11 + 7) % N];
+                    assert_eq!(
+                        oracle.predict_batch(&rows[..1 + i % 3]).expect("predict"),
+                        system.predict_batch(&rows[..1 + i % 3])
+                    );
+                }
+                let mut next = lcg(11);
+                for rows in 1..=4 {
+                    let slices = vec![
+                        Matrix::from_fn(rows, ADV.len(), |_, _| next()),
+                        Matrix::from_fn(rows, TARGET.len(), |_, _| next()),
+                    ];
+                    assert_eq!(
+                        oracle.predict_features(&slices).expect("predict"),
+                        system.predict_features_batch(&slices)
+                    );
+                }
+                assert_eq!(server.metrics().rounds - rounds_before, 12);
+            },
+        ),
+        (
+            "a burst of pipelined frames in one write",
+            ServeConfig::default(),
+            0,
+            |server, system| {
+                const K: usize = 8;
+                let mut stream = TcpStream::connect(server.addr()).expect("connect");
+                stream.set_nodelay(true).expect("nodelay");
+                let ping = encode_request(&Request::Ping).unwrap();
+                write_frame(&mut stream, &ping).expect("ping");
+                let pong = read_frame(&mut stream).expect("read").expect("frame");
+                assert_eq!(decode_response(&pong).unwrap(), Response::Pong);
+                let mut burst = Vec::new();
+                for k in 0..K {
+                    write_frame(
+                        &mut burst,
+                        &encode_request(&Request::PredictByIndex(vec![k as u32, 40])).unwrap(),
+                    )
+                    .unwrap();
+                }
+                stream.write_all(&burst).expect("burst");
+                for k in 0..K {
+                    let frame = read_frame(&mut stream).expect("read").expect("frame");
+                    match decode_response(&frame).unwrap() {
+                        Response::Scores { scores, .. } => {
+                            assert_eq!(scores, system.predict_batch(&[k, 40]), "reply {k}")
+                        }
+                        other => panic!("reply {k}: {other:?}"),
+                    }
+                }
+            },
+        ),
+        (
+            "a simulated round cost",
+            ServeConfig {
+                round_cost: Duration::from_millis(1),
+                ..ServeConfig::default()
+            },
+            0,
+            |server, system| {
+                let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
+                assert_eq!(
+                    oracle.predict_batch(&[5]).expect("predict"),
+                    system.predict_batch(&[5])
+                );
+            },
+        ),
+        (
+            "one part at the batch cap, then one row past it",
+            ServeConfig {
+                batch_cap: 4,
+                ..ServeConfig::default()
+            },
+            1,
+            |server, system| {
+                let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
+                for rows in [&[1, 2, 3, 4][..], &[1, 2, 3, 4, 5]] {
+                    assert_eq!(
+                        oracle.predict_batch(rows).expect("predict"),
+                        system.predict_batch(rows)
+                    );
+                }
+            },
+        ),
+        (
+            "one request spanning two shards",
+            ServeConfig {
+                replicas: 2,
+                ..ServeConfig::default()
+            },
+            0,
+            |server, system| {
+                let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
+                assert_eq!(
+                    oracle.predict_batch(&[0, 40]).expect("predict"),
+                    system.predict_batch(&[0, 40])
+                );
+            },
+        ),
+        (
+            "a traced lone request",
+            ServeConfig::default(),
+            1,
+            |server, system| {
+                let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
+                oracle.set_trace_context(Some(TraceContext {
+                    trace_id: 0xBEEF,
+                    parent_span: 9,
+                }));
+                assert_eq!(
+                    oracle.predict_batch(&[6]).expect("predict"),
+                    system.predict_batch(&[6])
+                );
+                // Read right after the reply: the round ran before the
+                // reply was staged, so its spans are already finished.
+                let jsonl = server.trace_jsonl();
+                let span = |name: &str, parent: u64| {
+                    jsonl
+                        .lines()
+                        .find(|l| {
+                            l.contains(&format!("\"name\":\"{name}\""))
+                                && field_u64(l, "parent") == Some(parent)
+                        })
+                        .and_then(|l| field_u64(l, "id"))
+                        .unwrap_or_else(|| panic!("no {name} span under {parent}:\n{jsonl}"))
+                };
+                let request = span("serve.request", 9);
+                span("serve.cache", request);
+                let dispatch = span("serve.dispatch", request);
+                let round = span("serve.round", dispatch);
+                span("serve.predict", round);
+                span("serve.defense", round);
+            },
+        ),
+    ];
+    let (system, _) = deployed_lr();
+    for (case, config, expected, traffic) in cases {
+        let server =
+            PredictionServer::spawn(Arc::clone(&system), identity_defense(), config).expect("bind");
+        let before = reactor_rounds(&server);
+        traffic(&server, &system);
+        assert_eq!(reactor_rounds(&server) - before, expected, "{case}");
+        assert_eq!(server.metrics().errors, 0, "{case}");
+        server.shutdown();
+    }
 }
