@@ -4,10 +4,10 @@
 //! remote replay must reproduce the in-process `AttackEngine` result —
 //! the acceptance bar is per-feature-MSE agreement within 1e-9.
 
-use fia_core::TraceContext;
 use fia_core::{
     accumulate_batch, metrics::mse_per_feature, run_over_oracle, AttackEngine,
     EqualitySolvingAttack, Grna, GrnaConfig, PathRestrictionAttack, PredictionOracle, QueryBatch,
+    TraceContext,
 };
 use fia_data::{make_classification, normalize_dataset, SynthConfig};
 use fia_defense::{DefensePipeline, RoundingDefense};
