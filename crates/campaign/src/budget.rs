@@ -437,12 +437,43 @@ mod tests {
             BudgetMeter::from_blob(&skewed),
             Err(CheckpointError::UnsupportedVersion(7))
         );
-        let mut bad_flags = blob;
+        let mut bad_flags = blob.clone();
         bad_flags[1] = 0xF0;
         assert!(matches!(
             BudgetMeter::from_blob(&bad_flags),
             Err(CheckpointError::Corrupt(_))
         ));
+        // Every single-bit flip decodes to `Ok` or a typed error, never
+        // a panic.
+        let mut flipped = blob.clone();
+        for bit in 0..blob.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = BudgetMeter::from_blob(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// Pins an uncapped meter (flags 0) byte for byte; the checkpoint
+    /// golden pins one with both caps (flags 3).
+    #[test]
+    fn meter_blob_bytes_are_golden() {
+        let m = BudgetMeter {
+            budget: QueryBudget::unlimited(),
+            spent: QueryCost {
+                queries: 3,
+                rows: 96,
+                cached_rows: 5,
+            },
+        };
+        let hex: String = m.to_blob().iter().map(|b| format!("{b:02x}")).collect();
+        let golden = concat!(
+            "01",               // version
+            "00",               // flags: no caps
+            "0300000000000000", // queries
+            "6000000000000000", // rows
+            "0500000000000000", // cached_rows
+        );
+        assert_eq!(hex, golden);
     }
 
     #[test]

@@ -210,11 +210,43 @@ mod tests {
         assert_eq!(back.to_blob(), blob);
     }
 
+    /// Pins the blob byte for byte (spaces only separate fields): a
+    /// layout change must show up here as a deliberate edit.
+    #[test]
+    fn blob_bytes_are_golden() {
+        let hex: String = sample()
+            .to_blob()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let golden = concat!(
+            "01 0c00 303064656164626565663030 ",  // version, fingerprint
+            "1d00000000000000 00 ",               // seed, incomplete
+            "6000000000000000 8000000000000000 ", // rows_done, rows_planned
+            "0300000000000000 6000000000000000 0000000000000000 ", // cost
+            "02 ",                                // attacks
+            "0300 657361 6000000000000000 0200000000000000 ", // esa, rows, degraded
+            "e59105f9b048893f 03000000 ",         // mse, 3 per-feature figures
+            "9a9999999999b93f 0000000000001000 e86600f7b4e7547e ",
+            "0300 707261 6000000000000000 0000000000000000 ", // pra, rows, degraded
+            "000000000000d03f 00000000",                      // mse, no per-feature figures
+        );
+        assert_eq!(hex, golden.replace(' ', ""));
+    }
+
     #[test]
     fn every_truncation_is_typed() {
         let blob = sample().to_blob();
         for cut in 0..blob.len() {
             assert!(JobOutcome::from_blob(&blob[..cut]).is_err(), "cut {cut}");
+        }
+        // Every single-bit flip decodes to `Ok` or a typed error, never
+        // a panic.
+        let mut flipped = blob.clone();
+        for bit in 0..blob.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = JobOutcome::from_blob(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
         }
         let mut blob = sample().to_blob();
         blob.push(7);

@@ -386,6 +386,33 @@ mod tests {
         assert_eq!(JobSpec::from_blob(&spec.to_blob()).unwrap(), spec);
     }
 
+    /// Pins both blobs byte for byte (spaces only separate fields): a
+    /// layout change must show up here as a deliberate edit.
+    #[test]
+    fn blob_bytes_are_golden() {
+        let hex = |spec: &JobSpec| -> String {
+            spec.to_blob().iter().map(|b| format!("{b:02x}")).collect()
+        };
+        let sample_hex = concat!(
+            "01 02 ",                             // version, DriveDiagnosis
+            "7b14ae47e17a743f 9a9999999999d93f ", // scale 0.005, target 0.4
+            "2900000000000000 01 02 ",            // seed, tree, coarse rounding
+            "02 01 00 ",                          // attacks: PRA, ESA
+            "01 0c00000000000000 10000000 ",      // max_queries 12, chunk 16
+            "01 02000000 00000000 05000000",      // shared ×2, no cache, throttle
+        );
+        assert_eq!(hex(&sample()), sample_hex.replace(' ', ""));
+        let default_hex = concat!(
+            "01 01 ",                             // version, CreditCard
+            "7b14ae47e17a943f 333333333333d33f ", // scale 0.02, target 0.3
+            "0700000000000000 00 00 ",            // seed, logistic, no defense
+            "01 00 ",                             // attacks: ESA
+            "00 20000000 ",                       // no budget caps, chunk 32
+            "00 00000000",                        // in-process, no throttle
+        );
+        assert_eq!(hex(&JobSpec::default()), default_hex.replace(' ', ""));
+    }
+
     #[test]
     fn every_truncation_is_typed() {
         let blob = sample().to_blob();
@@ -394,6 +421,14 @@ mod tests {
                 Err(_) => {}
                 Ok(_) => panic!("cut {cut} decoded"),
             }
+        }
+        // Every single-bit flip decodes to `Ok` or a typed error, never
+        // a panic.
+        let mut flipped = blob.clone();
+        for bit in 0..blob.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = JobSpec::from_blob(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
         }
     }
 

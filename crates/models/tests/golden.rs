@@ -7,10 +7,16 @@
 //! any tape op, the Adam update or the GEMM kernels must keep f64
 //! training bit-identical, so these constants never change, on any
 //! kernel backend (`FIA_FORCE_SCALAR=1` included).
+//!
+//! `persisted_models_match_golden_bytes` pins the persistence format the
+//! same way: the `to_bytes` output of one small model of each family.
 
 use fia_data::{make_classification, normalize_dataset, Dataset, SynthConfig};
 use fia_linalg::Matrix;
-use fia_models::{Activation, LogisticRegression, LrConfig, Mlp, MlpConfig, PredictProba};
+use fia_models::{
+    Activation, DecisionTree, LogisticRegression, LrConfig, Mlp, MlpConfig, PredictProba,
+    RandomForest, TreeNode,
+};
 
 fn dataset(n_classes: usize, seed: u64) -> Dataset {
     let cfg = SynthConfig {
@@ -122,4 +128,68 @@ fn soft_target_training_matches_golden_fingerprint() {
     let mut student = Mlp::new(ds.n_features(), ds.n_classes, &mlp_config());
     student.train_soft_targets(&ds.features, &soft, 6, 64, 2e-3, 17);
     assert_eq!(mlp_fingerprint(&student), 0xfa18_6c8e_3abf_ed0e);
+}
+
+/// FNV-1a over raw bytes.
+fn fnv64_bytes(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn stump(threshold: f64) -> DecisionTree {
+    DecisionTree::from_nodes(
+        vec![
+            TreeNode::Internal {
+                feature: 0,
+                threshold,
+            },
+            TreeNode::Leaf { label: 0 },
+            TreeNode::Leaf { label: 1 },
+        ],
+        1,
+        2,
+    )
+}
+
+/// Pins `to_bytes` of one small model of every family: hex for the LR
+/// and the tree, FNV-64 plus length for the forest and the network
+/// (spaces in the hex only separate fields). A persistence layout change
+/// must show up here as a deliberate edit.
+#[test]
+fn persisted_models_match_golden_bytes() {
+    let weights = Matrix::from_vec(2, 1, vec![0.5, -1.0]).unwrap();
+    let lr = LogisticRegression::from_parameters(weights, vec![0.25], 2);
+    let lr_hex = concat!(
+        "46494c52 01 ",                       // "FILR", version
+        "0200000000000000 ",                  // classes
+        "0200000000000000 0100000000000000 ", // weights 2 × 1
+        "000000000000e03f 000000000000f0bf ",
+        "0100000000000000 000000000000d03f", // bias
+    );
+    assert_eq!(hex(&lr.to_bytes()), lr_hex.replace(' ', ""));
+
+    let dt_hex = concat!(
+        "46494454 01 ",                                        // "FIDT", version
+        "0100000000000000 0200000000000000 0300000000000000 ", // d, c, nodes
+        "02 0000000000000000 000000000000e03f ",               // split x0 ≤ 0.5
+        "01 0000000000000000 01 0100000000000000",             // leaves 0, 1
+    );
+    assert_eq!(hex(&stump(0.5).to_bytes()), dt_hex.replace(' ', ""));
+
+    let rf = RandomForest::from_trees(vec![stump(0.5), stump(-1.0)], 1, 2).to_bytes();
+    assert_eq!((rf.len(), fnv64_bytes(&rf)), (173, 0xbf7f_fa9f_dc94_340a));
+
+    let cfg = MlpConfig {
+        hidden: vec![3],
+        activation: Activation::Tanh,
+        layer_norm: true,
+        ..mlp_config().with_dropout(0.2)
+    };
+    let mlp = Mlp::new(4, 2, &cfg).to_bytes();
+    assert_eq!((mlp.len(), fnv64_bytes(&mlp)), (369, 0xbcb8_308a_bf6a_bece));
 }

@@ -1216,7 +1216,27 @@ mod tests {
         ));
     }
 
-    /// Truncated frames fail with a typed error at every cut point — the
+    /// Every proper prefix of `payload` is [`WireError::Truncated`], and
+    /// every single-bit flip of it decodes to `Ok` or a typed `Err`
+    /// without panicking.
+    fn cut_and_flip<T: std::fmt::Debug>(payload: &[u8], decode: fn(&[u8]) -> Result<T, WireError>) {
+        let op = payload[0];
+        for cut in 0..payload.len() {
+            match decode(&payload[..cut]) {
+                Err(WireError::Truncated) => {}
+                other => panic!("op {op:#04x}: cut {cut} gave {other:?}"),
+            }
+        }
+        let mut flipped = payload.to_vec();
+        for bit in 0..payload.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// Truncated frames fail with a typed error at every cut point, and
+    /// bit flips never panic, for every request and response op — the
     /// decoder must never panic or misread garbage as a message.
     #[test]
     fn truncated_payload_errors_at_every_cut() {
@@ -1225,12 +1245,15 @@ mod tests {
             random_matrix(&mut rng, 3, 4),
             random_matrix(&mut rng, 3, 2),
         ]);
-        let payload = encode_request(&req).unwrap();
-        for cut in 0..payload.len() {
-            match decode_request(&payload[..cut]) {
-                Err(_) => {}
-                Ok(other) => panic!("cut {cut} decoded as {other:?}"),
-            }
+        cut_and_flip(&encode_request(&req).unwrap(), decode_request);
+        // Two values of every op.
+        for case in 0..2 * 17 {
+            let req = random_request(&mut rng, case);
+            cut_and_flip(&encode_request(&req).unwrap(), decode_request);
+        }
+        for case in 0..2 * 15 {
+            let resp = random_response(&mut rng, case);
+            cut_and_flip(&encode_response(&resp).unwrap(), decode_response);
         }
     }
 
@@ -1338,6 +1361,189 @@ mod tests {
         assert_eq!(encode_request(&Request::Info).unwrap(), vec![0x04]);
         assert_eq!(encode_request(&Request::Shutdown).unwrap(), vec![0x06]);
         assert_eq!(encode_request(&Request::MetricsText).unwrap(), vec![0x07]);
+    }
+
+    /// One small value of every op the legacy test above leaves out,
+    /// pinned byte for byte (spaces only separate fields), so a layout
+    /// change names the op it moved.
+    #[test]
+    fn every_other_op_encodes_to_golden_bytes() {
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let ctx = fia_core::TraceContext {
+            trace_id: 0x0807_0605_0403_0201,
+            parent_span: 0x1817_1615_1413_1211,
+        };
+        let m = Matrix::from_vec(1, 1, vec![1.5]).unwrap();
+        let info = JobStatusInfo {
+            id: 7,
+            state: JobState::Running,
+            fingerprint: "ab".to_string(),
+            chunks_done: 1,
+            rows_done: 2,
+            rows_planned: 3,
+            queries: 4,
+            rows: 5,
+            cached_rows: 6,
+            resumes: 0,
+            events: 8,
+            detail: String::new(),
+        };
+        let info_hex = concat!(
+            "0700000000000000 01 02000000 6162 0100000000000000 0200000000000000 ",
+            "0300000000000000 0400000000000000 0500000000000000 0600000000000000 ",
+            "0000000000000000 0800000000000000 00000000",
+        );
+        let requests = [
+            (
+                "PredictByIndexTraced",
+                Request::PredictByIndexTraced(vec![1], ctx),
+                "08 0102030405060708 1112131415161718 01000000 01000000".to_string(),
+            ),
+            (
+                "PredictFeaturesTraced",
+                Request::PredictFeaturesTraced(vec![m.clone()], ctx),
+                "09 0102030405060708 1112131415161718 01000000 01000000 01000000 000000000000f83f"
+                    .to_string(),
+            ),
+            ("TraceExport", Request::TraceExport, "0a".to_string()),
+            ("AuditReport", Request::AuditReport, "0b".to_string()),
+            (
+                "DeclareSession",
+                Request::DeclareSession("ab".to_string()),
+                "0c 02000000 6162".to_string(),
+            ),
+            (
+                "JobSubmit",
+                Request::JobSubmit(vec![0xAB, 0xCD]),
+                "0d 02000000 abcd".to_string(),
+            ),
+            (
+                "JobStatus",
+                Request::JobStatus(7),
+                "0e 0700000000000000".to_string(),
+            ),
+            ("JobList", Request::JobList, "0f".to_string()),
+            (
+                "JobCancel",
+                Request::JobCancel(7),
+                "10 0700000000000000".to_string(),
+            ),
+            (
+                "JobAttach",
+                Request::JobAttach { id: 7, from_seq: 3 },
+                "11 0700000000000000 0300000000000000".to_string(),
+            ),
+            (
+                "JobReport",
+                Request::JobReport(7),
+                "12 0700000000000000".to_string(),
+            ),
+        ];
+        for (op, req, want) in requests {
+            let bytes = encode_request(&req).unwrap();
+            assert_eq!(hex(&bytes), want.replace(' ', ""), "{op}");
+            assert_eq!(decode_request(&bytes).unwrap(), req, "{op}");
+        }
+        let responses = [
+            ("Pong", Response::Pong, "81".to_string()),
+            (
+                "Scores",
+                Response::Scores {
+                    scores: Matrix::from_vec(1, 2, vec![0.5, 0.25]).unwrap(),
+                    cached_rows: 1,
+                },
+                "82 01000000 01000000 02000000 000000000000e03f 000000000000d03f".to_string(),
+            ),
+            (
+                "Info",
+                Response::Info(ServerInfo {
+                    n_samples: 10,
+                    n_features: 3,
+                    n_classes: 2,
+                    party_widths: vec![1, 2],
+                }),
+                "83 0a000000 03000000 02000000 02000000 01000000 02000000".to_string(),
+            ),
+            ("ShuttingDown", Response::ShuttingDown, "85".to_string()),
+            (
+                "MetricsText",
+                Response::MetricsText("m 1\n".to_string()),
+                "86 04000000 6d20310a".to_string(),
+            ),
+            (
+                "TraceJsonl",
+                Response::TraceJsonl("{}\n".to_string()),
+                "87 03000000 7b7d0a".to_string(),
+            ),
+            (
+                "Audit",
+                Response::Audit(AuditSummary {
+                    n_samples: 4,
+                    clients: vec![ClientAudit {
+                        client: "c".to_string(),
+                        queries: 1,
+                        rows: 2,
+                        cached_rows: 0,
+                        distinct_rows: 2,
+                        repeat_rows: 0,
+                        feature_queries: 0,
+                        window_rate_rps: 0.5,
+                        flags: vec!["f".to_string()],
+                    }],
+                }),
+                concat!(
+                    "88 0400000000000000 01000000 01000000 63 0100000000000000 ",
+                    "0200000000000000 0000000000000000 0200000000000000 0000000000000000 ",
+                    "0000000000000000 000000000000e03f 01000000 01000000 66",
+                )
+                .to_string(),
+            ),
+            ("SessionAck", Response::SessionAck, "89".to_string()),
+            (
+                "JobAccepted",
+                Response::JobAccepted(7),
+                "8a 0700000000000000".to_string(),
+            ),
+            (
+                "JobInfo",
+                Response::JobInfo(info.clone()),
+                format!("8b {info_hex}"),
+            ),
+            (
+                "JobTable",
+                Response::JobTable(vec![info]),
+                format!("8c 01000000 {info_hex}"),
+            ),
+            (
+                "JobEvent",
+                Response::JobEvent {
+                    id: 7,
+                    seq: 2,
+                    json: "{}".to_string(),
+                },
+                "8d 0700000000000000 0200000000000000 02000000 7b7d".to_string(),
+            ),
+            (
+                "JobEventsEnd",
+                Response::JobEventsEnd { id: 7, next_seq: 3 },
+                "8e 0700000000000000 0300000000000000".to_string(),
+            ),
+            (
+                "JobReportBlob",
+                Response::JobReportBlob(vec![1, 2]),
+                "8f 02000000 0102".to_string(),
+            ),
+            (
+                "Error",
+                Response::Error("no".to_string()),
+                "ee 02000000 6e6f".to_string(),
+            ),
+        ];
+        for (op, resp, want) in responses {
+            let bytes = encode_response(&resp).unwrap();
+            assert_eq!(hex(&bytes), want.replace(' ', ""), "{op}");
+            assert_eq!(decode_response(&bytes).unwrap(), resp, "{op}");
+        }
     }
 
     /// The traced predict layout is tag, 16-byte trace context, then the
