@@ -11,8 +11,9 @@
 //! accumulation chunk to land exactly on the limit), but the adapter is
 //! the hard stop.
 
-use crate::checkpoint::{CheckpointError, Cursor};
+use crate::checkpoint::CheckpointError;
 use fia_core::{OracleError, PredictionOracle, QueryCost, TraceContext};
+use fia_linalg::bytes::{ByteReader, ByteWriter};
 use fia_linalg::Matrix;
 
 /// A hard limit on what an adversary session may spend against the
@@ -140,20 +141,20 @@ impl BudgetMeter {
         }
         out.push(flags);
         if let Some(q) = self.budget.max_queries {
-            out.extend_from_slice(&q.to_le_bytes());
+            out.put_u64(q);
         }
         if let Some(r) = self.budget.max_rows {
-            out.extend_from_slice(&r.to_le_bytes());
+            out.put_u64(r);
         }
-        out.extend_from_slice(&self.spent.queries.to_le_bytes());
-        out.extend_from_slice(&self.spent.rows.to_le_bytes());
-        out.extend_from_slice(&self.spent.cached_rows.to_le_bytes());
+        out.put_u64(self.spent.queries);
+        out.put_u64(self.spent.rows);
+        out.put_u64(self.spent.cached_rows);
         out
     }
 
     /// Decodes a blob produced by [`BudgetMeter::to_blob`].
     pub fn from_blob(blob: &[u8]) -> Result<Self, CheckpointError> {
-        let mut c = Cursor::new(blob);
+        let mut c = ByteReader::new(blob);
         let version = c.u8()?;
         if version != METER_VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));

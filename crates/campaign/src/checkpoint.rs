@@ -26,6 +26,7 @@
 
 use crate::budget::{BudgetMeter, QueryBudget};
 use fia_core::{fnv, QueryCost};
+use fia_linalg::bytes::{ByteReader, ByteWriter, Truncated};
 use fia_linalg::Matrix;
 
 /// Blob magic: `0xF1A_C4B01` truncated to 32 bits, little-endian on the
@@ -93,45 +94,9 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// A little-endian byte cursor shared by the checkpoint and budget-meter
-/// codecs.
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(CheckpointError::Truncated);
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, CheckpointError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+impl From<Truncated> for CheckpointError {
+    fn from(_: Truncated) -> Self {
+        CheckpointError::Truncated
     }
 }
 
@@ -185,23 +150,21 @@ impl BlobHeader<'_> {
         let meter = self.meter.to_blob();
         let fp = self.fingerprint.as_bytes();
         let mut out = Vec::with_capacity(64 + meter.len() + fp.len() + cells.len() * 8);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.put_u32(MAGIC);
         out.push(VERSION);
-        out.extend_from_slice(&(fp.len() as u16).to_le_bytes());
+        out.put_u16(fp.len() as u16);
         out.extend_from_slice(fp);
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&(meter.len() as u32).to_le_bytes());
+        out.put_u64(self.seed);
+        out.put_u32(meter.len() as u32);
         out.extend_from_slice(&meter);
-        out.extend_from_slice(&(self.rows_done as u64).to_le_bytes());
-        out.extend_from_slice(&(self.chunks_issued as u64).to_le_bytes());
-        out.extend_from_slice(&(self.chunk as u64).to_le_bytes());
-        out.extend_from_slice(&(rows as u64).to_le_bytes());
-        out.extend_from_slice(&(cols as u64).to_le_bytes());
-        for &v in cells {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        out.put_u64(self.rows_done as u64);
+        out.put_u64(self.chunks_issued as u64);
+        out.put_u64(self.chunk as u64);
+        out.put_u64(rows as u64);
+        out.put_u64(cols as u64);
+        out.put_f64s(cells);
         let sum = fnv(0, &out);
-        out.extend_from_slice(&sum.to_le_bytes());
+        out.put_u64(sum);
         out
     }
 }
@@ -324,15 +287,7 @@ impl CampaignCheckpoint {
     /// torn, corrupted or version-skewed bytes with a typed
     /// [`CheckpointError`].
     pub fn from_blob(blob: &[u8]) -> Result<Self, CheckpointError> {
-        if blob.len() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let (body, tail) = blob.split_at(blob.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv(0, body) != stored {
-            return Err(CheckpointError::Corrupt("checksum mismatch"));
-        }
-        let mut c = Cursor::new(body);
+        let mut c = ByteReader::new(checked_body(blob)?);
         if c.u32()? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
@@ -361,23 +316,17 @@ impl CampaignCheckpoint {
         let cells = rows
             .checked_mul(cols)
             .ok_or(CheckpointError::Corrupt("matrix shape overflows"))?;
-        if c.remaining() != cells * 8 {
-            return Err(CheckpointError::Corrupt("matrix payload length mismatch"));
-        }
+        // The matrix is the rest of the body, exactly.
+        let data = c
+            .f64s(cells)
+            .ok()
+            .filter(|_| c.remaining() == 0)
+            .ok_or(CheckpointError::Corrupt("matrix payload length mismatch"))?;
         if rows > rows_done {
             return Err(CheckpointError::Corrupt("corpus rows exceed the cursor"));
         }
-        let bits = c.take(cells * 8)?;
-        let confidences = if cells == 0 {
-            Matrix::zeros(rows, cols)
-        } else {
-            let data: Vec<f64> = bits
-                .chunks_exact(8)
-                .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().unwrap())))
-                .collect();
-            Matrix::from_vec(rows, cols, data)
-                .map_err(|_| CheckpointError::Corrupt("matrix shape rejected"))?
-        };
+        let confidences = Matrix::from_vec(rows, cols, data)
+            .map_err(|_| CheckpointError::Corrupt("matrix shape rejected"))?;
         Ok(CampaignCheckpoint {
             fingerprint,
             seed,
@@ -389,6 +338,19 @@ impl CampaignCheckpoint {
             confidences,
         })
     }
+}
+
+/// Splits the FNV-1a trailer off `blob` and returns the body it seals.
+fn checked_body(blob: &[u8]) -> Result<&[u8], CheckpointError> {
+    let body_len = blob
+        .len()
+        .checked_sub(8)
+        .ok_or(CheckpointError::Truncated)?;
+    let (body, trailer) = blob.split_at(body_len);
+    if ByteReader::new(trailer).u64()? != fnv(0, body) {
+        return Err(CheckpointError::Corrupt("checksum mismatch"));
+    }
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -558,6 +520,25 @@ mod tests {
         assert_eq!(
             CampaignCheckpoint::from_blob(&over.to_blob()),
             Err(CheckpointError::Corrupt("corpus rows exceed the cursor"))
+        );
+        // A sealed blob whose 2^61 × 1 matrix would need 2^64 bytes (and
+        // whose cursor covers its rows) carries no cells: a typed error,
+        // not an overflow in the length arithmetic.
+        let mut blob = CampaignCheckpoint {
+            rows_done: 0,
+            confidences: Matrix::zeros(0, 4),
+            ..sample()
+        }
+        .to_blob();
+        let body_len = blob.len() - 8;
+        blob[body_len - 40..body_len - 32].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        blob[body_len - 16..body_len - 8].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        blob[body_len - 8..body_len].copy_from_slice(&1u64.to_le_bytes());
+        let sum = fnv(0, &blob[..body_len]);
+        blob[body_len..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            CampaignCheckpoint::from_blob(&blob),
+            Err(CheckpointError::Corrupt("matrix payload length mismatch"))
         );
     }
 

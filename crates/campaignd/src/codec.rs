@@ -1,11 +1,13 @@
-//! Tiny byte-blob codec shared by the job spec and outcome formats.
+//! The pieces the job spec and outcome formats share.
 //!
 //! Job specs travel over the wire (inside `JOB_SUBMIT` frames) and rest
 //! on disk; outcomes rest on disk and travel back in `JOB_REPORT_BLOB`
-//! frames. Both are versioned little-endian blobs decoded through this
-//! bounds-checked cursor so a malformed byte yields a typed
-//! [`BlobError`], never a panic or a silent mis-read.
+//! frames. Both are versioned little-endian blobs read through the
+//! workspace's byte codec ([`fia_core::bytes`]) plus the u16-prefixed
+//! strings and the trailing-bytes check below, so a malformed byte
+//! yields a typed [`BlobError`], never a panic or a silent mis-read.
 
+use fia_core::bytes::{ByteReader, ByteWriter, Truncated};
 use std::fmt;
 
 /// A typed decode failure for campaignd blobs.
@@ -33,64 +35,35 @@ impl fmt::Display for BlobError {
 
 impl std::error::Error for BlobError {}
 
-/// Bounds-checked reader over a blob.
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], BlobError> {
-        let end = self.pos.checked_add(n).ok_or(BlobError::Truncated)?;
-        let s = self.bytes.get(self.pos..end).ok_or(BlobError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, BlobError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, BlobError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, BlobError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, BlobError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Decode must consume every byte; trailing garbage is an error.
-    pub(crate) fn finish(self) -> Result<(), BlobError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(BlobError::Invalid("trailing bytes"))
-        }
+impl From<Truncated> for BlobError {
+    fn from(_: Truncated) -> Self {
+        BlobError::Truncated
     }
 }
 
 /// Appends `len ∥ bytes` with a u16 length prefix.
 pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     let len = u16::try_from(s.len()).expect("string field fits u16");
-    out.extend_from_slice(&len.to_le_bytes());
+    out.put_u16(len);
     out.extend_from_slice(s.as_bytes());
 }
 
 /// Reads a u16-length-prefixed UTF-8 string, capped at `max` bytes.
-pub(crate) fn get_str(c: &mut Cursor<'_>, max: usize) -> Result<String, BlobError> {
-    let len = u16::from_le_bytes(c.take(2)?.try_into().unwrap()) as usize;
+pub(crate) fn get_str(r: &mut ByteReader<'_>, max: usize) -> Result<String, BlobError> {
+    let len = r.u16()? as usize;
     if len > max {
         return Err(BlobError::Invalid("string field too long"));
     }
-    String::from_utf8(c.take(len)?.to_vec()).map_err(|_| BlobError::Invalid("string not utf-8"))
+    String::from_utf8(r.take(len)?.to_vec()).map_err(|_| BlobError::Invalid("string not utf-8"))
+}
+
+/// Decode must consume every byte; trailing garbage is an error.
+pub(crate) fn finish(r: &ByteReader<'_>) -> Result<(), BlobError> {
+    if r.remaining() == 0 {
+        Ok(())
+    } else {
+        Err(BlobError::Invalid("trailing bytes"))
+    }
 }
 
 #[cfg(test)]
@@ -98,33 +71,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cursor_reads_are_bounds_checked() {
-        let mut c = Cursor::new(&[1, 2, 3]);
-        assert_eq!(c.u8().unwrap(), 1);
-        assert_eq!(c.u32(), Err(BlobError::Truncated));
-        let mut c = Cursor::new(&[1, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(c.u64().unwrap(), 1);
-        c.finish().unwrap();
-    }
-
-    #[test]
     fn strings_round_trip_and_reject_abuse() {
         let mut out = Vec::new();
         put_str(&mut out, "hello");
-        let mut c = Cursor::new(&out);
-        assert_eq!(get_str(&mut c, 16).unwrap(), "hello");
-        let mut c = Cursor::new(&out);
+        let mut r = ByteReader::new(&out);
+        assert_eq!(get_str(&mut r, 16).unwrap(), "hello");
+        finish(&r).unwrap();
+        let mut r = ByteReader::new(&out);
         assert_eq!(
-            get_str(&mut c, 3),
+            get_str(&mut r, 3),
             Err(BlobError::Invalid("string field too long"))
         );
+        let mut r = ByteReader::new(&out[..4]);
+        assert_eq!(get_str(&mut r, 16), Err(BlobError::Truncated));
         let mut bad = Vec::new();
         bad.extend_from_slice(&2u16.to_le_bytes());
         bad.extend_from_slice(&[0xFF, 0xFE]);
-        let mut c = Cursor::new(&bad);
+        let mut r = ByteReader::new(&bad);
         assert_eq!(
-            get_str(&mut c, 16),
+            get_str(&mut r, 16),
             Err(BlobError::Invalid("string not utf-8"))
+        );
+        assert_eq!(
+            finish(&ByteReader::new(&[0])),
+            Err(BlobError::Invalid("trailing bytes"))
         );
     }
 }

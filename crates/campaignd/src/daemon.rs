@@ -36,7 +36,9 @@ use fia_campaign::{
 use fia_serve::sys::{
     drain_wake_pipe, fd_of, wake_pair, AcceptBackoff, Event, Interest, Poller, Waker,
 };
-use fia_serve::wire::{decode_request, encode_response, Request, Response, MAX_FRAME_LEN};
+use fia_serve::wire::{
+    append_frame, decode_request, encode_response, split_frame, Request, Response,
+};
 use fia_serve::{JobState, JobStatusInfo, PredictionServer, RemoteOracle, ServerHandle};
 use fia_telemetry::{encode_prometheus, global, Counter, Tracer};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -839,20 +841,10 @@ impl Reactor {
         self.dispatch_frames(token, conn)
     }
 
+    /// Serves every whole frame in the inbox; an over-cap length prefix
+    /// drops the connection.
     fn dispatch_frames(&mut self, token: u64, conn: &mut Conn) -> Result<(), ()> {
-        loop {
-            if conn.inbox.len() < 4 {
-                return Ok(());
-            }
-            let len = u32::from_le_bytes(conn.inbox[0..4].try_into().unwrap()) as usize;
-            if len > MAX_FRAME_LEN {
-                return Err(());
-            }
-            if conn.inbox.len() < 4 + len {
-                return Ok(());
-            }
-            let payload: Vec<u8> = conn.inbox[4..4 + len].to_vec();
-            conn.inbox.drain(..4 + len);
+        while let Some(payload) = split_frame(&mut conn.inbox).map_err(|_| ())? {
             let response = match decode_request(&payload) {
                 Ok(request) => self.handle_request(token, conn, request),
                 Err(e) => Some(Response::Error(format!("bad request: {e}"))),
@@ -861,6 +853,7 @@ impl Reactor {
                 stage(conn, &resp);
             }
         }
+        Ok(())
     }
 
     /// Serves one request. Returns the response to stage, or `None`
@@ -1066,9 +1059,7 @@ fn stage(conn: &mut Conn, resp: &Response) {
 }
 
 fn push_frame(conn: &mut Conn, payload: &[u8]) {
-    conn.out
-        .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    conn.out.extend_from_slice(payload);
+    append_frame(&mut conn.out, payload).expect("encoded responses fit the frame cap");
 }
 
 /// Writes as much buffered output as the socket accepts; registers

@@ -10,8 +10,9 @@
 //! identity by comparing blobs, which is exactly what the
 //! kill-and-restart tests do.
 
-use crate::codec::{get_str, put_str, BlobError, Cursor};
+use crate::codec::{finish, get_str, put_str, BlobError};
 use fia_campaign::CampaignReport;
+use fia_core::bytes::{ByteReader, ByteWriter};
 use fia_core::QueryCost;
 
 /// Outcome blob format version.
@@ -84,30 +85,28 @@ impl JobOutcome {
         let mut out = Vec::with_capacity(128);
         out.push(OUTCOME_VERSION);
         put_str(&mut out, &self.fingerprint);
-        out.extend_from_slice(&self.seed.to_le_bytes());
+        out.put_u64(self.seed);
         out.push(u8::from(self.complete));
-        out.extend_from_slice(&self.rows_done.to_le_bytes());
-        out.extend_from_slice(&self.rows_planned.to_le_bytes());
-        out.extend_from_slice(&self.cost.queries.to_le_bytes());
-        out.extend_from_slice(&self.cost.rows.to_le_bytes());
-        out.extend_from_slice(&self.cost.cached_rows.to_le_bytes());
+        out.put_u64(self.rows_done);
+        out.put_u64(self.rows_planned);
+        out.put_u64(self.cost.queries);
+        out.put_u64(self.cost.rows);
+        out.put_u64(self.cost.cached_rows);
         out.push(self.attacks.len() as u8);
         for a in &self.attacks {
             put_str(&mut out, &a.attack);
-            out.extend_from_slice(&a.rows.to_le_bytes());
-            out.extend_from_slice(&a.degraded_rows.to_le_bytes());
-            out.extend_from_slice(&a.mse.to_bits().to_le_bytes());
-            out.extend_from_slice(&(a.per_feature_mse.len() as u32).to_le_bytes());
-            for &m in &a.per_feature_mse {
-                out.extend_from_slice(&m.to_bits().to_le_bytes());
-            }
+            out.put_u64(a.rows);
+            out.put_u64(a.degraded_rows);
+            out.put_f64(a.mse);
+            out.put_u32(a.per_feature_mse.len() as u32);
+            out.put_f64s(&a.per_feature_mse);
         }
         out
     }
 
     /// Decodes an outcome blob; every failure is a typed [`BlobError`].
     pub fn from_blob(blob: &[u8]) -> Result<JobOutcome, BlobError> {
-        let mut c = Cursor::new(blob);
+        let mut c = ByteReader::new(blob);
         let version = c.u8()?;
         if version != OUTCOME_VERSION {
             return Err(BlobError::UnsupportedVersion(version));
@@ -140,10 +139,7 @@ impl JobOutcome {
             if n_feats > MAX_FEATURES {
                 return Err(BlobError::Invalid("too many features"));
             }
-            let mut per_feature_mse = Vec::with_capacity(n_feats);
-            for _ in 0..n_feats {
-                per_feature_mse.push(c.f64()?);
-            }
+            let per_feature_mse = c.f64s(n_feats)?;
             attacks.push(AttackOutcome {
                 attack,
                 rows,
@@ -152,7 +148,7 @@ impl JobOutcome {
                 per_feature_mse,
             });
         }
-        c.finish()?;
+        finish(&c)?;
         Ok(JobOutcome {
             fingerprint,
             seed,

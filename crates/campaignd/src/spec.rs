@@ -9,10 +9,11 @@
 //! fingerprint, which is what lets the daemon share one deployment
 //! between jobs that describe the same scenario.
 
-use crate::codec::{BlobError, Cursor};
+use crate::codec::{finish, BlobError};
 use fia_campaign::{
     AttackSpec, ModelSpec, OracleSpec, PartitionSpec, QueryBudget, ScenarioSpec, ServedConfig,
 };
+use fia_core::bytes::{ByteReader, ByteWriter};
 use fia_data::PaperDataset;
 use fia_defense::{DefensePipeline, RoundingDefense};
 
@@ -171,9 +172,9 @@ impl JobSpec {
         let mut out = Vec::with_capacity(64);
         out.push(SPEC_VERSION);
         out.push(dataset_code(self.dataset));
-        out.extend_from_slice(&self.scale.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.target_fraction.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
+        out.put_f64(self.scale);
+        out.put_f64(self.target_fraction);
+        out.put_u64(self.seed);
         out.push(match self.model {
             JobModel::Logistic => 0,
             JobModel::DecisionTree => 1,
@@ -193,12 +194,12 @@ impl JobSpec {
         let flags = u8::from(self.max_queries.is_some()) | (u8::from(self.max_rows.is_some()) << 1);
         out.push(flags);
         if let Some(q) = self.max_queries {
-            out.extend_from_slice(&q.to_le_bytes());
+            out.put_u64(q);
         }
         if let Some(r) = self.max_rows {
-            out.extend_from_slice(&r.to_le_bytes());
+            out.put_u64(r);
         }
-        out.extend_from_slice(&self.chunk.to_le_bytes());
+        out.put_u32(self.chunk);
         match self.oracle {
             JobOracle::InProcess => out.push(0),
             JobOracle::Shared {
@@ -206,17 +207,17 @@ impl JobSpec {
                 cache_capacity,
             } => {
                 out.push(1);
-                out.extend_from_slice(&replicas.to_le_bytes());
-                out.extend_from_slice(&cache_capacity.to_le_bytes());
+                out.put_u32(replicas);
+                out.put_u32(cache_capacity);
             }
         }
-        out.extend_from_slice(&self.throttle_ms.to_le_bytes());
+        out.put_u32(self.throttle_ms);
         out
     }
 
     /// Decodes and validates a spec blob.
     pub fn from_blob(blob: &[u8]) -> Result<JobSpec, BlobError> {
-        let mut c = Cursor::new(blob);
+        let mut c = ByteReader::new(blob);
         let version = c.u8()?;
         if version != SPEC_VERSION {
             return Err(BlobError::UnsupportedVersion(version));
@@ -264,7 +265,7 @@ impl JobSpec {
             _ => return Err(BlobError::Invalid("unknown oracle code")),
         };
         let throttle_ms = c.u32()?;
-        c.finish()?;
+        finish(&c)?;
         let spec = JobSpec {
             dataset,
             scale,

@@ -23,6 +23,7 @@
 //!   the fold accepted; otherwise new frames would land behind a torn
 //!   tail, where recovery never reaches them.
 
+use fia_core::bytes::{ByteReader, ByteWriter};
 use fia_core::fnv;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -108,10 +109,10 @@ impl JobLog {
             ));
         }
         let mut frame = Vec::with_capacity(payload.len() + 16);
-        frame.extend_from_slice(&LOG_MAGIC.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.put_u32(LOG_MAGIC);
+        frame.put_u32(payload.len() as u32);
         frame.extend_from_slice(payload);
-        frame.extend_from_slice(&fnv(0, payload).to_le_bytes());
+        frame.put_u64(fnv(0, payload));
         self.file.write_all(&frame)?;
         self.file.sync_data()
     }
@@ -131,34 +132,30 @@ impl JobLog {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e),
         }
+        let mut r = ByteReader::new(&bytes);
         let mut frames = Vec::new();
-        let mut pos = 0usize;
-        while let Some(header) = bytes.get(pos..pos + 8) {
-            let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-            if magic != LOG_MAGIC {
-                break;
-            }
-            let len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-            if len > MAX_RECORD_LEN {
-                break;
-            }
-            let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-                break;
-            };
-            let Some(sum) = bytes.get(pos + 8 + len..pos + 16 + len) else {
-                break;
-            };
-            if u64::from_le_bytes(sum.try_into().unwrap()) != fnv(0, payload) {
-                break;
-            }
-            pos += 16 + len;
+        while let Some(payload) = next_record(&mut r) {
             frames.push(Frame {
                 payload: payload.to_vec(),
-                end: pos as u64,
+                end: (bytes.len() - r.remaining()) as u64,
             });
         }
         Ok(frames)
     }
+}
+
+/// Reads the record at `r`, or `None` when its magic, length or checksum
+/// fails to verify or the bytes end inside it.
+fn next_record<'a>(r: &mut ByteReader<'a>) -> Option<&'a [u8]> {
+    if r.u32().ok()? != LOG_MAGIC {
+        return None;
+    }
+    let len = r.u32().ok()? as usize;
+    if len > MAX_RECORD_LEN {
+        return None;
+    }
+    let payload = r.take(len).ok()?;
+    (r.u64().ok()? == fnv(0, payload)).then_some(payload)
 }
 
 #[cfg(test)]

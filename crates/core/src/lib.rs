@@ -45,6 +45,8 @@ mod telemetry;
 
 pub use engine::{row_seed, Attack, AttackEngine, AttackResult, QueryBatch};
 pub use esa::EqualitySolvingAttack;
+/// Re-exported little-endian byte codec from `fia-linalg`.
+pub use fia_linalg::bytes;
 pub use grna::{Grna, GrnaConfig, TrainedGenerator};
 pub use hash::{fnv, fnv_words};
 pub use oracle::{

@@ -11,6 +11,9 @@
 //! * [`cholesky`] — Cholesky factorization, used by the ridge ablation.
 //! * [`pinv`] — Moore–Penrose pseudo-inverse (the workhorse of the
 //!   equality solving attack, Section IV-A of the paper).
+//! * [`bytes`] — the little-endian byte codec every binary format
+//!   (wire, checkpoints, job blobs, model persistence) reads and writes
+//!   its numbers through, so `f64`s travel as raw IEEE-754 bits.
 //!
 //! All routines are written for clarity and numerical robustness on the
 //! small/medium systems the attacks produce (`(c−1) × d_target` matrices).
@@ -20,6 +23,7 @@
 //! runtime (`FIA_FORCE_SCALAR=1` pins the scalar arm). Every kernel is
 //! bit-identical across backends.
 
+pub mod bytes;
 mod cholesky;
 mod error;
 pub mod kernel;

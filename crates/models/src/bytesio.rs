@@ -1,11 +1,13 @@
-//! Minimal self-describing binary codec for model persistence.
+//! The model persistence format's own pieces, over the workspace's byte
+//! codec ([`fia_linalg::bytes`]).
 //!
 //! A deliberately tiny format (little-endian, length-prefixed) so trained
 //! models can be saved and shipped without pulling a serialization
-//! framework into the workspace: `u64` lengths, `f64` values, one magic
-//! tag per model family, and a format-version byte for forward
-//! compatibility.
+//! framework into the workspace: a 4-byte magic tag per model family and
+//! a format-version byte, then `u64` lengths, `f64` values, one-byte
+//! flags, and matrices as `(rows, cols, data…)`.
 
+use fia_linalg::bytes::{ByteReader, ByteWriter, Truncated};
 use fia_linalg::Matrix;
 use std::fmt;
 
@@ -45,171 +47,101 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Append-only byte sink.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// Starts a stream with a 4-byte magic tag and a version byte.
-    pub fn with_header(magic: [u8; 4], version: u8) -> Self {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(&magic);
-        w.buf.push(version);
-        w
-    }
-
-    /// Writes a `u64` (LE).
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a `usize` as `u64`.
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Writes an `f64` (LE bit pattern).
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a single byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    /// Writes a length-prefixed `f64` slice.
-    pub fn f64_slice(&mut self, v: &[f64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.f64(x);
-        }
-    }
-
-    /// Writes a matrix as `(rows, cols, data…)`.
-    pub fn matrix(&mut self, m: &Matrix) {
-        self.usize(m.rows());
-        self.usize(m.cols());
-        for &x in m.as_slice() {
-            self.f64(x);
-        }
-    }
-
-    /// Finishes and returns the buffer.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
+impl From<Truncated> for DecodeError {
+    fn from(_: Truncated) -> Self {
+        DecodeError::UnexpectedEof
     }
 }
 
-/// Sequential byte source.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Starts a stream with a 4-byte magic tag and a version byte.
+pub(crate) fn put_header(out: &mut Vec<u8>, magic: [u8; 4], version: u8) {
+    out.extend_from_slice(&magic);
+    out.push(version);
 }
 
-impl<'a> Reader<'a> {
-    /// Opens a stream, checking the 4-byte magic and returning the
-    /// version byte.
-    pub fn with_header(buf: &'a [u8], magic: [u8; 4]) -> Result<(Self, u8), DecodeError> {
-        let mut r = Reader { buf, pos: 0 };
-        let found = r.bytes::<4>()?;
-        if found != magic {
-            return Err(DecodeError::BadMagic {
-                expected: magic,
-                found,
-            });
-        }
-        let version = r.u8()?;
-        Ok((r, version))
+/// Opens a stream written after [`put_header`], refusing another magic
+/// tag or version.
+pub(crate) fn open(
+    bytes: &[u8],
+    magic: [u8; 4],
+    version: u8,
+) -> Result<ByteReader<'_>, DecodeError> {
+    let mut r = ByteReader::new(bytes);
+    let found: [u8; 4] = r.take(4)?.try_into().expect("4 bytes");
+    if found != magic {
+        return Err(DecodeError::BadMagic {
+            expected: magic,
+            found,
+        });
     }
+    match r.u8()? {
+        v if v == version => Ok(r),
+        v => Err(DecodeError::BadVersion(v)),
+    }
+}
 
-    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        if self.pos + N > self.buf.len() {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let mut out = [0u8; N];
-        out.copy_from_slice(&self.buf[self.pos..self.pos + N]);
-        self.pos += N;
-        Ok(out)
-    }
+/// Writes a `usize` as a `u64`.
+pub(crate) fn put_usize(out: &mut Vec<u8>, v: usize) {
+    out.put_u64(v as u64);
+}
 
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.bytes::<8>()?))
-    }
+/// Reads a `usize`, rejecting values that do not fit the platform's
+/// `usize`. The value is not checked against the remaining buffer, so it
+/// must not size an allocation on its own.
+pub(crate) fn get_usize(r: &mut ByteReader<'_>) -> Result<usize, DecodeError> {
+    let v = r.u64()?;
+    usize::try_from(v).map_err(|_| DecodeError::Corrupt(format!("length {v} overflows")))
+}
 
-    /// Reads a `usize`, rejecting values that do not fit the platform's
-    /// `usize`. The value is not checked against the remaining buffer, so
-    /// it must not size an allocation on its own.
-    pub fn usize(&mut self) -> Result<usize, DecodeError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| DecodeError::Corrupt(format!("length {v} overflows")))
+/// Reads the item count of a sequence whose items each take at least
+/// `min_item_bytes` of the stream. A count the remaining buffer cannot
+/// hold is [`DecodeError::UnexpectedEof`], so a corrupt count never
+/// sizes an allocation.
+pub(crate) fn get_count(
+    r: &mut ByteReader<'_>,
+    min_item_bytes: usize,
+) -> Result<usize, DecodeError> {
+    let n = get_usize(r)?;
+    if n.saturating_mul(min_item_bytes) > r.remaining() {
+        return Err(DecodeError::UnexpectedEof);
     }
+    Ok(n)
+}
 
-    /// Reads the item count of a sequence whose items each take at least
-    /// `min_item_bytes` of the stream. A count the remaining buffer
-    /// cannot hold is [`DecodeError::UnexpectedEof`], so a corrupt count
-    /// never sizes an allocation.
-    pub(crate) fn count(&mut self, min_item_bytes: usize) -> Result<usize, DecodeError> {
-        let n = self.usize()?;
-        if n.saturating_mul(min_item_bytes) > self.buf.len() - self.pos {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        Ok(n)
+/// Reads a bool byte (must be 0 or 1).
+pub(crate) fn get_bool(r: &mut ByteReader<'_>) -> Result<bool, DecodeError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(DecodeError::Corrupt(format!("bad bool byte {other}"))),
     }
+}
 
-    /// Reads an `f64`.
-    pub fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_le_bytes(self.bytes::<8>()?))
-    }
+/// Writes a length-prefixed `f64` vector.
+pub(crate) fn put_vector(out: &mut Vec<u8>, v: &[f64]) {
+    put_usize(out, v.len());
+    out.put_f64s(v);
+}
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.bytes::<1>()?[0])
-    }
+/// Reads a vector written by [`put_vector`].
+pub(crate) fn get_vector(r: &mut ByteReader<'_>) -> Result<Vec<f64>, DecodeError> {
+    let n = get_usize(r)?;
+    Ok(r.f64s(n)?)
+}
 
-    /// Reads a bool byte (must be 0 or 1).
-    pub fn bool(&mut self) -> Result<bool, DecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(DecodeError::Corrupt(format!("bad bool byte {other}"))),
-        }
-    }
+/// Writes a matrix as `(rows, cols, data…)`.
+pub(crate) fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
+    put_usize(out, m.rows());
+    put_usize(out, m.cols());
+    out.put_f64s(m.as_slice());
+}
 
-    /// Reads a length-prefixed `f64` vector.
-    pub fn f64_vec(&mut self) -> Result<Vec<f64>, DecodeError> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    /// Reads a matrix written by [`Writer::matrix`].
-    pub fn matrix(&mut self) -> Result<Matrix, DecodeError> {
-        let rows = self.usize()?;
-        let cols = self.usize()?;
-        let need = rows.saturating_mul(cols).saturating_mul(8);
-        if need.saturating_add(self.pos) > self.buf.len() {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
-            data.push(self.f64()?);
-        }
-        Matrix::from_vec(rows, cols, data).map_err(|e| DecodeError::Corrupt(format!("matrix: {e}")))
-    }
-
-    /// `true` when the whole buffer was consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+/// Reads a matrix written by [`put_matrix`].
+pub(crate) fn get_matrix(r: &mut ByteReader<'_>) -> Result<Matrix, DecodeError> {
+    let rows = get_usize(r)?;
+    let cols = get_usize(r)?;
+    let data = r.f64s(rows.saturating_mul(cols))?;
+    Matrix::from_vec(rows, cols, data).map_err(|e| DecodeError::Corrupt(format!("matrix: {e}")))
 }
 
 #[cfg(test)]
@@ -218,57 +150,72 @@ mod tests {
 
     #[test]
     fn roundtrip_primitives() {
-        let mut w = Writer::with_header(*b"TEST", 1);
-        w.u64(42);
-        w.f64(-1.5);
-        w.bool(true);
-        w.f64_slice(&[1.0, 2.0]);
-        w.matrix(&Matrix::identity(2));
-        let bytes = w.finish();
+        let mut out = Vec::new();
+        put_header(&mut out, *b"TEST", 1);
+        put_usize(&mut out, 42);
+        out.push(1);
+        put_vector(&mut out, &[1.0, 2.0]);
+        put_matrix(&mut out, &Matrix::identity(2));
 
-        let (mut r, version) = Reader::with_header(&bytes, *b"TEST").unwrap();
-        assert_eq!(version, 1);
-        assert_eq!(r.u64().unwrap(), 42);
-        assert_eq!(r.f64().unwrap(), -1.5);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.f64_vec().unwrap(), vec![1.0, 2.0]);
-        assert_eq!(r.matrix().unwrap(), Matrix::identity(2));
-        assert!(r.is_exhausted());
+        let mut r = open(&out, *b"TEST", 1).unwrap();
+        assert_eq!(get_usize(&mut r).unwrap(), 42);
+        assert!(get_bool(&mut r).unwrap());
+        assert_eq!(get_vector(&mut r).unwrap(), vec![1.0, 2.0]);
+        assert_eq!(get_matrix(&mut r).unwrap(), Matrix::identity(2));
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
-    fn bad_magic_detected() {
-        let w = Writer::with_header(*b"AAAA", 1);
-        let bytes = w.finish();
-        let err = Reader::with_header(&bytes, *b"BBBB").unwrap_err();
-        assert!(matches!(err, DecodeError::BadMagic { .. }));
+    fn bad_magic_and_version_detected() {
+        let mut out = Vec::new();
+        put_header(&mut out, *b"AAAA", 1);
+        assert!(matches!(
+            open(&out, *b"BBBB", 1),
+            Err(DecodeError::BadMagic { .. })
+        ));
+        assert!(matches!(
+            open(&out, *b"AAAA", 2),
+            Err(DecodeError::BadVersion(1))
+        ));
+        assert!(matches!(
+            open(&out[..4], *b"AAAA", 1),
+            Err(DecodeError::UnexpectedEof)
+        ));
     }
 
     #[test]
     fn truncation_detected() {
-        let mut w = Writer::with_header(*b"TEST", 1);
-        w.matrix(&Matrix::filled(4, 4, 1.0));
-        let mut bytes = w.finish();
-        bytes.truncate(bytes.len() - 3);
-        let (mut r, _) = Reader::with_header(&bytes, *b"TEST").unwrap();
-        assert_eq!(r.matrix().unwrap_err(), DecodeError::UnexpectedEof);
+        let mut out = Vec::new();
+        put_matrix(&mut out, &Matrix::filled(4, 4, 1.0));
+        out.truncate(out.len() - 3);
+        let err = get_matrix(&mut ByteReader::new(&out)).unwrap_err();
+        assert_eq!(err, DecodeError::UnexpectedEof);
     }
 
     #[test]
     fn corrupt_bool_detected() {
-        let mut w = Writer::with_header(*b"TEST", 1);
-        w.u8(7);
-        let bytes = w.finish();
-        let (mut r, _) = Reader::with_header(&bytes, *b"TEST").unwrap();
-        assert!(matches!(r.bool(), Err(DecodeError::Corrupt(_))));
+        assert!(matches!(
+            get_bool(&mut ByteReader::new(&[7])),
+            Err(DecodeError::Corrupt(_))
+        ));
     }
 
     #[test]
-    fn huge_length_rejected_without_allocation() {
-        let mut w = Writer::with_header(*b"TEST", 1);
-        w.u64(u64::MAX / 2); // absurd length prefix
-        let bytes = w.finish();
-        let (mut r, _) = Reader::with_header(&bytes, *b"TEST").unwrap();
-        assert!(r.f64_vec().is_err());
+    fn huge_lengths_rejected_without_allocation() {
+        let mut out = Vec::new();
+        put_usize(&mut out, usize::MAX / 2); // absurd length prefix
+        assert!(get_vector(&mut ByteReader::new(&out)).is_err());
+        assert_eq!(
+            get_count(&mut ByteReader::new(&out), 1),
+            Err(DecodeError::UnexpectedEof)
+        );
+        // rows × cols × 8 overflows: a typed error, not a wrapped size.
+        let mut out = Vec::new();
+        put_usize(&mut out, 1 << 61);
+        put_usize(&mut out, 1);
+        assert_eq!(
+            get_matrix(&mut ByteReader::new(&out)),
+            Err(DecodeError::UnexpectedEof)
+        );
     }
 }

@@ -274,57 +274,60 @@ impl Mlp {
 
     /// Serializes architecture + weights (see [`crate::bytesio`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        use crate::bytesio::Writer;
-        let mut w = Writer::with_header(*b"FINN", 1);
-        w.usize(self.n_features);
-        w.usize(self.n_classes);
-        w.u8(match self.activation {
+        use crate::bytesio::{put_header, put_matrix, put_usize};
+        use fia_linalg::bytes::ByteWriter;
+        let mut out = Vec::new();
+        put_header(&mut out, *b"FINN", 1);
+        put_usize(&mut out, self.n_features);
+        put_usize(&mut out, self.n_classes);
+        out.push(match self.activation {
             Activation::Relu => 0,
             Activation::Tanh => 1,
             Activation::Sigmoid => 2,
         });
         match self.dropout {
             Some(p) => {
-                w.bool(true);
-                w.f64(p);
+                out.push(1);
+                out.put_f64(p);
             }
-            None => w.bool(false),
+            None => out.push(0),
         }
-        w.usize(self.layers.len());
+        put_usize(&mut out, self.layers.len());
         for layer in &self.layers {
-            w.matrix(self.params.get(layer.w));
-            w.matrix(self.params.get(layer.b));
+            put_matrix(&mut out, self.params.get(layer.w));
+            put_matrix(&mut out, self.params.get(layer.b));
             match layer.ln {
                 Some((gamma, beta)) => {
-                    w.bool(true);
-                    w.matrix(self.params.get(gamma));
-                    w.matrix(self.params.get(beta));
+                    out.push(1);
+                    put_matrix(&mut out, self.params.get(gamma));
+                    put_matrix(&mut out, self.params.get(beta));
                 }
-                None => w.bool(false),
+                None => out.push(0),
             }
         }
-        w.finish()
+        out
     }
 
     /// Deserializes a network written by [`Mlp::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, crate::bytesio::DecodeError> {
-        use crate::bytesio::{DecodeError, Reader};
-        let (mut r, version) = Reader::with_header(bytes, *b"FINN")?;
-        if version != 1 {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let n_features = r.usize()?;
-        let n_classes = r.usize()?;
+        use crate::bytesio::{get_bool, get_count, get_matrix, get_usize, open, DecodeError};
+        let mut r = open(bytes, *b"FINN", 1)?;
+        let n_features = get_usize(&mut r)?;
+        let n_classes = get_usize(&mut r)?;
         let activation = match r.u8()? {
             0 => Activation::Relu,
             1 => Activation::Tanh,
             2 => Activation::Sigmoid,
             other => return Err(DecodeError::Corrupt(format!("bad activation {other}"))),
         };
-        let dropout = if r.bool()? { Some(r.f64()?) } else { None };
+        let dropout = if get_bool(&mut r)? {
+            Some(r.f64()?)
+        } else {
+            None
+        };
         // Each layer takes at least two matrix headers and its LayerNorm
         // flag.
-        let n_layers = r.count(2 * 16 + 1)?;
+        let n_layers = get_count(&mut r, 2 * 16 + 1)?;
         if n_layers == 0 {
             return Err(DecodeError::Corrupt("network with no layers".into()));
         }
@@ -332,8 +335,8 @@ impl Mlp {
         let mut layers = Vec::with_capacity(n_layers);
         let mut expect_in = n_features;
         for li in 0..n_layers {
-            let wm = r.matrix()?;
-            let bm = r.matrix()?;
+            let wm = get_matrix(&mut r)?;
+            let bm = get_matrix(&mut r)?;
             if wm.rows() != expect_in || bm.shape() != (1, wm.cols()) {
                 return Err(DecodeError::Corrupt(format!(
                     "layer {li} shape mismatch: {}x{} after width {expect_in}",
@@ -344,9 +347,9 @@ impl Mlp {
             expect_in = wm.cols();
             let w = params.insert(wm);
             let b = params.insert(bm);
-            let ln = if r.bool()? {
-                let gm = r.matrix()?;
-                let bm2 = r.matrix()?;
+            let ln = if get_bool(&mut r)? {
+                let gm = get_matrix(&mut r)?;
+                let bm2 = get_matrix(&mut r)?;
                 if gm.shape() != (1, expect_in) || bm2.shape() != (1, expect_in) {
                     return Err(DecodeError::Corrupt(format!(
                         "layer {li} LayerNorm shape mismatch"

@@ -1,15 +1,20 @@
-//! Save/load for every model family, built on [`crate::bytesio`].
+//! Save/load for every model family, built on the persistence format's
+//! pieces in [`crate::bytesio`] over the workspace's byte codec.
 //!
 //! A trained vertical FL model is, per the threat model, *released to the
 //! parties* — so shipping it around as bytes is a first-class operation.
 //! Formats are versioned; decoding validates structural invariants so a
 //! corrupt or truncated buffer never produces a silently broken model.
 
-use crate::bytesio::{DecodeError, Reader, Writer};
+use crate::bytesio::{
+    get_count, get_matrix, get_usize, get_vector, open, put_header, put_matrix, put_usize,
+    put_vector, DecodeError,
+};
 use crate::forest::RandomForest;
 use crate::logistic::LogisticRegression;
 use crate::traits::PredictProba;
 use crate::tree::{DecisionTree, TreeNode};
+use fia_linalg::bytes::ByteWriter;
 
 const LR_MAGIC: [u8; 4] = *b"FILR";
 const DT_MAGIC: [u8; 4] = *b"FIDT";
@@ -19,22 +24,20 @@ const VERSION: u8 = 1;
 impl LogisticRegression {
     /// Serializes the model (weights, bias, class count).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_header(LR_MAGIC, VERSION);
-        w.usize(self.n_classes());
-        w.matrix(self.weights());
-        w.f64_slice(self.bias());
-        w.finish()
+        let mut out = Vec::new();
+        put_header(&mut out, LR_MAGIC, VERSION);
+        put_usize(&mut out, self.n_classes());
+        put_matrix(&mut out, self.weights());
+        put_vector(&mut out, self.bias());
+        out
     }
 
     /// Deserializes a model written by [`LogisticRegression::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let (mut r, version) = Reader::with_header(bytes, LR_MAGIC)?;
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let n_classes = r.usize()?;
-        let weights = r.matrix()?;
-        let bias = r.f64_vec()?;
+        let mut r = open(bytes, LR_MAGIC, VERSION)?;
+        let n_classes = get_usize(&mut r)?;
+        let weights = get_matrix(&mut r)?;
+        let bias = get_vector(&mut r)?;
         if bias.len() != weights.cols() {
             return Err(DecodeError::Corrupt(format!(
                 "bias length {} vs {} weight columns",
@@ -58,37 +61,35 @@ impl LogisticRegression {
 impl DecisionTree {
     /// Serializes the full binary node array.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_header(DT_MAGIC, VERSION);
-        w.usize(self.n_features());
-        w.usize(self.n_classes());
-        w.usize(self.nodes().len());
+        let mut out = Vec::new();
+        put_header(&mut out, DT_MAGIC, VERSION);
+        put_usize(&mut out, self.n_features());
+        put_usize(&mut out, self.n_classes());
+        put_usize(&mut out, self.nodes().len());
         for node in self.nodes() {
             match node {
-                TreeNode::Absent => w.u8(0),
+                TreeNode::Absent => out.push(0),
                 TreeNode::Leaf { label } => {
-                    w.u8(1);
-                    w.usize(*label);
+                    out.push(1);
+                    put_usize(&mut out, *label);
                 }
                 TreeNode::Internal { feature, threshold } => {
-                    w.u8(2);
-                    w.usize(*feature);
-                    w.f64(*threshold);
+                    out.push(2);
+                    put_usize(&mut out, *feature);
+                    out.put_f64(*threshold);
                 }
             }
         }
-        w.finish()
+        out
     }
 
     /// Deserializes a tree written by [`DecisionTree::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let (mut r, version) = Reader::with_header(bytes, DT_MAGIC)?;
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let n_features = r.usize()?;
-        let n_classes = r.usize()?;
+        let mut r = open(bytes, DT_MAGIC, VERSION)?;
+        let n_features = get_usize(&mut r)?;
+        let n_classes = get_usize(&mut r)?;
         // Each node takes at least its tag byte.
-        let len = r.count(1)?;
+        let len = get_count(&mut r, 1)?;
         if len == 0 || !len.checked_add(1).is_some_and(usize::is_power_of_two) {
             return Err(DecodeError::Corrupt(format!(
                 "node array length {len} is not 2^k − 1"
@@ -99,7 +100,7 @@ impl DecisionTree {
             nodes.push(match r.u8()? {
                 0 => TreeNode::Absent,
                 1 => {
-                    let label = r.usize()?;
+                    let label = get_usize(&mut r)?;
                     if label >= n_classes {
                         return Err(DecodeError::Corrupt(format!(
                             "leaf label {label} out of range (c = {n_classes})"
@@ -108,7 +109,7 @@ impl DecisionTree {
                     TreeNode::Leaf { label }
                 }
                 2 => {
-                    let feature = r.usize()?;
+                    let feature = get_usize(&mut r)?;
                     if feature >= n_features {
                         return Err(DecodeError::Corrupt(format!(
                             "feature {feature} out of range (d = {n_features})"
@@ -130,43 +131,36 @@ impl DecisionTree {
 }
 
 impl RandomForest {
-    /// Serializes the forest as a sequence of tree payloads.
+    /// Serializes the forest as a sequence of length-prefixed tree
+    /// payloads.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_header(RF_MAGIC, VERSION);
-        w.usize(self.n_features());
-        w.usize(self.n_classes());
-        w.usize(self.n_trees());
+        let mut out = Vec::new();
+        put_header(&mut out, RF_MAGIC, VERSION);
+        put_usize(&mut out, self.n_features());
+        put_usize(&mut out, self.n_classes());
+        put_usize(&mut out, self.n_trees());
         for tree in self.trees() {
             let payload = tree.to_bytes();
-            w.usize(payload.len());
-            for b in payload {
-                w.u8(b);
-            }
+            put_usize(&mut out, payload.len());
+            out.extend_from_slice(&payload);
         }
-        w.finish()
+        out
     }
 
     /// Deserializes a forest written by [`RandomForest::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let (mut r, version) = Reader::with_header(bytes, RF_MAGIC)?;
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let n_features = r.usize()?;
-        let n_classes = r.usize()?;
+        let mut r = open(bytes, RF_MAGIC, VERSION)?;
+        let n_features = get_usize(&mut r)?;
+        let n_classes = get_usize(&mut r)?;
         // Each tree takes at least its payload length prefix.
-        let n_trees = r.count(8)?;
+        let n_trees = get_count(&mut r, 8)?;
         if n_trees == 0 {
             return Err(DecodeError::Corrupt("forest with zero trees".into()));
         }
         let mut trees = Vec::with_capacity(n_trees);
         for _ in 0..n_trees {
-            let len = r.count(1)?;
-            let mut payload = Vec::with_capacity(len);
-            for _ in 0..len {
-                payload.push(r.u8()?);
-            }
-            let tree = DecisionTree::from_bytes(&payload)?;
+            let len = get_count(&mut r, 1)?;
+            let tree = DecisionTree::from_bytes(r.take(len)?)?;
             if tree.n_features() != n_features || tree.n_classes() != n_classes {
                 return Err(DecodeError::Corrupt(
                     "tree shape disagrees with forest header".into(),

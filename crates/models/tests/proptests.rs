@@ -5,7 +5,6 @@
 
 use fia_data::{make_classification, normalize_dataset, Dataset, SynthConfig};
 use fia_linalg::Matrix;
-use fia_models::bytesio::Writer;
 use fia_models::{
     Activation, DecisionTree, ForestConfig, LogisticRegression, LrConfig, Mlp, MlpConfig,
     PredictProba, RandomForest, TreeConfig, TreeNode,
@@ -289,11 +288,12 @@ fn model_decoders_survive_truncation_and_bit_flips() {
 
     // Headers whose counts claim far more items than the buffer holds.
     let header = |magic: &[u8; 4], counts: &[u64]| {
-        let mut w = Writer::with_header(*magic, 1);
+        let mut out = magic.to_vec();
+        out.push(1);
         for &c in counts {
-            w.u64(c);
+            out.extend_from_slice(&c.to_le_bytes());
         }
-        w.finish()
+        out
     };
     for nodes in [(1 << 40) - 1, u64::MAX] {
         assert!(DecisionTree::from_bytes(&header(b"FIDT", &[4, 2, nodes])).is_err());

@@ -5,8 +5,8 @@
 
 use crate::audit::AuditSummary;
 use crate::wire::{
-    decode_response, encode_request, read_frame, write_frame, Request, Response, ServerInfo,
-    WireError,
+    append_frame, decode_response, encode_request, read_frame, split_frame, write_frame, Request,
+    Response, ServerInfo, WireError,
 };
 use fia_core::{OracleError, PredictionOracle, QueryCost, TraceContext};
 use fia_linalg::Matrix;
@@ -526,9 +526,7 @@ fn drive_open_loop(
             let payload = encode_request(&Request::PredictByIndex(indices))?;
             conn.out.clear();
             conn.out_pos = 0;
-            conn.out
-                .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            conn.out.extend_from_slice(&payload);
+            append_frame(&mut conn.out, &payload)?;
             conn.sent_at = std::time::Instant::now();
             conn.waiting = true;
             outstanding += 1;
@@ -578,13 +576,9 @@ fn drive_open_loop(
                     Err(e) => return Err(e.into()),
                 }
             }
-            while conn.inbuf.len() >= 4 {
-                let len = u32::from_le_bytes(conn.inbuf[..4].try_into().expect("4 bytes")) as usize;
-                if conn.inbuf.len() < 4 + len {
-                    break;
-                }
-                let frame: Vec<u8> = conn.inbuf[4..4 + len].to_vec();
-                conn.inbuf.drain(..4 + len);
+            // An over-cap length prefix is a typed error: the stream can
+            // no longer be framed.
+            while let Some(frame) = split_frame(&mut conn.inbuf)? {
                 match decode_response(&frame)? {
                     Response::Scores { scores, .. } => {
                         latencies.push(conn.sent_at.elapsed().as_micros() as u64);

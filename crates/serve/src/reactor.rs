@@ -50,7 +50,7 @@ use crate::sys::{
     self, classify_accept_error, drain_wake_pipe, fd_of, AcceptBackoff, Event, Interest, Poller,
     Waker,
 };
-use crate::wire::{decode_request, encode_response, Request, Response, MAX_FRAME_LEN};
+use crate::wire::{append_frame, decode_request, encode_response, split_frame, Request, Response};
 use fia_core::TraceContext;
 use fia_linalg::Matrix;
 use fia_telemetry::Span;
@@ -496,29 +496,25 @@ impl Reactor {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     return;
                 };
-                if conn.read_done || conn.buf.len() < 4 {
+                if conn.read_done || conn.buf.is_empty() {
                     None
                 } else if conn.inflight >= PIPELINE_CAP {
                     // Backpressure: stop reading until rounds complete.
                     conn.paused_read = true;
                     None
                 } else {
-                    let len =
-                        u32::from_le_bytes(conn.buf[..4].try_into().expect("4 bytes")) as usize;
-                    if len > MAX_FRAME_LEN {
-                        // Framing corruption: not a decodable request,
-                        // so there is nothing to answer — stop reading
-                        // and close once prior responses have flushed.
-                        conn.read_done = true;
-                        conn.close_when_flushed = true;
-                        conn.buf.clear();
-                        None
-                    } else if conn.buf.len() < 4 + len {
-                        None // incomplete frame: wait for more bytes
-                    } else {
-                        let payload = conn.buf[4..4 + len].to_vec();
-                        conn.buf.drain(..4 + len);
-                        Some(payload)
+                    match split_frame(&mut conn.buf) {
+                        // `None`: an incomplete frame, wait for more bytes.
+                        Ok(payload) => payload,
+                        Err(_) => {
+                            // Framing corruption: not a decodable request,
+                            // so there is nothing to answer — stop reading
+                            // and close once prior responses have flushed.
+                            conn.read_done = true;
+                            conn.close_when_flushed = true;
+                            conn.buf.clear();
+                            None
+                        }
                     }
                 }
             };
@@ -986,9 +982,7 @@ impl Reactor {
                 },
             );
             while let Some(s) = conn.staged.remove(&conn.emit_seq) {
-                conn.out
-                    .extend_from_slice(&(s.frame.len() as u32).to_le_bytes());
-                conn.out.extend_from_slice(&s.frame);
+                append_frame(&mut conn.out, &s.frame).expect("encoded replies fit the frame cap");
                 if !s.error {
                     self.shared
                         .metrics

@@ -13,6 +13,7 @@
 //! decoder reject it.
 
 use fia_core::TraceContext;
+use fia_linalg::bytes::{ByteReader, ByteWriter, Truncated};
 use fia_linalg::Matrix;
 use std::io::{Read, Write};
 
@@ -338,18 +339,14 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------
-// Primitive writers/readers over a byte buffer.
+// The wire's own field shapes over the shared byte codec
+// (`fia_linalg::bytes`): u32-prefixed capped strings and blobs, finite-
+// only frame-capped matrices, and trace contexts.
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> Self {
+        WireError::Truncated
+    }
 }
 
 /// Length-prefixed UTF-8 string, capped at `max` bytes.
@@ -357,67 +354,50 @@ fn put_str(out: &mut Vec<u8>, s: &str, max: usize) -> Result<(), WireError> {
     if s.len() > max {
         return Err(WireError::Malformed("string exceeds field cap"));
     }
-    put_u32(out, s.len() as u32);
+    out.put_u32(s.len() as u32);
     out.extend_from_slice(s.as_bytes());
     Ok(())
 }
 
-/// A cursor over a received payload.
-struct Scan<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Reads a string written by [`put_str`] under the same cap.
+fn get_str(r: &mut ByteReader<'_>, max: usize) -> Result<String, WireError> {
+    let n = r.u32()? as usize;
+    if n > max {
+        return Err(WireError::Malformed("string exceeds field cap"));
+    }
+    std::str::from_utf8(r.take(n)?)
+        .map(str::to_string)
+        .map_err(|_| WireError::Malformed("string not utf-8"))
 }
 
-impl<'a> Scan<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Scan { buf, pos: 0 }
-    }
+/// Length-prefixed text capped only by the frame: the bodies of the
+/// exposition, trace-export and error replies, each naming its own
+/// failures.
+fn put_text(out: &mut Vec<u8>, text: &str) {
+    out.put_u32(text.len() as u32);
+    out.extend_from_slice(text.as_bytes());
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+fn get_text(
+    r: &mut ByteReader<'_>,
+    too_long: &'static str,
+    not_utf8: &'static str,
+) -> Result<String, WireError> {
+    let n = r.u32()? as usize;
+    if n > MAX_FRAME_LEN {
+        return Err(WireError::Malformed(too_long));
     }
+    std::str::from_utf8(r.take(n)?)
+        .map(str::to_string)
+        .map_err(|_| WireError::Malformed(not_utf8))
+}
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Length-prefixed UTF-8 string, capped at `max` bytes.
-    fn str(&mut self, max: usize) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        if n > max {
-            return Err(WireError::Malformed("string exceeds field cap"));
-        }
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes)
-            .map(|s| s.to_string())
-            .map_err(|_| WireError::Malformed("string not utf-8"))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().unwrap(),
-        )))
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes after message"))
-        }
+/// A message must use its whole payload.
+fn finish(r: &ByteReader<'_>) -> Result<(), WireError> {
+    if r.remaining() == 0 {
+        Ok(())
+    } else {
+        Err(WireError::Malformed("trailing bytes after message"))
     }
 }
 
@@ -425,67 +405,58 @@ fn put_matrix(out: &mut Vec<u8>, m: &Matrix) -> Result<(), WireError> {
     if !m.is_finite() {
         return Err(WireError::NonFinite);
     }
-    put_u32(out, m.rows() as u32);
-    put_u32(out, m.cols() as u32);
-    for &v in m.as_slice() {
-        put_f64(out, v);
-    }
+    out.put_u32(m.rows() as u32);
+    out.put_u32(m.cols() as u32);
+    out.put_f64s(m.as_slice());
     Ok(())
 }
 
-fn get_matrix(scan: &mut Scan<'_>) -> Result<Matrix, WireError> {
-    let rows = scan.u32()? as usize;
-    let cols = scan.u32()? as usize;
+fn get_matrix(r: &mut ByteReader<'_>) -> Result<Matrix, WireError> {
+    let rows = r.u32()? as usize;
+    let cols = r.u32()? as usize;
     let elements = rows.saturating_mul(cols);
     if elements > MAX_FRAME_LEN / 8 {
         return Err(WireError::Malformed("matrix larger than frame cap"));
     }
-    // The allocation is sized from an attacker-controlled header: the
-    // remaining payload must actually hold that many elements, so a
-    // tiny frame cannot request a frame-cap-sized buffer.
-    if elements * 8 > scan.buf.len() - scan.pos {
-        return Err(WireError::Truncated);
-    }
-    let mut data = Vec::with_capacity(elements);
-    for _ in 0..rows * cols {
-        let v = scan.f64()?;
-        if !v.is_finite() {
-            return Err(WireError::NonFinite);
-        }
-        data.push(v);
+    // The run read checks the header against the remaining payload
+    // before sizing a buffer, so a tiny frame cannot request a
+    // frame-cap-sized one.
+    let data = r.f64s(elements)?;
+    if !data.iter().all(|v| v.is_finite()) {
+        return Err(WireError::NonFinite);
     }
     Matrix::from_vec(rows, cols, data).map_err(|_| WireError::Malformed("bad matrix shape"))
 }
 
 /// 16-byte trace context: trace id then parent span id, little-endian.
 fn put_trace(out: &mut Vec<u8>, ctx: &TraceContext) {
-    put_u64(out, ctx.trace_id);
-    put_u64(out, ctx.parent_span);
+    out.put_u64(ctx.trace_id);
+    out.put_u64(ctx.parent_span);
 }
 
-fn get_trace(scan: &mut Scan<'_>) -> Result<TraceContext, WireError> {
+fn get_trace(r: &mut ByteReader<'_>) -> Result<TraceContext, WireError> {
     Ok(TraceContext {
-        trace_id: scan.u64()?,
-        parent_span: scan.u64()?,
+        trace_id: r.u64()?,
+        parent_span: r.u64()?,
     })
 }
 
 fn put_audit(out: &mut Vec<u8>, audit: &AuditSummary) -> Result<(), WireError> {
-    put_u64(out, audit.n_samples);
-    put_u32(out, audit.clients.len() as u32);
+    out.put_u64(audit.n_samples);
+    out.put_u32(audit.clients.len() as u32);
     for c in &audit.clients {
         put_str(out, &c.client, MAX_SESSION_TAG_LEN)?;
-        put_u64(out, c.queries);
-        put_u64(out, c.rows);
-        put_u64(out, c.cached_rows);
-        put_u64(out, c.distinct_rows);
-        put_u64(out, c.repeat_rows);
-        put_u64(out, c.feature_queries);
+        out.put_u64(c.queries);
+        out.put_u64(c.rows);
+        out.put_u64(c.cached_rows);
+        out.put_u64(c.distinct_rows);
+        out.put_u64(c.repeat_rows);
+        out.put_u64(c.feature_queries);
         if !c.window_rate_rps.is_finite() {
             return Err(WireError::NonFinite);
         }
-        put_f64(out, c.window_rate_rps);
-        put_u32(out, c.flags.len() as u32);
+        out.put_f64(c.window_rate_rps);
+        out.put_u32(c.flags.len() as u32);
         for f in &c.flags {
             put_str(out, f, 64)?;
         }
@@ -493,32 +464,32 @@ fn put_audit(out: &mut Vec<u8>, audit: &AuditSummary) -> Result<(), WireError> {
     Ok(())
 }
 
-fn get_audit(scan: &mut Scan<'_>) -> Result<AuditSummary, WireError> {
-    let n_samples = scan.u64()?;
-    let n_clients = scan.u32()? as usize;
+fn get_audit(r: &mut ByteReader<'_>) -> Result<AuditSummary, WireError> {
+    let n_samples = r.u64()?;
+    let n_clients = r.u32()? as usize;
     if n_clients > 65_536 {
         return Err(WireError::Malformed("implausible audit client count"));
     }
     let mut clients = Vec::with_capacity(n_clients.min(1024));
     for _ in 0..n_clients {
-        let client = scan.str(MAX_SESSION_TAG_LEN)?;
-        let queries = scan.u64()?;
-        let rows = scan.u64()?;
-        let cached_rows = scan.u64()?;
-        let distinct_rows = scan.u64()?;
-        let repeat_rows = scan.u64()?;
-        let feature_queries = scan.u64()?;
-        let window_rate_rps = scan.f64()?;
+        let client = get_str(r, MAX_SESSION_TAG_LEN)?;
+        let queries = r.u64()?;
+        let rows = r.u64()?;
+        let cached_rows = r.u64()?;
+        let distinct_rows = r.u64()?;
+        let repeat_rows = r.u64()?;
+        let feature_queries = r.u64()?;
+        let window_rate_rps = r.f64()?;
         if !window_rate_rps.is_finite() {
             return Err(WireError::NonFinite);
         }
-        let n_flags = scan.u32()? as usize;
+        let n_flags = r.u32()? as usize;
         if n_flags > 64 {
             return Err(WireError::Malformed("implausible audit flag count"));
         }
         let mut flags = Vec::with_capacity(n_flags);
         for _ in 0..n_flags {
-            flags.push(scan.str(64)?);
+            flags.push(get_str(r, 64)?);
         }
         clients.push(ClientAudit {
             client,
@@ -540,49 +511,49 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) -> Result<(), WireError> {
     if bytes.len() > MAX_FRAME_LEN {
         return Err(WireError::TooLarge(bytes.len()));
     }
-    put_u32(out, bytes.len() as u32);
+    out.put_u32(bytes.len() as u32);
     out.extend_from_slice(bytes);
     Ok(())
 }
 
-fn get_bytes(scan: &mut Scan<'_>) -> Result<Vec<u8>, WireError> {
-    let n = scan.u32()? as usize;
+fn get_bytes(r: &mut ByteReader<'_>) -> Result<Vec<u8>, WireError> {
+    let n = r.u32()? as usize;
     if n > MAX_FRAME_LEN {
         return Err(WireError::Malformed("blob larger than frame cap"));
     }
-    Ok(scan.take(n)?.to_vec())
+    Ok(r.take(n)?.to_vec())
 }
 
 fn put_job_info(out: &mut Vec<u8>, info: &JobStatusInfo) -> Result<(), WireError> {
-    put_u64(out, info.id);
+    out.put_u64(info.id);
     out.push(info.state.as_u8());
     put_str(out, &info.fingerprint, 64)?;
-    put_u64(out, info.chunks_done);
-    put_u64(out, info.rows_done);
-    put_u64(out, info.rows_planned);
-    put_u64(out, info.queries);
-    put_u64(out, info.rows);
-    put_u64(out, info.cached_rows);
-    put_u64(out, info.resumes);
-    put_u64(out, info.events);
+    out.put_u64(info.chunks_done);
+    out.put_u64(info.rows_done);
+    out.put_u64(info.rows_planned);
+    out.put_u64(info.queries);
+    out.put_u64(info.rows);
+    out.put_u64(info.cached_rows);
+    out.put_u64(info.resumes);
+    out.put_u64(info.events);
     put_str(out, &info.detail, MAX_JOB_DETAIL_LEN)?;
     Ok(())
 }
 
-fn get_job_info(scan: &mut Scan<'_>) -> Result<JobStatusInfo, WireError> {
+fn get_job_info(r: &mut ByteReader<'_>) -> Result<JobStatusInfo, WireError> {
     Ok(JobStatusInfo {
-        id: scan.u64()?,
-        state: JobState::from_u8(scan.u8()?)?,
-        fingerprint: scan.str(64)?,
-        chunks_done: scan.u64()?,
-        rows_done: scan.u64()?,
-        rows_planned: scan.u64()?,
-        queries: scan.u64()?,
-        rows: scan.u64()?,
-        cached_rows: scan.u64()?,
-        resumes: scan.u64()?,
-        events: scan.u64()?,
-        detail: scan.str(MAX_JOB_DETAIL_LEN)?,
+        id: r.u64()?,
+        state: JobState::from_u8(r.u8()?)?,
+        fingerprint: get_str(r, 64)?,
+        chunks_done: r.u64()?,
+        rows_done: r.u64()?,
+        rows_planned: r.u64()?,
+        queries: r.u64()?,
+        rows: r.u64()?,
+        cached_rows: r.u64()?,
+        resumes: r.u64()?,
+        events: r.u64()?,
+        detail: get_str(r, MAX_JOB_DETAIL_LEN)?,
     })
 }
 
@@ -596,17 +567,11 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, WireError> {
         Request::Ping => out.push(req_tag::PING),
         Request::PredictByIndex(indices) => {
             out.push(req_tag::PREDICT_BY_INDEX);
-            put_u32(&mut out, indices.len() as u32);
-            for &i in indices {
-                put_u32(&mut out, i);
-            }
+            put_indices(&mut out, indices);
         }
         Request::PredictFeatures(slices) => {
             out.push(req_tag::PREDICT_FEATURES);
-            put_u32(&mut out, slices.len() as u32);
-            for m in slices {
-                put_matrix(&mut out, m)?;
-            }
+            put_feature_blocks(&mut out, slices)?;
         }
         Request::Info => out.push(req_tag::INFO),
         Request::Shutdown => out.push(req_tag::SHUTDOWN),
@@ -614,18 +579,12 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, WireError> {
         Request::PredictByIndexTraced(indices, ctx) => {
             out.push(req_tag::PREDICT_BY_INDEX_TRACED);
             put_trace(&mut out, ctx);
-            put_u32(&mut out, indices.len() as u32);
-            for &i in indices {
-                put_u32(&mut out, i);
-            }
+            put_indices(&mut out, indices);
         }
         Request::PredictFeaturesTraced(slices, ctx) => {
             out.push(req_tag::PREDICT_FEATURES_TRACED);
             put_trace(&mut out, ctx);
-            put_u32(&mut out, slices.len() as u32);
-            for m in slices {
-                put_matrix(&mut out, m)?;
-            }
+            put_feature_blocks(&mut out, slices)?;
         }
         Request::TraceExport => out.push(req_tag::TRACE_EXPORT),
         Request::AuditReport => out.push(req_tag::AUDIT_REPORT),
@@ -639,86 +598,98 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, WireError> {
         }
         Request::JobStatus(id) => {
             out.push(req_tag::JOB_STATUS);
-            put_u64(&mut out, *id);
+            out.put_u64(*id);
         }
         Request::JobList => out.push(req_tag::JOB_LIST),
         Request::JobCancel(id) => {
             out.push(req_tag::JOB_CANCEL);
-            put_u64(&mut out, *id);
+            out.put_u64(*id);
         }
         Request::JobAttach { id, from_seq } => {
             out.push(req_tag::JOB_ATTACH);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *from_seq);
+            out.put_u64(*id);
+            out.put_u64(*from_seq);
         }
         Request::JobReport(id) => {
             out.push(req_tag::JOB_REPORT);
-            put_u64(&mut out, *id);
+            out.put_u64(*id);
         }
     }
     Ok(out)
 }
 
 /// Index-list body shared by the plain and traced predict-by-index ops.
-fn get_indices(scan: &mut Scan<'_>) -> Result<Vec<u32>, WireError> {
-    let n = scan.u32()? as usize;
+fn put_indices(out: &mut Vec<u8>, indices: &[u32]) {
+    out.put_u32(indices.len() as u32);
+    for &i in indices {
+        out.put_u32(i);
+    }
+}
+
+fn get_indices(r: &mut ByteReader<'_>) -> Result<Vec<u32>, WireError> {
+    let n = r.u32()? as usize;
     if n > MAX_FRAME_LEN / 4 {
         return Err(WireError::Malformed("index batch larger than frame cap"));
     }
     let mut indices = Vec::with_capacity(n);
     for _ in 0..n {
-        indices.push(scan.u32()?);
+        indices.push(r.u32()?);
     }
     Ok(indices)
 }
 
 /// Per-party feature-block body shared by the plain and traced
 /// predict-features ops.
-fn get_feature_blocks(scan: &mut Scan<'_>) -> Result<Vec<Matrix>, WireError> {
-    let parties = scan.u32()? as usize;
+fn put_feature_blocks(out: &mut Vec<u8>, slices: &[Matrix]) -> Result<(), WireError> {
+    out.put_u32(slices.len() as u32);
+    slices.iter().try_for_each(|m| put_matrix(out, m))
+}
+
+fn get_feature_blocks(r: &mut ByteReader<'_>) -> Result<Vec<Matrix>, WireError> {
+    let parties = r.u32()? as usize;
     if parties > 4096 {
         return Err(WireError::Malformed("implausible party count"));
     }
     let mut slices = Vec::with_capacity(parties);
     for _ in 0..parties {
-        slices.push(get_matrix(scan)?);
+        slices.push(get_matrix(r)?);
     }
     Ok(slices)
 }
 
 /// Parses a frame payload into a request, rejecting trailing bytes.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut scan = Scan::new(payload);
-    let req = match scan.u8()? {
+    let mut r = ByteReader::new(payload);
+    let req = match r.u8()? {
         req_tag::PING => Request::Ping,
-        req_tag::PREDICT_BY_INDEX => Request::PredictByIndex(get_indices(&mut scan)?),
-        req_tag::PREDICT_FEATURES => Request::PredictFeatures(get_feature_blocks(&mut scan)?),
+        req_tag::PREDICT_BY_INDEX => Request::PredictByIndex(get_indices(&mut r)?),
+        req_tag::PREDICT_FEATURES => Request::PredictFeatures(get_feature_blocks(&mut r)?),
         req_tag::INFO => Request::Info,
         req_tag::SHUTDOWN => Request::Shutdown,
         req_tag::METRICS_TEXT => Request::MetricsText,
         req_tag::PREDICT_BY_INDEX_TRACED => {
-            let ctx = get_trace(&mut scan)?;
-            Request::PredictByIndexTraced(get_indices(&mut scan)?, ctx)
+            let ctx = get_trace(&mut r)?;
+            Request::PredictByIndexTraced(get_indices(&mut r)?, ctx)
         }
         req_tag::PREDICT_FEATURES_TRACED => {
-            let ctx = get_trace(&mut scan)?;
-            Request::PredictFeaturesTraced(get_feature_blocks(&mut scan)?, ctx)
+            let ctx = get_trace(&mut r)?;
+            Request::PredictFeaturesTraced(get_feature_blocks(&mut r)?, ctx)
         }
         req_tag::TRACE_EXPORT => Request::TraceExport,
         req_tag::AUDIT_REPORT => Request::AuditReport,
-        req_tag::DECLARE_SESSION => Request::DeclareSession(scan.str(MAX_SESSION_TAG_LEN)?),
-        req_tag::JOB_SUBMIT => Request::JobSubmit(get_bytes(&mut scan)?),
-        req_tag::JOB_STATUS => Request::JobStatus(scan.u64()?),
+        req_tag::DECLARE_SESSION => Request::DeclareSession(get_str(&mut r, MAX_SESSION_TAG_LEN)?),
+        req_tag::JOB_SUBMIT => Request::JobSubmit(get_bytes(&mut r)?),
+        req_tag::JOB_STATUS => Request::JobStatus(r.u64()?),
         req_tag::JOB_LIST => Request::JobList,
-        req_tag::JOB_CANCEL => Request::JobCancel(scan.u64()?),
+        req_tag::JOB_CANCEL => Request::JobCancel(r.u64()?),
         req_tag::JOB_ATTACH => Request::JobAttach {
-            id: scan.u64()?,
-            from_seq: scan.u64()?,
+            id: r.u64()?,
+            from_seq: r.u64()?,
         },
-        req_tag::JOB_REPORT => Request::JobReport(scan.u64()?),
+        req_tag::JOB_REPORT => Request::JobReport(r.u64()?),
         t => return Err(WireError::BadTag(t)),
     };
-    scan.finish()?;
+    finish(&r)?;
     Ok(req)
 }
 
@@ -732,29 +703,27 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
             cached_rows,
         } => {
             out.push(resp_tag::SCORES);
-            put_u32(&mut out, *cached_rows);
+            out.put_u32(*cached_rows);
             put_matrix(&mut out, scores)?;
         }
         Response::Info(info) => {
             out.push(resp_tag::INFO);
-            put_u32(&mut out, info.n_samples as u32);
-            put_u32(&mut out, info.n_features as u32);
-            put_u32(&mut out, info.n_classes as u32);
-            put_u32(&mut out, info.party_widths.len() as u32);
+            out.put_u32(info.n_samples as u32);
+            out.put_u32(info.n_features as u32);
+            out.put_u32(info.n_classes as u32);
+            out.put_u32(info.party_widths.len() as u32);
             for &w in &info.party_widths {
-                put_u32(&mut out, w as u32);
+                out.put_u32(w as u32);
             }
         }
         Response::ShuttingDown => out.push(resp_tag::SHUTTING_DOWN),
         Response::MetricsText(text) => {
             out.push(resp_tag::METRICS_TEXT);
-            put_u32(&mut out, text.len() as u32);
-            out.extend_from_slice(text.as_bytes());
+            put_text(&mut out, text);
         }
         Response::TraceJsonl(text) => {
             out.push(resp_tag::TRACE_JSONL);
-            put_u32(&mut out, text.len() as u32);
-            out.extend_from_slice(text.as_bytes());
+            put_text(&mut out, text);
         }
         Response::Audit(audit) => {
             out.push(resp_tag::AUDIT);
@@ -763,7 +732,7 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
         Response::SessionAck => out.push(resp_tag::SESSION_ACK),
         Response::JobAccepted(id) => {
             out.push(resp_tag::JOB_ACCEPTED);
-            put_u64(&mut out, *id);
+            out.put_u64(*id);
         }
         Response::JobInfo(info) => {
             out.push(resp_tag::JOB_INFO);
@@ -771,21 +740,21 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
         }
         Response::JobTable(rows) => {
             out.push(resp_tag::JOB_TABLE);
-            put_u32(&mut out, rows.len() as u32);
+            out.put_u32(rows.len() as u32);
             for info in rows {
                 put_job_info(&mut out, info)?;
             }
         }
         Response::JobEvent { id, seq, json } => {
             out.push(resp_tag::JOB_EVENT);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *seq);
+            out.put_u64(*id);
+            out.put_u64(*seq);
             put_bytes(&mut out, json.as_bytes())?;
         }
         Response::JobEventsEnd { id, next_seq } => {
             out.push(resp_tag::JOB_EVENTS_END);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *next_seq);
+            out.put_u64(*id);
+            out.put_u64(*next_seq);
         }
         Response::JobReportBlob(blob) => {
             out.push(resp_tag::JOB_REPORT_BLOB);
@@ -793,11 +762,10 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
         }
         Response::Error(msg) => {
             out.push(resp_tag::ERROR);
-            put_u32(&mut out, msg.len() as u32);
-            out.extend_from_slice(msg.as_bytes());
+            put_text(&mut out, msg);
         }
     }
-    // The peer's `read_frame` refuses an over-cap length prefix after
+    // The peer's frame readers refuse an over-cap length prefix after
     // reading only the prefix, so sending one would leave the payload in
     // the stream to be misread as later frames.
     if out.len() > MAX_FRAME_LEN {
@@ -808,12 +776,12 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
 
 /// Parses a frame payload into a response, rejecting trailing bytes.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut scan = Scan::new(payload);
-    let resp = match scan.u8()? {
+    let mut r = ByteReader::new(payload);
+    let resp = match r.u8()? {
         resp_tag::PONG => Response::Pong,
         resp_tag::SCORES => {
-            let cached_rows = scan.u32()?;
-            let scores = get_matrix(&mut scan)?;
+            let cached_rows = r.u32()?;
+            let scores = get_matrix(&mut r)?;
             if (cached_rows as usize) > scores.rows() {
                 return Err(WireError::Malformed("cached_rows exceeds row count"));
             }
@@ -823,16 +791,16 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             }
         }
         resp_tag::INFO => {
-            let n_samples = scan.u32()? as usize;
-            let n_features = scan.u32()? as usize;
-            let n_classes = scan.u32()? as usize;
-            let parties = scan.u32()? as usize;
+            let n_samples = r.u32()? as usize;
+            let n_features = r.u32()? as usize;
+            let n_classes = r.u32()? as usize;
+            let parties = r.u32()? as usize;
             if parties > 4096 {
                 return Err(WireError::Malformed("implausible party count"));
             }
             let mut party_widths = Vec::with_capacity(parties);
             for _ in 0..parties {
-                party_widths.push(scan.u32()? as usize);
+                party_widths.push(r.u32()? as usize);
             }
             Response::Info(ServerInfo {
                 n_samples,
@@ -842,84 +810,110 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             })
         }
         resp_tag::SHUTTING_DOWN => Response::ShuttingDown,
-        resp_tag::METRICS_TEXT => {
-            let n = scan.u32()? as usize;
-            if n > MAX_FRAME_LEN {
-                return Err(WireError::Malformed("exposition larger than frame"));
-            }
-            let bytes = scan.take(n)?;
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| WireError::Malformed("exposition not utf-8"))?;
-            Response::MetricsText(text.to_string())
-        }
-        resp_tag::TRACE_JSONL => {
-            let n = scan.u32()? as usize;
-            if n > MAX_FRAME_LEN {
-                return Err(WireError::Malformed("trace export larger than frame"));
-            }
-            let bytes = scan.take(n)?;
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| WireError::Malformed("trace export not utf-8"))?;
-            Response::TraceJsonl(text.to_string())
-        }
-        resp_tag::AUDIT => Response::Audit(get_audit(&mut scan)?),
+        resp_tag::METRICS_TEXT => Response::MetricsText(get_text(
+            &mut r,
+            "exposition larger than frame",
+            "exposition not utf-8",
+        )?),
+        resp_tag::TRACE_JSONL => Response::TraceJsonl(get_text(
+            &mut r,
+            "trace export larger than frame",
+            "trace export not utf-8",
+        )?),
+        resp_tag::AUDIT => Response::Audit(get_audit(&mut r)?),
         resp_tag::SESSION_ACK => Response::SessionAck,
-        resp_tag::JOB_ACCEPTED => Response::JobAccepted(scan.u64()?),
-        resp_tag::JOB_INFO => Response::JobInfo(get_job_info(&mut scan)?),
+        resp_tag::JOB_ACCEPTED => Response::JobAccepted(r.u64()?),
+        resp_tag::JOB_INFO => Response::JobInfo(get_job_info(&mut r)?),
         resp_tag::JOB_TABLE => {
-            let n = scan.u32()? as usize;
+            let n = r.u32()? as usize;
             if n > 65_536 {
                 return Err(WireError::Malformed("implausible job table size"));
             }
             let mut rows = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                rows.push(get_job_info(&mut scan)?);
+                rows.push(get_job_info(&mut r)?);
             }
             Response::JobTable(rows)
         }
         resp_tag::JOB_EVENT => {
-            let id = scan.u64()?;
-            let seq = scan.u64()?;
-            let bytes = get_bytes(&mut scan)?;
+            let id = r.u64()?;
+            let seq = r.u64()?;
+            let bytes = get_bytes(&mut r)?;
             let json = String::from_utf8(bytes)
                 .map_err(|_| WireError::Malformed("job event not utf-8"))?;
             Response::JobEvent { id, seq, json }
         }
         resp_tag::JOB_EVENTS_END => Response::JobEventsEnd {
-            id: scan.u64()?,
-            next_seq: scan.u64()?,
+            id: r.u64()?,
+            next_seq: r.u64()?,
         },
-        resp_tag::JOB_REPORT_BLOB => Response::JobReportBlob(get_bytes(&mut scan)?),
-        resp_tag::ERROR => {
-            let n = scan.u32()? as usize;
-            if n > MAX_FRAME_LEN {
-                return Err(WireError::Malformed("error message larger than frame"));
-            }
-            let bytes = scan.take(n)?;
-            let msg = std::str::from_utf8(bytes)
-                .map_err(|_| WireError::Malformed("error message not utf-8"))?;
-            Response::Error(msg.to_string())
-        }
+        resp_tag::JOB_REPORT_BLOB => Response::JobReportBlob(get_bytes(&mut r)?),
+        resp_tag::ERROR => Response::Error(get_text(
+            &mut r,
+            "error message larger than frame",
+            "error message not utf-8",
+        )?),
         t => return Err(WireError::BadTag(t)),
     };
-    scan.finish()?;
+    finish(&r)?;
     Ok(resp)
 }
 
 // ---------------------------------------------------------------------
-// Framing over a stream.
+// Framing. A frame is a little-endian `u32` payload length, at most
+// `MAX_FRAME_LEN`, then the payload. `append_frame` writes one,
+// `split_frame` cuts one off a nonblocking connection's input and
+// `read_frame` reads one off a blocking stream; nothing else lays out
+// the prefix.
 
-/// Writes one frame: `u32` length prefix + payload, assembled into one
-/// buffer and handed to the writer in one `write_all`, so a
-/// `TCP_NODELAY` socket sends the frame as one segment rather than a
-/// lone 4-byte prefix followed by the payload.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
+/// The payload length a frame prefix announces, refused over the cap.
+fn frame_len(prefix: u32) -> Result<usize, WireError> {
+    let len = prefix as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::TooLarge(len));
+    }
+    Ok(len)
+}
+
+/// Appends one frame — length prefix, then `payload` — to `out`. A
+/// payload over [`MAX_FRAME_LEN`] is [`WireError::TooLarge`] and appends
+/// nothing.
+pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::TooLarge(payload.len()));
     }
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
+    out.reserve(4 + payload.len());
+    out.put_u32(payload.len() as u32);
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Cuts the first whole frame off the front of `buf`, the bytes a
+/// nonblocking connection has received so far, and returns its payload.
+/// `Ok(None)` means `buf` does not hold a whole frame yet. A length
+/// prefix over [`MAX_FRAME_LEN`] is [`WireError::TooLarge`] and leaves
+/// `buf` as it was: the stream can no longer be framed, and the caller
+/// decides how to end it.
+pub fn split_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, WireError> {
+    let mut r = ByteReader::new(buf);
+    let Ok(prefix) = r.u32() else {
+        return Ok(None);
+    };
+    let Ok(payload) = r.take(frame_len(prefix)?) else {
+        return Ok(None);
+    };
+    let payload = payload.to_vec();
+    let used = buf.len() - r.remaining();
+    buf.drain(..used);
+    Ok(Some(payload))
+}
+
+/// Writes one frame, assembled into one buffer and handed to the writer
+/// in one `write_all`, so a `TCP_NODELAY` socket sends the frame as one
+/// segment rather than a lone 4-byte prefix followed by the payload.
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
+    let mut frame = Vec::new();
+    append_frame(&mut frame, payload)?;
     w.write_all(&frame)?;
     w.flush()?;
     Ok(())
@@ -928,10 +922,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError>
 /// Reads one frame. `Ok(None)` means the peer closed the connection
 /// cleanly *between* frames; EOF inside a frame is [`WireError::Truncated`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
-    let mut len_buf = [0u8; 4];
+    let mut prefix = [0u8; 4];
     let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_buf[filled..]) {
+    while filled < prefix.len() {
+        match r.read(&mut prefix[filled..]) {
             Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => return Err(WireError::Truncated),
             Ok(n) => filled += n,
@@ -939,10 +933,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
             Err(e) => return Err(e.into()),
         }
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::TooLarge(len));
-    }
+    let len = frame_len(ByteReader::new(&prefix).u32()?)?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
@@ -1681,6 +1672,45 @@ mod tests {
         let back = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(decode_request(&back).unwrap(), req);
         assert!(matches!(read_frame(&mut cursor), Ok(None)));
+    }
+
+    /// `split_frame` cuts exactly the frames `append_frame` wrote, waits
+    /// on a partial one, and refuses an over-cap prefix without consuming
+    /// anything.
+    #[test]
+    fn appended_frames_split_back_one_at_a_time() {
+        let mut buf = Vec::new();
+        append_frame(&mut buf, b"one").unwrap();
+        append_frame(&mut buf, b"").unwrap();
+        append_frame(&mut buf, b"three").unwrap();
+        assert_eq!(&buf[..7], &[3, 0, 0, 0, b'o', b'n', b'e']);
+        buf.truncate(buf.len() - 1);
+        assert_eq!(split_frame(&mut buf).unwrap().as_deref(), Some(&b"one"[..]));
+        assert_eq!(split_frame(&mut buf).unwrap().as_deref(), Some(&b""[..]));
+        for _ in 0..2 {
+            assert_eq!(split_frame(&mut buf).unwrap(), None);
+        }
+        buf.push(b'e');
+        assert_eq!(
+            split_frame(&mut buf).unwrap().as_deref(),
+            Some(&b"three"[..])
+        );
+        assert!(buf.is_empty());
+        assert_eq!(split_frame(&mut buf).unwrap(), None);
+
+        let mut bad = ((MAX_FRAME_LEN as u32) + 1).to_le_bytes().to_vec();
+        bad.push(0);
+        assert!(matches!(
+            split_frame(&mut bad),
+            Err(WireError::TooLarge(n)) if n == MAX_FRAME_LEN + 1
+        ));
+        assert_eq!(bad.len(), 5);
+        let mut out = vec![9];
+        assert!(matches!(
+            append_frame(&mut out, &vec![0; MAX_FRAME_LEN + 1]),
+            Err(WireError::TooLarge(_))
+        ));
+        assert_eq!(out, [9]);
     }
 
     #[test]

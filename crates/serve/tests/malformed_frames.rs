@@ -15,13 +15,15 @@ use fia_defense::DefensePipeline;
 use fia_linalg::Matrix;
 use fia_models::LogisticRegression;
 use fia_serve::wire::{
-    decode_request, encode_request, read_frame, write_frame, Request, Response, WireError,
-    MAX_FRAME_LEN,
+    decode_request, encode_request, encode_response, read_frame, write_frame, Request, Response,
+    ServerInfo, WireError, MAX_FRAME_LEN,
 };
-use fia_serve::{PredictionServer, RemoteOracle, ServeConfig};
+use fia_serve::{
+    run_load_open, ClientError, OpenLoadConfig, PredictionServer, RemoteOracle, ServeConfig,
+};
 use fia_vfl::{VerticalPartition, VflSystem};
 use std::io::{Cursor, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -227,4 +229,50 @@ fn corpus_of_random_garbage_never_panics_the_decoder() {
         let _ = decode_request(&payload);
         let _ = fia_serve::wire::decode_response(&payload);
     }
+}
+
+/// The open-loop load generator frames replies with the shared splitter:
+/// an over-cap length prefix ends the run with a typed error instead of a
+/// wait for bytes that never come.
+#[test]
+fn open_loop_generator_refuses_an_over_cap_reply_prefix() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = std::thread::spawn(move || {
+        // The generator's handshake: one blocking Info round trip.
+        let (mut handshake, _) = listener.accept().expect("accept");
+        let req = read_frame(&mut handshake).expect("read").expect("frame");
+        assert_eq!(decode_request(&req).expect("decode"), Request::Info);
+        let info = Response::Info(ServerInfo {
+            n_samples: 4,
+            n_features: 2,
+            n_classes: 2,
+            party_widths: vec![1, 1],
+        });
+        write_frame(&mut handshake, &encode_response(&info).expect("encode")).expect("write");
+        // The sender: its request is answered with a bare over-cap prefix.
+        let (mut sender, _) = listener.accept().expect("accept");
+        read_frame(&mut sender).expect("read").expect("frame");
+        sender
+            .write_all(&((MAX_FRAME_LEN as u32) + 1).to_le_bytes())
+            .expect("write");
+        sender // held open until the generator gives up
+    });
+    let run = run_load_open(
+        addr,
+        &OpenLoadConfig {
+            connections: 1,
+            arrival_rps: 1000.0,
+            total_requests: 1,
+            rows_per_request: 1,
+        },
+    );
+    assert!(
+        matches!(
+            run,
+            Err(ClientError::Wire(WireError::TooLarge(n))) if n == MAX_FRAME_LEN + 1
+        ),
+        "{run:?}"
+    );
+    drop(server.join().expect("fake server"));
 }
