@@ -287,7 +287,15 @@ impl CampaignCheckpoint {
     /// torn, corrupted or version-skewed bytes with a typed
     /// [`CheckpointError`].
     pub fn from_blob(blob: &[u8]) -> Result<Self, CheckpointError> {
-        let mut c = ByteReader::new(checked_body(blob)?);
+        if blob.len() < 8 {
+            return Err(CheckpointError::Truncated);
+        }
+        // The FNV-1a trailer seals the body.
+        let (body, trailer) = blob.split_at(blob.len() - 8);
+        if ByteReader::new(trailer).u64()? != fnv(0, body) {
+            return Err(CheckpointError::Corrupt("checksum mismatch"));
+        }
+        let mut c = ByteReader::new(body);
         if c.u32()? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
@@ -338,19 +346,6 @@ impl CampaignCheckpoint {
             confidences,
         })
     }
-}
-
-/// Splits the FNV-1a trailer off `blob` and returns the body it seals.
-fn checked_body(blob: &[u8]) -> Result<&[u8], CheckpointError> {
-    let body_len = blob
-        .len()
-        .checked_sub(8)
-        .ok_or(CheckpointError::Truncated)?;
-    let (body, trailer) = blob.split_at(body_len);
-    if ByteReader::new(trailer).u64()? != fnv(0, body) {
-        return Err(CheckpointError::Corrupt("checksum mismatch"));
-    }
-    Ok(body)
 }
 
 #[cfg(test)]

@@ -631,9 +631,12 @@ fn get_indices(r: &mut ByteReader<'_>) -> Result<Vec<u32>, WireError> {
     if n > MAX_FRAME_LEN / 4 {
         return Err(WireError::Malformed("index batch larger than frame cap"));
     }
+    // Take the run first, so the count is checked against the payload
+    // before it sizes a buffer.
+    let mut run = ByteReader::new(r.take(n * 4)?);
     let mut indices = Vec::with_capacity(n);
     for _ in 0..n {
-        indices.push(r.u32()?);
+        indices.push(run.u32()?);
     }
     Ok(indices)
 }
