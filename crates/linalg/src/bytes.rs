@@ -22,7 +22,7 @@ impl std::fmt::Display for Truncated {
 impl std::error::Error for Truncated {}
 
 /// A bounds-checked little-endian reader over a byte slice.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ByteReader<'a> {
     rest: &'a [u8],
 }

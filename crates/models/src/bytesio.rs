@@ -166,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_and_version_detected() {
+    fn bad_magic_detected() {
         let mut out = Vec::new();
         put_header(&mut out, *b"AAAA", 1);
         assert!(matches!(
@@ -201,7 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn huge_lengths_rejected_without_allocation() {
+    fn huge_length_rejected_without_allocation() {
         let mut out = Vec::new();
         put_usize(&mut out, usize::MAX / 2); // absurd length prefix
         assert!(get_vector(&mut ByteReader::new(&out)).is_err());
