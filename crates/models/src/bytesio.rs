@@ -27,6 +27,8 @@ pub enum DecodeError {
     BadVersion(u8),
     /// A structural invariant failed (e.g. label out of range).
     Corrupt(String),
+    /// This many bytes follow a complete model.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for DecodeError {
@@ -41,6 +43,7 @@ impl fmt::Display for DecodeError {
             ),
             DecodeError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             DecodeError::Corrupt(msg) => write!(f, "corrupt model data: {msg}"),
+            DecodeError::TrailingBytes(n) => write!(f, "{n} bytes after the model"),
         }
     }
 }
@@ -77,6 +80,16 @@ pub(crate) fn open(
     match r.u8()? {
         v if v == version => Ok(r),
         v => Err(DecodeError::BadVersion(v)),
+    }
+}
+
+/// Ends a stream after its model: a byte left over is
+/// [`DecodeError::TrailingBytes`], so a blob decodes as exactly one model
+/// or not at all.
+pub(crate) fn close(r: &ByteReader<'_>) -> Result<(), DecodeError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(DecodeError::TrailingBytes(n)),
     }
 }
 
@@ -162,7 +175,11 @@ mod tests {
         assert!(get_bool(&mut r).unwrap());
         assert_eq!(get_vector(&mut r).unwrap(), vec![1.0, 2.0]);
         assert_eq!(get_matrix(&mut r).unwrap(), Matrix::identity(2));
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(close(&r), Ok(()));
+        out.extend_from_slice(&[0; 3]);
+        let mut r = open(&out, *b"TEST", 1).unwrap();
+        r.take(out.len() - 8).unwrap();
+        assert_eq!(close(&r), Err(DecodeError::TrailingBytes(3)));
     }
 
     #[test]

@@ -310,7 +310,9 @@ impl Mlp {
 
     /// Deserializes a network written by [`Mlp::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, crate::bytesio::DecodeError> {
-        use crate::bytesio::{get_bool, get_count, get_matrix, get_usize, open, DecodeError};
+        use crate::bytesio::{
+            close, get_bool, get_count, get_matrix, get_usize, open, DecodeError,
+        };
         let mut r = open(bytes, *b"FINN", 1)?;
         let n_features = get_usize(&mut r)?;
         let n_classes = get_usize(&mut r)?;
@@ -366,6 +368,7 @@ impl Mlp {
                 "output width {expect_in} but {n_classes} classes"
             )));
         }
+        close(&r)?;
         Ok(Mlp {
             params,
             layers,

@@ -7,7 +7,7 @@
 //! corrupt or truncated buffer never produces a silently broken model.
 
 use crate::bytesio::{
-    get_count, get_matrix, get_usize, get_vector, open, put_header, put_matrix, put_usize,
+    close, get_count, get_matrix, get_usize, get_vector, open, put_header, put_matrix, put_usize,
     put_vector, DecodeError,
 };
 use crate::forest::RandomForest;
@@ -52,6 +52,7 @@ impl LogisticRegression {
                 weights.cols()
             )));
         }
+        close(&r)?;
         Ok(LogisticRegression::from_parameters(
             weights, bias, n_classes,
         ))
@@ -126,6 +127,7 @@ impl DecisionTree {
         if matches!(nodes[0], TreeNode::Absent) {
             return Err(DecodeError::Corrupt("root node absent".into()));
         }
+        close(&r)?;
         Ok(DecisionTree::from_nodes(nodes, n_features, n_classes))
     }
 }
@@ -168,6 +170,7 @@ impl RandomForest {
             }
             trees.push(tree);
         }
+        close(&r)?;
         Ok(RandomForest::from_trees(trees, n_features, n_classes))
     }
 }

@@ -6,8 +6,8 @@
 use fia_data::{make_classification, normalize_dataset, Dataset, SynthConfig};
 use fia_linalg::Matrix;
 use fia_models::{
-    Activation, DecisionTree, ForestConfig, LogisticRegression, LrConfig, Mlp, MlpConfig,
-    PredictProba, RandomForest, TreeConfig, TreeNode,
+    Activation, DecisionTree, DecodeError, ForestConfig, LogisticRegression, LrConfig, Mlp,
+    MlpConfig, PredictProba, RandomForest, TreeConfig, TreeNode,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -252,31 +252,43 @@ fn model_decoders_survive_truncation_and_bit_flips() {
         seed: 24,
     };
     let mut tree_rng = StdRng::seed_from_u64(25);
-    type Decode = fn(&[u8]) -> bool;
+    type Decode = fn(&[u8]) -> Result<(), DecodeError>;
     let models: [(&str, Vec<u8>, Decode); 4] = [
         (
             "lr",
             LogisticRegression::fit(&binary, &lr_cfg).to_bytes(),
-            |b| LogisticRegression::from_bytes(b).is_ok(),
+            |b| LogisticRegression::from_bytes(b).map(drop),
         ),
         (
             "dt",
             DecisionTree::fit(&multi, &tree_cfg, &mut tree_rng).to_bytes(),
-            |b| DecisionTree::from_bytes(b).is_ok(),
+            |b| DecisionTree::from_bytes(b).map(drop),
         ),
         (
             "rf",
             RandomForest::fit(&multi, &forest_cfg).to_bytes(),
-            |b| RandomForest::from_bytes(b).is_ok(),
+            |b| RandomForest::from_bytes(b).map(drop),
         ),
         ("mlp", Mlp::fit(&multi, &mlp_cfg).to_bytes(), |b| {
-            Mlp::from_bytes(b).is_ok()
+            Mlp::from_bytes(b).map(drop)
         }),
     ];
     for (name, bytes, decode) in &models {
-        assert!(decode(bytes), "{name}: intact bytes must decode");
+        assert_eq!(decode(bytes), Ok(()), "{name}: intact bytes must decode");
         for len in 0..bytes.len() {
-            assert!(!decode(&bytes[..len]), "{name}: {len}-byte prefix decoded");
+            assert!(
+                decode(&bytes[..len]).is_err(),
+                "{name}: {len}-byte prefix decoded"
+            );
+        }
+        for extra in [1, 16] {
+            let mut longer = bytes.clone();
+            longer.resize(bytes.len() + extra, 0xFF);
+            assert_eq!(
+                decode(&longer),
+                Err(DecodeError::TrailingBytes(extra)),
+                "{name}: decoded with {extra} bytes appended"
+            );
         }
         let mut flipped = bytes.clone();
         for bit in 0..bytes.len() * 8 {
