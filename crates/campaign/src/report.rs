@@ -97,8 +97,11 @@ pub struct CampaignReport {
     /// Client-side spans (`campaign.run` / `campaign.chunk` /
     /// `campaign.attack`) as JSONL.
     pub client_trace_jsonl: String,
-    /// Server-side spans (`serve.request` → `serve.round` trees) as
-    /// JSONL; `None` for in-process sessions.
+    /// The server's kept span trees (`serve.request` → `serve.round`)
+    /// as JSONL: for each request-latency bucket and outcome, the trees
+    /// of the last [`fia_serve::KEPT_TREES_PER_BUCKET`] traced requests
+    /// the server answered, this run's or earlier ones', in answer
+    /// order. `None` for in-process sessions.
     pub server_trace_jsonl: Option<String>,
     /// The audit-ledger session tag this campaign declared to the
     /// server; `None` for in-process sessions.
@@ -115,12 +118,13 @@ impl CampaignReport {
     }
 
     /// One merged distributed trace: the client-side spans followed by
-    /// the server-side spans. The two id spaces are disjoint (server
-    /// span ids start at `1 << 32`), and every server `serve.request`
-    /// span's parent is the client-side `campaign.chunk` span that
-    /// caused it — so the concatenated JSONL resolves into a single
-    /// cross-process tree per `campaign.run`. For in-process sessions
-    /// this is just the client trace.
+    /// the server's kept span trees. The two id spaces are disjoint
+    /// (server span ids start at `1 << 32`), and every kept
+    /// `serve.request` span's parent is the client-side `campaign.chunk`
+    /// span that caused it — so the concatenated JSONL resolves into a
+    /// single cross-process tree per `campaign.run`, with the server
+    /// subtrees of the chunks whose requests the server kept. For
+    /// in-process sessions this is just the client trace.
     pub fn merged_trace_jsonl(&self) -> String {
         match &self.server_trace_jsonl {
             Some(server) => format!("{}{}", self.client_trace_jsonl, server),

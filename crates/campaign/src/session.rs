@@ -380,7 +380,8 @@ impl Campaign {
         self.session_tag.as_deref()
     }
 
-    /// The served oracle's span stream as JSONL (`None` for in-process
+    /// The served oracle's kept span trees as JSONL (see
+    /// [`CampaignReport::server_trace_jsonl`]; `None` for in-process
     /// sessions or before the first run).
     pub fn server_trace_jsonl(&mut self) -> Option<String> {
         match self.oracle.as_mut()? {

@@ -3,12 +3,16 @@
 //! client-side `campaign.chunk` that caused it, and the server's
 //! per-client audit ledger agrees with the client's own `QueryCost`
 //! meter — queries, rows, and cache-released rows — by construction.
+//! The server's share of the trace stays bounded however many requests
+//! a session sends.
 
 use fia_campaign::{
     AttackSpec, Campaign, NullObserver, OracleSpec, PartitionSpec, ScenarioSpec, ServedConfig,
 };
 use fia_data::PaperDataset;
-use fia_serve::SERVER_SPAN_ID_BASE;
+use fia_serve::{KEPT_TREES_PER_BUCKET, SERVER_SPAN_ID_BASE};
+use fia_telemetry::{Histogram, HISTOGRAM_BUCKETS};
+use std::collections::HashSet;
 
 fn served_campaign(seed: u64, cache: usize) -> Campaign {
     let scenario = ScenarioSpec::paper(PaperDataset::DriveDiagnosis)
@@ -109,6 +113,55 @@ fn merged_trace_resolves_server_requests_to_client_chunks() {
             dispatch_ids.contains(&parent),
             "serve.round links to a dispatch span: {l}"
         );
+    }
+    campaign.shutdown();
+}
+
+#[test]
+fn rerun_server_trace_stays_bounded_and_linked() {
+    // One row per chunk: every row is its own traced request.
+    let mut campaign = served_campaign(79, 0).with_chunk(1);
+    let first = campaign.run(&mut NullObserver).unwrap();
+    let second = campaign.rerun(&mut NullObserver).unwrap();
+    let sent = first.cost.queries + second.cost.queries;
+
+    let server = second
+        .server_trace_jsonl
+        .as_deref()
+        .expect("served run exports");
+    let requests: Vec<&str> = server
+        .lines()
+        .filter(|l| has_name(l, "serve.request"))
+        .collect();
+    // At most K trees per latency bucket and outcome, so fewer than the
+    // requests the two runs sent.
+    let mut per_pair = [[0usize; HISTOGRAM_BUCKETS]; 2];
+    for req in &requests {
+        let latency = field_u64(req, "latency_us").expect("latency_us");
+        let failed = !req.contains("\"outcome\":\"ok\"");
+        per_pair[usize::from(failed)][Histogram::bucket_index(latency)] += 1;
+    }
+    assert!(per_pair
+        .iter()
+        .flatten()
+        .all(|&n| n <= KEPT_TREES_PER_BUCKET));
+    assert!(
+        (requests.len() as u64) < sent,
+        "{} of {sent} kept",
+        requests.len()
+    );
+
+    // Every kept request resolves to a chunk of this report's client
+    // trace, which spans both runs.
+    let chunks: HashSet<u64> = second
+        .client_trace_jsonl
+        .lines()
+        .filter(|l| has_name(l, "campaign.chunk"))
+        .filter_map(|l| field_u64(l, "id"))
+        .collect();
+    for req in &requests {
+        let parent = field_u64(req, "parent").expect("request has a parent");
+        assert!(chunks.contains(&parent), "unresolved request: {req}");
     }
     campaign.shutdown();
 }

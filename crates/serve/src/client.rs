@@ -173,10 +173,13 @@ impl RemoteOracle {
         }
     }
 
-    /// The server's finished spans as JSONL. Concatenated with a
-    /// client-side tracer's JSONL this forms one merged trace: server
-    /// span ids live in a disjoint id space and `serve.request` parents
-    /// point at client span ids.
+    /// The span trees the server keeps, as JSONL: for each request-latency
+    /// bucket and outcome, the trees of its last
+    /// [`KEPT_TREES_PER_BUCKET`](crate::KEPT_TREES_PER_BUCKET) traced
+    /// requests, in answer order. Concatenated with a client-side
+    /// tracer's JSONL this forms one merged trace: server span ids live
+    /// in a disjoint id space and `serve.request` parents point at
+    /// client span ids.
     pub fn server_trace_jsonl(&mut self) -> Result<String, ClientError> {
         match self.call(&Request::TraceExport)? {
             Response::TraceJsonl(text) => Ok(text),

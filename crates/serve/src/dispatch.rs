@@ -22,7 +22,7 @@
 
 use crate::cache::ScoreCache;
 use crate::metrics::ServerMetrics;
-use crate::pool::{Job, ReplicaPool, ReplyTo, RoundInput};
+use crate::pool::{Job, ReplicaPool, ReplyTo, RoundInput, TraceLink};
 use fia_linalg::Matrix;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -208,14 +208,14 @@ pub(crate) struct Part {
 
 impl Part {
     /// Phase 2 of a stored-index request: the job for one planned miss
-    /// group, threading the request's dispatch-span id (if traced) into
-    /// it so the round span can link back. The reactor sends it with
-    /// [`Dispatcher::send`] or [`Dispatcher::run_here`].
+    /// group, threading the request's trace link (if traced) into it so
+    /// the round span files under the part's dispatch span. The reactor
+    /// sends it with [`Dispatcher::send`] or [`Dispatcher::run_here`].
     pub fn stored(
         shard: usize,
         group: &[(usize, usize)],
         reply: ReplyTo,
-        trace_parent: Option<u64>,
+        trace: Option<TraceLink>,
     ) -> Part {
         let sub_indices: Vec<usize> = group.iter().map(|&(_, idx)| idx).collect();
         let rows = sub_indices.len();
@@ -225,7 +225,7 @@ impl Part {
                 input: RoundInput::Stored(sub_indices),
                 rows,
                 reply,
-                trace_parent,
+                trace,
                 enqueued: Instant::now(),
             },
         }
@@ -239,7 +239,7 @@ impl Part {
         blocks: Vec<Matrix>,
         rows: usize,
         reply: ReplyTo,
-        trace_parent: Option<u64>,
+        trace: Option<TraceLink>,
     ) -> Part {
         Part {
             replica: None,
@@ -247,7 +247,7 @@ impl Part {
                 input: RoundInput::AdHoc(blocks),
                 rows,
                 reply,
-                trace_parent,
+                trace,
                 enqueued: Instant::now(),
             },
         }

@@ -39,6 +39,13 @@
 //!   boundary, and a re-queried row is re-released bit-identically —
 //!   repetition gives the adversary nothing fresh to average over,
 //!   and costs the deployment no joint round.
+//! * Traced requests
+//!   ([`set_trace_context`](fia_core::PredictionOracle::set_trace_context))
+//!   open a `serve.request` span tree linked to the client's span. The
+//!   server keeps only the trees of the last [`KEPT_TREES_PER_BUCKET`]
+//!   requests per request-latency bucket and outcome, so its trace stays
+//!   bounded however long it serves, and exports them through the
+//!   `TraceExport` wire op and [`ServerHandle::trace_jsonl`].
 //! * [`RemoteOracle`] — the client half: it implements
 //!   [`fia_core::PredictionOracle`], so ESA, PRA and GRNA run unchanged
 //!   against a live endpoint via `fia_core::accumulate_batch` /
@@ -64,6 +71,7 @@ mod pool;
 mod reactor;
 mod server;
 pub mod sys;
+mod traces;
 pub mod wire;
 
 pub use audit::{AuditLedger, AuditSummary, ClientAudit};
@@ -76,4 +84,5 @@ pub use coalesce::{Coalescer, Coalescible};
 pub use dispatch::ShardMap;
 pub use metrics::{MetricsReport, ServerMetrics};
 pub use server::{PredictionServer, ServeConfig, ServerHandle, SERVER_SPAN_ID_BASE};
+pub use traces::KEPT_TREES_PER_BUCKET;
 pub use wire::{JobState, JobStatusInfo, ServerInfo, WireError};

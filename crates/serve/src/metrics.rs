@@ -220,7 +220,8 @@ impl ServerMetrics {
     }
 
     /// Records one completed request and its end-to-end service latency
-    /// (read-complete to response-written).
+    /// (request read to reply staged). A traced request's kept span tree
+    /// carries the same value as `latency_us`.
     pub fn record_request(&self, latency_us: u64) {
         self.requests.inc();
         self.latency_us.record(latency_us);

@@ -55,14 +55,21 @@ pub(crate) struct Job {
     pub input: RoundInput,
     pub rows: usize,
     pub reply: ReplyTo,
-    /// Server-side span id of the dispatch that enqueued this job, when
-    /// the originating request carried a trace context. The round's
-    /// `serve.round` span links to it, joining the round into the
-    /// request's trace.
-    pub trace_parent: Option<u64>,
+    /// Where the round files its spans, when the originating request
+    /// carried a trace context.
+    pub trace: Option<TraceLink>,
     /// When the job was planned — prices the coalescer's batch wait
     /// into the round span.
     pub enqueued: Instant,
+}
+
+/// A traced job's place in its request's span tree: the request's own
+/// span sink and the id of the `serve.dispatch` span that enqueued the
+/// job. The round's `serve.round` span opens there, so it joins the
+/// request's tree on whichever thread the round runs.
+pub(crate) struct TraceLink {
+    pub sink: Tracer,
+    pub parent: u64,
 }
 
 /// Where a job's released rows go.
@@ -195,13 +202,11 @@ pub(crate) struct ReplicaPool {
 impl ReplicaPool {
     /// Spawns `replicas` batcher threads over cheap clones of `system`
     /// and returns the queue handles plus the join handles.
-    #[allow(clippy::too_many_arguments)]
     pub fn spawn<M>(
         system: &Arc<VflSystem<M>>,
         defense: &Arc<DefensePipeline>,
         metrics: &Arc<ServerMetrics>,
         stop: &Arc<AtomicBool>,
-        tracer: &Tracer,
         coalescer: Coalescer,
         round_cost: Duration,
         replicas: usize,
@@ -231,7 +236,6 @@ impl ReplicaPool {
                 party_widths,
                 coalescer,
                 round_cost,
-                tracer: tracer.clone(),
             });
             let owned = metrics.own_thread();
             let batcher = Arc::clone(&ctx);
@@ -347,7 +351,6 @@ struct ReplicaCtx<M: PredictProba> {
     party_widths: Vec<usize>,
     coalescer: Coalescer,
     round_cost: Duration,
-    tracer: Tracer,
 }
 
 fn batcher_loop<M: PredictProba>(ctx: &ReplicaCtx<M>, rx: &Receiver<Job>) {
@@ -382,14 +385,14 @@ fn run_round<M: PredictProba>(ctx: &ReplicaCtx<M>, jobs: Vec<Job>) {
     let total: usize = jobs.iter().map(|j| j.rows).sum();
 
     // A round is traced when any coalesced job carried a trace context:
-    // the span links to the *first* traced job's dispatch span (one
-    // parent is enough to join the client and server streams; a round
-    // may serve many requests) and prices that job's queue wait.
+    // the span files into the *first* traced job's tree under its
+    // dispatch span (a round may serve many requests; one tree holds
+    // it) and prices that job's queue wait.
     let round_span = jobs
         .iter()
-        .find_map(|j| j.trace_parent.map(|p| (p, j.enqueued)))
-        .map(|(parent, enqueued)| {
-            let s = ctx.tracer.root_with_parent("serve.round", parent);
+        .find_map(|j| j.trace.as_ref().map(|t| (t, j.enqueued)))
+        .map(|(trace, enqueued)| {
+            let s = trace.sink.root_with_parent("serve.round", trace.parent);
             s.record_u64("replica", ctx.id as u64);
             s.record_u64("jobs", jobs.len() as u64);
             s.record_u64("rows", total as u64);
@@ -437,6 +440,9 @@ fn run_round<M: PredictProba>(ctx: &ReplicaCtx<M>, jobs: Vec<Job>) {
         ctx.defense.defend_batch(&scores)
     };
     ctx.metrics.record_round(ctx.id, total);
+    // The reactor files a request's tree when it answers, so the round
+    // span must be finished before any reply goes out.
+    drop(round_span);
 
     let mut offset = 0;
     for (job_rows, reply) in replies {
@@ -469,20 +475,18 @@ mod tests {
     fn spawn_pool(
         replicas: usize,
         stop: &Arc<AtomicBool>,
-    ) -> (ReplicaPool, Vec<JoinHandle<()>>, Arc<ServerMetrics>, Tracer) {
+    ) -> (ReplicaPool, Vec<JoinHandle<()>>, Arc<ServerMetrics>) {
         let metrics = Arc::new(ServerMetrics::with_replicas(replicas));
-        let tracer = Tracer::new();
         let (pool, handles) = ReplicaPool::spawn(
             &toy_system(),
             &Arc::new(DefensePipeline::new()),
             &metrics,
             stop,
-            &tracer,
             Coalescer::adaptive(16, Duration::from_micros(100)),
             Duration::ZERO,
             replicas,
         );
-        (pool, handles, metrics, tracer)
+        (pool, handles, metrics)
     }
 
     fn job(input: RoundInput, rows: usize, reply: ReplyTo) -> Job {
@@ -490,8 +494,18 @@ mod tests {
             input,
             rows,
             reply,
-            trace_parent: None,
+            trace: None,
             enqueued: Instant::now(),
+        }
+    }
+
+    fn traced(sink: &Tracer, parent: u64, input: RoundInput, rows: usize, reply: ReplyTo) -> Job {
+        Job {
+            trace: Some(TraceLink {
+                sink: sink.clone(),
+                parent,
+            }),
+            ..job(input, rows, reply)
         }
     }
 
@@ -505,7 +519,7 @@ mod tests {
     #[test]
     fn each_replica_answers_its_own_queue() {
         let stop = Arc::new(AtomicBool::new(false));
-        let (pool, handles, metrics, _) = spawn_pool(3, &stop);
+        let (pool, handles, metrics) = spawn_pool(3, &stop);
         let system = toy_system();
         let mut receivers = Vec::new();
         for replica in 0..3 {
@@ -534,7 +548,7 @@ mod tests {
     #[test]
     fn least_loaded_prefers_the_empty_queue() {
         let stop = Arc::new(AtomicBool::new(true)); // batchers idle out fast
-        let (pool, handles, _metrics, _) = spawn_pool(2, &stop);
+        let (pool, handles, _metrics) = spawn_pool(2, &stop);
         // Gauge accounting is what least_loaded reads; simulate load on
         // replica 0 directly.
         pool.queues[0].depth_rows.store(10, Ordering::Relaxed);
@@ -550,7 +564,7 @@ mod tests {
     #[test]
     fn run_here_takes_only_an_idle_replica_and_a_one_round_job() {
         let stop = Arc::new(AtomicBool::new(false));
-        let (pool, handles, metrics, _) = spawn_pool(1, &stop);
+        let (pool, handles, metrics) = spawn_pool(1, &stop);
         let (tx, rx) = mpsc::channel();
         let lone = || job(RoundInput::Stored(vec![2]), 1, ReplyTo::Channel(tx.clone()));
         // A busy replica (rows queued or running) hands the job back.
@@ -577,7 +591,7 @@ mod tests {
     #[test]
     fn queued_jobs_are_answered_before_shutdown() {
         let stop = Arc::new(AtomicBool::new(false));
-        let (pool, handles, _metrics, _) = spawn_pool(1, &stop);
+        let (pool, handles, _metrics) = spawn_pool(1, &stop);
         let mut rxs = Vec::new();
         for i in 0..5 {
             let (tx, rx) = mpsc::channel();
@@ -594,33 +608,29 @@ mod tests {
     #[test]
     fn traced_jobs_open_a_round_span_linked_to_the_dispatch() {
         let stop = Arc::new(AtomicBool::new(false));
-        let (pool, handles, _metrics, tracer) = spawn_pool(1, &stop);
+        let (pool, handles, _metrics) = spawn_pool(1, &stop);
+        let sink = Tracer::new();
         let (tx, rx) = mpsc::channel();
         pool.send(
             0,
-            Job {
-                input: RoundInput::Stored(vec![0, 1]),
-                rows: 2,
-                reply: ReplyTo::Channel(tx),
-                trace_parent: Some(77),
-                enqueued: Instant::now(),
-            },
+            traced(
+                &sink,
+                77,
+                RoundInput::Stored(vec![0, 1]),
+                2,
+                ReplyTo::Channel(tx),
+            ),
         )
         .expect("send");
         rx.recv().expect("reply").expect("round ok");
-        // The round span finishes when run_round returns, a hair after
-        // the reply lands — wait for it rather than racing the batcher.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let round = loop {
-            let recs = tracer.records();
-            if let Some(r) = recs.iter().find(|r| r.name == "serve.round") {
-                break r.clone();
-            }
-            assert!(Instant::now() < deadline, "no serve.round span appeared");
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        // Read right after the reply: the batcher finishes the round
+        // span before it sends any reply.
+        let recs = sink.records();
+        let round = recs
+            .iter()
+            .find(|r| r.name == "serve.round")
+            .expect("round span filed before the reply");
         assert_eq!(round.parent, Some(77), "round links to the dispatch span");
-        let recs = tracer.records();
         for child in ["serve.predict", "serve.defense"] {
             let c = recs
                 .iter()
@@ -632,14 +642,45 @@ mod tests {
     }
 
     #[test]
-    fn untraced_rounds_record_no_spans() {
+    fn a_round_files_its_spans_under_its_first_traced_job_before_any_reply() {
         let stop = Arc::new(AtomicBool::new(false));
-        let (pool, handles, _metrics, tracer) = spawn_pool(1, &stop);
+        let (pool, handles, _metrics) = spawn_pool(1, &stop);
+        let (first, second) = (Tracer::new(), Tracer::new());
         let (tx, rx) = mpsc::channel();
-        pool.send(0, job(RoundInput::Stored(vec![0]), 1, ReplyTo::Channel(tx)))
-            .expect("send");
-        rx.recv().expect("reply").expect("round ok");
+        let reply = || ReplyTo::Channel(tx.clone());
+        // One coalesced round: an untraced job, two traced ones, then
+        // enough untraced jobs that replies are still going out when the
+        // first one arrives.
+        let mut jobs = vec![
+            job(RoundInput::Stored(vec![0]), 1, reply()),
+            traced(&first, 77, RoundInput::Stored(vec![1]), 1, reply()),
+            traced(&second, 88, RoundInput::Stored(vec![2]), 1, reply()),
+        ];
+        jobs.extend((0..2000).map(|i| job(RoundInput::Stored(vec![i % 6]), 1, reply())));
+        let n = jobs.len();
+        // The caller accounts the rows into the gauge, as `send` does.
+        pool.queues[0].depth_rows.store(n, Ordering::Relaxed);
+        std::thread::scope(|s| {
+            s.spawn(|| pool.queues[0].round.run_round(jobs));
+            rx.recv().expect("first reply").expect("round ok");
+            // Read on the first reply: the round's spans are filed.
+            let recs = first.records();
+            let filed: Vec<(String, Option<u64>)> =
+                recs.iter().map(|r| (r.name.clone(), r.parent)).collect();
+            let round_id = recs.last().expect("round span filed").id;
+            assert_eq!(
+                filed,
+                [
+                    ("serve.predict".to_string(), Some(round_id)),
+                    ("serve.defense".to_string(), Some(round_id)),
+                    ("serve.round".to_string(), Some(77)),
+                ]
+            );
+        });
+        for _ in 1..n {
+            rx.recv().expect("reply").expect("round ok");
+        }
+        assert!(second.records().is_empty(), "one tree holds the round");
         shutdown(&stop, handles);
-        assert!(tracer.records().is_empty(), "legacy traffic costs no spans");
     }
 }

@@ -44,7 +44,7 @@
 use crate::audit::{AuditLedger, AuditSummary};
 use crate::dispatch::{Part, StoredPlan};
 use crate::metrics::AcceptErrorKind;
-use crate::pool::{Completion, ReactorReply, ReplyTo};
+use crate::pool::{Completion, ReactorReply, ReplyTo, TraceLink};
 use crate::server::Shared;
 use crate::sys::{
     self, classify_accept_error, drain_wake_pipe, fd_of, AcceptBackoff, Event, Interest, Poller,
@@ -53,7 +53,7 @@ use crate::sys::{
 use crate::wire::{append_frame, decode_request, encode_response, split_frame, Request, Response};
 use fia_core::TraceContext;
 use fia_linalg::Matrix;
-use fia_telemetry::Span;
+use fia_telemetry::{Span, SpanRecord, Tracer};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -100,8 +100,8 @@ struct Conn {
     next_seq: u64,
     /// Sequence number of the next response to emit into `out`.
     emit_seq: u64,
-    /// Completed responses waiting on earlier sequence numbers.
-    staged: BTreeMap<u64, Staged>,
+    /// Encoded responses waiting on earlier sequence numbers.
+    staged: BTreeMap<u64, Vec<u8>>,
     /// Prediction requests handed to the pool and not yet answered.
     inflight: usize,
     /// No more requests will be parsed (peer EOF, framing corruption,
@@ -150,13 +150,6 @@ impl Conn {
     }
 }
 
-/// An encoded response waiting for its in-order emission slot.
-struct Staged {
-    frame: Vec<u8>,
-    t0: Instant,
-    error: bool,
-}
-
 /// One prediction request fanned out as per-shard sub-rounds.
 struct PendingRound {
     conn: u64,
@@ -172,9 +165,9 @@ struct PendingRound {
     /// Ad-hoc requests have a single part whose release *is* the output.
     adhoc: bool,
     failed: Option<String>,
-    /// The `serve.request` span (traced requests only); finishes just
+    /// The request's span tree (traced requests only); it finishes just
     /// before the response is staged.
-    req_span: Option<Span>,
+    trace: Option<RequestTrace>,
     /// Per-part `serve.dispatch` spans, finished as parts complete.
     dispatch_spans: Vec<Option<Span>>,
     /// What the audit ledger records if the round succeeds (`None` when
@@ -190,18 +183,49 @@ enum AuditKind {
     Features { rows: u64 },
 }
 
-/// Records a traced request's outcome (plus its cache hits, if any) and
-/// finishes its `serve.request` span. Every answer path calls this
-/// *before* staging the response, so a client that reads the trace
-/// right after the reply always finds the span.
-fn finish_request_span(span: Option<Span>, outcome: &str, cached_rows: u64) {
-    if let Some(s) = span {
-        s.record_str("outcome", outcome);
-        if cached_rows > 0 {
-            s.record_u64("cached_rows", cached_rows);
-        }
-        s.finish();
+/// A traced request's spans while it is answered: its own sink, a fork
+/// of the server tracer that every span of its tree files into on
+/// whichever thread, and its open `serve.request` span.
+struct RequestTrace {
+    sink: Tracer,
+    span: Span,
+}
+
+impl RequestTrace {
+    /// Opens a `serve.dispatch` span for one part, and the link under
+    /// which that part's round files its spans.
+    fn dispatch(&self) -> (Span, TraceLink) {
+        let span = self.span.child("serve.dispatch");
+        let link = TraceLink {
+            sink: self.sink.clone(),
+            parent: span.id(),
+        };
+        (span, link)
     }
+
+    /// Finishes the `serve.request` span with the request's latency and
+    /// takes the whole tree, by now finished, out of the sink.
+    fn finish(self, latency_us: u64) -> Vec<SpanRecord> {
+        self.span.record_u64("latency_us", latency_us);
+        self.span.finish();
+        self.sink.take_records()
+    }
+}
+
+/// Records a traced request's outcome (plus its cache hits, if any) on
+/// its `serve.request` span, for [`Reactor::answer`] to finish.
+fn with_outcome(
+    trace: Option<RequestTrace>,
+    outcome: &str,
+    cached_rows: u64,
+) -> Option<RequestTrace> {
+    if let Some(t) = &trace {
+        t.span.record_str("outcome", outcome);
+        if cached_rows > 0 {
+            t.span.record_u64("cached_rows", cached_rows);
+        }
+    }
+    trace
 }
 
 /// The event loop. Owns the listener, every client socket, the poller
@@ -541,25 +565,25 @@ impl Reactor {
         match decode_request(&payload) {
             Err(e) => {
                 self.shared.metrics.record_error();
-                self.stage_response(
+                self.answer(
                     id,
                     seq,
                     t0,
                     &Response::Error(format!("bad request: {e}")),
-                    true,
+                    None,
                 );
             }
-            Ok(Request::Ping) => self.stage_response(id, seq, t0, &Response::Pong, false),
+            Ok(Request::Ping) => self.answer(id, seq, t0, &Response::Pong, None),
             Ok(Request::Info) => {
                 let info = self.shared.info.clone();
-                self.stage_response(id, seq, t0, &Response::Info(info), false);
+                self.answer(id, seq, t0, &Response::Info(info), None);
             }
             Ok(Request::MetricsText) => {
                 let text = self.shared.metrics.exposition();
-                self.stage_response(id, seq, t0, &Response::MetricsText(text), false);
+                self.answer(id, seq, t0, &Response::MetricsText(text), None);
             }
             Ok(Request::Shutdown) => {
-                self.stage_response(id, seq, t0, &Response::ShuttingDown, false);
+                self.answer(id, seq, t0, &Response::ShuttingDown, None);
                 if let Some(conn) = self.conns.get_mut(&id) {
                     conn.read_done = true;
                     conn.close_when_flushed = true;
@@ -577,8 +601,8 @@ impl Reactor {
                 self.start_adhoc(id, seq, t0, slices, Some(ctx))
             }
             Ok(Request::TraceExport) => {
-                let text = self.shared.tracer.to_jsonl();
-                self.stage_response(id, seq, t0, &Response::TraceJsonl(text), false);
+                let text = self.shared.traces.to_jsonl();
+                self.answer(id, seq, t0, &Response::TraceJsonl(text), None);
             }
             Ok(Request::AuditReport) => {
                 let n = self.shared.info.n_samples as u64;
@@ -591,7 +615,7 @@ impl Reactor {
                         clients: Vec::new(),
                     },
                 };
-                self.stage_response(id, seq, t0, &Response::Audit(summary), false);
+                self.answer(id, seq, t0, &Response::Audit(summary), None);
             }
             Ok(
                 Request::JobSubmit(_)
@@ -605,14 +629,14 @@ impl Reactor {
                 // surface; a prediction server rejects them with a typed
                 // error so a misdirected client fails loudly, not oddly.
                 self.shared.metrics.record_error();
-                self.stage_response(
+                self.answer(
                     id,
                     seq,
                     t0,
                     &Response::Error(
                         "job ops are served by fia-campaignd, not a prediction server".to_string(),
                     ),
-                    true,
+                    None,
                 );
             }
             Ok(Request::DeclareSession(tag)) => {
@@ -624,24 +648,22 @@ impl Reactor {
                         tag
                     };
                 }
-                self.stage_response(id, seq, t0, &Response::SessionAck, false);
+                self.answer(id, seq, t0, &Response::SessionAck, None);
             }
         }
     }
 
-    /// Opens the `serve.request` span for a traced request: a
-    /// server-side root *linked* to the client-side span id carried in
-    /// the frame, which is what joins the two JSONL streams after a
+    /// Opens a traced request's span tree on a fresh sink: a
+    /// `serve.request` root *linked* to the client-side span id carried
+    /// in the frame, which is what joins the two JSONL streams after a
     /// merge. Untraced requests cost no span at all.
-    fn open_request_span(&self, ctx: Option<TraceContext>, op: &str) -> Option<Span> {
+    fn open_trace(&self, ctx: Option<TraceContext>, op: &str) -> Option<RequestTrace> {
         ctx.map(|c| {
-            let s = self
-                .shared
-                .tracer
-                .root_with_parent("serve.request", c.parent_span);
-            s.record_u64("trace_id", c.trace_id);
-            s.record_str("op", op);
-            s
+            let sink = self.shared.traces.sink();
+            let span = sink.root_with_parent("serve.request", c.parent_span);
+            span.record_u64("trace_id", c.trace_id);
+            span.record_str("op", op);
+            RequestTrace { sink, span }
         })
     }
 
@@ -670,17 +692,16 @@ impl Reactor {
         indices: Vec<u32>,
         trace: Option<TraceContext>,
     ) {
-        let req_span = self.open_request_span(trace, "predict_by_index");
-        if let Some(s) = &req_span {
-            s.record_u64("rows", indices.len() as u64);
+        let trace = self.open_trace(trace, "predict_by_index");
+        if let Some(t) = &trace {
+            t.span.record_u64("rows", indices.len() as u64);
         }
         let n = self.shared.info.n_samples;
         if let Some(&bad) = indices.iter().find(|&&i| (i as usize) >= n) {
-            finish_request_span(req_span, "rejected", 0);
             self.shared.metrics.record_error();
             let resp =
                 Response::Error(format!("sample index {bad} out of range (n_samples = {n})"));
-            self.stage_response(id, seq, t0, &resp, true);
+            self.answer(id, seq, t0, &resp, with_outcome(trace, "rejected", 0));
             return;
         }
         // Keep the u32 identities: the audit ledger tracks distinct and
@@ -692,16 +713,15 @@ impl Reactor {
             // directly. It still counts as one query in the ledger,
             // exactly as the client meters it.
             self.audit_stored(id, &raw, 0);
-            finish_request_span(req_span, "ok", 0);
             let resp = Response::Scores {
                 scores: Matrix::zeros(0, self.shared.info.n_classes),
                 cached_rows: 0,
             };
-            self.stage_response(id, seq, t0, &resp, false);
+            self.answer(id, seq, t0, &resp, with_outcome(trace, "ok", 0));
             return;
         }
         let StoredPlan { out, hits, groups } = {
-            let cache_span = req_span.as_ref().map(|s| s.child("serve.cache"));
+            let cache_span = trace.as_ref().map(|t| t.span.child("serve.cache"));
             let plan = self.shared.dispatcher.plan_stored(&indices);
             if let Some(cs) = &cache_span {
                 cs.record_u64("hit_rows", plan.hits);
@@ -715,12 +735,11 @@ impl Reactor {
         if groups.is_empty() {
             // Fully cache-served: no round, no protocol cost.
             self.audit_stored(id, &raw, hits);
-            finish_request_span(req_span, "ok", hits);
             let resp = Response::Scores {
                 scores: out,
                 cached_rows: hits as u32,
             };
-            self.stage_response(id, seq, t0, &resp, false);
+            self.answer(id, seq, t0, &resp, with_outcome(trace, "ok", hits));
             return;
         }
         let pid = self.next_pending;
@@ -729,32 +748,30 @@ impl Reactor {
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.inflight += 1;
         }
-        let dispatch_spans: Vec<Option<Span>> = groups
+        let (dispatch_spans, links): (Vec<Option<Span>>, Vec<Option<TraceLink>>) = groups
             .iter()
             .map(|(shard, group)| {
-                req_span.as_ref().map(|s| {
-                    let d = s.child("serve.dispatch");
-                    d.record_u64("shard", *shard as u64);
-                    d.record_u64("rows", group.len() as u64);
-                    d
-                })
+                trace
+                    .as_ref()
+                    .map(|t| {
+                        let (d, link) = t.dispatch();
+                        d.record_u64("shard", *shard as u64);
+                        d.record_u64("rows", group.len() as u64);
+                        (d, link)
+                    })
+                    .unzip()
             })
-            .collect();
+            .unzip();
         let audit = self.ledger.is_some().then_some(AuditKind::Stored {
             indices: raw,
             cached: hits,
         });
         let parts: Vec<Part> = groups
             .iter()
-            .zip(&dispatch_spans)
+            .zip(links)
             .enumerate()
-            .map(|(part, ((shard, group), span))| {
-                Part::stored(
-                    *shard,
-                    group,
-                    self.reply_to(pid, part),
-                    span.as_ref().map(|d| d.id()),
-                )
+            .map(|(part, ((shard, group), link))| {
+                Part::stored(*shard, group, self.reply_to(pid, part), link)
             })
             .collect();
         self.pending.insert(
@@ -769,7 +786,7 @@ impl Reactor {
                 remaining,
                 adhoc: false,
                 failed: None,
-                req_span,
+                trace,
                 dispatch_spans,
                 audit,
             },
@@ -797,50 +814,47 @@ impl Reactor {
         slices: Vec<Matrix>,
         trace: Option<TraceContext>,
     ) {
-        let req_span = self.open_request_span(trace, "predict_features");
+        let trace = self.open_trace(trace, "predict_features");
         let widths = &self.shared.info.party_widths;
         if slices.len() != widths.len() {
-            finish_request_span(req_span, "rejected", 0);
             self.shared.metrics.record_error();
             let resp = Response::Error(format!(
                 "expected {} party feature blocks, got {}",
                 widths.len(),
                 slices.len()
             ));
-            self.stage_response(id, seq, t0, &resp, true);
+            self.answer(id, seq, t0, &resp, with_outcome(trace, "rejected", 0));
             return;
         }
         let rows = slices.first().map(|s| s.rows()).unwrap_or_default();
-        if let Some(s) = &req_span {
-            s.record_u64("rows", rows as u64);
+        if let Some(t) = &trace {
+            t.span.record_u64("rows", rows as u64);
         }
         for (p, (block, &width)) in slices.iter().zip(widths).enumerate() {
-            if block.cols() != width {
-                finish_request_span(req_span, "rejected", 0);
-                self.shared.metrics.record_error();
-                let resp = Response::Error(format!(
-                    "party {p} block is {} wide, expected {width}",
-                    block.cols()
-                ));
-                self.stage_response(id, seq, t0, &resp, true);
-                return;
-            }
-            if block.rows() != rows {
-                finish_request_span(req_span, "rejected", 0);
-                self.shared.metrics.record_error();
-                let resp = Response::Error("party blocks must be row-aligned".to_string());
-                self.stage_response(id, seq, t0, &resp, true);
-                return;
-            }
+            let why = if block.cols() != width {
+                format!("party {p} block is {} wide, expected {width}", block.cols())
+            } else if block.rows() != rows {
+                "party blocks must be row-aligned".to_string()
+            } else {
+                continue;
+            };
+            self.shared.metrics.record_error();
+            self.answer(
+                id,
+                seq,
+                t0,
+                &Response::Error(why),
+                with_outcome(trace, "rejected", 0),
+            );
+            return;
         }
         if rows == 0 {
             self.audit_features(id, 0);
-            finish_request_span(req_span, "ok", 0);
             let resp = Response::Scores {
                 scores: Matrix::zeros(0, self.shared.info.n_classes),
                 cached_rows: 0,
             };
-            self.stage_response(id, seq, t0, &resp, false);
+            self.answer(id, seq, t0, &resp, with_outcome(trace, "ok", 0));
             return;
         }
         let pid = self.next_pending;
@@ -848,17 +862,15 @@ impl Reactor {
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.inflight += 1;
         }
-        let dispatch_span = req_span.as_ref().map(|s| {
-            let d = s.child("serve.dispatch");
+        let (dispatch_span, link) = trace.as_ref().map(|t| t.dispatch()).unzip();
+        if let Some(d) = &dispatch_span {
             d.record_u64("rows", rows as u64);
-            d
-        });
-        let parent = dispatch_span.as_ref().map(|d| d.id());
+        }
         let audit = self
             .ledger
             .is_some()
             .then_some(AuditKind::Features { rows: rows as u64 });
-        let part = Part::adhoc(slices, rows, self.reply_to(pid, 0), parent);
+        let part = Part::adhoc(slices, rows, self.reply_to(pid, 0), link);
         self.pending.insert(
             pid,
             PendingRound {
@@ -871,7 +883,7 @@ impl Reactor {
                 remaining: 1,
                 adhoc: true,
                 failed: None,
-                req_span,
+                trace,
                 dispatch_spans: vec![dispatch_span],
                 audit,
             },
@@ -914,19 +926,7 @@ impl Reactor {
         if !finished {
             return;
         }
-        let mut p = self.pending.remove(&c.pending_id).expect("checked above");
-        let (resp, is_error) = match p.failed.take() {
-            Some(why) => (Response::Error(why), true),
-            None => (
-                Response::Scores {
-                    scores: std::mem::replace(&mut p.out, Matrix::zeros(0, 0)),
-                    cached_rows: p.hits as u32,
-                },
-                false,
-            ),
-        };
-        let outcome = if is_error { "error" } else { "ok" };
-        finish_request_span(p.req_span.take(), outcome, p.hits);
+        let p = self.pending.remove(&c.pending_id).expect("checked above");
         let resume = {
             let Some(conn) = self.conns.get_mut(&p.conn) else {
                 return; // connection died while the round ran
@@ -938,19 +938,29 @@ impl Reactor {
             }
             resume
         };
-        // Ledger accounting happens only when a `Scores` response really
-        // stages to a live connection — the exact event the client's own
-        // cost metering counts, so the two stay equal by construction.
-        if !is_error {
-            match p.audit.take() {
-                Some(AuditKind::Stored { indices, cached }) => {
-                    self.audit_stored(p.conn, &indices, cached)
+        let (resp, outcome) = match p.failed {
+            Some(why) => (Response::Error(why), "error"),
+            None => {
+                // Ledger accounting happens only when a `Scores`
+                // response really stages to a live connection — the
+                // exact event the client's own cost metering counts, so
+                // the two stay equal by construction.
+                match p.audit {
+                    Some(AuditKind::Stored { indices, cached }) => {
+                        self.audit_stored(p.conn, &indices, cached)
+                    }
+                    Some(AuditKind::Features { rows }) => self.audit_features(p.conn, rows),
+                    None => {}
                 }
-                Some(AuditKind::Features { rows }) => self.audit_features(p.conn, rows),
-                None => {}
+                let scores = Response::Scores {
+                    scores: p.out,
+                    cached_rows: p.hits as u32,
+                };
+                (scores, "ok")
             }
-        }
-        self.stage_response(p.conn, p.seq, p.t0, &resp, is_error);
+        };
+        let trace = with_outcome(p.trace, outcome, p.hits);
+        self.answer(p.conn, p.seq, p.t0, &resp, trace);
         if resume {
             // Frames buffered while the pipeline cap held are parsed now
             // — no new readable event will announce them.
@@ -962,9 +972,32 @@ impl Reactor {
     // -----------------------------------------------------------------
     // Response emission and writing.
 
-    /// Encodes `resp` into `seq`'s slot and emits every response that is
-    /// now next in per-connection order.
-    fn stage_response(&mut self, id: u64, seq: u64, t0: Instant, resp: &Response, is_error: bool) {
+    /// Answers request `seq` of connection `id`: measures its latency
+    /// once, files a traced request's finished tree under that
+    /// latency's bucket, then encodes `resp` into `seq`'s slot and
+    /// emits every response that is now next in per-connection order.
+    /// The same latency is an answered request's
+    /// `fia_serve_request_duration_us` observation and its tree's
+    /// `latency_us`. The tree is filed before the reply stages, so a
+    /// client that reads the trace right after the reply finds it.
+    fn answer(
+        &mut self,
+        id: u64,
+        seq: u64,
+        t0: Instant,
+        resp: &Response,
+        trace: Option<RequestTrace>,
+    ) {
+        let latency_us = t0.elapsed().as_micros() as u64;
+        let failed = matches!(resp, Response::Error(_));
+        let dropped = trace.and_then(|t| {
+            self.shared
+                .traces
+                .keep(latency_us, failed, t.finish(latency_us))
+        });
+        if !failed {
+            self.shared.metrics.record_request(latency_us);
+        }
         let frame = encode_response(resp).unwrap_or_else(|_| {
             encode_response(&Response::Error("response encoding failed".to_string()))
                 .expect("error responses always encode")
@@ -973,25 +1006,16 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
             };
-            conn.staged.insert(
-                seq,
-                Staged {
-                    frame,
-                    t0,
-                    error: is_error,
-                },
-            );
-            while let Some(s) = conn.staged.remove(&conn.emit_seq) {
-                append_frame(&mut conn.out, &s.frame).expect("encoded replies fit the frame cap");
-                if !s.error {
-                    self.shared
-                        .metrics
-                        .record_request(s.t0.elapsed().as_micros() as u64);
-                }
+            conn.staged.insert(seq, frame);
+            while let Some(frame) = conn.staged.remove(&conn.emit_seq) {
+                append_frame(&mut conn.out, &frame).expect("encoded replies fit the frame cap");
                 conn.emit_seq += 1;
             }
         }
         self.flush_and_update(id);
+        // A tree that left the store is freed only now, after the reply
+        // was written: its few dozen frees stay off the request's path.
+        drop(dropped);
     }
 
     /// Greedily writes buffered output, then reconciles poller interest

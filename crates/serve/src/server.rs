@@ -51,10 +51,10 @@ use crate::metrics::{MetricsReport, ServerMetrics};
 use crate::pool::ReplicaPool;
 use crate::reactor::Reactor;
 use crate::sys::Waker;
+use crate::traces::KeptTraces;
 use crate::wire::ServerInfo;
 use fia_defense::DefensePipeline;
 use fia_models::PredictProba;
-use fia_telemetry::Tracer;
 use fia_vfl::{PartyId, VflSystem};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,11 +140,12 @@ pub(crate) struct Shared {
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) info: ServerInfo,
-    /// Server-side span tracer. Its id space starts at `1 << 32` so a
-    /// merged client+server trace never collides span ids (client
-    /// tracers start at 1), which is what lets cross-process parent
-    /// links resolve unambiguously.
-    pub(crate) tracer: Tracer,
+    /// The kept span trees of traced requests, and the sinks their
+    /// spans open on. Its id space starts at `1 << 32` so a merged
+    /// client+server trace never collides span ids (client tracers
+    /// start at 1), which is what lets cross-process parent links
+    /// resolve unambiguously.
+    pub(crate) traces: Arc<KeptTraces>,
     /// Whether the reactor keeps a per-client [`crate::AuditLedger`].
     pub(crate) audit: bool,
 }
@@ -190,13 +191,12 @@ impl PredictionServer {
         let replicas = config.replicas.max(1);
         let metrics = Arc::new(ServerMetrics::with_replicas(replicas));
         let stop = Arc::new(AtomicBool::new(false));
-        let tracer = Tracer::with_id_base(SERVER_SPAN_ID_BASE);
+        let traces = Arc::new(KeptTraces::new(SERVER_SPAN_ID_BASE));
         let (pool, batchers) = ReplicaPool::spawn(
             &system,
             &defense,
             &metrics,
             &stop,
-            &tracer,
             config.coalescer(),
             config.round_cost,
             replicas,
@@ -216,7 +216,7 @@ impl PredictionServer {
             metrics: Arc::clone(&metrics),
             stop: Arc::clone(&stop),
             info,
-            tracer: tracer.clone(),
+            traces: Arc::clone(&traces),
             audit: config.audit,
         });
 
@@ -233,7 +233,7 @@ impl PredictionServer {
             addr,
             stop,
             metrics,
-            tracer,
+            traces,
             waker,
             reactor: Some(reactor),
             batchers,
@@ -247,7 +247,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     metrics: Arc<ServerMetrics>,
-    tracer: Tracer,
+    traces: Arc<KeptTraces>,
     waker: Waker,
     reactor: Option<JoinHandle<()>>,
     batchers: Vec<JoinHandle<()>>,
@@ -277,12 +277,17 @@ impl ServerHandle {
         self.metrics.set_recording(on);
     }
 
-    /// Finished server-side spans as JSONL (the same text the
-    /// `TraceExport` wire op returns). Server span ids start at
-    /// `1 << 32`, so concatenating this with a client tracer's JSONL
-    /// yields a merged trace with no id collisions.
+    /// The kept span trees of traced requests as JSONL (the same text
+    /// the `TraceExport` wire op returns): for each pair of
+    /// `fia_serve_request_duration_us` bucket and outcome, the trees of
+    /// the last [`KEPT_TREES_PER_BUCKET`](crate::KEPT_TREES_PER_BUCKET)
+    /// requests answered in it, tree after tree in answer order. Each
+    /// `serve.request` span records the `latency_us` the histogram
+    /// recorded for it. Server span ids start at `1 << 32`, so
+    /// concatenating this with a client tracer's JSONL yields a merged
+    /// trace with no id collisions.
     pub fn trace_jsonl(&self) -> String {
-        self.tracer.to_jsonl()
+        self.traces.to_jsonl()
     }
 
     /// Stops accepting, lets in-flight rounds finish, answers everything

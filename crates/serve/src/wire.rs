@@ -249,8 +249,10 @@ pub enum Request {
     PredictByIndexTraced(Vec<u32>, TraceContext),
     /// [`Request::PredictFeatures`] carrying a distributed-trace context.
     PredictFeaturesTraced(Vec<Matrix>, TraceContext),
-    /// Ask for the server's finished spans as JSONL — the server half of
-    /// a merged cross-process trace.
+    /// Ask for the span trees the server keeps as JSONL — the server
+    /// half of a merged cross-process trace. The server keeps the trees
+    /// of the last few traced requests per request-latency bucket and
+    /// outcome ([`crate::KEPT_TREES_PER_BUCKET`]), in answer order.
     TraceExport,
     /// Ask for the per-client audit ledger summary.
     AuditReport,
@@ -303,7 +305,7 @@ pub enum Response {
     ShuttingDown,
     /// Prometheus-style text exposition of the server's telemetry.
     MetricsText(String),
-    /// The server's finished spans, one JSON object per line.
+    /// The server's kept span trees, one JSON object per span and line.
     TraceJsonl(String),
     /// Per-client audit ledger summary.
     Audit(AuditSummary),

@@ -597,17 +597,25 @@ fn open_loop_generator_honors_schedule_and_counts_everything() {
 }
 
 /// `fia_serve_reactor_rounds_total` from the server's scrape.
-fn reactor_rounds(server: &ServerHandle) -> u64 {
+/// The value of the unlabeled series `name` in the server's scrape.
+fn scraped(server: &ServerHandle, name: &str) -> u64 {
     let text = server.metrics_text();
     let line = text
         .lines()
-        .find(|l| l.starts_with("fia_serve_reactor_rounds_total "))
-        .unwrap_or_else(|| panic!("no reactor-rounds counter in\n{text}"));
+        .find(|l| {
+            l.strip_prefix(name)
+                .is_some_and(|rest| rest.starts_with(' '))
+        })
+        .unwrap_or_else(|| panic!("no {name} series in\n{text}"));
     line.rsplit(' ')
         .next()
         .unwrap()
         .parse()
-        .expect("integer counter")
+        .expect("integer series")
+}
+
+fn reactor_rounds(server: &ServerHandle) -> u64 {
+    scraped(server, "fia_serve_reactor_rounds_total")
 }
 
 /// Pulls `"key":N` out of a JSONL span line.
@@ -766,6 +774,15 @@ fn lone_parts_run_on_the_reactor_and_everything_else_queues() {
                         .unwrap_or_else(|| panic!("no {name} span under {parent}:\n{jsonl}"))
                 };
                 let request = span("serve.request", 9);
+                // The request records the latency its histogram
+                // observation took; the connect handshake's `Info` is
+                // the only other observation, so their sum bounds it.
+                let line = jsonl
+                    .lines()
+                    .find(|l| field_u64(l, "id") == Some(request))
+                    .expect("request line");
+                let latency = field_u64(line, "latency_us").expect("serve.request latency_us");
+                assert!(latency <= scraped(server, "fia_serve_request_duration_us_sum"));
                 span("serve.cache", request);
                 let dispatch = span("serve.dispatch", request);
                 let round = span("serve.round", dispatch);

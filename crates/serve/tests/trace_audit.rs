@@ -1,15 +1,20 @@
 //! Integration coverage for the serving layer's observability surface:
 //! traced wire variants open linked `serve.request` spans on the server,
-//! the audit ledger attributes traffic per client (and agrees with each
-//! client's own meter), session tags rename ledger entries, and legacy
-//! untraced clients stay bit-identical with no span overhead.
+//! which keeps a bounded set of whole span trees per latency bucket and
+//! outcome, the audit ledger attributes traffic per client (and agrees
+//! with each client's own meter), session tags rename ledger entries,
+//! and legacy untraced clients stay bit-identical with no span overhead.
 
 use fia_core::{PredictionOracle, TraceContext};
 use fia_defense::DefensePipeline;
 use fia_linalg::Matrix;
 use fia_models::LogisticRegression;
-use fia_serve::{PredictionServer, RemoteOracle, ServeConfig, SERVER_SPAN_ID_BASE};
+use fia_serve::{
+    PredictionServer, RemoteOracle, ServeConfig, KEPT_TREES_PER_BUCKET, SERVER_SPAN_ID_BASE,
+};
+use fia_telemetry::{Histogram, HISTOGRAM_BUCKETS};
 use fia_vfl::{VerticalPartition, VflSystem};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const D: usize = 6;
@@ -96,6 +101,122 @@ fn traced_queries_open_linked_request_spans() {
     assert!(jsonl.contains("\"cached_rows\":2"), "{jsonl}");
     assert!(jsonl.contains("\"name\":\"serve.cache\""));
     assert!(jsonl.contains("\"name\":\"serve.dispatch\""));
+    server.shutdown();
+}
+
+fn has_name(line: &str, name: &str) -> bool {
+    line.contains(&format!("\"name\":\"{name}\""))
+}
+
+/// Per-bucket counts of the `fia_serve_request_duration_us` histogram in
+/// a scrape, whose `_bucket` series are cumulative and skip empty
+/// interior buckets.
+fn latency_buckets(text: &str) -> [u64; HISTOGRAM_BUCKETS] {
+    let mut counts = [0; HISTOGRAM_BUCKETS];
+    let mut below = 0;
+    for rest in text
+        .lines()
+        .filter_map(|l| l.strip_prefix("fia_serve_request_duration_us_bucket{le=\""))
+    {
+        let (le, cumulative) = rest.split_once("\"} ").expect("bucket line");
+        let Ok(bound) = le.parse::<u64>() else {
+            continue; // the +Inf total
+        };
+        let cumulative: u64 = cumulative.parse().expect("bucket count");
+        counts[Histogram::bucket_index(bound)] = cumulative - below;
+        below = cumulative;
+    }
+    counts
+}
+
+#[test]
+fn each_latency_bucket_and_outcome_keeps_min_k_whole_trees_in_answer_order() {
+    const SENT: u64 = 2_001;
+    const REJECTED: u64 = 1_000;
+    let k = KEPT_TREES_PER_BUCKET as u64;
+    let server = spawn(ServeConfig::default());
+    let mut oracle = RemoteOracle::connect(server.addr()).expect("connect");
+    // From here on only the traced queries move the latency histogram.
+    let before = latency_buckets(&server.metrics_text());
+    // 2,000 one-row queries and one rejected query, one at a time. Each
+    // carries its send number as its client span, so a kept tree's
+    // `serve.request` parent names the query it answered.
+    for i in 0..SENT {
+        oracle.set_trace_context(Some(TraceContext {
+            trace_id: 5,
+            parent_span: i + 1,
+        }));
+        if i == REJECTED {
+            assert!(oracle.predict_batch(&[N]).is_err(), "out of range");
+        } else {
+            oracle
+                .predict_batch(&[i as usize % N])
+                .expect("traced predict");
+        }
+    }
+    let answered: Vec<u64> = latency_buckets(&server.metrics_text())
+        .iter()
+        .zip(before)
+        .map(|(after, before)| after - before)
+        .collect();
+    assert_eq!(answered.iter().sum::<u64>(), SENT - 1);
+
+    let jsonl = server.trace_jsonl();
+    let lines: Vec<&str> = jsonl.lines().collect();
+    let requests: Vec<&str> = lines
+        .iter()
+        .copied()
+        .filter(|l| has_name(l, "serve.request"))
+        .collect();
+    // Each pair keeps min(K, its requests): the answered queries by the
+    // bucket their latency landed in, the one rejected query alone.
+    let mut kept = [[0u64; HISTOGRAM_BUCKETS]; 2];
+    for req in &requests {
+        let latency = field_u64(req, "latency_us").expect("latency_us");
+        let failed = req.contains("\"outcome\":\"rejected\"");
+        kept[usize::from(failed)][Histogram::bucket_index(latency)] += 1;
+    }
+    let want: Vec<u64> = answered.iter().map(|&n| n.min(k)).collect();
+    assert_eq!(kept[0].to_vec(), want, "answered trees per bucket");
+    assert_eq!(kept[1].iter().sum::<u64>(), 1, "the rejected tree");
+    assert!(requests.len() as u64 <= 2 * HISTOGRAM_BUCKETS as u64 * k);
+    assert!((requests.len() as u64) < SENT, "retention dropped trees");
+
+    // Trees come out whole and in answer order.
+    let sent: Vec<u64> = requests
+        .iter()
+        .map(|l| field_u64(l, "parent").expect("client span"))
+        .collect();
+    assert!(
+        sent.windows(2).all(|w| w[0] < w[1]),
+        "answer order: {sent:?}"
+    );
+    let rejected = requests
+        .iter()
+        .find(|l| field_u64(l, "parent") == Some(REJECTED + 1))
+        .expect("the rejected request's tree");
+    assert!(rejected.contains("\"outcome\":\"rejected\""));
+    let child = |name: &str, parent: u64| {
+        lines
+            .iter()
+            .find(|l| has_name(l, name) && field_u64(l, "parent") == Some(parent))
+            .and_then(|l| field_u64(l, "id"))
+            .unwrap_or_else(|| panic!("no {name} under {parent}"))
+    };
+    let last = child("serve.request", SENT);
+    child("serve.cache", last);
+    let round = child("serve.round", child("serve.dispatch", last));
+    child("serve.predict", round);
+    child("serve.defense", round);
+    let dispatches: HashSet<u64> = lines
+        .iter()
+        .filter(|l| has_name(l, "serve.dispatch"))
+        .filter_map(|l| field_u64(l, "id"))
+        .collect();
+    for round in lines.iter().filter(|l| has_name(l, "serve.round")) {
+        let parent = field_u64(round, "parent").expect("round parent");
+        assert!(dispatches.contains(&parent), "orphan round: {round}");
+    }
     server.shutdown();
 }
 

@@ -19,7 +19,9 @@
 //!   parent handles: no thread-local magic, so a span crosses
 //!   `AttackEngine`'s scoped stripe threads and batcher threads by
 //!   ordinary borrows. Finished spans collect into [`SpanRecord`]s and
-//!   render to JSONL ([`Tracer::to_jsonl`]).
+//!   render to JSONL ([`Tracer::to_jsonl`]). A [`Tracer::fork`] collects
+//!   its spans apart, in the same id space and clock, so a server can
+//!   keep or drop each request's tree whole.
 //! * [`TelemetrySnapshot`] — a plain-old-data point-in-time view
 //!   ([`Registry::snapshot`]) with counter-exact deltas
 //!   ([`TelemetrySnapshot::delta_since`]) and hand-rolled JSON, the
@@ -43,4 +45,4 @@ pub use expo::encode_prometheus;
 pub use instrument::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{global, Registry};
 pub use snapshot::{InstrumentSnapshot, InstrumentValue, TelemetrySnapshot};
-pub use span::{FieldValue, Span, SpanRecord, Tracer};
+pub use span::{records_to_jsonl, FieldValue, Span, SpanRecord, Tracer};

@@ -73,18 +73,25 @@ impl SpanRecord {
     }
 }
 
-struct TracerInner {
+/// What a tracer shares with its forks: one epoch and one id counter.
+struct Clock {
     epoch: Instant,
     /// Wall-clock time of `epoch`, microseconds since the Unix epoch —
     /// captured once so every record's `unix_us` shares one anchor.
     epoch_unix_us: u64,
     next_id: AtomicU64,
+}
+
+struct TracerInner {
+    clock: Arc<Clock>,
     records: Mutex<Vec<SpanRecord>>,
 }
 
 /// Creates [`Span`]s and collects their finished [`SpanRecord`]s.
 ///
 /// Cheap to clone (an `Arc`); clones share one record sink and id space.
+/// A [`Tracer::fork`] shares the id space and clock but has a record
+/// sink of its own.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
@@ -110,23 +117,39 @@ impl Tracer {
     /// at 1) so span ids stay unique in the merged tree and a
     /// cross-process `parent` reference is unambiguous.
     pub fn with_id_base(base: u64) -> Self {
+        Self::with_clock(Arc::new(Clock {
+            epoch: Instant::now(),
+            epoch_unix_us: SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map(|d| d.as_micros() as u64)
+                .unwrap_or(0),
+            next_id: AtomicU64::new(base.max(1)),
+        }))
+    }
+
+    fn with_clock(clock: Arc<Clock>) -> Self {
         Tracer {
             inner: Arc::new(TracerInner {
-                epoch: Instant::now(),
-                epoch_unix_us: SystemTime::now()
-                    .duration_since(UNIX_EPOCH)
-                    .map(|d| d.as_micros() as u64)
-                    .unwrap_or(0),
-                next_id: AtomicU64::new(base.max(1)),
+                clock,
                 records: Mutex::new(Vec::new()),
             }),
         }
     }
 
+    /// A tracer with an empty record sink of its own that shares this
+    /// tracer's id space and clock: span ids stay unique across the
+    /// tracer and all its forks, and every record's times count from
+    /// one epoch. A server forks one per traced request, so each
+    /// request's spans collect apart from every other request's and
+    /// leave as one tree ([`Tracer::take_records`]).
+    pub fn fork(&self) -> Tracer {
+        Self::with_clock(Arc::clone(&self.inner.clock))
+    }
+
     fn open(&self, name: &str, parent: Option<u64>) -> Span {
         Span {
             tracer: self.clone(),
-            id: self.inner.next_id.fetch_add(1, Ordering::Relaxed),
+            id: self.inner.clock.next_id.fetch_add(1, Ordering::Relaxed),
             parent,
             name: name.to_string(),
             started: Instant::now(),
@@ -157,19 +180,34 @@ impl Tracer {
             .clone()
     }
 
-    /// Renders every finished span as one JSONL line each (trailing
-    /// newline included when non-empty). Each record renders in place
-    /// into the one export buffer while the records lock is held; no
-    /// record is cloned.
-    pub fn to_jsonl(&self) -> String {
-        let records = self.inner.records.lock().expect("tracer records lock");
-        let mut out = String::new();
-        for r in records.iter() {
-            out = r.render(ObjectBuilder::append_to(out));
-            out.push('\n');
-        }
-        out
+    /// Removes and returns the finished spans so far, in finish order.
+    pub fn take_records(&self) -> Vec<SpanRecord> {
+        std::mem::take(&mut *self.inner.records.lock().expect("tracer records lock"))
     }
+
+    /// Renders every finished span as one JSONL line each (see
+    /// [`records_to_jsonl`]), in place while the records lock is held.
+    pub fn to_jsonl(&self) -> String {
+        records_to_jsonl(
+            self.inner
+                .records
+                .lock()
+                .expect("tracer records lock")
+                .iter(),
+        )
+    }
+}
+
+/// Renders `records` as one JSONL line each, trailing newline included
+/// when non-empty. Each record renders in place into the one output
+/// buffer; none is cloned.
+pub fn records_to_jsonl<'a>(records: impl IntoIterator<Item = &'a SpanRecord>) -> String {
+    let mut out = String::new();
+    for r in records {
+        out = r.render(ObjectBuilder::append_to(out));
+        out.push('\n');
+    }
+    out
 }
 
 /// An open span. Timing stops at [`Span::finish`] or on drop, whichever
@@ -223,16 +261,14 @@ impl Span {
         if self.finished.swap(1, Ordering::Relaxed) != 0 {
             return;
         }
-        let start_us = self
-            .started
-            .duration_since(self.tracer.inner.epoch)
-            .as_micros() as u64;
+        let clock = &self.tracer.inner.clock;
+        let start_us = self.started.duration_since(clock.epoch).as_micros() as u64;
         let record = SpanRecord {
             id: self.id,
             parent: self.parent,
             name: self.name.clone(),
             start_us,
-            unix_us: self.tracer.inner.epoch_unix_us.saturating_add(start_us),
+            unix_us: clock.epoch_unix_us.saturating_add(start_us),
             dur_us: self.started.elapsed().as_micros() as u64,
             fields: self.fields.lock().expect("span fields lock").clone(),
         };
@@ -420,6 +456,42 @@ mod tests {
                 assert!(merged.iter().any(|o| o.id == p));
             }
         }
+    }
+
+    #[test]
+    fn forks_share_ids_and_clock_but_not_records() {
+        let t = Tracer::with_id_base(1 << 32);
+        let a = t.fork();
+        let b = t.fork();
+        let root = a.root("req");
+        let child = root.child("round");
+        let other = b.root_with_parent("req", 9);
+        assert_eq!(
+            [root.id(), child.id(), other.id()],
+            [1 << 32, (1 << 32) + 1, (1 << 32) + 2],
+            "one id space across forks"
+        );
+        child.finish();
+        root.finish();
+        other.finish();
+        assert!(t.records().is_empty(), "forks file nothing into the parent");
+        assert_eq!(b.records().len(), 1);
+        let tree = a.take_records();
+        assert_eq!(
+            tree.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
+            ["round", "req"]
+        );
+        assert!(a.records().is_empty(), "take_records drains the sink");
+        // One clock: both forks' wall-clock anchors sit on one epoch.
+        let [other] = b.take_records().try_into().unwrap();
+        assert_eq!(
+            other.unix_us - tree[1].unix_us,
+            other.start_us - tree[1].start_us
+        );
+        assert_eq!(
+            records_to_jsonl(&tree),
+            tree.iter().map(|r| r.to_json() + "\n").collect::<String>()
+        );
     }
 
     #[test]
