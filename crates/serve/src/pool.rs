@@ -665,15 +665,14 @@ mod tests {
             rx.recv().expect("first reply").expect("round ok");
             // Read on the first reply: the round's spans are filed.
             let recs = first.records();
-            let filed: Vec<(String, Option<u64>)> =
-                recs.iter().map(|r| (r.name.clone(), r.parent)).collect();
+            let filed: Vec<(&str, Option<u64>)> = recs.iter().map(|r| (r.name, r.parent)).collect();
             let round_id = recs.last().expect("round span filed").id;
             assert_eq!(
                 filed,
                 [
-                    ("serve.predict".to_string(), Some(round_id)),
-                    ("serve.defense".to_string(), Some(round_id)),
-                    ("serve.round".to_string(), Some(77)),
+                    ("serve.predict", Some(round_id)),
+                    ("serve.defense", Some(round_id)),
+                    ("serve.round", Some(77)),
                 ]
             );
         });

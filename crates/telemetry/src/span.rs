@@ -6,6 +6,11 @@
 //! require per-thread bookkeeping. Instead a parent [`Span`] is an
 //! ordinary value — [`Span::child`] takes `&self`, so handing a span to
 //! a scoped worker is just a borrow.
+//!
+//! Span names and field keys are `&'static str`: every caller names its
+//! spans and fields with literals, so opening a span or recording a
+//! field copies no name or key, and [`Span::finish`] moves the fields
+//! into the record.
 
 use crate::json::ObjectBuilder;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +37,7 @@ pub struct SpanRecord {
     /// Parent span id, `None` for roots.
     pub parent: Option<u64>,
     /// Span name (e.g. `campaign.chunk`).
-    pub name: String,
+    pub name: &'static str,
     /// Start offset from the tracer's epoch, microseconds.
     pub start_us: u64,
     /// Absolute wall-clock start, microseconds since the Unix epoch.
@@ -42,7 +47,7 @@ pub struct SpanRecord {
     /// Wall-clock duration, microseconds.
     pub dur_us: u64,
     /// Fields attached while the span was open.
-    pub fields: Vec<(String, FieldValue)>,
+    pub fields: Vec<(&'static str, FieldValue)>,
 }
 
 impl SpanRecord {
@@ -58,7 +63,7 @@ impl SpanRecord {
             Some(p) => b.u64("parent", p),
             None => b.raw("parent", "null"),
         }
-        .str("name", &self.name)
+        .str("name", self.name)
         .u64("start_us", self.start_us)
         .u64("unix_us", self.unix_us)
         .u64("dur_us", self.dur_us);
@@ -146,12 +151,12 @@ impl Tracer {
         Self::with_clock(Arc::clone(&self.inner.clock))
     }
 
-    fn open(&self, name: &str, parent: Option<u64>) -> Span {
+    fn open(&self, name: &'static str, parent: Option<u64>) -> Span {
         Span {
             tracer: self.clone(),
             id: self.inner.clock.next_id.fetch_add(1, Ordering::Relaxed),
             parent,
-            name: name.to_string(),
+            name,
             started: Instant::now(),
             fields: Mutex::new(Vec::new()),
             finished: AtomicU64::new(0),
@@ -159,7 +164,7 @@ impl Tracer {
     }
 
     /// Opens a root span.
-    pub fn root(&self, name: &str) -> Span {
+    pub fn root(&self, name: &'static str) -> Span {
         self.open(name, None)
     }
 
@@ -167,7 +172,7 @@ impl Tracer {
     /// another process. The span is a root of this tracer's local tree
     /// but records `parent` as the remote span id, so after merging the
     /// two JSONL streams the edge resolves like any in-process link.
-    pub fn root_with_parent(&self, name: &str, parent: u64) -> Span {
+    pub fn root_with_parent(&self, name: &'static str, parent: u64) -> Span {
         self.open(name, Some(parent))
     }
 
@@ -183,6 +188,13 @@ impl Tracer {
     /// Removes and returns the finished spans so far, in finish order.
     pub fn take_records(&self) -> Vec<SpanRecord> {
         std::mem::take(&mut *self.inner.records.lock().expect("tracer records lock"))
+    }
+
+    /// Runs `f` on the finished spans, in finish order, while the
+    /// records lock is held: a caller can count and prune them in place
+    /// (say with `Vec::retain`) without cloning any.
+    pub fn edit_records<R>(&self, f: impl FnOnce(&mut Vec<SpanRecord>) -> R) -> R {
+        f(&mut self.inner.records.lock().expect("tracer records lock"))
     }
 
     /// Renders every finished span as one JSONL line each (see
@@ -216,9 +228,9 @@ pub struct Span {
     tracer: Tracer,
     id: u64,
     parent: Option<u64>,
-    name: String,
+    name: &'static str,
     started: Instant,
-    fields: Mutex<Vec<(String, FieldValue)>>,
+    fields: Mutex<Vec<(&'static str, FieldValue)>>,
     finished: AtomicU64,
 }
 
@@ -230,33 +242,34 @@ impl Span {
 
     /// Opens a child span. Takes `&self`, so a parent can be borrowed
     /// into scoped worker threads and have children opened concurrently.
-    pub fn child(&self, name: &str) -> Span {
+    pub fn child(&self, name: &'static str) -> Span {
         self.tracer.open(name, Some(self.id))
     }
 
-    fn push_field(&self, key: &str, value: FieldValue) {
+    fn push_field(&self, key: &'static str, value: FieldValue) {
         self.fields
             .lock()
             .expect("span fields lock")
-            .push((key.to_string(), value));
+            .push((key, value));
     }
 
     /// Attaches an integer field.
-    pub fn record_u64(&self, key: &str, value: u64) {
+    pub fn record_u64(&self, key: &'static str, value: u64) {
         self.push_field(key, FieldValue::U64(value));
     }
 
     /// Attaches a float field.
-    pub fn record_f64(&self, key: &str, value: f64) {
+    pub fn record_f64(&self, key: &'static str, value: f64) {
         self.push_field(key, FieldValue::F64(value));
     }
 
     /// Attaches a string field.
-    pub fn record_str(&self, key: &str, value: &str) {
+    pub fn record_str(&self, key: &'static str, value: &str) {
         self.push_field(key, FieldValue::Str(value.to_string()));
     }
 
     /// Stops the clock and files the record (idempotent; drop calls it).
+    /// The record takes the span's fields; none is copied.
     pub fn finish(&self) {
         if self.finished.swap(1, Ordering::Relaxed) != 0 {
             return;
@@ -266,11 +279,11 @@ impl Span {
         let record = SpanRecord {
             id: self.id,
             parent: self.parent,
-            name: self.name.clone(),
+            name: self.name,
             start_us,
             unix_us: clock.epoch_unix_us.saturating_add(start_us),
             dur_us: self.started.elapsed().as_micros() as u64,
-            fields: self.fields.lock().expect("span fields lock").clone(),
+            fields: std::mem::take(&mut *self.fields.lock().expect("span fields lock")),
         };
         self.tracer
             .inner
@@ -304,10 +317,7 @@ mod tests {
         assert_eq!(recs[0].name, "chunk");
         assert_eq!(recs[0].parent, Some(recs[1].id));
         assert_eq!(recs[1].parent, None);
-        assert_eq!(
-            recs[0].fields,
-            vec![("rows".to_string(), FieldValue::U64(64))]
-        );
+        assert_eq!(recs[0].fields, vec![("rows", FieldValue::U64(64))]);
     }
 
     #[test]
@@ -361,16 +371,16 @@ mod tests {
         let mut r = SpanRecord {
             id: 7,
             parent: None,
-            name: "serve.\"req\"\n".to_string(),
+            name: "serve.\"req\"\n",
             start_us: 12,
             unix_us: 1_700_000_000_000_012,
             dur_us: 0,
             fields: vec![
-                ("rows".to_string(), FieldValue::U64(u64::MAX)),
-                ("frac".to_string(), FieldValue::F64(0.25)),
-                ("nan".to_string(), FieldValue::F64(f64::NAN)),
-                ("neg_zero".to_string(), FieldValue::F64(-0.0)),
-                ("op".to_string(), FieldValue::Str("a\tb é".to_string())),
+                ("rows", FieldValue::U64(u64::MAX)),
+                ("frac", FieldValue::F64(0.25)),
+                ("nan", FieldValue::F64(f64::NAN)),
+                ("neg_zero", FieldValue::F64(-0.0)),
+                ("op", FieldValue::Str("a\tb é".to_string())),
             ],
         };
         assert_eq!(
@@ -478,7 +488,7 @@ mod tests {
         assert_eq!(b.records().len(), 1);
         let tree = a.take_records();
         assert_eq!(
-            tree.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
+            tree.iter().map(|r| r.name).collect::<Vec<_>>(),
             ["round", "req"]
         );
         assert!(a.records().is_empty(), "take_records drains the sink");
@@ -492,6 +502,21 @@ mod tests {
             records_to_jsonl(&tree),
             tree.iter().map(|r| r.to_json() + "\n").collect::<String>()
         );
+    }
+
+    #[test]
+    fn edit_records_prunes_in_place() {
+        let t = Tracer::new();
+        for name in ["a", "b", "a"] {
+            t.root(name).record_u64("n", 1);
+        }
+        let left = t.edit_records(|recs| {
+            recs.retain(|r| r.name != "a");
+            recs.len()
+        });
+        assert_eq!(left, 1);
+        let [b] = t.take_records().try_into().unwrap();
+        assert_eq!((b.name, b.fields), ("b", vec![("n", FieldValue::U64(1))]));
     }
 
     #[test]
