@@ -95,7 +95,15 @@ pub struct CampaignReport {
     /// seed, so reruns of one scenario share it).
     pub trace_id: u64,
     /// Client-side spans (`campaign.run` / `campaign.chunk` /
-    /// `campaign.attack`) as JSONL.
+    /// `campaign.attack`) as JSONL: every run and attack span of the
+    /// session, and of its `campaign.chunk` spans only those that the
+    /// kept `serve.request` spans of [`CampaignReport::server_trace_jsonl`]
+    /// name as parent, plus the last
+    /// [`fia_serve::KEPT_TREES_PER_BUCKET`] chunk spans of each
+    /// `dur_us` histogram bucket. So every kept server tree resolves to
+    /// its chunk in [`CampaignReport::merged_trace_jsonl`]. Sessions
+    /// without a server trace (in-process or attached oracles) keep by
+    /// the bucket rule alone.
     pub client_trace_jsonl: String,
     /// The server's kept span trees (`serve.request` → `serve.round`)
     /// as JSONL: for each request-latency bucket and outcome, the trees

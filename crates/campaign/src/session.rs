@@ -35,8 +35,13 @@ use fia_core::{fnv, metrics, AttackEngine, PredictionOracle, QueryBatch, QueryCo
 use fia_defense::{DefensePipeline, ScoreDefense};
 use fia_linalg::Matrix;
 use fia_models::PredictProba;
-use fia_serve::{AuditSummary, PredictionServer, RemoteOracle, ServerHandle};
-use fia_telemetry::{global, Counter, Span, TelemetrySnapshot, Tracer};
+use fia_serve::{
+    AuditSummary, PredictionServer, RemoteOracle, ServerHandle, KEPT_TREES_PER_BUCKET,
+};
+use fia_telemetry::{
+    global, json, Counter, Histogram, Span, SpanRecord, TelemetrySnapshot, Tracer,
+    HISTOGRAM_BUCKETS,
+};
 use fia_vfl::VflSystem;
 use std::sync::Arc;
 use std::time::Instant;
@@ -167,6 +172,45 @@ pub struct Campaign {
 /// across scenarios and seeds.
 fn derive_trace_id(fingerprint: &str, seed: u64) -> u64 {
     fnv(0, fingerprint.as_bytes()) ^ seed
+}
+
+const CHUNK_SPAN: &str = "campaign.chunk";
+
+/// The span ids that a server trace's `serve.request` spans name as
+/// their `parent`, sorted. A line that does not parse names nothing.
+fn request_parents(server_trace: &str) -> Vec<u64> {
+    let mut parents: Vec<u64> = server_trace
+        .lines()
+        .filter(|l| l.contains("\"serve.request\""))
+        .filter_map(|l| {
+            let span = json::parse(l).ok()?;
+            if span.get("name")?.as_str()? != "serve.request" {
+                return None;
+            }
+            span.get("parent")?.as_u64()
+        })
+        .collect();
+    parents.sort_unstable();
+    parents
+}
+
+/// Drops, in place, every `campaign.chunk` record that is neither named
+/// in `named` (sorted) nor among the last [`KEPT_TREES_PER_BUCKET`]
+/// chunk records of its `Histogram::bucket_index(dur_us)` bucket. Other
+/// records all stay.
+fn prune_chunk_spans(records: &mut Vec<SpanRecord>, named: &[u64]) {
+    let mut left = [0usize; HISTOGRAM_BUCKETS];
+    for r in records.iter().filter(|r| r.name == CHUNK_SPAN) {
+        left[Histogram::bucket_index(r.dur_us)] += 1;
+    }
+    records.retain(|r| {
+        if r.name != CHUNK_SPAN {
+            return true;
+        }
+        let left = &mut left[Histogram::bucket_index(r.dur_us)];
+        *left -= 1;
+        *left < KEPT_TREES_PER_BUCKET || named.binary_search(&r.id).is_ok()
+    });
 }
 
 impl Campaign {
@@ -400,12 +444,19 @@ impl Campaign {
     }
 
     /// The session's tracer: every `run()` files a `campaign.run` root
-    /// span with per-chunk and per-attack children under it.
+    /// span with per-chunk and per-attack children under it. It keeps
+    /// every run and attack span. Of the `campaign.chunk` spans it
+    /// keeps those each [`Campaign::finalize`] kept (see
+    /// [`CampaignReport::client_trace_jsonl`]) and every chunk span of
+    /// a run not yet finalized.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
-    /// The finished spans so far as JSONL (one span per line).
+    /// The tracer's finished spans as JSONL (one span per line): after
+    /// a [`Campaign::finalize`], the report's
+    /// [`CampaignReport::client_trace_jsonl`] plus any spans filed
+    /// since.
     pub fn trace_jsonl(&self) -> String {
         self.tracer.to_jsonl()
     }
@@ -540,7 +591,7 @@ impl Campaign {
             return Ok(StepOutcome::Exhausted);
         }
         let indices: Vec<usize> = (self.rows_done..self.rows_done + take).collect();
-        let chunk_span = ctx.run_span.child("campaign.chunk");
+        let chunk_span = ctx.run_span.child(CHUNK_SPAN);
         chunk_span.record_u64("chunk", self.chunks_issued as u64);
         chunk_span.record_u64("rows", take as u64);
         // Stamp this chunk's wire queries with the chunk span as
@@ -596,8 +647,10 @@ impl Campaign {
 
     /// Closes a run: emits [`CampaignEvent::BudgetExhausted`] when the
     /// budget cut accumulation short, mounts every configured attack
-    /// over the (possibly partial) corpus, finishes the root span and
-    /// returns the [`CampaignReport`].
+    /// over the (possibly partial) corpus, finishes the root span,
+    /// drops the chunk spans the report does not keep (see
+    /// [`CampaignReport::client_trace_jsonl`]) and returns the
+    /// [`CampaignReport`].
     ///
     /// # Panics
     /// Panics when called without [`Campaign::begin`].
@@ -682,13 +735,23 @@ impl Campaign {
         run_span.record_str("outcome", outcome.name());
         run_span.finish();
         // Collect the cross-process observability artifacts after the
-        // run span finished, so the client JSONL includes it.
+        // run span finished, so the client JSONL includes it. The
+        // server trace comes first: the chunk spans its kept trees name
+        // are the ones the client trace must keep.
         let (server_trace_jsonl, server_audit) = match self.oracle.as_mut() {
             Some(OracleHandle::Served { client, .. }) => {
                 (client.server_trace_jsonl().ok(), client.audit_report().ok())
             }
             _ => (None, None),
         };
+        // Without a server trace (in-process and attached oracles)
+        // nothing is named, and the bucket rule alone applies.
+        let named = server_trace_jsonl
+            .as_deref()
+            .map(request_parents)
+            .unwrap_or_default();
+        self.tracer
+            .edit_records(|records| prune_chunk_spans(records, &named));
         Ok(CampaignReport {
             fingerprint: self.scenario.fingerprint.clone(),
             scenario: self.scenario.description.clone(),
@@ -771,6 +834,69 @@ mod tests {
         Campaign::new(scenario)
             .with_attack(AttackSpec::esa())
             .with_chunk(32)
+    }
+
+    fn record(id: u64, name: &'static str, dur_us: u64) -> SpanRecord {
+        SpanRecord {
+            id,
+            parent: None,
+            name,
+            start_us: 0,
+            unix_us: 0,
+            dur_us,
+            fields: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn prune_keeps_named_chunks_and_the_last_of_each_bucket() {
+        let k = KEPT_TREES_PER_BUCKET as u64;
+        // 4K chunks alternate between the 5 µs and 100 µs buckets, then
+        // an attack span and the run span.
+        let all = || {
+            let mut records: Vec<SpanRecord> = (1..=4 * k)
+                .map(|id| record(id, CHUNK_SPAN, if id % 2 == 1 { 5 } else { 100 }))
+                .collect();
+            records.push(record(4 * k + 1, "campaign.attack", 5));
+            records.push(record(4 * k + 2, "campaign.run", 5));
+            records
+        };
+        let ids = |records: Vec<SpanRecord>| records.into_iter().map(|r| r.id).collect::<Vec<_>>();
+        // Unnamed: the last K of each bucket, and every other span.
+        let mut records = all();
+        prune_chunk_spans(&mut records, &[]);
+        assert_eq!(ids(records), (2 * k + 1..=4 * k + 2).collect::<Vec<_>>());
+        // Named chunks stay too, wherever they sit; a named id that is
+        // no chunk changes nothing.
+        let mut records = all();
+        prune_chunk_spans(&mut records, &[1, 2, 4 * k + 1, 1 << 40]);
+        let mut want = vec![1, 2];
+        want.extend(2 * k + 1..=4 * k + 2);
+        assert_eq!(ids(records), want);
+    }
+
+    #[test]
+    fn unparsable_server_lines_name_no_chunk() {
+        let good = r#"{"id":4294967296,"parent":7,"name":"serve.request","start_us":1,"unix_us":2,"dur_us":3,"trace_id":9,"op":"predict_by_index"}"#;
+        let mut trace = format!("{good}\n");
+        // Every strict prefix of a request line naming 8, and a round
+        // naming 5: neither names a chunk.
+        let cut = good.replace("\"parent\":7", "\"parent\":8");
+        for n in 0..cut.len() {
+            trace.push_str(&cut[..n]);
+            trace.push('\n');
+        }
+        trace.push_str(
+            &good
+                .replace("serve.request", "serve.round")
+                .replace("\"parent\":7", "\"parent\":5"),
+        );
+        assert_eq!(request_parents(&trace), [7]);
+        // With nothing named, a session keeps by the bucket rule alone.
+        let mut records: Vec<SpanRecord> = (1..=40).map(|id| record(id, CHUNK_SPAN, 5)).collect();
+        prune_chunk_spans(&mut records, &request_parents("garbage \"serve.request\""));
+        assert_eq!(records.len(), KEPT_TREES_PER_BUCKET);
+        assert_eq!(records.last().map(|r| r.id), Some(40));
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! client-side `campaign.chunk` that caused it, and the server's
 //! per-client audit ledger agrees with the client's own `QueryCost`
 //! meter — queries, rows, and cache-released rows — by construction.
-//! The server's share of the trace stays bounded however many requests
-//! a session sends.
+//! Both shares of the trace stay bounded however many requests a
+//! session sends: the server keeps a few trees per latency bucket, and
+//! the client keeps the chunk spans those trees name plus a few per
+//! chunk-duration bucket.
 
 use fia_campaign::{
     AttackSpec, Campaign, NullObserver, OracleSpec, PartitionSpec, ScenarioSpec, ServedConfig,
 };
 use fia_data::PaperDataset;
 use fia_serve::{KEPT_TREES_PER_BUCKET, SERVER_SPAN_ID_BASE};
-use fia_telemetry::{Histogram, HISTOGRAM_BUCKETS};
+use fia_telemetry::{json, Histogram, HISTOGRAM_BUCKETS};
 use std::collections::HashSet;
 
 fn served_campaign(seed: u64, cache: usize) -> Campaign {
@@ -43,6 +45,17 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 
 fn has_name(line: &str, name: &str) -> bool {
     line.contains(&format!("\"name\":\"{name}\""))
+}
+
+fn chunk_lines(trace: &str) -> Vec<&str> {
+    trace
+        .lines()
+        .filter(|l| has_name(l, "campaign.chunk"))
+        .collect()
+}
+
+fn dur_bucket(line: &str) -> usize {
+    Histogram::bucket_index(field_u64(line, "dur_us").expect("dur_us"))
 }
 
 #[test]
@@ -164,6 +177,135 @@ fn rerun_server_trace_stays_bounded_and_linked() {
         assert!(chunks.contains(&parent), "unresolved request: {req}");
     }
     campaign.shutdown();
+}
+
+#[test]
+fn rerun_client_trace_keeps_named_and_recent_chunks() {
+    // One row per chunk: every row is its own chunk span.
+    let mut campaign = served_campaign(83, 0).with_chunk(1);
+    let first = campaign.run(&mut NullObserver).unwrap();
+    let second = campaign.rerun(&mut NullObserver).unwrap();
+    campaign.shutdown();
+    let sent = first.cost.queries + second.cost.queries;
+
+    let server = second
+        .server_trace_jsonl
+        .as_deref()
+        .expect("served run exports");
+    let named: HashSet<u64> = server
+        .lines()
+        .filter(|l| has_name(l, "serve.request"))
+        .filter_map(|l| field_u64(l, "parent"))
+        .collect();
+    let chunks = chunk_lines(&second.client_trace_jsonl);
+    let buckets: HashSet<usize> = chunks.iter().map(|l| dur_bucket(l)).collect();
+    // The chunks the kept server trees name, plus at most K per
+    // duration bucket: fewer than the two runs sent.
+    assert!(
+        chunks.len() <= named.len() + KEPT_TREES_PER_BUCKET * buckets.len(),
+        "{} chunks kept for {} named over {} buckets",
+        chunks.len(),
+        named.len(),
+        buckets.len()
+    );
+    assert!(
+        (chunks.len() as u64) < sent,
+        "{} of {sent} chunks kept",
+        chunks.len()
+    );
+    // The second run's last chunk is the last of its bucket, so it
+    // always stays.
+    let run = second
+        .client_trace_jsonl
+        .lines()
+        .filter(|l| has_name(l, "campaign.run"))
+        .filter_map(|l| field_u64(l, "id"))
+        .max()
+        .expect("run spans stay");
+    let last = second.rows_done as u64 - 1;
+    assert!(
+        chunks
+            .iter()
+            .any(|l| field_u64(l, "parent") == Some(run) && field_u64(l, "chunk") == Some(last)),
+        "the last chunk {last} of run {run} was dropped"
+    );
+}
+
+#[test]
+fn in_process_client_trace_keeps_the_last_chunks_of_each_bucket() {
+    let scenario = ScenarioSpec::paper(PaperDataset::DriveDiagnosis)
+        .with_scale(0.005)
+        .with_partition(PartitionSpec::two_block_random(0.2))
+        .with_seed(89)
+        .build();
+    let mut campaign = Campaign::new(scenario)
+        .with_attack(AttackSpec::esa())
+        .with_chunk(1);
+    let report = campaign.run(&mut NullObserver).unwrap();
+    let trace = &report.client_trace_jsonl;
+    let mut per_bucket = [0usize; HISTOGRAM_BUCKETS];
+    for l in chunk_lines(trace) {
+        per_bucket[dur_bucket(l)] += 1;
+    }
+    assert!(
+        per_bucket.iter().all(|&n| n <= KEPT_TREES_PER_BUCKET),
+        "chunk spans per bucket: {per_bucket:?}"
+    );
+    assert!(per_bucket.iter().sum::<usize>() < report.rows_done);
+    // The newest chunk is the last of its bucket.
+    let last = report.rows_done as u64 - 1;
+    assert!(chunk_lines(trace)
+        .iter()
+        .any(|l| field_u64(l, "chunk") == Some(last)));
+    // Run and attack spans all stay, and the tracer holds what the
+    // report rendered.
+    let spans = |name| trace.lines().filter(|l| has_name(l, name)).count();
+    assert_eq!((spans("campaign.run"), spans("campaign.attack")), (1, 1));
+    assert_eq!(&campaign.trace_jsonl(), trace);
+}
+
+#[test]
+fn server_trace_lines_survive_every_prefix_and_bit_flip() {
+    // The client parses these bytes on every served finalize.
+    let mut campaign = served_campaign(97, 0);
+    let report = campaign.run(&mut NullObserver).unwrap();
+    campaign.shutdown();
+    let server = report.server_trace_jsonl.expect("served run exports");
+    // One kept line of each span name the server writes.
+    let mut names = HashSet::new();
+    let lines: Vec<&str> = server
+        .lines()
+        .filter(|l| {
+            let span = json::parse(l).expect("intact lines parse");
+            names.insert(span.get("name").and_then(|n| n.as_str()).map(str::to_owned))
+        })
+        .collect();
+    for name in ["serve.request", "serve.dispatch", "serve.round"] {
+        assert!(names.contains(&Some(name.to_owned())), "no {name} line");
+    }
+    let (mut ok, mut refused) = (0usize, 0usize);
+    for line in lines {
+        let bytes = line.as_bytes();
+        // No strict prefix of a one-object line is a whole document.
+        for n in 0..bytes.len() {
+            if let Ok(prefix) = std::str::from_utf8(&bytes[..n]) {
+                assert!(json::parse(prefix).is_err(), "prefix {n} of {line} parsed");
+            }
+        }
+        // A flipped bit gives a value or a ParseError, never a panic.
+        let mut flipped = bytes.to_vec();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(text) = std::str::from_utf8(&flipped) {
+                match json::parse(text) {
+                    Ok(_) => ok += 1,
+                    Err(_) => refused += 1,
+                }
+            }
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+    assert!(ok > 0 && refused > 0, "{ok} parsed, {refused} refused");
 }
 
 #[test]

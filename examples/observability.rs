@@ -69,9 +69,11 @@ fn main() {
     let events = log.to_jsonl();
     fs::write(dir.join("campaign_events.jsonl"), &events).expect("write events");
 
-    // 3b. The span trace: a `campaign.run` root, one `campaign.chunk`
-    //     child per oracle round (rows, queries, cache-served rows),
-    //     one `campaign.attack` child per attack.
+    // 3b. The span trace: a `campaign.run` root, `campaign.chunk`
+    //     children (rows, queries, cache-served rows) and one
+    //     `campaign.attack` child per attack. Of the chunk spans,
+    //     finalize kept those the server's kept `serve.request` trees
+    //     name as parent plus the last 16 of each duration bucket.
     let trace = campaign.trace_jsonl();
     fs::write(dir.join("campaign_trace.jsonl"), &trace).expect("write trace");
 
