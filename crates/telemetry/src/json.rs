@@ -398,10 +398,15 @@ impl<'a> Parser<'a> {
                             if self.pos + 4 > self.bytes.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("non-utf8 \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Exactly four hex digits (`from_str_radix`
+                            // would also take a leading `+`).
+                            let mut cp = 0u32;
+                            for &h in &self.bytes[self.pos..self.pos + 4] {
+                                let digit = (h as char)
+                                    .to_digit(16)
+                                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                                cp = cp << 4 | digit;
+                            }
                             self.pos += 4;
                             // Surrogate pairs are not produced by this
                             // workspace's writers; reject rather than
@@ -597,6 +602,7 @@ mod tests {
             "\"unterminated",
             "\"bad \\q escape\"",
             "\"\\u12\"",
+            "\"\\u+041\"",
             "\"\\ud800\"",
             "{\"a\":1} extra",
             "\u{1}",
