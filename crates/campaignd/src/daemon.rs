@@ -40,7 +40,7 @@ use fia_serve::wire::{
     append_frame, decode_request, encode_response, split_frame, Request, Response,
 };
 use fia_serve::{JobState, JobStatusInfo, PredictionServer, RemoteOracle, ServerHandle};
-use fia_telemetry::{encode_prometheus, global, Counter, Tracer};
+use fia_telemetry::{encode_prometheus, global, Counter};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::OpenOptions;
 use std::io::{self, ErrorKind, Read, Write};
@@ -165,7 +165,6 @@ struct Shared {
     jobs_total: Arc<Counter>,
     resumes_total: Arc<Counter>,
     replays_total: Arc<Counter>,
-    tracer: Tracer,
 }
 
 impl Shared {
@@ -285,7 +284,6 @@ pub fn start(config: DaemonConfig) -> io::Result<DaemonHandle> {
             "fia_campaignd_replays_total",
             "Attach requests that replayed buffered events to a client",
         ),
-        tracer: Tracer::new(),
     });
 
     recover_state(&shared)?;
@@ -474,30 +472,16 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         entry.state = JobState::Running;
         entry.spec.clone()
     };
-    let span = shared.tracer.root("campaignd.job");
-    span.record_u64("job.id", id);
     match drive_job(shared, id, &spec) {
-        Ok(JobEnd::Completed) => {
-            span.record_str("job.end", "completed");
-            shared.finish_job(id, JobState::Completed, "");
-        }
-        Ok(JobEnd::Canceled) => {
-            span.record_str("job.end", "canceled");
-            shared.finish_job(id, JobState::Canceled, "canceled");
-        }
+        Ok(JobEnd::Completed) => shared.finish_job(id, JobState::Completed, ""),
+        Ok(JobEnd::Canceled) => shared.finish_job(id, JobState::Canceled, "canceled"),
         Ok(JobEnd::Suspended) => {
             // Daemon is shutting down: the job goes back to Pending with
             // no terminal marker, so a restart resumes it from its log.
-            span.record_str("job.end", "suspended");
             shared.close_job(id, JobState::Pending, "");
         }
-        Err(detail) => {
-            span.record_str("job.end", "failed");
-            span.record_str("job.error", &detail);
-            shared.finish_job(id, JobState::Failed, &detail);
-        }
+        Err(detail) => shared.finish_job(id, JobState::Failed, &detail),
     }
-    span.finish();
 }
 
 fn spawn_deployment_server(scenario: &ResolvedScenario) -> Result<ServerHandle, String> {
