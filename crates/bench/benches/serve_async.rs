@@ -11,7 +11,11 @@
 //! This bench drives the epoll reactor (and its multiplexed open-loop
 //! client) across a connection sweep — 64, 512 and 4096 simultaneous
 //! sockets — at 1× and 2× the measured closed-loop capacity of the same
-//! 4-replica pool. Per point it reports offered vs achieved rps, the
+//! 4-replica pool, and at the fixed rates of [`FIXED_ARRIVAL_RPS`]
+//! (points tagged `_1x`, `_2x` and `_10000rps`, `_20000rps`). A change
+//! that moves capacity also moves the capacity-relative load, so two
+//! builds are compared at the same load only on the fixed-rate points.
+//! Per point it reports offered vs achieved rps, the
 //! late-send fraction (an arrival is late when its scheduled start had
 //! already passed at dispatch time) and p99 latency. Headline:
 //! `openloop_late_frac_2x` at the largest connection count, with a
@@ -58,6 +62,11 @@ fn deployment() -> Arc<VflSystem<LogisticRegression>> {
 /// so capacities are comparable across the two JSON files).
 const ROUND_COST: Duration = Duration::from_micros(300);
 
+/// Open-loop arrival rates offered to every build alike, about 1× and
+/// 2× the closed-loop capacity (11.3k rps) measured on a 2-vCPU AVX2
+/// host.
+const FIXED_ARRIVAL_RPS: [f64; 2] = [10_000.0, 20_000.0];
+
 fn config(replicas: usize) -> ServeConfig {
     ServeConfig {
         batch_cap: 32,
@@ -70,7 +79,7 @@ fn config(replicas: usize) -> ServeConfig {
 }
 
 /// Measures the pool's closed-loop capacity (8 clients, 1-row
-/// requests), the machine-relative anchor for the offered rates below.
+/// requests), the anchor of the capacity-relative offered rates below.
 fn closed_loop_capacity(system: &Arc<VflSystem<LogisticRegression>>) -> f64 {
     closed_loop_rps(system, true)
 }
@@ -156,17 +165,18 @@ fn main() {
     let mut accept_errors_total = 0u64;
     for &conns in &[64usize, 512, 4096] {
         let conns = conns.min(max_conns);
-        for &mult in &[1.0f64, 2.0] {
-            let offered = mult * capacity;
+        let relative = [1.0f64, 2.0].map(|mult| (format!("{mult}x"), mult * capacity));
+        let fixed = FIXED_ARRIVAL_RPS.map(|rps| (format!("{rps}rps"), rps));
+        for (rate, offered) in relative.into_iter().chain(fixed) {
             let (report, accept_errors) = open_point(&system, conns, offered);
             accept_errors_total += accept_errors;
-            let tag = format!("{conns}c_{mult}x");
+            let tag = format!("{conns}c_{rate}");
             h.metric(&format!("openloop_offered_rps_{tag}"), report.offered_rps);
             h.metric(&format!("openloop_achieved_rps_{tag}"), report.achieved_rps);
             h.metric(&format!("openloop_p99_us_{tag}"), report.p99_latency_us);
             let late_frac = report.late_sends as f64 / report.total_requests.max(1) as f64;
             h.metric(&format!("openloop_late_frac_{tag}"), late_frac);
-            if mult == 2.0 {
+            if rate == "2x" {
                 // The headline tracks the *largest* swept connection
                 // count — the regime the old server could not enter.
                 late_frac_2x_max_conns = late_frac;
