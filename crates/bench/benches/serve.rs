@@ -2,7 +2,8 @@
 //!
 //! Section 1 (`BENCH_serve.json`, the PR-2 baseline): requests/sec at
 //! 1/4/8 closed-loop client threads against the live TCP service,
-//! batched (coalescer on) vs unbatched (coalescer off).
+//! batched (coalescer on) vs unbatched (`batch_cap: 1`, one request
+//! per round).
 //!
 //! Section 2 (`BENCH_serve_pool.json`, the pool baseline): the same
 //! 8-thread closed-loop traffic against 1/2/4 backend replicas with
@@ -56,15 +57,16 @@ fn deployment() -> Arc<VflSystem<LogisticRegression>> {
 /// The simulated secure-protocol round cost both servers pay.
 const ROUND_COST: Duration = Duration::from_micros(300);
 
-fn config(coalesce: bool) -> ServeConfig {
+/// The server both scenarios run; `batched: false` caps every round at
+/// one row, which turns the coalescer off.
+fn config(batched: bool) -> ServeConfig {
     ServeConfig {
-        batch_cap: 32,
+        batch_cap: if batched { 32 } else { 1 },
         // Closed-loop clients can never fill the row cap (every client
         // has exactly one request in flight), so the deadline is kept
         // short: rounds close on the greedy drain, which already holds
         // everything that queued behind the previous round.
         batch_deadline: Duration::from_micros(100),
-        coalesce,
         round_cost: ROUND_COST,
         ..ServeConfig::default()
     }
@@ -73,13 +75,13 @@ fn config(coalesce: bool) -> ServeConfig {
 /// Runs one load scenario and returns (rps, mean batch fill).
 fn scenario(
     system: &Arc<VflSystem<LogisticRegression>>,
-    coalesce: bool,
+    batched: bool,
     threads: usize,
 ) -> (f64, f64) {
     let server = PredictionServer::spawn(
         Arc::clone(system),
         Arc::new(fia_defense::DefensePipeline::new()),
-        config(coalesce),
+        config(batched),
     )
     .expect("bind ephemeral port");
     // Warmup: let connection threads and the batcher reach steady state.

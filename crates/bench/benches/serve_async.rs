@@ -71,7 +71,6 @@ fn config(replicas: usize) -> ServeConfig {
     ServeConfig {
         batch_cap: 32,
         batch_deadline: Duration::from_micros(100),
-        coalesce: true,
         round_cost: ROUND_COST,
         replicas,
         ..ServeConfig::default()

@@ -110,7 +110,6 @@ impl ServedConfig {
             replicas: self.replicas,
             batch_cap: self.batch_cap,
             batch_deadline: self.batch_deadline,
-            coalesce: true,
             cache_capacity: self.cache_capacity,
             cache_seed: scenario_seed ^ 0x5C0_7E5,
             round_cost: self.round_cost,

@@ -34,17 +34,15 @@ use fia_campaign::{
     Campaign, CampaignCheckpoint, CampaignEvent, OracleSpec, ResolvedScenario, StepOutcome,
 };
 use fia_serve::sys::{
-    drain_wake_pipe, fd_of, wake_pair, AcceptBackoff, Event, Interest, Poller, Waker,
+    drain_wake_pipe, fd_of, wake_pair, AcceptBackoff, Event, FramedConn, Interest, Poller, Waker,
 };
-use fia_serve::wire::{
-    append_frame, decode_request, encode_response, split_frame, Request, Response,
-};
+use fia_serve::wire::{decode_request, encode_reply, encode_response, Request, Response};
 use fia_serve::{JobState, JobStatusInfo, PredictionServer, RemoteOracle, ServerHandle};
 use fia_telemetry::{encode_prometheus, global, Counter};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::OpenOptions;
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -152,6 +150,16 @@ struct Deployment {
     server: Option<ServerHandle>,
 }
 
+/// One encoded frame a worker hands the daemon loop for an attached
+/// connection.
+struct Delivery {
+    token: u64,
+    payload: Vec<u8>,
+    /// The frame is the stream's `JobEventsEnd`: the connection is owed
+    /// nothing more for that attach.
+    ends_stream: bool,
+}
+
 struct Shared {
     state_dir: PathBuf,
     jobs: Mutex<BTreeMap<u64, JobEntry>>,
@@ -159,7 +167,7 @@ struct Shared {
     queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
     deployments: Mutex<HashMap<String, Arc<Deployment>>>,
-    outbox: Mutex<Vec<(u64, Vec<u8>)>>,
+    outbox: Mutex<Vec<Delivery>>,
     waker: Waker,
     shutdown: AtomicBool,
     jobs_total: Arc<Counter>,
@@ -205,9 +213,19 @@ impl Shared {
         .expect("job event encodes");
         let subs = entry.subscribers.clone();
         drop(jobs);
+        self.deliver(subs, &payload, false);
+    }
+
+    /// Hands `payload` to every connection in `subs` through the outbox
+    /// and wakes the daemon loop to write it.
+    fn deliver(&self, subs: Vec<u64>, payload: &[u8], ends_stream: bool) {
         let mut outbox = self.outbox.lock().unwrap();
-        for tok in subs {
-            outbox.push((tok, payload.clone()));
+        for token in subs {
+            outbox.push(Delivery {
+                token,
+                payload: payload.to_vec(),
+                ends_stream,
+            });
         }
         drop(outbox);
         self.waker.wake();
@@ -243,12 +261,7 @@ impl Shared {
         }
         let payload =
             encode_response(&Response::JobEventsEnd { id, next_seq }).expect("end encodes");
-        let mut outbox = self.outbox.lock().unwrap();
-        for tok in subs {
-            outbox.push((tok, payload.clone()));
-        }
-        drop(outbox);
-        self.waker.wake();
+        self.deliver(subs, &payload, true);
     }
 }
 
@@ -651,12 +664,32 @@ fn flush_events(shared: &Shared, id: u64, pending: &mut Vec<CampaignEvent>) {
 const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKE_TOKEN: u64 = u64::MAX - 1;
 
+/// Bounded read passes per readable event, as in the prediction reactor.
+const MAX_READ_PASSES: usize = 16;
+
 struct Conn {
-    stream: TcpStream,
-    inbox: Vec<u8>,
-    out: Vec<u8>,
-    out_pos: usize,
-    write_interest: bool,
+    io: FramedConn,
+    /// Live attach streams: each still owes the peer its events and a
+    /// `JobEventsEnd`, so a half-closed peer stays open until they end.
+    streams: usize,
+}
+
+impl Conn {
+    /// Queues `resp`, or the typed error that replaces a reply over the
+    /// frame cap.
+    fn stage(&mut self, resp: &Response) {
+        self.io
+            .queue(&encode_reply(resp))
+            .expect("encoded replies fit the frame cap");
+    }
+
+    /// Writes what the socket accepts, then applies the end-of-input
+    /// rule. Returns `false` when the connection is to close.
+    fn flush(&mut self, poller: &mut Poller) -> bool {
+        self.io.flush().is_ok()
+            && !self.io.finished(self.streams > 0)
+            && self.io.update_interest(poller, true).is_ok()
+    }
 }
 
 struct Reactor {
@@ -669,6 +702,7 @@ struct Reactor {
     wake_rx: UnixStream,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    scratch: Vec<u8>,
 }
 
 impl Reactor {
@@ -684,6 +718,7 @@ impl Reactor {
             wake_rx,
             conns: HashMap::new(),
             next_token: 0,
+            scratch: vec![0u8; 16 * 1024],
         })
     }
 
@@ -692,7 +727,9 @@ impl Reactor {
         loop {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 self.drain_outbox();
-                self.flush_all();
+                for conn in self.conns.values_mut() {
+                    let _ = conn.io.flush();
+                }
                 return;
             }
             if self
@@ -710,134 +747,72 @@ impl Reactor {
                 eprintln!("fia-campaignd: poll failed: {e}");
                 return;
             }
-            let mut dead: Vec<u64> = Vec::new();
             for ev in &events {
                 match ev.token {
                     WAKE_TOKEN => drain_wake_pipe(&self.wake_rx),
                     LISTENER_TOKEN => self.accept_ready(),
                     token => {
-                        if self.conn_ready(token, ev).is_err() {
-                            dead.push(token);
+                        if !self.conn_ready(token, ev) {
+                            self.drop_conn(token);
                         }
                     }
                 }
             }
+            // Events the workers published while this pass ran are
+            // written in the same pass.
             self.drain_outbox();
-            let mut flush_dead: Vec<u64> = Vec::new();
+            let mut done: Vec<u64> = Vec::new();
             for (&token, conn) in self.conns.iter_mut() {
-                if flush_conn(&mut self.poller, token, conn).is_err() {
-                    flush_dead.push(token);
+                if !conn.flush(&mut self.poller) {
+                    done.push(token);
                 }
             }
-            dead.extend(flush_dead);
-            for token in dead {
+            for token in done {
                 self.drop_conn(token);
             }
         }
     }
 
     fn accept_ready(&mut self) {
-        if self.accept.is_paused() {
-            return;
-        }
         loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    self.accept.accepted();
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
+            match self.accept.accept(&self.listener, &mut self.poller) {
+                Ok(Some(stream)) => {
                     let token = self.next_token;
                     self.next_token += 1;
-                    if self
-                        .poller
-                        .register(fd_of(&stream), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            inbox: Vec::new(),
-                            out: Vec::new(),
-                            out_pos: 0,
-                            write_interest: false,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) => {
-                    if !self
-                        .accept
-                        .failed(&e, &mut self.poller, fd_of(&self.listener))
-                    {
-                        return;
+                    if let Ok(io) = FramedConn::register(stream, &mut self.poller, token) {
+                        self.conns.insert(token, Conn { io, streams: 0 });
                     }
                 }
+                Ok(None) => return,
+                Err(_) => {}
             }
         }
     }
 
-    fn conn_ready(&mut self, token: u64, ev: &Event) -> Result<(), ()> {
+    /// Reads a ready connection and serves every whole frame it sent.
+    /// Returns `false` when the peer is gone. Writing waits for the
+    /// flush at the end of the loop pass.
+    fn conn_ready(&mut self, token: u64, ev: &Event) -> bool {
         let Some(mut conn) = self.conns.remove(&token) else {
-            return Ok(());
+            return true;
         };
-        let mut result = Ok(());
-        if ev.readable || ev.closed {
-            result = self.read_conn(token, &mut conn);
-        }
-        if result.is_ok() && ev.writable {
-            result = flush_conn(&mut self.poller, token, &mut conn);
-        }
-        if result.is_ok() && ev.closed && conn.out_pos >= conn.out.len() {
-            result = Err(());
-        }
-        match result {
-            Ok(()) => {
-                self.conns.insert(token, conn);
-                Ok(())
-            }
-            Err(()) => {
-                self.conns.insert(token, conn);
-                Err(())
-            }
-        }
-    }
-
-    fn read_conn(&mut self, token: u64, conn: &mut Conn) -> Result<(), ()> {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    // Peer closed; serve whatever complete frames arrived.
-                    self.dispatch_frames(token, conn)?;
-                    return Err(());
+        let live = !ev.closed
+            && (!ev.readable || conn.io.read(&mut self.scratch, MAX_READ_PASSES).is_ok());
+        if live {
+            // An over-cap length prefix closes the input; what the peer
+            // is owed so far is still written.
+            while let Ok(Some(payload)) = conn.io.next_frame() {
+                let response = match decode_request(&payload) {
+                    Ok(request) => self.handle_request(token, &mut conn, request),
+                    Err(e) => Some(Response::Error(format!("bad request: {e}"))),
+                };
+                if let Some(resp) = response {
+                    conn.stage(&resp);
                 }
-                Ok(n) => conn.inbox.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
             }
         }
-        self.dispatch_frames(token, conn)
-    }
-
-    /// Serves every whole frame in the inbox; an over-cap length prefix
-    /// drops the connection.
-    fn dispatch_frames(&mut self, token: u64, conn: &mut Conn) -> Result<(), ()> {
-        while let Some(payload) = split_frame(&mut conn.inbox).map_err(|_| ())? {
-            let response = match decode_request(&payload) {
-                Ok(request) => self.handle_request(token, conn, request),
-                Err(e) => Some(Response::Error(format!("bad request: {e}"))),
-            };
-            if let Some(resp) = response {
-                stage(conn, &resp);
-            }
-        }
-        Ok(())
+        self.conns.insert(token, conn);
+        live
     }
 
     /// Serves one request. Returns the response to stage, or `None`
@@ -972,7 +947,7 @@ impl Reactor {
         let mut jobs = self.shared.jobs.lock().unwrap();
         let Some(entry) = jobs.get_mut(&id) else {
             drop(jobs);
-            stage(conn, &Response::Error(format!("no such job: {id}")));
+            conn.stage(&Response::Error(format!("no such job: {id}")));
             return;
         };
         let mut replayed = 0u64;
@@ -980,23 +955,21 @@ impl Reactor {
             let text = std::fs::read_to_string(self.shared.job_dir(id).join("events.jsonl"))
                 .unwrap_or_default();
             for (seq, line) in text.lines().enumerate().skip(from_seq as usize) {
-                stage(
-                    conn,
-                    &Response::JobEvent {
-                        id,
-                        seq: seq as u64,
-                        json: line.to_string(),
-                    },
-                );
+                conn.stage(&Response::JobEvent {
+                    id,
+                    seq: seq as u64,
+                    json: line.to_string(),
+                });
                 replayed += 1;
             }
         }
         if entry.state.is_terminal() {
             let next_seq = entry.events;
             drop(jobs);
-            stage(conn, &Response::JobEventsEnd { id, next_seq });
+            conn.stage(&Response::JobEventsEnd { id, next_seq });
         } else {
             entry.subscribers.push(token);
+            conn.streams += 1;
         }
         if replayed > 0 {
             self.shared.replays_total.inc();
@@ -1004,77 +977,24 @@ impl Reactor {
     }
 
     fn drain_outbox(&mut self) {
-        let staged: Vec<(u64, Vec<u8>)> = std::mem::take(&mut *self.shared.outbox.lock().unwrap());
-        for (token, payload) in staged {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                push_frame(conn, &payload);
-            }
-        }
-    }
-
-    fn flush_all(&mut self) {
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                let _ = flush_conn(&mut self.poller, token, conn);
+        let staged = std::mem::take(&mut *self.shared.outbox.lock().unwrap());
+        for d in staged {
+            if let Some(conn) = self.conns.get_mut(&d.token) {
+                conn.io
+                    .queue(&d.payload)
+                    .expect("encoded events fit the frame cap");
+                conn.streams -= usize::from(d.ends_stream);
             }
         }
     }
 
     fn drop_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(fd_of(&conn.stream));
+            conn.io.close(&mut self.poller);
         }
         let mut jobs = self.shared.jobs.lock().unwrap();
         for entry in jobs.values_mut() {
             entry.subscribers.retain(|&t| t != token);
         }
     }
-}
-
-/// Stages `resp`, or the prediction reactor's typed error when it does
-/// not encode (a report blob over the frame cap).
-fn stage(conn: &mut Conn, resp: &Response) {
-    let payload = encode_response(resp).unwrap_or_else(|_| {
-        encode_response(&Response::Error("response encoding failed".to_string()))
-            .expect("error responses always encode")
-    });
-    push_frame(conn, &payload);
-}
-
-fn push_frame(conn: &mut Conn, payload: &[u8]) {
-    append_frame(&mut conn.out, payload).expect("encoded responses fit the frame cap");
-}
-
-/// Writes as much buffered output as the socket accepts; registers
-/// write interest only while bytes remain.
-fn flush_conn(poller: &mut Poller, token: u64, conn: &mut Conn) -> Result<(), ()> {
-    while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => return Err(()),
-            Ok(n) => conn.out_pos += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return Err(()),
-        }
-    }
-    if conn.out_pos >= conn.out.len() {
-        conn.out.clear();
-        conn.out_pos = 0;
-        if conn.write_interest {
-            conn.write_interest = false;
-            let _ = poller.modify(fd_of(&conn.stream), token, Interest::READ);
-        }
-    } else if !conn.write_interest {
-        conn.write_interest = true;
-        let _ = poller.modify(
-            fd_of(&conn.stream),
-            token,
-            Interest {
-                read: true,
-                write: true,
-            },
-        );
-    }
-    Ok(())
 }

@@ -8,7 +8,11 @@ use fia_campaignd::{
     JobSpec,
 };
 use fia_data::PaperDataset;
+use fia_serve::wire::{
+    decode_response, encode_request, read_frame, write_frame, Request, Response,
+};
 use fia_serve::JobState;
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 fn state_dir(tag: &str) -> std::path::PathBuf {
@@ -236,6 +240,51 @@ fn graceful_shutdown_suspends_and_restart_resumes() {
     assert!(row.resumes >= 1, "expected a checkpoint resume");
     let outcome = client.report(id).unwrap();
     assert_eq!(outcome.to_blob(), reference_outcome(&spec).to_blob());
+
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A client that attaches to a running job and then half-closes its
+/// socket still gets the whole stream: the daemon stops reading from it
+/// but closes it only after the stream's `JobEventsEnd`.
+#[test]
+fn half_closed_attach_streams_every_event_and_the_end() {
+    let dir = state_dir("half-close");
+    let daemon = start(DaemonConfig::new(&dir)).unwrap();
+    let mut client = CampaignClient::connect(daemon.addr()).unwrap();
+    let mut spec = small_spec(17);
+    spec.throttle_ms = 50;
+    let id = client.submit(&spec).unwrap();
+    wait_for_chunks(&mut client, id, 1);
+
+    let mut raw = TcpStream::connect(daemon.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let attach = encode_request(&Request::JobAttach { id, from_seq: 0 }).unwrap();
+    write_frame(&mut raw, &attach).unwrap();
+    raw.shutdown(Shutdown::Write).unwrap();
+    let mut frames = Vec::new();
+    while let Some(frame) = read_frame(&mut raw).unwrap() {
+        frames.push(decode_response(&frame).expect("every frame decodes"));
+    }
+
+    let (last, events) = frames.split_last().expect("the stream sent nothing");
+    for (n, frame) in events.iter().enumerate() {
+        match frame {
+            Response::JobEvent { id: job, seq, .. } => {
+                assert_eq!((*job, *seq), (id, n as u64), "gap or stray event")
+            }
+            other => panic!("frame {n} is not an event: {other:?}"),
+        }
+    }
+    assert_eq!(
+        *last,
+        Response::JobEventsEnd {
+            id,
+            next_seq: events.len() as u64
+        }
+    );
+    assert!(events.len() >= 2, "expected started + finished events");
 
     daemon.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();

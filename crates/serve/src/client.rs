@@ -4,9 +4,10 @@
 //! endpoint.
 
 use crate::audit::AuditSummary;
+use crate::sys::{Event, FramedConn, Poller};
 use crate::wire::{
-    append_frame, decode_response, encode_request, read_frame, split_frame, write_frame, Request,
-    Response, ServerInfo, WireError,
+    decode_response, encode_request, read_frame, write_frame, Request, Response, ServerInfo,
+    WireError,
 };
 use fia_core::{OracleError, PredictionOracle, QueryCost, TraceContext};
 use fia_linalg::Matrix;
@@ -336,12 +337,7 @@ pub struct OpenLoadReport {
 
 /// One multiplexed sender connection inside an open-loop driver thread.
 struct MuxConn {
-    stream: std::net::TcpStream,
-    /// Request bytes not yet accepted by the kernel.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Unparsed response bytes.
-    inbuf: Vec<u8>,
+    io: FramedConn,
     /// A request is in flight (one per connection, as before).
     waiting: bool,
     sent_at: std::time::Instant,
@@ -349,13 +345,15 @@ struct MuxConn {
     next_k: usize,
     /// When that arrival is due, relative to the schedule epoch.
     due: std::time::Duration,
-    /// Interest currently registered with the driver's poller.
-    reg: crate::sys::Interest,
 }
 
 impl MuxConn {
-    fn out_pending(&self) -> bool {
-        self.out_pos < self.out.len()
+    /// Writes the queued request and keeps write interest while the
+    /// kernel pushes back.
+    fn flush(&mut self, poller: &mut Poller) -> Result<(), ClientError> {
+        self.io.flush()?;
+        self.io.update_interest(poller, true)?;
+        Ok(())
     }
 
     /// Still has arrivals to fire or a response outstanding.
@@ -403,8 +401,8 @@ pub fn run_load_open(
                 // never strand the rest.
                 let conns = open_mux_conns(addr, driver, drivers, &cfg);
                 barrier.wait();
-                let conns = conns?;
-                drive_open_loop(conns, &cfg, interval, n_samples)
+                let (poller, conns) = conns?;
+                drive_open_loop(poller, conns, &cfg, interval, n_samples)
             },
         ));
     }
@@ -444,61 +442,54 @@ pub fn run_load_open(
 }
 
 /// Connects the sender sockets driver `driver` owns (global connection
-/// ids `c ≡ driver (mod drivers)`), nonblocking and nodelay.
+/// ids `c ≡ driver (mod drivers)`) and registers each on the driver's
+/// poller under its index.
 fn open_mux_conns(
     addr: std::net::SocketAddr,
     driver: usize,
     drivers: usize,
     cfg: &OpenLoadConfig,
-) -> Result<Vec<MuxConn>, ClientError> {
+) -> Result<(Poller, Vec<MuxConn>), ClientError> {
     let connections = cfg.connections.max(1);
+    let mut poller = Poller::new()?;
     let mut conns = Vec::new();
     let mut c = driver;
     while c < connections {
         let stream = std::net::TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
         conns.push(MuxConn {
-            stream,
-            out: Vec::new(),
-            out_pos: 0,
-            inbuf: Vec::new(),
+            io: FramedConn::register(stream, &mut poller, conns.len() as u64)?,
             waiting: false,
             sent_at: std::time::Instant::now(),
             // Connection c owns arrivals k ≡ c (mod connections).
             next_k: c,
             due: std::time::Duration::ZERO,
-            reg: crate::sys::Interest::READ,
         });
         c += drivers;
     }
-    Ok(conns)
+    Ok((poller, conns))
 }
 
 /// One driver's event loop: fire each connection's arrivals on schedule,
 /// collect responses, count lateness the way the blocking generator did
 /// (evaluated once per arrival, at the moment its sender went idle).
 fn drive_open_loop(
+    mut poller: Poller,
     mut conns: Vec<MuxConn>,
     cfg: &OpenLoadConfig,
     interval: std::time::Duration,
     n_samples: usize,
 ) -> Result<(u64, u64, Vec<u64>, std::time::Duration), ClientError> {
-    use crate::sys::{fd_of, Event, Interest, Poller};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    use std::io::Read;
 
     let total = cfg.total_requests;
     let stride = cfg.connections.max(1);
-    let mut poller = Poller::new()?;
     // Idle connections with a pending arrival, ordered by due time.
     // Firing pops exactly what is due — never an O(connections) scan,
     // which at 4096 sockets would dominate the very schedule this
     // generator exists to keep.
     let mut idle: BinaryHeap<Reverse<(std::time::Duration, usize)>> = BinaryHeap::new();
     for (i, conn) in conns.iter_mut().enumerate() {
-        poller.register(fd_of(&conn.stream), i as u64, Interest::READ)?;
         if conn.next_k < total {
             conn.due = interval.mul_f64(conn.next_k as f64);
             idle.push(Reverse((conn.due, i)));
@@ -527,13 +518,11 @@ fn drive_open_loop(
                 .map(|r| ((k * cfg.rows_per_request + r) % n_samples) as u32)
                 .collect();
             let payload = encode_request(&Request::PredictByIndex(indices))?;
-            conn.out.clear();
-            conn.out_pos = 0;
-            append_frame(&mut conn.out, &payload)?;
+            conn.io.queue(&payload)?;
             conn.sent_at = std::time::Instant::now();
             conn.waiting = true;
             outstanding += 1;
-            flush_mux(&mut conns[i], &mut poller, i as u64)?;
+            conn.flush(&mut poller)?;
         }
         if outstanding == 0 && idle.is_empty() {
             break;
@@ -548,7 +537,7 @@ fn drive_open_loop(
         events.clear();
         poller.wait(&mut events, Some(timeout))?;
 
-        for ev in std::mem::take(&mut events) {
+        for ev in &events {
             let i = ev.token as usize;
             let conn = &mut conns[i];
             if !conn.active(total) {
@@ -557,31 +546,20 @@ fn drive_open_loop(
             if ev.closed {
                 return Err(ClientError::Disconnected);
             }
-            if ev.writable && conn.out_pending() {
-                flush_mux(&mut conns[i], &mut poller, ev.token)?;
+            if ev.writable {
+                conn.flush(&mut poller)?;
             }
-            let conn = &mut conns[i];
             if !ev.readable {
                 continue;
             }
             // Drain the socket, then every complete response frame.
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => return Err(ClientError::Disconnected),
-                    Ok(n) => {
-                        conn.inbuf.extend_from_slice(&scratch[..n]);
-                        if n < scratch.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e.into()),
-                }
+            conn.io.read(&mut scratch, usize::MAX)?;
+            if conn.io.input_closed() {
+                return Err(ClientError::Disconnected);
             }
             // An over-cap length prefix is a typed error: the stream can
             // no longer be framed.
-            while let Some(frame) = split_frame(&mut conn.inbuf)? {
+            while let Some(frame) = conn.io.next_frame()? {
                 match decode_response(&frame)? {
                     Response::Scores { scores, .. } => {
                         latencies.push(conn.sent_at.elapsed().as_micros() as u64);
@@ -607,35 +585,6 @@ fn drive_open_loop(
         }
     }
     Ok((rows_done, late, latencies, start.elapsed()))
-}
-
-/// Writes a mux connection's buffered request bytes, switching write
-/// interest on while the kernel pushes back and off once drained.
-fn flush_mux(
-    conn: &mut MuxConn,
-    poller: &mut crate::sys::Poller,
-    token: u64,
-) -> Result<(), ClientError> {
-    use crate::sys::{fd_of, Interest};
-    use std::io::Write;
-    while conn.out_pending() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => return Err(ClientError::Disconnected),
-            Ok(n) => conn.out_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let desired = Interest {
-        read: true,
-        write: conn.out_pending(),
-    };
-    if desired != conn.reg {
-        poller.modify(fd_of(&conn.stream), token, desired)?;
-        conn.reg = desired;
-    }
-    Ok(())
 }
 
 /// Drives `cfg` worth of traffic at `addr` and reports the achieved

@@ -51,19 +51,6 @@ impl Coalescer {
         }
     }
 
-    /// Coalescing disabled: every request is its own protocol round.
-    pub fn passthrough() -> Self {
-        Coalescer {
-            max_rows: 1,
-            max_delay: Duration::ZERO,
-        }
-    }
-
-    /// `true` when this policy never merges requests.
-    pub fn is_passthrough(&self) -> bool {
-        self.max_rows <= 1
-    }
-
     /// Drains `rx` into one round starting from `first` (which the
     /// caller already received). Returns the jobs of the round, in
     /// arrival order; never blocks longer than `max_delay`.
@@ -148,8 +135,8 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         tx.send(Job(1)).unwrap();
         tx.send(Job(1)).unwrap();
-        let c = Coalescer::passthrough();
-        assert!(c.is_passthrough());
+        let c = Coalescer::adaptive(1, Duration::ZERO);
+        assert_eq!(c.max_rows, 1);
         let mut carry = None;
         let round = c.drain(&rx, Job(1), &mut carry);
         assert_eq!(round.len(), 1);

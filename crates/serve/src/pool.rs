@@ -283,8 +283,8 @@ impl ReplicaPool {
     }
 
     /// Whether a job of `rows` rows may ever run on the calling thread:
-    /// it fits one coalesced round (`rows ≤ max_rows`: the batch cap, or
-    /// 1 with coalescing off), so the caller never stalls for longer
+    /// it fits one coalesced round (`rows ≤ max_rows`, the batch cap),
+    /// so the caller never stalls for longer
     /// than one normal round, and rounds simulate no cost (`round_cost`
     /// is zero), so the caller never sleeps.
     pub fn fits_here(&self, rows: usize) -> bool {

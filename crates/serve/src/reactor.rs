@@ -11,9 +11,12 @@
 //! * all sockets are nonblocking and multiplexed through the [`sys`]
 //!   shim (`epoll`, or `poll` under `FIA_FORCE_POLL=1`), so 4096 idle
 //!   connections cost four thousand fds and zero threads;
-//! * inbound bytes are assembled *incrementally* per connection and
-//!   complete frames are decoded with the same `wire.rs` codec the
-//!   blocking path used;
+//! * each socket is a [`FramedConn`], the connection `fia-campaignd`'s
+//!   daemon loop and the open-loop generator drive too: inbound bytes
+//!   are assembled *incrementally* and complete frames are decoded with
+//!   the same `wire.rs` codec the blocking path uses. A half-closed peer
+//!   is not read again, and its socket closes once every request it
+//!   sent has been answered and written;
 //! * prediction work flows through the [`Dispatcher`] to the replica
 //!   pool. The reactor holds back the first prediction part of each
 //!   loop pass if it fits one coalesced round and rounds cost nothing.
@@ -47,16 +50,16 @@ use crate::metrics::AcceptErrorKind;
 use crate::pool::{Completion, ReactorReply, ReplyTo, TraceLink};
 use crate::server::Shared;
 use crate::sys::{
-    self, classify_accept_error, drain_wake_pipe, fd_of, AcceptBackoff, Event, Interest, Poller,
-    Waker,
+    self, classify_accept_error, drain_wake_pipe, fd_of, AcceptBackoff, Event, FramedConn,
+    Interest, Poller, Waker,
 };
-use crate::wire::{append_frame, decode_request, encode_response, split_frame, Request, Response};
+use crate::wire::{decode_request, encode_reply, Request, Response};
 use fia_core::TraceContext;
 use fia_linalg::Matrix;
 use fia_telemetry::{Span, SpanRecord, Tracer};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io;
+use std::net::TcpListener;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -85,34 +88,19 @@ const PIPELINE_CAP: usize = 256;
 /// cannot starve the rest of the loop.
 const MAX_READ_PASSES: usize = 16;
 
-/// Flushed-prefix length past which the output buffer is compacted.
-const COMPACT_THRESHOLD: usize = 64 * 1024;
-
 /// One client connection's entire state — a struct, not a thread.
 struct Conn {
-    stream: TcpStream,
-    /// Unparsed inbound bytes (incremental frame assembly).
-    buf: Vec<u8>,
-    /// Outbound bytes; `out[out_pos..]` is still unwritten.
-    out: Vec<u8>,
-    out_pos: usize,
+    io: FramedConn,
     /// Sequence number assigned to the next parsed request.
     next_seq: u64,
-    /// Sequence number of the next response to emit into `out`.
+    /// Sequence number of the next response to queue on `io`.
     emit_seq: u64,
     /// Encoded responses waiting on earlier sequence numbers.
     staged: BTreeMap<u64, Vec<u8>>,
     /// Prediction requests handed to the pool and not yet answered.
     inflight: usize,
-    /// No more requests will be parsed (peer EOF, framing corruption,
-    /// or server drain).
-    read_done: bool,
-    /// Close once everything staged and buffered has been written.
-    close_when_flushed: bool,
     /// Reads suspended at [`PIPELINE_CAP`].
     paused_read: bool,
-    /// Interest currently registered with the poller.
-    reg: Interest,
     /// Audit-ledger label: `conn-{id}` until the client declares a
     /// session tag (`DeclareSession`), which survives as the stable
     /// identity across reconnects.
@@ -120,33 +108,16 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, id: u64) -> Self {
+    fn new(io: FramedConn, id: u64) -> Self {
         Conn {
-            stream,
-            buf: Vec::new(),
-            out: Vec::new(),
-            out_pos: 0,
+            io,
             next_seq: 0,
             emit_seq: 0,
             staged: BTreeMap::new(),
             inflight: 0,
-            read_done: false,
-            close_when_flushed: false,
             paused_read: false,
-            reg: Interest::READ,
             label: format!("conn-{id}"),
         }
-    }
-
-    fn out_drained(&self) -> bool {
-        self.out_pos >= self.out.len()
-    }
-
-    fn removable(&self) -> bool {
-        self.close_when_flushed
-            && self.inflight == 0
-            && self.staged.is_empty()
-            && self.out_drained()
     }
 }
 
@@ -407,55 +378,36 @@ impl Reactor {
     // -----------------------------------------------------------------
     // Accepting.
 
+    /// Accepts every pending connection. A draining server has already
+    /// closed its listener.
     fn on_accept(&mut self) {
-        if self.draining.is_some() || self.accept.is_paused() {
+        let Some(listener) = &self.listener else {
             return;
-        }
+        };
         loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.accept.accepted();
-                    // A socket that can't go nonblocking can't be driven
-                    // by the event loop: close it rather than proceed
-                    // with a mode that would hang the loop (the blocking
-                    // server's set_read_timeout bug, fixed structurally).
-                    if stream.set_nonblocking(true).is_err() {
-                        self.shared
-                            .metrics
-                            .record_accept_error(AcceptErrorKind::Setup);
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
+            match self.accept.accept(listener, &mut self.poller) {
+                Ok(Some(stream)) => {
                     let id = self.next_conn;
                     self.next_conn += 1;
-                    if self
-                        .poller
-                        .register(fd_of(&stream), id, Interest::READ)
-                        .is_err()
-                    {
+                    // A socket that can't go nonblocking can't be driven
+                    // by the event loop: it is closed, not kept in a mode
+                    // that would hang the loop.
+                    let Ok(io) = FramedConn::register(stream, &mut self.poller, id) else {
                         self.shared
                             .metrics
                             .record_accept_error(AcceptErrorKind::Setup);
                         continue;
-                    }
-                    self.conns.insert(id, Conn::new(stream, id));
+                    };
+                    self.conns.insert(id, Conn::new(io, id));
                     self.shared
                         .metrics
                         .record_connection_opened(self.conns.len() as u64);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) => {
-                    self.shared
-                        .metrics
-                        .record_accept_error(classify_accept_error(&e));
-                    let fd = fd_of(listener);
-                    if !self.accept.failed(&e, &mut self.poller, fd) {
-                        return;
-                    }
-                }
+                Ok(None) => return,
+                Err(e) => self
+                    .shared
+                    .metrics
+                    .record_accept_error(classify_accept_error(&e)),
             }
         }
     }
@@ -473,39 +425,10 @@ impl Reactor {
     // Reading and frame assembly.
 
     fn on_conn_readable(&mut self, id: u64) {
-        let mut dead = false;
-        {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            for _ in 0..MAX_READ_PASSES {
-                match conn.stream.read(&mut self.scratch) {
-                    Ok(0) => {
-                        // Peer half-closed: no more requests, but
-                        // everything already queued still gets answered
-                        // and flushed before the socket closes.
-                        conn.read_done = true;
-                        conn.close_when_flushed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        if !conn.read_done {
-                            conn.buf.extend_from_slice(&self.scratch[..n]);
-                        }
-                        if n < self.scratch.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if dead {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if conn.io.read(&mut self.scratch, MAX_READ_PASSES).is_err() {
             self.remove_conn(id);
             return;
         }
@@ -513,39 +436,24 @@ impl Reactor {
         self.flush_and_update(id);
     }
 
-    /// Drains every complete frame out of `buf`, up to the pipeline cap.
+    /// Handles every complete frame received, up to the pipeline cap.
+    /// Framing corruption is not a decodable request, so there is
+    /// nothing to answer: the input closes, and the connection with it
+    /// once prior responses have flushed.
     fn parse_frames(&mut self, id: u64) {
         loop {
-            let payload = {
-                let Some(conn) = self.conns.get_mut(&id) else {
-                    return;
-                };
-                if conn.read_done || conn.buf.is_empty() {
-                    None
-                } else if conn.inflight >= PIPELINE_CAP {
-                    // Backpressure: stop reading until rounds complete.
-                    conn.paused_read = true;
-                    None
-                } else {
-                    match split_frame(&mut conn.buf) {
-                        // `None`: an incomplete frame, wait for more bytes.
-                        Ok(payload) => payload,
-                        Err(_) => {
-                            // Framing corruption: not a decodable request,
-                            // so there is nothing to answer — stop reading
-                            // and close once prior responses have flushed.
-                            conn.read_done = true;
-                            conn.close_when_flushed = true;
-                            conn.buf.clear();
-                            None
-                        }
-                    }
-                }
+            let Some(conn) = self.conns.get_mut(&id) else {
+                return;
             };
-            match payload {
-                Some(p) => self.handle_request(id, p),
-                None => return,
+            if conn.inflight >= PIPELINE_CAP {
+                // Backpressure: stop reading until rounds complete.
+                conn.paused_read = true;
+                return;
             }
+            let Ok(Some(payload)) = conn.io.next_frame() else {
+                return;
+            };
+            self.handle_request(id, payload);
         }
     }
 
@@ -585,8 +493,7 @@ impl Reactor {
             Ok(Request::Shutdown) => {
                 self.answer(id, seq, t0, &Response::ShuttingDown, None);
                 if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.read_done = true;
-                    conn.close_when_flushed = true;
+                    conn.io.close_input();
                 }
                 self.flush_and_update(id);
                 self.shared.stop.store(true, Ordering::SeqCst);
@@ -998,17 +905,16 @@ impl Reactor {
         if !failed {
             self.shared.metrics.record_request(latency_us);
         }
-        let frame = encode_response(resp).unwrap_or_else(|_| {
-            encode_response(&Response::Error("response encoding failed".to_string()))
-                .expect("error responses always encode")
-        });
+        let frame = encode_reply(resp);
         {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
             };
             conn.staged.insert(seq, frame);
             while let Some(frame) = conn.staged.remove(&conn.emit_seq) {
-                append_frame(&mut conn.out, &frame).expect("encoded replies fit the frame cap");
+                conn.io
+                    .queue(&frame)
+                    .expect("encoded replies fit the frame cap");
                 conn.emit_seq += 1;
             }
         }
@@ -1018,71 +924,29 @@ impl Reactor {
         drop(dropped);
     }
 
-    /// Greedily writes buffered output, then reconciles poller interest
-    /// and the close-when-flushed state.
+    /// Greedily writes buffered output, then closes the connection if
+    /// it is finished (its input ended and every request it sent has
+    /// been answered and written) or broken, and otherwise reconciles
+    /// its poller interest.
     fn flush_and_update(&mut self, id: u64) {
-        let mut dead = false;
-        let removable = {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            while conn.out_pos < conn.out.len() {
-                match conn.stream.write(&conn.out[conn.out_pos..]) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => conn.out_pos += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if conn.out_drained() {
-                conn.out.clear();
-                conn.out_pos = 0;
-            } else if conn.out_pos > COMPACT_THRESHOLD {
-                conn.out.drain(..conn.out_pos);
-                conn.out_pos = 0;
-            }
-            conn.removable()
-        };
-        if dead || removable {
-            self.remove_conn(id);
+        let Some(conn) = self.conns.get_mut(&id) else {
             return;
-        }
-        self.update_interest(id);
-    }
-
-    fn update_interest(&mut self, id: u64) {
-        let mut broken = false;
-        {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            let desired = Interest {
-                read: !conn.read_done && !conn.paused_read,
-                write: !conn.out_drained(),
-            };
-            if desired != conn.reg {
-                if self.poller.modify(fd_of(&conn.stream), id, desired).is_ok() {
-                    conn.reg = desired;
-                } else {
-                    broken = true; // unwatchable socket: drop it
-                }
-            }
-        }
-        if broken {
+        };
+        let owes = conn.inflight > 0 || !conn.staged.is_empty();
+        let keep = conn.io.flush().is_ok()
+            && !conn.io.finished(owes)
+            && conn
+                .io
+                .update_interest(&mut self.poller, !conn.paused_read)
+                .is_ok();
+        if !keep {
             self.remove_conn(id);
         }
     }
 
     fn remove_conn(&mut self, id: u64) {
         if let Some(conn) = self.conns.remove(&id) {
-            let _ = self.poller.deregister(fd_of(&conn.stream));
+            conn.io.close(&mut self.poller);
             self.shared
                 .metrics
                 .record_connection_closed(self.conns.len() as u64);
@@ -1110,9 +974,7 @@ impl Reactor {
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
             if let Some(conn) = self.conns.get_mut(&id) {
-                conn.read_done = true;
-                conn.close_when_flushed = true;
-                conn.buf.clear();
+                conn.io.close_input();
             }
             self.flush_and_update(id);
         }

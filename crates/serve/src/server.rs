@@ -79,10 +79,9 @@ pub struct ServeConfig {
     /// longer than one normal round.
     pub batch_cap: usize,
     /// Deadline past a round's first request (see
-    /// [`Coalescer`](crate::Coalescer)).
+    /// [`Coalescer`](crate::Coalescer)). A `batch_cap` of 1 turns
+    /// coalescing off: every request is its own round.
     pub batch_deadline: Duration,
-    /// `false` turns the coalescer off: every request is its own round.
-    pub coalesce: bool,
     /// Released-score cache capacity in rows; `0` disables caching.
     /// The cache stores post-defense released rows keyed by stored
     /// sample index and re-releases them bit-identically.
@@ -111,22 +110,10 @@ impl Default for ServeConfig {
             replicas: 1,
             batch_cap: 64,
             batch_deadline: Duration::from_micros(500),
-            coalesce: true,
             cache_capacity: 0,
             cache_seed: 0x5C0_7E5,
             round_cost: Duration::ZERO,
             audit: true,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// The coalescing policy this config describes.
-    fn coalescer(&self) -> Coalescer {
-        if self.coalesce {
-            Coalescer::adaptive(self.batch_cap, self.batch_deadline)
-        } else {
-            Coalescer::passthrough()
         }
     }
 }
@@ -197,7 +184,7 @@ impl PredictionServer {
             &defense,
             &metrics,
             &stop,
-            config.coalescer(),
+            Coalescer::adaptive(config.batch_cap, config.batch_deadline),
             config.round_cost,
             replicas,
         );

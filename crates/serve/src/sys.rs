@@ -10,9 +10,11 @@
 //! same level-triggered readiness contract, so the reactor is written
 //! once and CI exercises both arms.
 //!
-//! [`AcceptBackoff`] is the accept policy every event loop over a
-//! [`Poller`] shares: the prediction server's reactor and
-//! `fia-campaignd`'s daemon loop.
+//! [`AcceptBackoff`] is the accept policy and [`FramedConn`] the
+//! connection every event loop over a [`Poller`] shares: the prediction
+//! server's reactor, `fia-campaignd`'s daemon loop and (the connection
+//! only) the open-loop load generator. No other module handles
+//! `WouldBlock`.
 
 #![allow(unsafe_code)]
 
@@ -20,7 +22,9 @@
 compile_error!("fia-serve's reactor needs a POSIX readiness API (epoll/poll)");
 
 use crate::metrics::AcceptErrorKind;
-use std::io;
+use crate::wire::{append_frame, split_frame, WireError};
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
@@ -493,7 +497,6 @@ impl Waker {
     /// which is all a level-triggered loop needs — the error is ignored
     /// by design.
     pub fn wake(&self) {
-        use std::io::Write;
         let _ = (&*self.tx).write(&[1u8]);
     }
 }
@@ -511,7 +514,6 @@ pub fn wake_pair() -> io::Result<(Waker, UnixStream)> {
 /// Reads and discards everything pending on a wake pipe's read end
 /// (`Read` is implemented for `&UnixStream`, so this borrows the pipe).
 pub fn drain_wake_pipe(rx: &UnixStream) {
-    use std::io::Read;
     let mut buf = [0u8; 64];
     loop {
         match (&mut &*rx).read(&mut buf) {
@@ -561,9 +563,36 @@ impl AcceptBackoff {
         }
     }
 
+    /// Accepts one connection from `listener`, which is registered on
+    /// `poller` under this policy's token. `Ok(None)`: nothing to accept
+    /// now, because the backlog is empty or accepting is paused.
+    /// `Err(e)`: `accept()` failed and the policy has acted on `e`; the
+    /// caller may count it, then calls again, which retries at once or,
+    /// when the failure paused accepting, returns `Ok(None)`.
+    pub fn accept(
+        &mut self,
+        listener: &TcpListener,
+        poller: &mut Poller,
+    ) -> io::Result<Option<TcpStream>> {
+        if self.is_paused() {
+            return Ok(None);
+        }
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                self.accepted();
+                Ok(Some(stream))
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) => {
+                self.failed(&e, poller, fd_of(listener));
+                Err(e)
+            }
+        }
+    }
+
     /// Records a successful accept: the next exhaustion pause starts
     /// from the floor again.
-    pub fn accepted(&mut self) {
+    fn accepted(&mut self) {
         self.backoff = ACCEPT_BACKOFF_MIN;
     }
 
@@ -571,7 +600,7 @@ impl AcceptBackoff {
     /// listener `listener`. Returns `true` when the caller should keep
     /// accepting; otherwise accepting is paused, with the listener's
     /// interest dropped, until [`Self::resume_due`] restores it.
-    pub fn failed(&mut self, e: &io::Error, poller: &mut Poller, listener: RawFd) -> bool {
+    fn failed(&mut self, e: &io::Error, poller: &mut Poller, listener: RawFd) -> bool {
         let pause = match classify_accept_error(e) {
             AcceptErrorKind::Aborted | AcceptErrorKind::Interrupted => return true,
             AcceptErrorKind::Exhausted => self.next_pause(),
@@ -642,6 +671,161 @@ pub(crate) fn classify_accept_error(e: &io::Error) -> AcceptErrorKind {
         }
         io::ErrorKind::Interrupted => AcceptErrorKind::Interrupted,
         _ => AcceptErrorKind::Other,
+    }
+}
+
+// ---------------------------------------------------------------------
+// Framed connections.
+
+/// Flushed-prefix length past which a connection's output is compacted.
+const COMPACT_THRESHOLD: usize = 64 * 1024;
+
+/// One nonblocking TCP connection carrying length-prefixed frames on a
+/// [`Poller`]: the socket, its unparsed input, its unwritten output and
+/// the interest registered for it, with one step for each part of
+/// driving it. The prediction reactor, `fia-campaignd`'s daemon loop and
+/// the open-loop load generator all drive their sockets through it and
+/// keep only their own policy: what to answer, in what order, and when
+/// to stop reading.
+///
+/// Input ends when the peer half-closes, when it can no longer be framed
+/// or when the owner calls [`Self::close_input`]. From then on the socket
+/// is not read again, but frames already received are still handed out,
+/// and [`Self::finished`] keeps the connection open until nothing the
+/// peer asked for is still owed.
+pub struct FramedConn {
+    stream: TcpStream,
+    token: u64,
+    /// Unparsed inbound bytes.
+    input: Vec<u8>,
+    input_closed: bool,
+    /// Outbound bytes; `out[out_pos..]` is still unwritten.
+    out: Vec<u8>,
+    out_pos: usize,
+    /// Interest currently registered with the poller.
+    reg: Interest,
+}
+
+impl FramedConn {
+    /// Sets up a connected socket: nonblocking, `TCP_NODELAY`, and
+    /// registered for reads on `poller` under `token`. A socket that
+    /// cannot go nonblocking would hang the loop, so that is an error.
+    pub fn register(stream: TcpStream, poller: &mut Poller, token: u64) -> io::Result<FramedConn> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        poller.register(fd_of(&stream), token, Interest::READ)?;
+        Ok(FramedConn {
+            stream,
+            token,
+            input: Vec::new(),
+            input_closed: false,
+            out: Vec::new(),
+            out_pos: 0,
+            reg: Interest::READ,
+        })
+    }
+
+    /// Reads what the socket holds into the input through `scratch`, at
+    /// most `passes` reads; a short read ends early. EOF closes the
+    /// input, and a closed input is not read. An error means the
+    /// connection is dead.
+    pub fn read(&mut self, scratch: &mut [u8], passes: usize) -> io::Result<()> {
+        for _ in 0..passes {
+            if self.input_closed {
+                break;
+            }
+            match self.stream.read(scratch) {
+                Ok(0) => self.input_closed = true,
+                Ok(n) => {
+                    self.input.extend_from_slice(&scratch[..n]);
+                    if n < scratch.len() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Cuts the next whole frame off the input. `Ok(None)`: no whole
+    /// frame has arrived. An over-cap length prefix is an error and
+    /// closes the input: the stream can no longer be framed.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        split_frame(&mut self.input).inspect_err(|_| self.close_input())
+    }
+
+    /// Stops reading for good and drops the input not yet parsed.
+    pub fn close_input(&mut self) {
+        self.input_closed = true;
+        self.input.clear();
+    }
+
+    /// Whether the input has ended.
+    pub(crate) fn input_closed(&self) -> bool {
+        self.input_closed
+    }
+
+    /// Queues one frame around `payload` for [`Self::flush`].
+    pub fn queue(&mut self, payload: &[u8]) -> Result<(), WireError> {
+        append_frame(&mut self.out, payload)
+    }
+
+    /// Writes queued output until none is left or the socket pushes back,
+    /// then compacts the buffer. An error, a zero-length write included,
+    /// means the connection is dead.
+    pub fn flush(&mut self) -> io::Result<()> {
+        while !self.flushed() {
+            match self.stream.write(&self.out[self.out_pos..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.out_pos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if self.flushed() {
+            self.out.clear();
+            self.out_pos = 0;
+        } else if self.out_pos > COMPACT_THRESHOLD {
+            self.out.drain(..self.out_pos);
+            self.out_pos = 0;
+        }
+        Ok(())
+    }
+
+    /// Whether everything queued has been written.
+    fn flushed(&self) -> bool {
+        self.out_pos >= self.out.len()
+    }
+
+    /// Registers read interest while `read` holds and the input is open,
+    /// and write interest while output remains. The poller is called
+    /// only when that interest changes.
+    pub fn update_interest(&mut self, poller: &mut Poller, read: bool) -> io::Result<()> {
+        let want = Interest {
+            read: read && !self.input_closed,
+            write: !self.flushed(),
+        };
+        if want != self.reg {
+            poller.modify(fd_of(&self.stream), self.token, want)?;
+            self.reg = want;
+        }
+        Ok(())
+    }
+
+    /// The end-of-input rule both servers share: once the input has
+    /// ended, the connection closes when its output is written and its
+    /// owner `owes` the peer nothing more.
+    pub fn finished(&self, owes: bool) -> bool {
+        self.input_closed && !owes && self.flushed()
+    }
+
+    /// Deregisters the socket and closes it.
+    pub fn close(self, poller: &mut Poller) {
+        let _ = poller.deregister(fd_of(&self.stream));
     }
 }
 
@@ -972,6 +1156,56 @@ mod tests {
                 assert!(Instant::now() < deadline, "{backend:?}: pause never ended");
                 std::thread::sleep(Duration::from_millis(1));
             }
+        }
+    }
+
+    /// Output the socket cannot take at once stays queued with write
+    /// interest on, and writable readiness flushes the rest as the peer
+    /// reads it. A connection whose input has ended is not finished
+    /// until that output is written.
+    #[test]
+    fn output_past_the_socket_buffers_flushes_on_writable_readiness() {
+        for backend in backends() {
+            let mut poller = Poller::with_backend(backend).expect("poller");
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+            let (accepted, _) = listener.accept().expect("accept");
+            let mut conn = FramedConn::register(accepted, &mut poller, 3).expect("register");
+            // More than loopback's send and receive buffers hold together.
+            let payload = vec![7u8; 16 << 20];
+            conn.queue(&payload).expect("queue");
+            conn.flush().expect("flush");
+            assert!(
+                !conn.flushed(),
+                "{backend:?}: the socket took 16 MiB at once"
+            );
+            conn.close_input();
+            assert!(
+                !conn.finished(false),
+                "{backend:?}: finished with output queued"
+            );
+            conn.update_interest(&mut poller, true).expect("interest");
+
+            let reader = std::thread::spawn(move || {
+                crate::wire::read_frame(&mut client)
+                    .expect("read")
+                    .expect("frame")
+            });
+            let mut events = Vec::new();
+            while !conn.flushed() {
+                events.clear();
+                poller
+                    .wait(&mut events, Some(Duration::from_secs(10)))
+                    .expect("wait");
+                assert!(
+                    events.iter().any(|e| e.token == 3 && e.writable),
+                    "{backend:?}: output queued but no writable readiness"
+                );
+                conn.flush().expect("flush");
+                conn.update_interest(&mut poller, true).expect("interest");
+            }
+            assert!(conn.finished(false), "{backend:?}");
+            assert!(reader.join().expect("reader") == payload, "{backend:?}");
         }
     }
 

@@ -779,6 +779,16 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
+/// Encodes a server's reply. A reply that does not encode (its payload
+/// is over the frame cap) becomes the typed `Response::Error` that says
+/// so, which keeps the peer in frame sync.
+pub fn encode_reply(resp: &Response) -> Vec<u8> {
+    encode_response(resp).unwrap_or_else(|_| {
+        encode_response(&Response::Error("response encoding failed".to_string()))
+            .expect("error responses always encode")
+    })
+}
+
 /// Parses a frame payload into a response, rejecting trailing bytes.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     let mut r = ByteReader::new(payload);

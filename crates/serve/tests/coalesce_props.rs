@@ -118,7 +118,7 @@ fn sweep_passthrough_is_one_job_per_round_in_arrival_order() {
     for seed in 0..100u64 {
         let mut rng = lcg(seed ^ 0xBEEF);
         let jobs = random_sequence(&mut rng);
-        let rounds = drain_to_rounds(Coalescer::passthrough(), jobs.clone());
+        let rounds = drain_to_rounds(Coalescer::adaptive(1, Duration::ZERO), jobs.clone());
         assert_eq!(rounds.len(), jobs.len(), "seed {seed}");
         for (round, expected) in rounds.iter().zip(&jobs) {
             assert_eq!(round.len(), 1, "seed {seed}: passthrough merged");

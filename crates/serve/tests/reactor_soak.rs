@@ -241,7 +241,7 @@ fn mid_soak_shutdown_drains_queued_jobs() {
     const CONNS: usize = 8;
     const PER_CONN: usize = 4;
     let (system, server) = spawn(ServeConfig {
-        coalesce: false,
+        batch_cap: 1,
         round_cost: Duration::from_millis(5),
         ..ServeConfig::default()
     });

@@ -4,14 +4,16 @@
 //! Prometheus-style `MetricsText` scrape that covers serve, campaign
 //! and kernel instruments in one exposition. Everything lands under
 //! `target/observability/` — the same three artifacts a real deployment
-//! would ship to its log pipeline and metrics scraper.
+//! would ship to its log pipeline and metrics scraper — plus the merged
+//! trace of a one-row-chunk run and its rerun.
 //!
 //! ```sh
 //! cargo run --release --example observability
 //! ```
 
 use fia::campaign::{
-    AttackSpec, Campaign, EventLog, OracleSpec, PartitionSpec, ScenarioSpec, ServedConfig,
+    AttackSpec, Campaign, EventLog, NullObserver, OracleSpec, PartitionSpec, ScenarioSpec,
+    ServedConfig,
 };
 use fia::data::PaperDataset;
 use std::fs;
@@ -28,19 +30,49 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
+/// Asserts that every server `serve.request` span in a merged trace has
+/// the client-side span that caused it as parent (server ids start at
+/// `SERVER_SPAN_ID_BASE`), and returns how many such links there are.
+fn assert_linked(merged: &str) -> usize {
+    let client_ids: std::collections::HashSet<u64> = merged
+        .lines()
+        .filter_map(|l| field_u64(l, "id"))
+        .filter(|&id| id < fia::serve::SERVER_SPAN_ID_BASE)
+        .collect();
+    let mut cross_links = 0usize;
+    for line in merged
+        .lines()
+        .filter(|l| l.contains("\"name\":\"serve.request\""))
+    {
+        let parent = field_u64(line, "parent").expect("serve.request has a parent");
+        assert!(
+            client_ids.contains(&parent),
+            "server request span does not resolve to a client span: {line}"
+        );
+        cross_links += 1;
+    }
+    assert!(
+        cross_links > 0,
+        "no cross-process links in the merged trace"
+    );
+    cross_links
+}
+
 fn main() {
     // 1. A served scenario: the campaign spawns a real prediction
     //    server (two replicas, released-score cache) and queries it
     //    over TCP — so the scrape below is a genuine over-the-wire one.
-    let scenario = ScenarioSpec::paper(PaperDataset::DriveDiagnosis)
+    let spec = ScenarioSpec::paper(PaperDataset::DriveDiagnosis)
         .with_scale(0.01)
         .with_partition(PartitionSpec::two_block_random(0.2))
+        .with_seed(42);
+    let scenario = spec
+        .clone()
         .with_oracle(OracleSpec::Served(ServedConfig {
             replicas: 2,
             cache_capacity: 8192,
             ..ServedConfig::default()
         }))
-        .with_seed(42)
         .build();
     println!("scenario {}", scenario.fingerprint());
 
@@ -90,27 +122,7 @@ fn main() {
     //     `campaign.chunk` that caused it — assert that here so the
     //     artifact is known-good before anything downstream reads it.
     let merged = report.merged_trace_jsonl();
-    let client_ids: std::collections::HashSet<u64> = merged
-        .lines()
-        .filter_map(|l| field_u64(l, "id"))
-        .filter(|&id| id < fia::serve::SERVER_SPAN_ID_BASE)
-        .collect();
-    let mut cross_links = 0usize;
-    for line in merged
-        .lines()
-        .filter(|l| l.contains("\"name\":\"serve.request\""))
-    {
-        let parent = field_u64(line, "parent").expect("serve.request has a parent");
-        assert!(
-            client_ids.contains(&parent),
-            "server request span does not resolve to a client span: {line}"
-        );
-        cross_links += 1;
-    }
-    assert!(
-        cross_links > 0,
-        "no cross-process links in the merged trace"
-    );
+    let cross_links = assert_linked(&merged);
     fs::write(dir.join("merged_trace.jsonl"), &merged).expect("write merged trace");
 
     // 3e. The server's per-client audit ledger: the defender's view of
@@ -160,4 +172,29 @@ fn main() {
         report.telemetry.entries.len()
     );
     campaign.shutdown();
+
+    // 4. A merged trace where the join matters: one-row chunks and a
+    //    rerun send many more chunks than the 16 per duration bucket the
+    //    client keeps by itself, so every kept `serve.request` resolves
+    //    only because finalize also kept the chunks the server's kept
+    //    trees name. The cache is off, so the rerun queries the server.
+    let mut rerun = Campaign::new(
+        spec.with_oracle(OracleSpec::Served(ServedConfig {
+            replicas: 2,
+            ..ServedConfig::default()
+        }))
+        .build(),
+    )
+    .with_attack(AttackSpec::esa())
+    .with_chunk(1);
+    rerun.run(&mut NullObserver).expect("one-row-chunk run");
+    let second = rerun.rerun(&mut NullObserver).expect("rerun");
+    let merged = second.merged_trace_jsonl();
+    let links = assert_linked(&merged);
+    fs::write(dir.join("merged_trace_rerun.jsonl"), &merged).expect("write rerun trace");
+    println!(
+        "rerun trace: {} spans, {links} cross-process request links",
+        merged.lines().count()
+    );
+    rerun.shutdown();
 }
