@@ -9,7 +9,8 @@
 //! counters) over its median wall time, next to plain `matmul`
 //! throughput at the generator's forward shapes, and the heap
 //! allocations per training step from a counting allocator installed in
-//! this bench binary only.
+//! this bench binary only. Beside it, one logistic-regression fit
+//! step's one-column products time the narrow-output path.
 
 use fia_bench::harness::Harness;
 use fia_core::{Grna, GrnaConfig};
@@ -198,6 +199,25 @@ fn grna_training(h: &mut Harness) {
     );
 }
 
+/// The two products of one binary logistic-regression fit step at the
+/// credit-card scenario's shapes (mini-batch 64, 23 features, one output
+/// column): the forward `x · w` and the weight gradient `xᵀ · g`.
+fn lr_step_shapes(h: &mut Harness) {
+    let (batch, features) = (LrConfig::default().batch_size, 23);
+    let x = operand(batch, features, 1);
+    let w = operand(features, 1, 2);
+    let g = operand(batch, 1, 3);
+    let step = h.bench("matmul_lr_step_shapes_f64", || {
+        std::hint::black_box(x.matmul(std::hint::black_box(&w)).unwrap());
+        std::hint::black_box(x.transpose_matmul(std::hint::black_box(&g)).unwrap());
+    });
+    let step_flops = 2 * (2 * batch * features);
+    h.metric(
+        "matmul_lr_step_shapes_gflops",
+        step_flops as f64 / step.median_ns,
+    );
+}
+
 fn main() {
     let mut h = Harness::new("kernels", 5, 1);
     println!(
@@ -207,6 +227,7 @@ fn main() {
 
     let speedups = matmul_sweep(&mut h);
     grna_training(&mut h);
+    lr_step_shapes(&mut h);
     h.write_json("BENCH_kernels.json");
 
     // Acceptance bar: ≥ 2× f64 matmul throughput over the scalar arm at

@@ -45,10 +45,10 @@ use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How the daemon is stood up.
 #[derive(Debug, Clone)]
@@ -96,7 +96,8 @@ impl DaemonHandle {
 
     /// Stops the daemon and joins its threads. Running jobs checkpoint
     /// at their current chunk and return to `Pending`; a restart over
-    /// the same state directory resumes them.
+    /// the same state directory resumes them. Attached clients receive
+    /// their stream up to that point and its `JobEventsEnd`.
     pub fn shutdown(mut self) {
         self.shared.begin_shutdown();
         for t in self.threads.drain(..) {
@@ -170,6 +171,9 @@ struct Shared {
     outbox: Mutex<Vec<Delivery>>,
     waker: Waker,
     shutdown: AtomicBool,
+    /// Worker threads that have not returned. The daemon loop keeps
+    /// writing after shutdown begins until this reaches zero.
+    workers_live: AtomicUsize,
     jobs_total: Arc<Counter>,
     resumes_total: Arc<Counter>,
     replays_total: Arc<Counter>,
@@ -253,16 +257,39 @@ impl Shared {
         entry.state = state;
         entry.detail = detail.to_string();
         entry.events_file = None;
-        let subs = std::mem::take(&mut entry.subscribers);
-        let next_seq = entry.events;
+        let end = take_stream_end(id, entry);
         drop(jobs);
-        if subs.is_empty() {
-            return;
+        if let Some((subs, payload)) = end {
+            self.deliver(subs, &payload, true);
         }
-        let payload =
-            encode_response(&Response::JobEventsEnd { id, next_seq }).expect("end encodes");
-        self.deliver(subs, &payload, true);
     }
+
+    /// Ends every attach stream still open, such as one on a job that
+    /// was queued but never started. Called once the workers have
+    /// returned, when no job emits again in this process.
+    fn end_streams(&self) {
+        let ends: Vec<_> = self
+            .jobs
+            .lock()
+            .unwrap()
+            .iter_mut()
+            .filter_map(|(&id, entry)| take_stream_end(id, entry))
+            .collect();
+        for (subs, payload) in ends {
+            self.deliver(subs, &payload, true);
+        }
+    }
+}
+
+/// Takes `entry`'s subscribers with the `JobEventsEnd` frame they are
+/// owed, or `None` when no connection is attached.
+fn take_stream_end(id: u64, entry: &mut JobEntry) -> Option<(Vec<u64>, Vec<u8>)> {
+    if entry.subscribers.is_empty() {
+        return None;
+    }
+    let next_seq = entry.events;
+    let payload = encode_response(&Response::JobEventsEnd { id, next_seq }).expect("end encodes");
+    Some((std::mem::take(&mut entry.subscribers), payload))
 }
 
 /// Starts a daemon: recovers the state directory, binds the listener,
@@ -285,6 +312,7 @@ pub fn start(config: DaemonConfig) -> io::Result<DaemonHandle> {
         outbox: Mutex::new(Vec::new()),
         waker,
         shutdown: AtomicBool::new(false),
+        workers_live: AtomicUsize::new(config.workers.max(1)),
         jobs_total: global().counter(
             "fia_campaignd_jobs_total",
             "Campaign jobs accepted by the daemon",
@@ -447,6 +475,16 @@ enum JobEnd {
 }
 
 fn worker_loop(shared: Arc<Shared>) {
+    /// Counts the worker out when it returns or unwinds, and wakes the
+    /// daemon loop, which may be waiting on the last one to shut down.
+    struct Live(Arc<Shared>);
+    impl Drop for Live {
+        fn drop(&mut self) {
+            self.0.workers_live.fetch_sub(1, Ordering::SeqCst);
+            self.0.waker.wake();
+        }
+    }
+    let _live = Live(Arc::clone(&shared));
     loop {
         let id = {
             let mut queue = shared.queue.lock().unwrap();
@@ -667,6 +705,10 @@ const WAKE_TOKEN: u64 = u64::MAX - 1;
 /// Bounded read passes per readable event, as in the prediction reactor.
 const MAX_READ_PASSES: usize = 16;
 
+/// How long the daemon loop keeps writing after shutdown begins, for
+/// workers still finishing a chunk and peers slow to read.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
+
 struct Conn {
     io: FramedConn,
     /// Live attach streams: each still owes the peer its events and a
@@ -722,24 +764,40 @@ impl Reactor {
         })
     }
 
+    /// Serves until shutdown begins, then drains: no new connections or
+    /// requests, but the outbox is still written until every worker has
+    /// returned and every connection has been sent what it is owed, or
+    /// until [`SHUTDOWN_GRACE`] runs out. A worker suspends its job at
+    /// its next chunk boundary, so the `JobEventsEnd` its attached
+    /// clients are owed arrives after shutdown began.
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
+        let mut deadline: Option<Instant> = None;
         loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                self.drain_outbox();
-                for conn in self.conns.values_mut() {
-                    let _ = conn.io.flush();
+            let timeout = match deadline {
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() || (self.workers_done() && self.conns.is_empty()) {
+                        return;
+                    }
+                    left.min(Duration::from_millis(250))
                 }
-                return;
-            }
-            if self
-                .accept
-                .resume_due(&mut self.poller, fd_of(&self.listener))
-            {
-                self.accept_ready();
-            }
+                None if self.shared.shutdown.load(Ordering::SeqCst) => {
+                    self.stop_serving();
+                    deadline = Some(Instant::now() + SHUTDOWN_GRACE);
+                    continue;
+                }
+                None => {
+                    if self
+                        .accept
+                        .resume_due(&mut self.poller, fd_of(&self.listener))
+                    {
+                        self.accept_ready();
+                    }
+                    self.accept.wait_timeout(Duration::from_millis(250))
+                }
+            };
             events.clear();
-            let timeout = self.accept.wait_timeout(Duration::from_millis(250));
             if let Err(e) = self.poller.wait(&mut events, Some(timeout)) {
                 if e.kind() == ErrorKind::Interrupted {
                     continue;
@@ -758,6 +816,9 @@ impl Reactor {
                     }
                 }
             }
+            if deadline.is_some() && self.workers_done() {
+                self.shared.end_streams();
+            }
             // Events the workers published while this pass ran are
             // written in the same pass.
             self.drain_outbox();
@@ -770,6 +831,21 @@ impl Reactor {
             for token in done {
                 self.drop_conn(token);
             }
+        }
+    }
+
+    /// Whether every worker thread has returned.
+    fn workers_done(&self) -> bool {
+        self.shared.workers_live.load(Ordering::SeqCst) == 0
+    }
+
+    /// Stops accepting and closes every connection's input. Replies
+    /// already staged and attach streams up to their `JobEventsEnd` are
+    /// still written; a connection closes once it is owed nothing.
+    fn stop_serving(&mut self) {
+        let _ = self.poller.deregister(fd_of(&self.listener));
+        for conn in self.conns.values_mut() {
+            conn.io.close_input();
         }
     }
 

@@ -245,6 +245,81 @@ fn graceful_shutdown_suspends_and_restart_resumes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Clients attached when the daemon shuts down gracefully receive their
+/// stream and its `JobEventsEnd`, not a closed connection: on a running
+/// job, up to the suspend at its next chunk boundary, which comes after
+/// shutdown began; on a job still queued, at once. A restart resumes
+/// both jobs.
+#[test]
+fn graceful_shutdown_ends_attached_streams() {
+    let dir = state_dir("shutdown-attach");
+    let mut config = DaemonConfig::new(&dir);
+    config.workers = 1;
+    let daemon = start(config.clone()).unwrap();
+    let mut client = CampaignClient::connect(daemon.addr()).unwrap();
+    let mut spec = small_spec(19);
+    spec.throttle_ms = 100;
+    let running = client.submit(&spec).unwrap();
+    let queued = client.submit(&spec).unwrap();
+
+    let addr = daemon.addr();
+    let (first_tx, first_rx) = std::sync::mpsc::channel();
+    let streamer = std::thread::spawn(move || {
+        let mut c = CampaignClient::connect(addr).unwrap();
+        let mut seqs = Vec::new();
+        let end = c.attach(running, 0, |seq, _| {
+            if seqs.is_empty() {
+                first_tx.send(()).unwrap();
+            }
+            seqs.push(seq);
+        });
+        (seqs, end)
+    });
+    first_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("no event arrived before shutdown");
+    // Requests on one connection are served in order, so the `Pong`
+    // shows the attach to the queued job is in place.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut call = |req: &Request| write_frame(&mut raw, &encode_request(req).unwrap()).unwrap();
+    call(&Request::JobAttach {
+        id: queued,
+        from_seq: 0,
+    });
+    call(&Request::Ping);
+    let mut next = || decode_response(&read_frame(&mut raw).unwrap().expect("closed")).unwrap();
+    assert_eq!(next(), Response::Pong);
+    daemon.shutdown();
+
+    assert_eq!(
+        next(),
+        Response::JobEventsEnd {
+            id: queued,
+            next_seq: 0
+        }
+    );
+    let (seqs, end) = streamer.join().unwrap();
+    let next_seq = end.expect("the stream must end with JobEventsEnd");
+    assert_eq!(
+        seqs,
+        (0..next_seq).collect::<Vec<_>>(),
+        "gap or stray event"
+    );
+
+    let daemon = start(config).unwrap();
+    let mut client = CampaignClient::connect(daemon.addr()).unwrap();
+    let reference = reference_outcome(&spec).to_blob();
+    for id in [running, queued] {
+        let row = client.wait_terminal(id, Duration::from_secs(60)).unwrap();
+        assert_eq!(row.state, JobState::Completed, "detail: {}", row.detail);
+        assert_eq!(client.report(id).unwrap().to_blob(), reference);
+    }
+
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A client that attaches to a running job and then half-closes its
 /// socket still gets the whole stream: the daemon stops reading from it
 /// but closes it only after the stream's `JobEventsEnd`.

@@ -1,25 +1,45 @@
 //! x86-64 AVX2 arm.
 //!
-//! GEBP-style blocked GEMM: operands are packed into panel buffers
-//! (`MR`-row strips of A, `NR`-column strips of B, zero-padded at the
-//! edges) and a register-blocked 4×8 microkernel sweeps each tile with
-//! the output block held in ymm registers. Remainder rows ride the
-//! zero-padding; remainder columns use `maskload`/`maskstore` so edge
-//! tiles never touch memory outside the output buffer.
+//! Products are routed by output width alone. An output at most
+//! [`NARROW_N`] = 4 columns wide takes the narrow path; a wider one
+//! takes the packed GEBP path.
 //!
-//! Ordering contract (see the module docs on [`super`]): the f64
-//! microkernel keeps the *output tile* in registers as the running
-//! total — it loads `out`, adds one separately-rounded `a·b` product per
-//! `k` step in ascending order, and stores at the panel boundary
-//! (store/reload is exact). That is precisely the scalar arm's
+//! **Narrow path** (no packing, no allocation). Each ymm holds four
+//! consecutive output rows of one column. The left factor is read where
+//! it lies: a row-major A becomes 4-row column vectors four `k` steps at
+//! a time through a 4×4 register transpose, and the transposed factor of
+//! [`gemm_at_acc`] already stores those vectors contiguously. Each `k`
+//! step broadcasts one element of B per output column. Up to four 4-row
+//! blocks are in flight at once, so their add chains overlap. In the
+//! last block, rows past `m` re-read the last row of A and are never
+//! stored.
+//!
+//! **GEBP path.** Operands are packed into panel buffers (`MR`-row
+//! strips of A, `NR`-column strips of B, zero-padded at the edges) and a
+//! register-blocked 4×8 microkernel sweeps each tile with the output
+//! block held in ymm registers. Remainder rows ride the zero-padding;
+//! remainder columns use `maskload`/`maskstore` so edge tiles never
+//! touch memory outside the output buffer. The panels live in one
+//! per-thread scratch buffer that grows to the largest panel the thread
+//! has packed, at most `KC×NC + MR×KC` f64 (about 1 MiB), and is never
+//! zeroed between products: the packers write every slot the
+//! microkernel reads, padding included.
+//!
+//! Ordering contract (see the module docs on [`super`]): both paths keep
+//! each output element in a register as the running total. It loads
+//! `out`, adds one separately-rounded `a·b` product per `k` step in
+//! ascending order, and stores at the end (the GEBP path at each panel
+//! boundary; store/reload is exact). That is precisely the scalar arm's
 //! per-element accumulation sequence, so f64 results match the scalar
 //! arm bit-for-bit (up to the sign of exact zeros: the scalar arm skips
 //! `a_ik == 0` terms, this arm adds the signed-zero product). No kernel
-//! fuses a multiply and an add, so the arm needs AVX2 alone.
+//! fuses a multiply and an add or reduces across lanes, so the arm
+//! needs AVX2 alone.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
 use core::arch::x86_64::*;
+use std::cell::Cell;
 
 /// Microkernel tile height (output rows held in registers).
 const MR: usize = 4;
@@ -31,6 +51,9 @@ const KC: usize = 256;
 /// `j`-panel width: one packed B panel (`KC × NC` f64 = 1 MiB) stays L2
 /// resident across all row strips.
 const NC: usize = 512;
+/// Widest output the narrow path serves: half the GEBP tile, below
+/// which that tile would run with most of its lanes masked off.
+const NARROW_N: usize = NR / 2;
 
 /// Builds a lane mask selecting the first `lanes` of 4 f64 lanes.
 #[inline]
@@ -80,21 +103,272 @@ unsafe fn store2(p: *mut f64, nr: usize, ml: __m256i, mh: __m256i, v0: __m256d, 
 /// `out += a · b` (both row-major, `b` is `k × n`).
 #[target_feature(enable = "avx2")]
 pub(super) fn gemm_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_driver(a, b, out, m, k, n, false, false);
+    if n <= NARROW_N {
+        narrow::<false>(&Narrow::new(a, b, m, k, n, n, 1), out);
+    } else {
+        gemm_driver(a, b, out, m, k, n, false, false);
+    }
 }
 
 /// `out += a · btᵀ` (`bt` is the transposed right factor, `n × k`).
-/// The B packing performs the transpose, so the same microkernel runs.
+/// The narrow path broadcasts from `bt` directly; the B packing
+/// performs the transpose, so the same microkernel runs.
 #[target_feature(enable = "avx2")]
 pub(super) fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_driver(a, bt, out, m, k, n, false, true);
+    if n <= NARROW_N {
+        narrow::<false>(&Narrow::new(a, bt, m, k, n, 1, k), out);
+    } else {
+        gemm_driver(a, bt, out, m, k, n, false, true);
+    }
 }
 
 /// `out += atᵀ · b` (`at` is the transposed left factor, `k × m`). The
-/// A packing performs the transpose, so the same microkernel runs.
+/// narrow path loads `at`'s rows as output-row vectors; the A packing
+/// performs the transpose, so the same microkernel runs.
 #[target_feature(enable = "avx2")]
 pub(super) fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_driver(at, b, out, m, k, n, true, false);
+    if n <= NARROW_N {
+        narrow::<true>(&Narrow::new(at, b, m, k, n, n, 1), out);
+    } else {
+        gemm_driver(at, b, out, m, k, n, true, false);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Narrow path
+// ----------------------------------------------------------------------
+
+/// One narrow product's operands. A is `m × k` row-major, or `k × m`
+/// when the path runs with `AT`; `B(kk, j)` is `b[kk * bk + j * bj]`.
+struct Narrow<'a> {
+    a: &'a [f64],
+    b: &'a [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    bk: usize,
+    bj: usize,
+}
+
+impl<'a> Narrow<'a> {
+    /// # Panics
+    /// Panics unless `a` holds `m·k` and `b` holds `k·n` values, the
+    /// bounds every read of the narrow path relies on.
+    fn new(a: &'a [f64], b: &'a [f64], m: usize, k: usize, n: usize, bk: usize, bj: usize) -> Self {
+        assert!(
+            a.len() == m * k && b.len() == k * n,
+            "gemm: operand/shape mismatch"
+        );
+        Narrow {
+            a,
+            b,
+            m,
+            k,
+            n,
+            bk,
+            bj,
+        }
+    }
+}
+
+/// `out += A · B` for an output `n ≤ NARROW_N` columns wide: groups of
+/// `G` 4-row blocks, then single blocks for the rows left over. `G × N`
+/// stays at 8 or below, so the accumulators fit in registers next to
+/// the A vectors.
+#[target_feature(enable = "avx2")]
+fn narrow<const AT: bool>(p: &Narrow, out: &mut [f64]) {
+    assert_eq!(out.len(), p.m * p.n, "gemm: output buffer/shape mismatch");
+    match p.n {
+        0 => {}
+        1 => narrow_rows::<AT, 4, 1>(p, out),
+        2 => narrow_rows::<AT, 4, 2>(p, out),
+        3 => narrow_rows::<AT, 2, 3>(p, out),
+        4 => narrow_rows::<AT, 2, 4>(p, out),
+        _ => unreachable!("outputs wider than NARROW_N take the GEBP path"),
+    }
+}
+
+#[target_feature(enable = "avx2")]
+fn narrow_rows<const AT: bool, const G: usize, const N: usize>(p: &Narrow, out: &mut [f64]) {
+    let mut i0 = 0;
+    while i0 + 4 * G <= p.m {
+        narrow_blocks::<AT, G, N>(p, out, i0);
+        i0 += 4 * G;
+    }
+    while i0 < p.m {
+        narrow_blocks::<AT, 1, N>(p, out, i0);
+        i0 += 4;
+    }
+}
+
+/// Output rows `i0 .. i0 + 4·G` (those below `m`) of all `N` columns:
+/// `G × N` ymm accumulators, each seeded from `out` and stored back
+/// once, after the last `k` step.
+#[target_feature(enable = "avx2")]
+fn narrow_blocks<const AT: bool, const G: usize, const N: usize>(
+    p: &Narrow,
+    out: &mut [f64],
+    i0: usize,
+) {
+    let (m, k) = (p.m, p.k);
+    let (pa, pb, po) = (p.a.as_ptr(), p.b.as_ptr(), out.as_mut_ptr());
+    let (bk, bj) = (p.bk, p.bj);
+    let mut acc = [[_mm256_setzero_pd(); N]; G];
+    for (g, acc_g) in acc.iter_mut().enumerate() {
+        for (j, c) in acc_g.iter_mut().enumerate() {
+            // SAFETY: `out` holds `m × N` values (asserted in `narrow`)
+            // and `load_col` reads only rows below `m`.
+            *c = unsafe { load_col::<N>(po, i0 + 4 * g, m, j) };
+        }
+    }
+    if AT {
+        // Row `kk` of the `k × m` factor holds `A(i, kk)` for every `i`
+        // contiguously; lanes past `m` are masked off.
+        let full = i0 + 4 * G <= m;
+        let masks: [__m256i; G] =
+            core::array::from_fn(|g| lane_mask(m.saturating_sub(i0 + 4 * g).min(4)));
+        for kk in 0..k {
+            for (g, acc_g) in acc.iter_mut().enumerate() {
+                // SAFETY: `a` holds `k × m` values (asserted in
+                // `Narrow::new`) and `kk < k`; an unmasked load reads
+                // rows `i0 + 4g .. + 4 ≤ m`, a masked one only rows
+                // below `m`. `b` holds `k × n` values and `kk < k`.
+                unsafe {
+                    let src = pa.wrapping_add(kk * m + i0 + 4 * g);
+                    let av = if full {
+                        _mm256_loadu_pd(src)
+                    } else {
+                        _mm256_maskload_pd(src, masks[g])
+                    };
+                    step(acc_g, av, pb.add(kk * bk), bj);
+                }
+            }
+        }
+    } else {
+        // Rows past `m` (last block only) re-read row `m - 1`: their
+        // lanes compute values `store_col` never writes.
+        let rows: [[*const f64; 4]; G] = core::array::from_fn(|g| {
+            core::array::from_fn(|r| pa.wrapping_add((i0 + 4 * g + r).min(m - 1) * k))
+        });
+        let mut kk = 0;
+        while kk + 4 <= k {
+            for (acc_g, rows_g) in acc.iter_mut().zip(&rows) {
+                // SAFETY: every row pointer starts one of A's `m` rows of
+                // `k` values, and `kk + 4 ≤ k`. `b` holds `k × n` values
+                // and `kk + t < k`.
+                unsafe {
+                    let cols = transpose4(rows_g, kk);
+                    for (t, &av) in cols.iter().enumerate() {
+                        step(acc_g, av, pb.add((kk + t) * bk), bj);
+                    }
+                }
+            }
+            kk += 4;
+        }
+        while kk < k {
+            for (acc_g, r) in acc.iter_mut().zip(&rows) {
+                // SAFETY: as above, with `kk < k`.
+                unsafe {
+                    let av =
+                        _mm256_setr_pd(*r[0].add(kk), *r[1].add(kk), *r[2].add(kk), *r[3].add(kk));
+                    step(acc_g, av, pb.add(kk * bk), bj);
+                }
+            }
+            kk += 1;
+        }
+    }
+    for (g, acc_g) in acc.iter().enumerate() {
+        for (j, &c) in acc_g.iter().enumerate() {
+            // SAFETY: as for the loads above.
+            unsafe { store_col::<N>(po, i0 + 4 * g, m, j, c) };
+        }
+    }
+}
+
+/// One `k` step of a block: `acc[j] += a · B(kk, j)` for each column,
+/// where `bkk` points at `B(kk, 0)` and columns lie `bj` apart.
+///
+/// # Safety
+/// `bkk.add(j * bj)` must be valid for a read for every `j < N`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn step<const N: usize>(acc: &mut [__m256d; N], a: __m256d, bkk: *const f64, bj: usize) {
+    for (j, c) in acc.iter_mut().enumerate() {
+        *c = _mm256_add_pd(*c, _mm256_mul_pd(a, _mm256_set1_pd(*bkk.add(j * bj))));
+    }
+}
+
+/// Columns `kk .. kk + 4` of the four rows starting at `r`, as four
+/// vectors: vector `t` holds `[r0[kk+t], r1[kk+t], r2[kk+t], r3[kk+t]]`.
+/// Rows 0 and 2 (and 1 and 3) share a register, one per 128-bit half,
+/// so a single unpack per vector finishes the transpose.
+///
+/// # Safety
+/// Each `r[i]` must be valid for reads of `kk + 4` f64 values.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose4(r: &[*const f64; 4], kk: usize) -> [__m256d; 4] {
+    let lo02 = _mm256_loadu2_m128d(r[2].add(kk), r[0].add(kk));
+    let lo13 = _mm256_loadu2_m128d(r[3].add(kk), r[1].add(kk));
+    let hi02 = _mm256_loadu2_m128d(r[2].add(kk + 2), r[0].add(kk + 2));
+    let hi13 = _mm256_loadu2_m128d(r[3].add(kk + 2), r[1].add(kk + 2));
+    [
+        _mm256_unpacklo_pd(lo02, lo13),
+        _mm256_unpackhi_pd(lo02, lo13),
+        _mm256_unpacklo_pd(hi02, hi13),
+        _mm256_unpackhi_pd(hi02, hi13),
+    ]
+}
+
+/// Output rows `i .. i + 4` of column `j` in an `N`-column `out`; lanes
+/// for rows at or past `m` read zero.
+///
+/// # Safety
+/// `po` must be valid for reads of `m × N` values, `i < m` and `j < N`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load_col<const N: usize>(po: *const f64, i: usize, m: usize, j: usize) -> __m256d {
+    if i + 4 <= m {
+        let p = po.add(i * N + j);
+        return if N == 1 {
+            _mm256_loadu_pd(p)
+        } else {
+            _mm256_setr_pd(*p, *p.add(N), *p.add(2 * N), *p.add(3 * N))
+        };
+    }
+    let mut lanes = [0.0; 4];
+    for (r, l) in lanes.iter_mut().enumerate().take(m - i) {
+        *l = *po.add((i + r) * N + j);
+    }
+    _mm256_loadu_pd(lanes.as_ptr())
+}
+
+/// Writes the lanes of `v` for rows below `m` back to column `j`; see
+/// [`load_col`].
+///
+/// # Safety
+/// `po` must be valid for writes of `m × N` values, `i < m` and `j < N`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store_col<const N: usize>(po: *mut f64, i: usize, m: usize, j: usize, v: __m256d) {
+    if N == 1 && i + 4 <= m {
+        _mm256_storeu_pd(po.add(i), v);
+        return;
+    }
+    let mut lanes = [0.0; 4];
+    _mm256_storeu_pd(lanes.as_mut_ptr(), v);
+    for (r, &l) in lanes.iter().enumerate().take(m.min(i + 4) - i) {
+        *po.add((i + r) * N + j) = l;
+    }
+}
+
+// ----------------------------------------------------------------------
+// GEBP path
+// ----------------------------------------------------------------------
+
+thread_local! {
+    /// This thread's GEBP packing scratch: the B panel, then the A strip.
+    static PANELS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -114,34 +388,43 @@ fn gemm_driver(
     }
     let kc_cap = k.min(KC);
     let nc_cap = n.min(NC).div_ceil(NR) * NR;
-    let mut bp = vec![0.0_f64; kc_cap * nc_cap];
-    let mut ap = vec![0.0_f64; MR * kc_cap];
+    // Taken out of the thread-local rather than borrowed, so a product
+    // that started inside this one would pack into a buffer of its own.
+    let mut panels = PANELS.take();
+    if panels.len() < kc_cap * nc_cap + MR * kc_cap {
+        // Grows, never shrinks, and is not cleared: the packers write
+        // every slot the microkernel reads, so what an earlier product
+        // left behind is never read.
+        panels.resize(kc_cap * nc_cap + MR * kc_cap, 0.0);
+    }
+    let (bp, ap) = panels.split_at_mut(kc_cap * nc_cap);
     for k0 in (0..k).step_by(KC) {
         let kc = KC.min(k - k0);
         for j0 in (0..n).step_by(NC) {
             let nc = NC.min(n - j0);
             let strips = nc.div_ceil(NR);
             if b_is_transposed {
-                pack_b_tn(b, &mut bp, k0, kc, j0, nc, k);
+                pack_b_tn(b, bp, k0, kc, j0, nc, k);
             } else {
-                pack_b_nn(b, &mut bp, k0, kc, j0, nc, n);
+                pack_b_nn(b, bp, k0, kc, j0, nc, n);
             }
             for i0 in (0..m).step_by(MR) {
                 let mr = MR.min(m - i0);
                 if a_is_transposed {
-                    pack_a_t(a, &mut ap, i0, mr, k0, kc, m);
+                    pack_a_t(a, ap, i0, mr, k0, kc, m);
                 } else {
-                    pack_a(a, &mut ap, i0, mr, k0, kc, k);
+                    pack_a(a, ap, i0, mr, k0, kc, k);
                 }
                 for s in 0..strips {
                     let j = j0 + s * NR;
                     let nr = NR.min(j0 + nc - j);
                     let strip = &bp[s * kc * NR..(s + 1) * kc * NR];
-                    microkernel(&ap, strip, out, i0, mr, j, nr, n, kc);
+                    microkernel(ap, strip, out, i0, mr, j, nr, n, kc);
                 }
             }
         }
     }
+    PANELS.set(panels);
 }
 
 /// Packs the `mr × kc` A strip at `(i0, k0)` as `ap[kk*MR + r]`,

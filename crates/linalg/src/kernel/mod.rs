@@ -7,9 +7,16 @@
 //!
 //! * [`Backend::Scalar`] — portable Rust loops, byte-for-byte the
 //!   pre-kernel-layer semantics. Always available.
-//! * [`Backend::Avx2`] — explicit `std::arch` x86-64 AVX2 microkernels
-//!   with packed A/B panel layouts, a register-blocked 4×8 inner tile
-//!   and masked edge handling.
+//! * [`Backend::Avx2`] — explicit `std::arch` x86-64 AVX2 microkernels.
+//!   A product whose output is at most 4 columns wide (`n ≤ 4`, half
+//!   the tile width) takes a narrow path that packs nothing: four output
+//!   rows of one column per register, A read in place, one element of B
+//!   broadcast per `k` step. Logistic regression's one-column weights
+//!   make every fit step, one-row prediction and ESA solve such a
+//!   product. Wider products pack A/B panels for a register-blocked 4×8
+//!   inner tile with masked edges; the panels live in one per-thread
+//!   buffer that grows to the largest panel the thread has packed (at
+//!   most about 1 MiB) and is reused without clearing.
 //!
 //! The arm is chosen **once** per process via
 //! `is_x86_feature_detected!` (see [`detected_backend`]); setting
@@ -28,6 +35,9 @@
 //! kernel reduces across lanes. Both arms therefore produce
 //! **bit-identical** results — attack outputs do not depend on which
 //! backend ran, and `FIA_FORCE_SCALAR=1` is a pure performance switch.
+//! The AVX2 arm's narrow path keeps the contract the same way its tile
+//! does: each lane is one output element, seeded from `out` and
+//! advanced by one `add(mul)` per `k` in ascending order.
 
 mod scalar;
 mod telemetry;
@@ -146,9 +156,10 @@ pub fn gemm_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: us
 /// already-transposed right factor), `out` (`m × n`) — the kernel behind
 /// [`crate::Matrix::matmul_transposed`] (the batched ESA solve and the
 /// tape's `g · Bᵀ` gradient). The AVX2 arm packs `bt` into column panels
-/// (the packing performs the transpose); the scalar arm transposes `bt`
-/// once so its vectorizable row kernel runs. Both keep the `k`-ascending
-/// per-element order, so the arms agree bitwise.
+/// (the packing performs the transpose), or for an output at most 4
+/// columns wide broadcasts from `bt` in place; the scalar arm transposes
+/// `bt` once so its vectorizable row kernel runs. Both keep the
+/// `k`-ascending per-element order, so the arms agree bitwise.
 pub fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     check_gemm_shapes(a.len(), bt.len(), out.len(), m, k, n);
     let backend = resolve(active_backend());
@@ -166,7 +177,9 @@ pub fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n
 /// left factor), `b` (`k × n`), `out` (`m × n`) — the kernel behind
 /// [`crate::Matrix::transpose_matmul`] (the tape's `Aᵀ · g` weight
 /// gradient). Neither arm copies `at`: the AVX2 arm's A packing performs
-/// the transpose, and the scalar arm's row kernel reads `at` strided.
+/// the transpose (an output at most 4 columns wide loads `at`'s rows as
+/// output-row vectors instead), and the scalar arm's row kernel reads
+/// `at` strided.
 /// Both keep the `k`-ascending per-element order of [`gemm_acc`] on the
 /// transposed factor, so the arms agree bitwise.
 pub fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {

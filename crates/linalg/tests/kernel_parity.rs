@@ -6,7 +6,8 @@
 //! only licensed difference is the sign of an exact zero, which `==`
 //! treats as equal. Every check runs on randomized shapes that
 //! deliberately include ragged edges (`n % 8 != 0`, `m % 4 != 0`, tiny
-//! and skinny matrices).
+//! and skinny matrices), and on a fixed grid that puts every entry point
+//! on both sides of the AVX2 arm's narrow-output rule (`n ≤ 4`).
 
 use fia_linalg::kernel::{self, Backend};
 use fia_linalg::{with_backend, Matrix};
@@ -18,8 +19,9 @@ fn rand_vec(rng: &mut StdRng, len: usize) -> Vec<f64> {
     (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
 
-/// Shape sweep: randomized dims plus fixed ragged/degenerate cases that
-/// exercise every masked edge of the 4×8 microkernel.
+/// Shape sweep, as `(m, k, n)`: randomized dims plus fixed ragged and
+/// degenerate cases that exercise every masked edge of the 4×8
+/// microkernel, and a grid across the narrow path's rule.
 fn shapes(rng: &mut StdRng) -> Vec<(usize, usize, usize)> {
     let mut s = vec![
         (1, 1, 1),
@@ -30,7 +32,23 @@ fn shapes(rng: &mut StdRng) -> Vec<(usize, usize, usize)> {
         (16, 300, 17),
         (13, 64, 31),
         (64, 64, 64),
+        // Logistic-regression training and serving: the forward
+        // product, the weight gradient and the one-row prediction.
+        (64, 23, 1),
+        (23, 64, 1),
+        (1, 23, 1),
+        (64, 48, 4), // the kernels bench's narrow GRNA layer
     ];
+    // The narrow path serves n ≤ 4 and GEBP n = 5. The rows fall short
+    // of, fill and pass multi-block groups; k covers the register
+    // transpose's tail (k % 4 != 0) and a k past the GEBP panel.
+    for n in 1..=5 {
+        for m in [1, 3, 15, 16, 23, 64] {
+            for k in [1, 3, 23, 64, 257] {
+                s.push((m, k, n));
+            }
+        }
+    }
     for _ in 0..12 {
         s.push((
             rng.gen_range(1..40usize),
@@ -124,6 +142,53 @@ fn gemm_at_bit_identical_across_backends() {
             kernel::gemm_at_acc(&a, &b, &mut out_v, m, k, n)
         });
         assert_bitwise_eq(&out_s, &out_v, "gemm_at_acc", (m, k, n));
+    }
+}
+
+/// The AVX2 arm's GEBP path keeps its packing panels per thread and
+/// never clears them, so a product packs over what a larger one left
+/// behind. Every product after the large one must still match the
+/// scalar arm bit for bit: a slot the microkernel reads but a packer
+/// skipped would carry the large product's values into the result.
+#[test]
+fn reused_panels_never_leak_an_earlier_product() {
+    if !fia_linalg::avx2_available() {
+        eprintln!("skipping: no AVX2 on this host");
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(0x5eed_0009);
+    let large = (300, 300, 300);
+    let after = [
+        (5, 7, 9),
+        (64, 23, 1),
+        (3, 257, 13),
+        (16, 300, 17),
+        (23, 64, 4),
+        (1, 1, 6),
+        (9, 33, 301),
+    ];
+    for (m, k, n) in std::iter::once(large).chain(after) {
+        let a = rand_vec(&mut rng, m * k);
+        let b = rand_vec(&mut rng, k * n);
+        let bt = rand_vec(&mut rng, n * k);
+        let at = rand_vec(&mut rng, k * m);
+        let init = rand_vec(&mut rng, m * n);
+        let run = |backend| {
+            with_backend(backend, || {
+                let mut outs = [init.clone(), init.clone(), init.clone()];
+                kernel::gemm_acc(&a, &b, &mut outs[0], m, k, n);
+                kernel::gemm_tn_acc(&a, &bt, &mut outs[1], m, k, n);
+                kernel::gemm_at_acc(&at, &b, &mut outs[2], m, k, n);
+                outs
+            })
+        };
+        let (s, v) = (run(Backend::Scalar), run(Backend::Avx2));
+        for (which, (os, ov)) in ["gemm_acc", "gemm_tn_acc", "gemm_at_acc"]
+            .iter()
+            .zip(s.iter().zip(&v))
+        {
+            assert_bitwise_eq(os, ov, which, (m, k, n));
+        }
     }
 }
 
