@@ -9,8 +9,11 @@
 //! counters) over its median wall time, next to plain `matmul`
 //! throughput at the generator's forward shapes, and the heap
 //! allocations per training step from a counting allocator installed in
-//! this bench binary only. Beside it, one logistic-regression fit
-//! step's one-column products time the narrow-output path.
+//! this bench binary only. The generator's backward products
+//! (`matmul_transposed` and `transpose_matmul`) at the same shapes time
+//! the AVX2 arm's pack-free single-panel path. Beside them, one
+//! logistic-regression fit step's one-column products time the
+//! narrow-output path.
 
 use fia_bench::harness::Harness;
 use fia_core::{Grna, GrnaConfig};
@@ -196,6 +199,32 @@ fn grna_training(h: &mut Harness) {
     h.metric(
         "grna_train_gflops_over_matmul",
         train_gflops / kernel_gflops,
+    );
+
+    // The backward products of one training step at those shapes: each
+    // layer's weight gradient xᵀ·g, and the input gradient g·Wᵀ of every
+    // layer but the first (the generator's input takes none).
+    let upstream: Vec<Matrix> = layers
+        .iter()
+        .enumerate()
+        .map(|(l, (_, w))| operand(base.batch_size, w.cols(), 2 * l + 9))
+        .collect();
+    let round = h.bench("matmul_grna_backward_shapes_f64", || {
+        for (l, ((x, w), g)) in layers.iter().zip(&upstream).enumerate() {
+            if l > 0 {
+                std::hint::black_box(g.matmul_transposed(w).unwrap());
+            }
+            std::hint::black_box(x.transpose_matmul(g).unwrap());
+        }
+    });
+    let round_flops: usize = widths
+        .windows(2)
+        .enumerate()
+        .map(|(l, w)| (1 + usize::from(l > 0)) * 2 * base.batch_size * w[0] * w[1])
+        .sum();
+    h.metric(
+        "matmul_grna_backward_shapes_gflops",
+        round_flops as f64 / round.median_ns,
     );
 }
 

@@ -29,7 +29,8 @@ use crate::engine::{row_seed, Attack, AttackResult, QueryBatch};
 use fia_linalg::Matrix;
 use fia_models::DifferentiableModel;
 use fia_tensor::{
-    normal_matrix, standard_normal, xavier_uniform, Adam, Optimizer, ParamId, Params, Tape, VarId,
+    fill_normal, normal_matrix, standard_normal, xavier_uniform, Adam, Optimizer, ParamId, Params,
+    Tape, VarId,
 };
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
@@ -229,21 +230,19 @@ impl<'a, M: DifferentiableModel> Grna<'a, M> {
 
         let n = x_adv.rows();
         let mut order: Vec<usize> = (0..n).collect();
+        let mut tape = Tape::new();
 
         for _ in 0..cfg.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch_size.max(1)) {
-                let xb = x_adv.select_rows(chunk).expect("rows in range");
-                let vb = confidences.select_rows(chunk).expect("rows in range");
-                let mut tape = Tape::new();
-
-                let gen_in = self.generator_input(&mut tape, &xb, chunk.len(), &mut rng);
+                tape.reset();
+                let xadv_var = tape.input_rows(x_adv, chunk);
+                let gen_in = self.generator_input(&mut tape, xadv_var, chunk.len(), &mut rng);
                 let xhat = gen.forward(&mut tape, gen_in, true);
-                let xadv_var = tape.input(xb);
                 let cat = tape.concat_cols(xadv_var, xhat);
                 let full = tape.gather_cols(cat, &self.gather);
                 let vhat = self.model.forward_frozen(&mut tape, full);
-                let target_v = tape.input(vb);
+                let target_v = tape.input_rows(confidences, chunk);
                 let mut loss = tape.mse_loss(vhat, target_v);
                 if cfg.use_variance_constraint {
                     let pen = tape.variance_penalty(xhat, cfg.variance_threshold);
@@ -262,8 +261,7 @@ impl<'a, M: DifferentiableModel> Grna<'a, M> {
                     loss = tape.add(loss, range);
                 }
                 tape.backward(loss);
-                let grads = tape.param_grads();
-                opt.step(&mut gen.params, &grads);
+                opt.step(&mut gen.params, tape.param_grads());
             }
         }
 
@@ -297,19 +295,19 @@ impl<'a, M: DifferentiableModel> Grna<'a, M> {
         // random guess).
         let free = params.insert(normal_matrix(n, d_target, 0.0, 1.0, &mut rng));
         let mut opt = Adam::new(cfg.lr * 10.0); // free variables need a hotter rate
+        let mut tape = Tape::new();
 
         for _ in 0..cfg.epochs {
-            let mut tape = Tape::new();
+            tape.reset();
             let xhat = tape.param(&params, free);
-            let xadv_var = tape.input(x_adv.clone());
+            let xadv_var = tape.input_copy(x_adv);
             let cat = tape.concat_cols(xadv_var, xhat);
             let full = tape.gather_cols(cat, &self.gather);
             let vhat = self.model.forward_frozen(&mut tape, full);
-            let target_v = tape.input(confidences.clone());
+            let target_v = tape.input_copy(confidences);
             let loss = tape.mse_loss(vhat, target_v);
             tape.backward(loss);
-            let grads = tape.param_grads();
-            opt.step(&mut params, &grads);
+            opt.step(&mut params, tape.param_grads());
         }
 
         TrainedGenerator {
@@ -323,24 +321,22 @@ impl<'a, M: DifferentiableModel> Grna<'a, M> {
         }
     }
 
-    fn generator_input(
-        &self,
-        tape: &mut Tape,
-        xb: &Matrix,
-        batch: usize,
-        rng: &mut StdRng,
-    ) -> VarId {
+    /// The generator's input for one mini-batch: the batch's `x_adv`
+    /// rows (already on the tape), fresh noise, both, or a constant
+    /// column, per the ablation switches.
+    fn generator_input(&self, tape: &mut Tape, xb: VarId, batch: usize, rng: &mut StdRng) -> VarId {
         let cfg = &self.config;
         let d_target = self.target_indices.len();
+        let mut noise =
+            |tape: &mut Tape| tape.input_with(batch, d_target, |r| fill_normal(r, 0.0, 1.0, rng));
         match (cfg.use_adv_input, cfg.use_noise_input) {
             (true, true) => {
-                let x = tape.input(xb.clone());
-                let r = tape.input(normal_matrix(batch, d_target, 0.0, 1.0, rng));
-                tape.concat_cols(x, r)
+                let r = noise(tape);
+                tape.concat_cols(xb, r)
             }
-            (true, false) => tape.input(xb.clone()),
-            (false, true) => tape.input(normal_matrix(batch, d_target, 0.0, 1.0, rng)),
-            (false, false) => tape.input(Matrix::filled(batch, 1, 1.0)),
+            (true, false) => xb,
+            (false, true) => noise(tape),
+            (false, false) => tape.input_with(batch, 1, |c| c.fill(1.0)),
         }
     }
 }
@@ -392,36 +388,26 @@ impl GeneratorNet {
     /// Builds the generator forward pass; `trainable` binds parameters for
     /// gradient collection, otherwise they enter as constants.
     fn forward(&self, tape: &mut Tape, x: VarId, trainable: bool) -> VarId {
+        let bind = |tape: &mut Tape, id| {
+            if trainable {
+                tape.param(&self.params, id)
+            } else {
+                tape.input_copy(self.params.get(id))
+            }
+        };
         let mut h = x;
         let last = self.layers.len() - 1;
-        for (li, (w, b, ln)) in self.layers.iter().enumerate() {
-            let wv = if trainable {
-                tape.param(&self.params, *w)
-            } else {
-                tape.input(self.params.get(*w).clone())
-            };
-            let bv = if trainable {
-                tape.param(&self.params, *b)
-            } else {
-                tape.input(self.params.get(*b).clone())
-            };
-            h = tape.matmul(h, wv);
-            h = tape.add_row_broadcast(h, bv);
+        for (li, &(w, b, ln)) in self.layers.iter().enumerate() {
+            let wv = bind(tape, w);
+            let bv = bind(tape, b);
+            h = tape.linear(h, wv, bv);
             if li < last {
                 // Pre-activation LayerNorm (linear → LN → ReLU): the
                 // stabilisation the paper cites, in the placement that
                 // keeps the ReLU's active half well-scaled.
                 if let Some((gamma, beta)) = ln {
-                    let g = if trainable {
-                        tape.param(&self.params, *gamma)
-                    } else {
-                        tape.input(self.params.get(*gamma).clone())
-                    };
-                    let be = if trainable {
-                        tape.param(&self.params, *beta)
-                    } else {
-                        tape.input(self.params.get(*beta).clone())
-                    };
+                    let g = bind(tape, gamma);
+                    let be = bind(tape, beta);
                     h = tape.layer_norm(h, g, be, 1e-5);
                 }
                 h = tape.relu(h);
@@ -487,21 +473,20 @@ impl TrainedGenerator {
             }
             GeneratorKind::Network(gen) => {
                 let mut tape = Tape::new();
+                let noise = |tape: &mut Tape| {
+                    let r = noise.expect("noise pathway enabled");
+                    assert_eq!(r.rows(), n, "noise row mismatch");
+                    tape.input_copy(r)
+                };
                 let input = match (self.use_adv_input, self.use_noise_input) {
                     (true, true) => {
-                        let r = noise.expect("noise pathway enabled");
-                        assert_eq!(r.rows(), n, "noise row mismatch");
-                        let x = tape.input(x_adv.clone());
-                        let r = tape.input(r.clone());
+                        let x = tape.input_copy(x_adv);
+                        let r = noise(&mut tape);
                         tape.concat_cols(x, r)
                     }
-                    (true, false) => tape.input(x_adv.clone()),
-                    (false, true) => {
-                        let r = noise.expect("noise pathway enabled");
-                        assert_eq!(r.rows(), n, "noise row mismatch");
-                        tape.input(r.clone())
-                    }
-                    (false, false) => tape.input(Matrix::filled(n, 1, 1.0)),
+                    (true, false) => tape.input_copy(x_adv),
+                    (false, true) => noise(&mut tape),
+                    (false, false) => tape.input_with(n, 1, |c| c.fill(1.0)),
                 };
                 debug_assert_eq!(tape.value(input).cols(), gen.d_in);
                 let xhat = gen.forward(&mut tape, input, false);

@@ -1,8 +1,12 @@
 //! x86-64 AVX2 arm.
 //!
-//! Products are routed by output width alone. An output at most
-//! [`NARROW_N`] = 4 columns wide takes the narrow path; a wider one
-//! takes the packed GEBP path.
+//! Each product takes one of three paths, chosen by its shape alone:
+//!
+//! 1. **Narrow** — an output at most [`NARROW_N`] = 4 columns wide.
+//! 2. **Single panel** — a wider product that fits one GEBP block
+//!    (`k ≤ KC`, `n ≤ NC`), except a `gemm_at_acc` whose transposed A
+//!    holds more than [`IN_PLACE_MAX`] values.
+//! 3. **GEBP** — everything else.
 //!
 //! **Narrow path** (no packing, no allocation). Each ymm holds four
 //! consecutive output rows of one column. The left factor is read where
@@ -14,6 +18,18 @@
 //! last block, rows past `m` re-read the last row of A and are never
 //! stored.
 //!
+//! **Single-panel path** (A never packed). GEBP would pack B once and
+//! each 4-row A strip once for the whole product, so the path skips the
+//! copies it can: the 4×8 tile broadcasts A from four row pointers in
+//! place (for `gemm_at_acc`, four adjacent values per `k` of the
+//! transposed factor), clamped to the last row past `m` and never
+//! stored. A row-major B of at most [`IN_PLACE_MAX`] values (64 KiB,
+//! which stays cache resident while every strip re-reads it) is read in
+//! place with masked loads at the right edge; a larger one, and the
+//! transposed B of [`gemm_tn_acc`], are packed once into the per-thread
+//! panel. GRNA's generator and frozen-model products all take this path
+//! with nothing packed but `gemm_tn_acc`'s B.
+//!
 //! **GEBP path.** Operands are packed into panel buffers (`MR`-row
 //! strips of A, `NR`-column strips of B, zero-padded at the edges) and a
 //! register-blocked 4×8 microkernel sweeps each tile with the output
@@ -23,18 +39,20 @@
 //! per-thread scratch buffer that grows to the largest panel the thread
 //! has packed, at most `KC×NC + MR×KC` f64 (about 1 MiB), and is never
 //! zeroed between products: the packers write every slot the
-//! microkernel reads, padding included.
+//! microkernel reads, padding included. A strided operand past
+//! [`IN_PLACE_MAX`] (a large transposed A, or a large B) is where this
+//! packing pays: read in place, its rows stream worse than a panel.
 //!
-//! Ordering contract (see the module docs on [`super`]): both paths keep
-//! each output element in a register as the running total. It loads
-//! `out`, adds one separately-rounded `a·b` product per `k` step in
-//! ascending order, and stores at the end (the GEBP path at each panel
-//! boundary; store/reload is exact). That is precisely the scalar arm's
-//! per-element accumulation sequence, so f64 results match the scalar
-//! arm bit-for-bit (up to the sign of exact zeros: the scalar arm skips
-//! `a_ik == 0` terms, this arm adds the signed-zero product). No kernel
-//! fuses a multiply and an add or reduces across lanes, so the arm
-//! needs AVX2 alone.
+//! Ordering contract (see the module docs on [`super`]): every path
+//! keeps each output element in a register as the running total. It
+//! loads `out`, adds one separately-rounded `a·b` product per `k` step
+//! in ascending order, and stores at the end (the GEBP path at each
+//! panel boundary; store/reload is exact). That is precisely the scalar
+//! arm's per-element accumulation sequence, so f64 results match the
+//! scalar arm bit-for-bit (up to the sign of exact zeros: the scalar arm
+//! skips `a_ik == 0` terms, this arm adds the signed-zero product). No
+//! kernel fuses a multiply and an add or reduces across lanes, so the
+//! arm needs AVX2 alone.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
@@ -54,6 +72,12 @@ const NC: usize = 512;
 /// Widest output the narrow path serves: half the GEBP tile, below
 /// which that tile would run with most of its lanes masked off.
 const NARROW_N: usize = NR / 2;
+/// Largest strided operand the single-panel path reads in place, in
+/// f64 values (64 KiB): a row-major B (`k·n`), or the transposed A of
+/// `gemm_at_acc` (`m·k`). Up to about this size the operand stays in L1
+/// and L2 while every tile re-reads it, so packing it only adds a copy;
+/// beyond it the strided rows stream worse than a packed panel.
+const IN_PLACE_MAX: usize = 8192;
 
 /// Builds a lane mask selecting the first `lanes` of 4 f64 lanes.
 #[inline]
@@ -105,33 +129,48 @@ unsafe fn store2(p: *mut f64, nr: usize, ml: __m256i, mh: __m256i, v0: __m256d, 
 pub(super) fn gemm_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     if n <= NARROW_N {
         narrow::<false>(&Narrow::new(a, b, m, k, n, n, 1), out);
+    } else if one_block(k, n) {
+        single_panel::<false>(a, PanelB::RowMajor(b), out, m, k, n);
     } else {
         gemm_driver(a, b, out, m, k, n, false, false);
     }
 }
 
 /// `out += a · btᵀ` (`bt` is the transposed right factor, `n × k`).
-/// The narrow path broadcasts from `bt` directly; the B packing
-/// performs the transpose, so the same microkernel runs.
+/// The narrow path broadcasts from `bt` directly; the other two paths
+/// transpose `bt` in the B packing, so the same tile runs.
 #[target_feature(enable = "avx2")]
 pub(super) fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     if n <= NARROW_N {
         narrow::<false>(&Narrow::new(a, bt, m, k, n, 1, k), out);
+    } else if one_block(k, n) {
+        single_panel::<false>(a, PanelB::Transposed(bt), out, m, k, n);
     } else {
         gemm_driver(a, bt, out, m, k, n, false, true);
     }
 }
 
 /// `out += atᵀ · b` (`at` is the transposed left factor, `k × m`). The
-/// narrow path loads `at`'s rows as output-row vectors; the A packing
-/// performs the transpose, so the same microkernel runs.
+/// narrow path, and the single-panel path while `at` is at most
+/// [`IN_PLACE_MAX`] values, read `at`'s rows as output-row values in
+/// place; the GEBP A packing performs the transpose, so the same tile
+/// runs.
 #[target_feature(enable = "avx2")]
 pub(super) fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     if n <= NARROW_N {
         narrow::<true>(&Narrow::new(at, b, m, k, n, n, 1), out);
+    } else if one_block(k, n) && m * k <= IN_PLACE_MAX {
+        single_panel::<true>(at, PanelB::RowMajor(b), out, m, k, n);
     } else {
         gemm_driver(at, b, out, m, k, n, true, false);
     }
+}
+
+/// `true` when a product wider than [`NARROW_N`] fits one GEBP block
+/// (`k ≤ KC`, `n ≤ NC`): GEBP would pack B once and each A strip once,
+/// and run every tile over the whole `k`.
+fn one_block(k: usize, n: usize) -> bool {
+    k <= KC && n <= NC
 }
 
 // ----------------------------------------------------------------------
@@ -359,6 +398,156 @@ unsafe fn store_col<const N: usize>(po: *mut f64, i: usize, m: usize, j: usize, 
     _mm256_storeu_pd(lanes.as_mut_ptr(), v);
     for (r, &l) in lanes.iter().enumerate().take(m.min(i + 4) - i) {
         *po.add((i + r) * N + j) = l;
+    }
+}
+
+// ----------------------------------------------------------------------
+// Single-panel path
+// ----------------------------------------------------------------------
+
+/// The B operand of a single-panel product, as the caller stores it.
+enum PanelB<'a> {
+    /// `k × n` row-major.
+    RowMajor(&'a [f64]),
+    /// `n × k`: the transposed right factor of `gemm_tn_acc`.
+    Transposed(&'a [f64]),
+}
+
+/// `out += A · B` for a product that fits one GEBP block, with A read in
+/// place. A row-major B of at most [`IN_PLACE_MAX`] values is read in
+/// place too; any other B is packed once into the per-thread panel
+/// buffer, as the GEBP path would pack it.
+#[target_feature(enable = "avx2")]
+fn single_panel<const AT: bool>(
+    a: &[f64],
+    b: PanelB,
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    if m == 0 || k == 0 {
+        return;
+    }
+    if let PanelB::RowMajor(b) = b {
+        if k * n <= IN_PLACE_MAX {
+            return in_place_tiles::<AT>(a, b, NR, n, out, m, k, n);
+        }
+    }
+    let panel = k * n.div_ceil(NR) * NR;
+    let mut panels = PANELS.take();
+    if panels.len() < panel {
+        panels.resize(panel, 0.0);
+    }
+    match b {
+        PanelB::RowMajor(b) => pack_b_nn(b, &mut panels, 0, k, 0, n, n),
+        PanelB::Transposed(bt) => pack_b_tn(bt, &mut panels, 0, k, 0, n, k),
+    }
+    in_place_tiles::<AT>(a, &panels[..panel], k * NR, NR, out, m, k, n);
+    PANELS.set(panels);
+}
+
+/// The single-panel tiles, A read in place. A is `m × k` row-major, or
+/// `k × m` with `AT`; rows past `m` in the last 4-row strip re-read row
+/// `m − 1` and are never stored. `B(kk, s·NR + jj)` is
+/// `b[s·b_strip + kk·b_step + jj]`: a row-major B in place
+/// (`b_strip = NR`, `b_step = n`, masked loads at the right edge) or a
+/// packed panel (`b_strip = k·NR`, `b_step = NR`).
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2")]
+fn in_place_tiles<const AT: bool>(
+    a: &[f64],
+    b: &[f64],
+    b_strip: usize,
+    b_step: usize,
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let strips = n.div_ceil(NR);
+    // One past the last B value a tile reads: the last strip's columns
+    // in row `k − 1`.
+    let b_end = (strips - 1) * b_strip + (k - 1) * b_step + (n - (strips - 1) * NR);
+    assert!(
+        a.len() == m * k && out.len() == m * n && b_end <= b.len(),
+        "gemm: operand/shape mismatch"
+    );
+    let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+    let a_step = if AT { m } else { 1 };
+    for i0 in (0..m).step_by(MR) {
+        let mr = MR.min(m - i0);
+        let rows: [*const f64; MR] = core::array::from_fn(|r| {
+            let i = (i0 + r).min(m - 1);
+            pa.wrapping_add(if AT { i } else { i * k })
+        });
+        for s in 0..strips {
+            let j = s * NR;
+            let nr = NR.min(n - j);
+            let (bs, os) = (pb.wrapping_add(s * b_strip), po.wrapping_add(i0 * n + j));
+            // SAFETY: each row pointer starts A's row `i < m` (column
+            // `i` with `AT`), and `kk < k` steps of `a_step` stay inside
+            // A's `m·k` values. B reads stop at `b_end ≤ b.len()`. The
+            // tile loads and stores rows `i0 .. i0 + mr ≤ m` of `out`,
+            // columns `j .. j + nr ≤ n`.
+            unsafe {
+                if nr == NR {
+                    tile::<true>(&rows, a_step, bs, b_step, k, os, n, mr, nr);
+                } else {
+                    tile::<false>(&rows, a_step, bs, b_step, k, os, n, mr, nr);
+                }
+            }
+        }
+    }
+}
+
+/// One 4×8 tile of the single-panel path: the GEBP microkernel's `add(mul)`
+/// sequence over all `k` with A broadcast from `rows[r] + kk·a_step` and
+/// B loaded from `b + kk·b_step`. `FULL` means `nr == NR`.
+///
+/// # Safety
+/// `rows[r].add(kk * a_step)` must be readable for `r < MR`, `kk < k`;
+/// `b.add(kk * b_step)` for `nr` values; `out.add(r * n)` readable and
+/// writable for `nr` values for `r < mr`.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn tile<const FULL: bool>(
+    rows: &[*const f64; MR],
+    a_step: usize,
+    b: *const f64,
+    b_step: usize,
+    k: usize,
+    out: *mut f64,
+    n: usize,
+    mr: usize,
+    nr: usize,
+) {
+    let ml = lane_mask(nr.min(4));
+    let mh = lane_mask(nr.saturating_sub(4).min(4));
+    let load = |p: *const f64| {
+        if FULL {
+            (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)))
+        } else {
+            load2(p, nr, ml, mh)
+        }
+    };
+    let mut c = [[_mm256_setzero_pd(); 2]; MR];
+    for (r, cr) in c.iter_mut().enumerate().take(mr) {
+        let (lo, hi) = load(out.add(r * n));
+        *cr = [lo, hi];
+    }
+    for kk in 0..k {
+        let (b0, b1) = load(b.add(kk * b_step));
+        let off = kk * a_step;
+        for (cr, ar) in c.iter_mut().zip(*rows) {
+            let av = _mm256_broadcast_sd(&*ar.add(off));
+            cr[0] = _mm256_add_pd(cr[0], _mm256_mul_pd(av, b0));
+            cr[1] = _mm256_add_pd(cr[1], _mm256_mul_pd(av, b1));
+        }
+    }
+    for (r, cr) in c.iter().enumerate().take(mr) {
+        store2(out.add(r * n), nr, ml, mh, cr[0], cr[1]);
     }
 }
 

@@ -7,16 +7,25 @@
 //!
 //! * [`Backend::Scalar`] — portable Rust loops, byte-for-byte the
 //!   pre-kernel-layer semantics. Always available.
-//! * [`Backend::Avx2`] — explicit `std::arch` x86-64 AVX2 microkernels.
-//!   A product whose output is at most 4 columns wide (`n ≤ 4`, half
-//!   the tile width) takes a narrow path that packs nothing: four output
-//!   rows of one column per register, A read in place, one element of B
-//!   broadcast per `k` step. Logistic regression's one-column weights
-//!   make every fit step, one-row prediction and ESA solve such a
-//!   product. Wider products pack A/B panels for a register-blocked 4×8
-//!   inner tile with masked edges; the panels live in one per-thread
-//!   buffer that grows to the largest panel the thread has packed (at
-//!   most about 1 MiB) and is reused without clearing.
+//! * [`Backend::Avx2`] — explicit `std::arch` x86-64 AVX2 microkernels,
+//!   on one of three paths chosen by shape alone:
+//!   - **narrow**: an output at most 4 columns wide (`n ≤ 4`, half the
+//!     tile width) packs nothing: four output rows of one column per
+//!     register, A read in place, one element of B broadcast per `k`
+//!     step. Logistic regression's one-column weights make every fit
+//!     step, one-row prediction and ESA solve such a product.
+//!   - **single panel**: a wider product that fits one GEBP block
+//!     (`k ≤ 256`, `n ≤ 512`) runs the 4×8 tile with A read in place
+//!     (for [`gemm_at_acc`], only while its transposed A holds at most
+//!     8192 values), and B read in place too when it is row-major and at
+//!     most 8192 values; otherwise B is packed once. Every GRNA training
+//!     product is such a product.
+//!   - **GEBP**: anything else packs A/B panels for the register-blocked
+//!     4×8 tile with masked edges.
+//!
+//!   Packing panels live in one per-thread buffer that grows to the
+//!   largest panel the thread has packed (at most about 1 MiB) and is
+//!   reused without clearing.
 //!
 //! The arm is chosen **once** per process via
 //! `is_x86_feature_detected!` (see [`detected_backend`]); setting
@@ -36,8 +45,8 @@
 //! **bit-identical** results — attack outputs do not depend on which
 //! backend ran, and `FIA_FORCE_SCALAR=1` is a pure performance switch.
 //! The AVX2 arm's narrow path keeps the contract the same way its tile
-//! does: each lane is one output element, seeded from `out` and
-//! advanced by one `add(mul)` per `k` in ascending order.
+//! does, on every path: each lane is one output element, seeded from
+//! `out` and advanced by one `add(mul)` per `k` in ascending order.
 
 mod scalar;
 mod telemetry;
@@ -176,9 +185,9 @@ pub fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n
 /// `out += atᵀ · b` for row-major `at` (`k × m`, the already-transposed
 /// left factor), `b` (`k × n`), `out` (`m × n`) — the kernel behind
 /// [`crate::Matrix::transpose_matmul`] (the tape's `Aᵀ · g` weight
-/// gradient). Neither arm copies `at`: the AVX2 arm's A packing performs
-/// the transpose (an output at most 4 columns wide loads `at`'s rows as
-/// output-row vectors instead), and the scalar arm's row kernel reads
+/// gradient). Neither arm copies `at` first: the AVX2 arm reads it in
+/// place on its narrow and single-panel paths and performs the transpose
+/// in its A packing otherwise, and the scalar arm's row kernel reads
 /// `at` strided.
 /// Both keep the `k`-ascending per-element order of [`gemm_acc`] on the
 /// transposed factor, so the arms agree bitwise.

@@ -16,11 +16,32 @@ use std::ops::{Index, IndexMut};
 /// let c = a.matmul(&b).unwrap();
 /// assert_eq!(c, a);
 /// ```
-#[derive(Clone, PartialEq)]
+///
+/// The default value is the empty `0 × 0` matrix, which owns no
+/// allocation.
+#[derive(PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s buffer, allocating only when that
+    /// buffer is too small.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -119,6 +140,17 @@ impl Matrix {
             cols: v.len(),
             data: v.to_vec(),
         }
+    }
+
+    /// Reshapes to `rows × cols` in place, keeping the allocation: a
+    /// buffer reused for results of the same or a smaller size never
+    /// reallocates. The first `rows·cols` elements in buffer order are
+    /// kept and any new ones are zero, so a caller that needs defined
+    /// values overwrites every element.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
     }
 
     /// Number of rows.
@@ -589,6 +621,24 @@ mod tests {
         let s = a.select_rows(&[2, 0]).unwrap();
         assert_eq!(s.row(0), &[4.0, 5.0]);
         assert_eq!(s.row(1), &[0.0, 1.0]);
+    }
+
+    #[test]
+    fn resize_and_clone_from_keep_the_allocation() {
+        let mut m = Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f64);
+        let ptr = m.as_slice().as_ptr();
+        m.resize(2, 5);
+        assert_eq!(m.shape(), (2, 5));
+        assert_eq!(&m.as_slice()[..3], &[0.0, 1.0, 2.0]);
+        m.resize(4, 3);
+        m.clone_from(&Matrix::filled(3, 4, 7.0));
+        assert_eq!(m, Matrix::filled(3, 4, 7.0));
+        assert_eq!(
+            m.as_slice().as_ptr(),
+            ptr,
+            "no reallocation within capacity"
+        );
+        assert_eq!(Matrix::default().shape(), (0, 0));
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! only licensed difference is the sign of an exact zero, which `==`
 //! treats as equal. Every check runs on randomized shapes that
 //! deliberately include ragged edges (`n % 8 != 0`, `m % 4 != 0`, tiny
-//! and skinny matrices), and on a fixed grid that puts every entry point
-//! on both sides of the AVX2 arm's narrow-output rule (`n ≤ 4`).
+//! and skinny matrices), and on fixed grids that put every entry point
+//! on both sides of each AVX2 routing rule: the narrow output (`n ≤ 4`),
+//! one GEBP block (`k ≤ KC = 256`, `n ≤ NC = 512`) and the single-panel
+//! path's in-place limit (`k·n`, and `m·k` for `gemm_at_acc`, at most
+//! 8192).
 
 use fia_linalg::kernel::{self, Backend};
 use fia_linalg::{with_backend, Matrix};
@@ -20,8 +23,8 @@ fn rand_vec(rng: &mut StdRng, len: usize) -> Vec<f64> {
 }
 
 /// Shape sweep, as `(m, k, n)`: randomized dims plus fixed ragged and
-/// degenerate cases that exercise every masked edge of the 4×8
-/// microkernel, and a grid across the narrow path's rule.
+/// degenerate cases that exercise every masked edge of the 4×8 tile,
+/// GRNA's training products, and grids across each routing rule.
 fn shapes(rng: &mut StdRng) -> Vec<(usize, usize, usize)> {
     let mut s = vec![
         (1, 1, 1),
@@ -49,6 +52,35 @@ fn shapes(rng: &mut StdRng) -> Vec<(usize, usize, usize)> {
             }
         }
     }
+    // GRNA training on the grna-nn scenario: every generator layer
+    // (48 → 96 → 48 → 24 → 14) and frozen-MLP layer (48 → 64 → 32 → 16
+    // → 11) as the forward product x·W, the input gradient g·Wᵀ and the
+    // weight gradient xᵀ·g, on a full 64-row and the last 54-row batch.
+    let layers = [
+        (48, 96),
+        (96, 48),
+        (48, 24),
+        (24, 14),
+        (48, 64),
+        (64, 32),
+        (32, 16),
+        (16, 11),
+    ];
+    for m in [64, 54] {
+        for (w_in, w_out) in layers {
+            s.extend([(m, w_in, w_out), (m, w_out, w_in), (w_in, m, w_out)]);
+        }
+    }
+    // Routing edges: k at and one past KC; n just past the narrow rule,
+    // at one tile, ragged, GRNA's 14, and at and one past NC.
+    for k in [256, 257] {
+        for n in [5, 8, 11, 14, 512, 513] {
+            s.push((7, k, n));
+        }
+    }
+    // The in-place limit: B (k·n) and a transposed A (m·k) at 8192
+    // values and just past it.
+    s.extend([(9, 64, 128), (9, 65, 128), (128, 64, 9), (129, 64, 9)]);
     for _ in 0..12 {
         s.push((
             rng.gen_range(1..40usize),
@@ -145,11 +177,15 @@ fn gemm_at_bit_identical_across_backends() {
     }
 }
 
-/// The AVX2 arm's GEBP path keeps its packing panels per thread and
-/// never clears them, so a product packs over what a larger one left
-/// behind. Every product after the large one must still match the
-/// scalar arm bit for bit: a slot the microkernel reads but a packer
-/// skipped would carry the large product's values into the result.
+/// The AVX2 arm keeps its packing panels per thread and never clears
+/// them, so a product packs over what a larger one left behind. Every
+/// product after the large one must still match the scalar arm bit for
+/// bit: a slot the tile reads but a packer skipped would carry the large
+/// product's values into the result. Each shape runs `gemm_acc`, then
+/// `gemm_tn_acc`, then `gemm_at_acc`, so GRNA's pack-free products are
+/// each followed by a `gemm_tn_acc` that packs B into the reused panel,
+/// and a single-panel product with a packed B (`k·n` past the in-place
+/// limit) follows too.
 #[test]
 fn reused_panels_never_leak_an_earlier_product() {
     if !fia_linalg::avx2_available() {
@@ -159,6 +195,9 @@ fn reused_panels_never_leak_an_earlier_product() {
     let mut rng = StdRng::seed_from_u64(0x5eed_0009);
     let large = (300, 300, 300);
     let after = [
+        (64, 48, 96),
+        (54, 96, 48),
+        (13, 200, 100),
         (5, 7, 9),
         (64, 23, 1),
         (3, 257, 13),

@@ -79,16 +79,15 @@ impl LogisticRegression {
         let mut order: Vec<usize> = (0..n).collect();
         let targets_soft = one_hot(&train.labels, c);
 
+        let mut tape = Tape::new();
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(config.batch_size.max(1)) {
-                let xb = train.features.select_rows(chunk).expect("rows in range");
-                let mut tape = Tape::new();
-                let x = tape.input(xb);
+                tape.reset();
+                let x = tape.input_rows(&train.features, chunk);
                 let wv = tape.param(&params, w);
                 let bv = tape.param(&params, b);
-                let z = tape.matmul(x, wv);
-                let z = tape.add_row_broadcast(z, bv);
+                let z = tape.linear(x, wv, bv);
                 let loss = if binary {
                     // Sigmoid + MSE-on-probability is adequate for binary
                     // LR at this scale and keeps the engine's fused ops
@@ -96,18 +95,14 @@ impl LogisticRegression {
                     // sigmoid output v₁ is the probability of the *first*
                     // class (label 0).
                     let p = tape.sigmoid(z);
-                    let y = Matrix::from_fn(chunk.len(), 1, |i, _| {
-                        if train.labels[chunk[i]] == 0 {
-                            1.0
-                        } else {
-                            0.0
+                    let yv = tape.input_with(chunk.len(), 1, |y| {
+                        for (v, &r) in y.iter_mut().zip(chunk) {
+                            *v = if train.labels[r] == 0 { 1.0 } else { 0.0 };
                         }
                     });
-                    let yv = tape.input(y);
                     tape.mse_loss(p, yv)
                 } else {
-                    let t = targets_soft.select_rows(chunk).expect("rows in range");
-                    let tv = tape.input(t);
+                    let tv = tape.input_rows(&targets_soft, chunk);
                     tape.cross_entropy_logits(z, tv)
                 };
                 // L2 penalty on weights.
@@ -120,8 +115,7 @@ impl LogisticRegression {
                     loss
                 };
                 tape.backward(loss);
-                let grads = tape.param_grads();
-                opt.step(&mut params, &grads);
+                opt.step(&mut params, tape.param_grads());
             }
         }
 
@@ -212,10 +206,9 @@ impl PredictProba for LogisticRegression {
 
 impl DifferentiableModel for LogisticRegression {
     fn forward_frozen(&self, tape: &mut Tape, x: VarId) -> VarId {
-        let w = tape.input(self.weights.clone());
-        let b = tape.input(Matrix::row_vector(&self.bias));
-        let z = tape.matmul(x, w);
-        let z = tape.add_row_broadcast(z, b);
+        let w = tape.input_copy(&self.weights);
+        let b = tape.input_with(1, self.bias.len(), |b| b.copy_from_slice(&self.bias));
+        let z = tape.linear(x, w, b);
         if self.is_binary() {
             let p = tape.sigmoid(z); // batch × 1
             let negp = tape.scale(p, -1.0);

@@ -155,20 +155,18 @@ impl Mlp {
         let n = train.n_samples();
         let mut order: Vec<usize> = (0..n).collect();
         let targets = one_hot(&train.labels, self.n_classes);
+        let mut tape = Tape::new();
 
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(config.batch_size.max(1)) {
-                let xb = train.features.select_rows(chunk).expect("rows in range");
-                let tb = targets.select_rows(chunk).expect("rows in range");
-                let mut tape = Tape::new();
-                let x = tape.input(xb);
+                tape.reset();
+                let x = tape.input_rows(&train.features, chunk);
                 let logits = self.logits_on_tape(&mut tape, x, true, &mut rng);
-                let tv = tape.input(tb);
+                let tv = tape.input_rows(&targets, chunk);
                 let loss = tape.cross_entropy_logits(logits, tv);
                 tape.backward(loss);
-                let grads = tape.param_grads();
-                opt.step(&mut self.params, &grads);
+                opt.step(&mut self.params, tape.param_grads());
             }
         }
     }
@@ -189,43 +187,39 @@ impl Mlp {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut opt = Adam::new(lr);
         let mut order: Vec<usize> = (0..inputs.rows()).collect();
+        let mut tape = Tape::new();
         for _ in 0..epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(batch_size.max(1)) {
-                let xb = inputs.select_rows(chunk).expect("rows in range");
-                let tb = soft_targets.select_rows(chunk).expect("rows in range");
-                let mut tape = Tape::new();
-                let x = tape.input(xb);
+                tape.reset();
+                let x = tape.input_rows(inputs, chunk);
                 let logits = self.logits_on_tape(&mut tape, x, true, &mut rng);
                 let probs = tape.softmax_rows(logits);
-                let tv = tape.input(tb);
+                let tv = tape.input_rows(soft_targets, chunk);
                 let loss = tape.mse_loss(probs, tv);
                 tape.backward(loss);
-                let grads = tape.param_grads();
-                opt.step(&mut self.params, &grads);
+                opt.step(&mut self.params, tape.param_grads());
             }
         }
     }
 
     /// Builds the logits sub-graph. `training = true` binds trainable
     /// parameters and applies dropout; `training = false` (or
-    /// [`Mlp::frozen_logits`]) freezes the weights as constants.
+    /// [`Mlp::frozen_logits`]) copies the weights in as constants.
     fn logits_on_tape(&self, tape: &mut Tape, x: VarId, training: bool, rng: &mut StdRng) -> VarId {
+        let bind = |tape: &mut Tape, id| {
+            if training {
+                tape.param(&self.params, id)
+            } else {
+                tape.input_copy(self.params.get(id))
+            }
+        };
         let mut h = x;
         let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
-            let w = if training {
-                tape.param(&self.params, layer.w)
-            } else {
-                tape.input(self.params.get(layer.w).clone())
-            };
-            let b = if training {
-                tape.param(&self.params, layer.b)
-            } else {
-                tape.input(self.params.get(layer.b).clone())
-            };
-            h = tape.matmul(h, w);
-            h = tape.add_row_broadcast(h, b);
+            let w = bind(tape, layer.w);
+            let b = bind(tape, layer.b);
+            h = tape.linear(h, w, b);
             if li < last {
                 h = match self.activation {
                     Activation::Relu => tape.relu(h),
@@ -233,16 +227,8 @@ impl Mlp {
                     Activation::Sigmoid => tape.sigmoid(h),
                 };
                 if let Some((gamma, beta)) = layer.ln {
-                    let g = if training {
-                        tape.param(&self.params, gamma)
-                    } else {
-                        tape.input(self.params.get(gamma).clone())
-                    };
-                    let be = if training {
-                        tape.param(&self.params, beta)
-                    } else {
-                        tape.input(self.params.get(beta).clone())
-                    };
+                    let g = bind(tape, gamma);
+                    let be = bind(tape, beta);
                     h = tape.layer_norm(h, g, be, 1e-5);
                 }
                 if training {
@@ -383,7 +369,7 @@ impl Mlp {
 impl PredictProba for Mlp {
     fn predict_proba(&self, x: &Matrix) -> Matrix {
         let mut tape = Tape::new();
-        let xv = tape.input(x.clone());
+        let xv = tape.input_copy(x);
         let logits = self.frozen_logits(&mut tape, xv);
         let probs = tape.softmax_rows(logits);
         tape.value(probs).clone()

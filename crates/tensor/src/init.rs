@@ -22,7 +22,17 @@ pub fn normal_matrix<R: Rng + ?Sized>(
     std: f64,
     rng: &mut R,
 ) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| mean + std * standard_normal(rng))
+    let mut m = Matrix::zeros(rows, cols);
+    fill_normal(m.as_mut_slice(), mean, std, rng);
+    m
+}
+
+/// Overwrites `out`, in order, with i.i.d. `N(mean, std²)` draws: the
+/// values and rng stream of [`normal_matrix`] without the matrix.
+pub fn fill_normal<R: Rng + ?Sized>(out: &mut [f64], mean: f64, std: f64, rng: &mut R) {
+    for v in out {
+        *v = mean + std * standard_normal(rng);
+    }
 }
 
 /// A `rows × cols` matrix with i.i.d. `U(lo, hi)` entries.

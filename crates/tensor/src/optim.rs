@@ -1,13 +1,14 @@
 //! First-order optimizers over a [`Params`] store.
 
-use crate::params::{ParamId, Params};
+use crate::params::{ParamGrads, Params};
 use fia_linalg::Matrix;
 
-/// A gradient-based optimizer. `step` consumes one `(id, gradient)` batch
-/// produced by a backward pass and updates the parameter store in place.
+/// A gradient-based optimizer. `step` reads the per-parameter gradients
+/// of one backward pass in place ([`crate::Tape::param_grads`]) and
+/// updates the parameter store in place, once per parameter.
 pub trait Optimizer {
     /// Applies one update step.
-    fn step(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]);
+    fn step(&mut self, params: &mut Params, grads: &ParamGrads);
 }
 
 /// Stochastic gradient descent with optional momentum and L2 weight decay.
@@ -58,13 +59,13 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]) {
-        for (id, grad) in grads {
+    fn step(&mut self, params: &mut Params, grads: &ParamGrads) {
+        for (id, grad) in grads.iter() {
             let wd = self.weight_decay;
             let lr = self.lr;
             let mom = self.momentum;
             // Effective gradient with weight decay folded in.
-            let value_snapshot = params.get(*id).clone();
+            let value_snapshot = params.get(id).clone();
             let eff = if wd > 0.0 {
                 grad.add(&value_snapshot.scale(wd)).expect("shape stable")
             } else {
@@ -81,7 +82,7 @@ impl Optimizer for Sgd {
             } else {
                 eff
             };
-            let p = params.get_mut(*id);
+            let p = params.get_mut(id);
             let stepped = p.sub(&update.scale(lr)).expect("shape stable");
             *p = stepped;
         }
@@ -121,15 +122,15 @@ impl Adam {
 impl Optimizer for Adam {
     /// Updates `m`, `v` and the parameter in place, one pass per
     /// parameter over its slices.
-    fn step(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]) {
+    fn step(&mut self, params: &mut Params, grads: &ParamGrads) {
         self.t += 1;
         let t = self.t as f64;
         let bc1 = 1.0 - self.beta1.powf(t);
         let bc2 = 1.0 - self.beta2.powf(t);
         let (b1, b2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
         let (c1, c2) = (1.0 - b1, 1.0 - b2);
-        for (id, grad) in grads {
-            let p = params.get_mut(*id);
+        for (id, grad) in grads.iter() {
+            let p = params.get_mut(id);
             assert_eq!(p.shape(), grad.shape(), "Adam: gradient shape mismatch");
             let idx = id.index();
             if self.moments.len() <= idx {
@@ -154,20 +155,26 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ParamId;
     use crate::tape::Tape;
+
+    /// A gradient store holding exactly `pairs`.
+    fn grads(pairs: impl IntoIterator<Item = (ParamId, Matrix)>) -> ParamGrads {
+        pairs.into_iter().collect()
+    }
 
     /// Minimizes f(w) = (w − 3)² with the given optimizer; returns final w.
     fn run_quadratic(opt: &mut dyn Optimizer, steps: usize) -> f64 {
         let mut params = Params::new();
         let w = params.insert(Matrix::filled(1, 1, 0.0));
+        let mut tape = Tape::new();
         for _ in 0..steps {
-            let mut tape = Tape::new();
+            tape.reset();
             let wv = tape.param(&params, w);
             let target = tape.input(Matrix::filled(1, 1, 3.0));
             let loss = tape.mse_loss(wv, target);
             tape.backward(loss);
-            let g = tape.grad(wv).unwrap().clone();
-            opt.step(&mut params, &[(w, g)]);
+            opt.step(&mut params, tape.param_grads());
         }
         params.get(w)[(0, 0)]
     }
@@ -200,7 +207,7 @@ mod tests {
         let w = params.insert(Matrix::filled(1, 1, 1.0));
         let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
         for _ in 0..10 {
-            opt.step(&mut params, &[(w, Matrix::zeros(1, 1))]);
+            opt.step(&mut params, &grads([(w, Matrix::zeros(1, 1))]));
         }
         let val = params.get(w)[(0, 0)];
         assert!(val < 1.0 && val > 0.0);
@@ -241,7 +248,7 @@ mod tests {
                 .zip(&shapes)
                 .map(|(&id, &(r, c))| (id, draw(r, c)))
                 .collect();
-            opt.step(&mut params, &grads);
+            opt.step(&mut params, &grads.iter().cloned().collect());
 
             let bc1 = 1.0 - opt.beta1.powf(t as f64);
             let bc2 = 1.0 - opt.beta2.powf(t as f64);
@@ -277,8 +284,39 @@ mod tests {
         let mut params = Params::new();
         let w = params.insert(Matrix::filled(1, 1, 0.0));
         let mut opt = Adam::new(0.01);
-        opt.step(&mut params, &[(w, Matrix::filled(1, 1, 1e6))]);
+        opt.step(&mut params, &grads([(w, Matrix::filled(1, 1, 1e6))]));
         let val = params.get(w)[(0, 0)];
         assert!((val + 0.01).abs() < 1e-6, "val = {val}");
+    }
+
+    #[test]
+    fn a_parameter_bound_twice_gets_one_summed_update() {
+        // `Σw + Σw` over two bindings of `w` must step exactly like
+        // `2·Σw` over one: one gradient of 2 per element, one Adam
+        // update (a per-binding update would apply Adam twice in one
+        // step and move `w` to about −0.234 instead of −0.1).
+        let run = |twice: bool| {
+            let mut params = Params::new();
+            let w = params.insert(Matrix::zeros(1, 3));
+            let mut tape = Tape::new();
+            let loss = if twice {
+                let (a, b) = (tape.param(&params, w), tape.param(&params, w));
+                let (sa, sb) = (tape.sum_all(a), tape.sum_all(b));
+                tape.add(sa, sb)
+            } else {
+                let a = tape.param(&params, w);
+                let s = tape.sum_all(a);
+                tape.scale(s, 2.0)
+            };
+            tape.backward(loss);
+            assert_eq!(tape.param_grads().len(), 1);
+            let mut opt = Adam::new(0.1);
+            opt.step(&mut params, tape.param_grads());
+            params.get(w).clone()
+        };
+        let (twice, once) = (run(true), run(false));
+        assert!((once[(0, 0)] + 0.1).abs() < 1e-6, "once: {once:?}");
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&twice), bits(&once));
     }
 }

@@ -15,9 +15,9 @@ impl ParamId {
 
 /// A flat store of trainable parameter matrices.
 ///
-/// Tapes are rebuilt every optimization step; parameters persist here and
-/// are bound into each new tape with [`crate::Tape::param`]. Optimizers
-/// mutate the store in place via [`Params::get_mut`].
+/// Parameters persist here across optimization steps and are bound onto
+/// the tape each step with [`crate::Tape::param`]. Optimizers mutate the
+/// store in place via [`Params::get_mut`].
 #[derive(Debug, Clone, Default)]
 pub struct Params {
     entries: Vec<Matrix>,
@@ -76,6 +76,90 @@ impl Params {
     }
 }
 
+/// A kept gradient buffer and whether it holds a gradient from the
+/// current pass. A stale buffer is reused, never read.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GradSlot {
+    pub(crate) buf: Matrix,
+    pub(crate) live: bool,
+}
+
+/// Parameter gradients, one per [`ParamId`]: every binding of a
+/// parameter on a tape adds into the same buffer, so a parameter bound
+/// twice gets one summed gradient and one optimizer update.
+///
+/// [`crate::Tape::backward`] fills the tape's store in place and
+/// [`crate::Optimizer::step`] reads it in place; [`crate::Tape::reset`]
+/// marks every gradient stale and keeps the buffers for the next step.
+/// Collecting `(id, gradient)` pairs also builds a store, summing
+/// repeated ids (how tests hand an optimizer a gradient directly).
+#[derive(Debug, Clone, Default)]
+pub struct ParamGrads {
+    slots: Vec<GradSlot>,
+}
+
+impl ParamGrads {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The gradient of `id`, if one reached it this pass.
+    pub fn get(&self, id: ParamId) -> Option<&Matrix> {
+        self.slots.get(id.0).filter(|s| s.live).map(|s| &s.buf)
+    }
+
+    /// `(id, gradient)` for every parameter that received a gradient,
+    /// in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Matrix)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.live)
+            .map(|(i, s)| (ParamId(i), &s.buf))
+    }
+
+    /// Number of parameters that received a gradient.
+    pub fn len(&self) -> usize {
+        self.slots.iter().filter(|s| s.live).count()
+    }
+
+    /// `true` when no parameter received a gradient.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The slot of `id`, created stale on first use.
+    pub(crate) fn slot(&mut self, id: ParamId) -> &mut GradSlot {
+        if self.slots.len() <= id.0 {
+            self.slots.resize_with(id.0 + 1, GradSlot::default);
+        }
+        &mut self.slots[id.0]
+    }
+
+    /// Marks every gradient stale, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        for s in &mut self.slots {
+            s.live = false;
+        }
+    }
+}
+
+impl FromIterator<(ParamId, Matrix)> for ParamGrads {
+    fn from_iter<I: IntoIterator<Item = (ParamId, Matrix)>>(pairs: I) -> Self {
+        let mut grads = ParamGrads::new();
+        for (id, g) in pairs {
+            let slot = grads.slot(id);
+            if slot.live {
+                fia_linalg::vecops::axpy(1.0, g.as_slice(), slot.buf.as_mut_slice());
+            } else {
+                *slot = GradSlot { buf: g, live: true };
+            }
+        }
+        grads
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +181,24 @@ mod tests {
         let a = p.insert(Matrix::zeros(1, 1));
         p.get_mut(a)[(0, 0)] = 42.0;
         assert_eq!(p.get(a)[(0, 0)], 42.0);
+    }
+
+    #[test]
+    fn collected_grads_sum_repeated_ids() {
+        let mut p = Params::new();
+        let a = p.insert(Matrix::zeros(1, 2));
+        let b = p.insert(Matrix::zeros(1, 1));
+        let grads: ParamGrads = [
+            (b, Matrix::filled(1, 1, 4.0)),
+            (a, Matrix::filled(1, 2, 1.0)),
+            (a, Matrix::filled(1, 2, 0.5)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(grads.len(), 2);
+        assert_eq!(grads.get(a).unwrap().as_slice(), &[1.5, 1.5]);
+        let ids: Vec<ParamId> = grads.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![a, b], "ascending id order");
     }
 
     #[test]

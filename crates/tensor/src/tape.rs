@@ -1,7 +1,21 @@
 //! The autograd tape: forward construction and reverse-mode backward.
+//!
+//! A tape keeps every buffer it writes. [`Tape::reset`] forgets the
+//! recorded ops but keeps each node's value, gradient and saved state
+//! (softmax, x̂, 1/σ, dropout mask, gathered columns) by node position,
+//! so a training loop that records the same op sequence every step
+//! writes each step into the buffers the last one left. A node whose
+//! shape changes (the short last batch of an epoch) resizes only its own
+//! buffers, and within their capacity that allocates nothing.
+//!
+//! Every op writes each output element once: no clone-then-modify, and
+//! no zero-fill before a loop that sets every element. A node's first
+//! gradient contribution is written straight into its kept gradient;
+//! later ones go through one scratch buffer and are added with an exact
+//! `axpy(1.0, ·)`, in the order the backward pass reaches them.
 
-use crate::params::{ParamId, Params};
-use fia_linalg::Matrix;
+use crate::params::{GradSlot, ParamGrads, ParamId, Params};
+use fia_linalg::{kernel, Matrix};
 use rand::Rng;
 
 /// Handle to a value on a [`Tape`].
@@ -17,9 +31,11 @@ impl VarId {
 
 /// Differentiable operations recorded on the tape.
 ///
-/// Variants that need saved state for their backward pass (dropout masks,
-/// LayerNorm statistics) carry it inline so backward never recomputes
-/// stochastic or expensive quantities.
+/// State an op's backward needs (softmax output, x̂ and 1/σ, dropout
+/// mask, gathered columns) lives in its node's kept buffers, so backward
+/// never recomputes stochastic or expensive quantities and the op itself
+/// is plain data.
+#[derive(Clone, Copy)]
 enum Op {
     /// Constant leaf (no gradient collected, but gradients still flow
     /// through ops that consume it).
@@ -27,6 +43,12 @@ enum Op {
     /// Trainable leaf bound from a [`Params`] store.
     Param(ParamId),
     MatMul(VarId, VarId),
+    /// `x · w + b`, the `1 × n` bias broadcast over rows.
+    Linear {
+        x: VarId,
+        w: VarId,
+        b: VarId,
+    },
     Add(VarId, VarId),
     Sub(VarId, VarId),
     Hadamard(VarId, VarId),
@@ -40,7 +62,7 @@ enum Op {
     LeakyRelu(VarId, f64),
     Sigmoid(VarId),
     Tanh(VarId),
-    /// Row-wise softmax; backward uses the saved output value.
+    /// Row-wise softmax; backward uses the node's own value.
     SoftmaxRows(VarId),
     /// Natural log (inputs must be positive).
     Log(VarId),
@@ -52,47 +74,73 @@ enum Op {
     MseLoss(VarId, VarId),
     /// Fused softmax + cross-entropy against a one-hot (or soft) target
     /// distribution, averaged over rows; saves the softmax output.
-    CrossEntropyLogits {
-        logits: VarId,
-        target: VarId,
-        softmax: Matrix,
-    },
+    CrossEntropyLogits(VarId, VarId),
+    /// Saves x̂ and the per-row 1/σ.
     LayerNorm {
         x: VarId,
         gamma: VarId,
         beta: VarId,
-        /// Saved normalized activations x̂.
-        xhat: Matrix,
-        /// Saved per-row 1/σ.
-        inv_std: Vec<f64>,
     },
-    /// Inverted dropout; `mask` already contains 0 or 1/(1−p).
-    Dropout {
-        x: VarId,
-        mask: Matrix,
-    },
+    /// Inverted dropout; saves the mask, whose entries are 0 or 1/(1−p).
+    Dropout(VarId),
     ConcatCols(VarId, VarId),
     /// `out[:, j] = x[:, cols[j]]`; repeated source columns are allowed.
-    GatherCols {
-        x: VarId,
-        cols: Vec<usize>,
-    },
+    /// Saves `cols`.
+    GatherCols(VarId),
 }
 
+/// One recorded position and the buffers it keeps across resets.
 struct Node {
-    value: Matrix,
-    grad: Option<Matrix>,
     op: Op,
     /// `true` when this node is a parameter or (transitively) consumes one;
     /// backward skips gradient propagation into subgraphs that cannot
     /// reach a parameter *unless* the caller asked for input gradients.
     needs_grad: bool,
+    value: Matrix,
+    /// The softmax output, x̂, or the dropout mask.
+    saved: Matrix,
+    /// LayerNorm's per-row 1/σ.
+    per_row: Vec<f64>,
+    /// The gathered source columns.
+    cols: Vec<usize>,
+}
+
+impl Node {
+    fn new() -> Self {
+        Node {
+            op: Op::Input,
+            needs_grad: false,
+            value: Matrix::default(),
+            saved: Matrix::default(),
+            per_row: Vec::new(),
+            cols: Vec::new(),
+        }
+    }
+}
+
+/// Backward's working buffers, kept with the tape.
+#[derive(Default)]
+struct Scratch {
+    /// A later gradient contribution, before it is added in.
+    delta: Matrix,
+    /// LayerNorm backward: dγ, dβ, and per row `Σ dx̂` and `Σ dx̂·x̂`.
+    dgamma: Matrix,
+    dbeta: Matrix,
+    row_sums: Vec<f64>,
 }
 
 /// A dynamic computation graph. See the crate docs for the usage pattern.
 pub struct Tape {
+    /// Kept nodes; the first `len` are the ones recorded since the last
+    /// reset.
     nodes: Vec<Node>,
-    /// When `true`, [`Tape::input`] leaves also receive gradients. The GRN
+    /// Kept gradients, by node position. A parameter leaf's gradient
+    /// lives in `params` instead, under its [`ParamId`].
+    grads: Vec<GradSlot>,
+    len: usize,
+    params: ParamGrads,
+    scratch: Scratch,
+    /// When `true`, input leaves also receive gradients. The GRN
     /// attack needs this switched on for nothing — inputs it cares about
     /// are generator outputs — but diagnostic tooling (saliency, the
     /// gradient-checker) wants input grads, so it is configurable.
@@ -110,91 +158,155 @@ impl Tape {
     pub fn new() -> Self {
         Tape {
             nodes: Vec::new(),
+            grads: Vec::new(),
+            len: 0,
+            params: ParamGrads::new(),
+            scratch: Scratch::default(),
             grad_for_inputs: false,
         }
     }
 
-    /// Creates a tape that also accumulates gradients for [`Tape::input`]
-    /// leaves (used by the gradient checker and saliency tooling).
+    /// Creates a tape that also accumulates gradients for input leaves
+    /// (used by the gradient checker and saliency tooling).
     pub fn with_input_grads() -> Self {
         Tape {
-            nodes: Vec::new(),
             grad_for_inputs: true,
+            ..Tape::new()
         }
     }
 
-    fn push(&mut self, value: Matrix, op: Op, needs_grad: bool) -> VarId {
-        self.nodes.push(Node {
-            value,
-            grad: None,
-            op,
-            needs_grad,
-        });
-        VarId(self.nodes.len() - 1)
+    /// Forgets every recorded op and gradient but keeps all buffers.
+    /// Recording the next step's ops writes into the buffers this step's
+    /// ops left, node by node position; [`VarId`]s from before the reset
+    /// must not be used again.
+    pub fn reset(&mut self) {
+        self.len = 0;
+        self.params.clear();
     }
 
-    fn needs(&self, v: VarId) -> bool {
-        self.nodes[v.0].needs_grad
+    /// The kept slot for the next node, beside the recorded nodes it may
+    /// read.
+    fn next_slot(&mut self) -> (&[Node], &mut Node) {
+        if self.len == self.nodes.len() {
+            self.nodes.push(Node::new());
+            self.grads.push(GradSlot::default());
+        }
+        let (done, rest) = self.nodes.split_at_mut(self.len);
+        (done, &mut rest[0])
     }
 
-    /// Number of nodes recorded so far.
+    /// Records the node whose value [`Tape::next_slot`] just filled.
+    fn commit(&mut self, op: Op, needs_grad: bool) -> VarId {
+        let i = self.len;
+        self.nodes[i].op = op;
+        self.nodes[i].needs_grad = needs_grad;
+        self.grads[i].live = false;
+        self.len += 1;
+        VarId(i)
+    }
+
+    fn node(&self, v: VarId) -> &Node {
+        assert!(v.0 < self.len, "VarId {} not recorded since reset", v.0);
+        &self.nodes[v.0]
+    }
+
+    /// Number of nodes recorded since the last reset.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
-    /// `true` when the tape holds no nodes.
+    /// `true` when no node was recorded since the last reset.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len == 0
     }
 
     /// Value of a node.
     pub fn value(&self, v: VarId) -> &Matrix {
-        &self.nodes[v.0].value
+        &self.node(v).value
     }
 
     /// Gradient of a node after [`Tape::backward`]; `None` when no
-    /// gradient reached it.
+    /// gradient reached it. A parameter leaf reports its [`ParamId`]'s
+    /// gradient, summed over every binding of that parameter.
     pub fn grad(&self, v: VarId) -> Option<&Matrix> {
-        self.nodes[v.0].grad.as_ref()
+        match self.node(v).op {
+            Op::Param(id) => self.params.get(id),
+            _ => Some(&self.grads[v.0]).filter(|s| s.live).map(|s| &s.buf),
+        }
     }
 
     /// The [`ParamId`] a node was bound from, if it is a parameter leaf.
     pub fn param_id(&self, v: VarId) -> Option<ParamId> {
-        match self.nodes[v.0].op {
+        match self.node(v).op {
             Op::Param(id) => Some(id),
             _ => None,
         }
     }
 
-    /// Collects `(ParamId, gradient)` pairs for every parameter leaf that
-    /// received a gradient — the exact shape optimizers consume.
-    pub fn param_grads(&self) -> Vec<(ParamId, Matrix)> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match (&n.op, &n.grad) {
-                (Op::Param(id), Some(g)) => Some((*id, g.clone())),
-                _ => None,
-            })
-            .collect()
+    /// The parameter gradients of the last backward pass, one per
+    /// [`ParamId`] — what [`crate::Optimizer::step`] reads in place.
+    pub fn param_grads(&self) -> &ParamGrads {
+        &self.params
     }
 
     // ------------------------------------------------------------------
     // Leaves
     // ------------------------------------------------------------------
 
-    /// Records a constant input leaf. Gradients flow *through* consumers
-    /// of this value but are not accumulated at the leaf itself (unless
-    /// the tape was built with [`Tape::with_input_grads`]).
+    /// Records a constant input leaf that takes ownership of `value`.
+    /// Gradients flow *through* consumers of this value but are not
+    /// accumulated at the leaf itself (unless the tape was built with
+    /// [`Tape::with_input_grads`]).
     pub fn input(&mut self, value: Matrix) -> VarId {
+        let (_, node) = self.next_slot();
+        node.value = value;
         let ng = self.grad_for_inputs;
-        self.push(value, Op::Input, ng)
+        self.commit(Op::Input, ng)
     }
 
-    /// Binds a trainable parameter from `params` onto the tape (copies the
-    /// current value). After backward, collect its gradient with
-    /// [`Tape::grad`] and feed it to an optimizer.
+    /// Like [`Tape::input`], copying `value` into the node's kept buffer.
+    pub fn input_copy(&mut self, value: &Matrix) -> VarId {
+        let (_, node) = self.next_slot();
+        node.value.clone_from(value);
+        let ng = self.grad_for_inputs;
+        self.commit(Op::Input, ng)
+    }
+
+    /// Like [`Tape::input`], copying rows `rows` of `src`, in that order,
+    /// into the node's kept buffer (a mini-batch without a
+    /// `select_rows` matrix).
+    ///
+    /// # Panics
+    /// Panics if a row index is out of range.
+    pub fn input_rows(&mut self, src: &Matrix, rows: &[usize]) -> VarId {
+        let (_, node) = self.next_slot();
+        node.value.resize(rows.len(), src.cols());
+        for (i, &r) in rows.iter().enumerate() {
+            assert!(r < src.rows(), "input_rows: row {r} of {}", src.rows());
+            node.value.row_mut(i).copy_from_slice(src.row(r));
+        }
+        let ng = self.grad_for_inputs;
+        self.commit(Op::Input, ng)
+    }
+
+    /// Like [`Tape::input`] for a `rows × cols` value that `fill` writes
+    /// into the node's kept buffer, row-major. `fill` must set every
+    /// element.
+    pub fn input_with(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut [f64])) -> VarId {
+        let (_, node) = self.next_slot();
+        node.value.resize(rows, cols);
+        fill(node.value.as_mut_slice());
+        let ng = self.grad_for_inputs;
+        self.commit(Op::Input, ng)
+    }
+
+    /// Binds a trainable parameter from `params` onto the tape, copying
+    /// its current value into the node's kept buffer. After backward, its
+    /// gradient is in [`Tape::param_grads`] (and [`Tape::grad`]).
     pub fn param(&mut self, params: &Params, id: ParamId) -> VarId {
-        self.push(params.get(id).clone(), Op::Param(id), true)
+        let (_, node) = self.next_slot();
+        node.value.clone_from(params.get(id));
+        self.commit(Op::Param(id), true)
     }
 
     // ------------------------------------------------------------------
@@ -207,71 +319,110 @@ impl Tape {
     /// Panics on inner-dimension mismatch — tapes are built by library
     /// code with statically known layer shapes, so a mismatch is a bug.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        let v = av.matmul(bv).expect("tape matmul: shape mismatch");
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::MatMul(a, b), ng)
+        let (done, node) = self.next_slot();
+        let (x, y) = (&done[a.0], &done[b.0]);
+        gemm_into(&mut node.value, &x.value, &y.value);
+        let ng = x.needs_grad || y.needs_grad;
+        self.commit(Op::MatMul(a, b), ng)
+    }
+
+    /// Affine layer `x · w + b`, the `1 × n` bias `b` broadcast over the
+    /// rows: the same value and gradients, bit for bit, as
+    /// [`Tape::matmul`] followed by [`Tape::add_row_broadcast`], from one
+    /// node.
+    ///
+    /// # Panics
+    /// Panics on a shape mismatch.
+    pub fn linear(&mut self, x: VarId, w: VarId, b: VarId) -> VarId {
+        let (done, node) = self.next_slot();
+        let (xn, wn, bn) = (&done[x.0], &done[w.0], &done[b.0]);
+        gemm_into(&mut node.value, &xn.value, &wn.value);
+        check_bias(&node.value, &bn.value);
+        add_bias_rows(node.value.as_mut_slice(), bn.value.as_slice());
+        let ng = xn.needs_grad || wn.needs_grad || bn.needs_grad;
+        self.commit(Op::Linear { x, w, b }, ng)
     }
 
     /// Element-wise sum of two same-shape values.
     pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a.0]
-            .value
-            .add(&self.nodes[b.0].value)
-            .expect("tape add: shape mismatch");
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::Add(a, b), ng)
+        self.binary(a, b, Op::Add(a, b), "add", kernel::vadd)
     }
 
     /// Element-wise difference `a − b`.
     pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a.0]
-            .value
-            .sub(&self.nodes[b.0].value)
-            .expect("tape sub: shape mismatch");
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::Sub(a, b), ng)
+        self.binary(a, b, Op::Sub(a, b), "sub", kernel::vsub)
     }
 
     /// Element-wise (Hadamard) product.
     pub fn hadamard(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a.0]
-            .value
-            .hadamard(&self.nodes[b.0].value)
-            .expect("tape hadamard: shape mismatch");
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::Hadamard(a, b), ng)
+        self.binary(a, b, Op::Hadamard(a, b), "hadamard", kernel::vmul)
+    }
+
+    fn binary(
+        &mut self,
+        a: VarId,
+        b: VarId,
+        op: Op,
+        what: &str,
+        kernel: fn(&[f64], &[f64], &mut [f64]),
+    ) -> VarId {
+        let (done, node) = self.next_slot();
+        let (x, y) = (&done[a.0], &done[b.0]);
+        let shape = x.value.shape();
+        assert_eq!(shape, y.value.shape(), "tape {what}: shape mismatch");
+        node.value.resize(shape.0, shape.1);
+        kernel(
+            x.value.as_slice(),
+            y.value.as_slice(),
+            node.value.as_mut_slice(),
+        );
+        let ng = x.needs_grad || y.needs_grad;
+        self.commit(op, ng)
     }
 
     /// Adds a `1 × n` bias row to every row of an `m × n` value.
     pub fn add_row_broadcast(&mut self, a: VarId, bias: VarId) -> VarId {
-        let av = &self.nodes[a.0].value;
-        let bv = &self.nodes[bias.0].value;
-        assert_eq!(bv.rows(), 1, "bias must be a row vector");
-        assert_eq!(av.cols(), bv.cols(), "bias width mismatch");
-        let mut out = av.clone();
-        let brow = bv.row(0);
-        for i in 0..out.rows() {
-            for (o, b) in out.row_mut(i).iter_mut().zip(brow) {
-                *o += b;
+        let (done, node) = self.next_slot();
+        let (x, b) = (&done[a.0], &done[bias.0]);
+        check_bias(&x.value, &b.value);
+        node.value.resize(x.value.rows(), x.value.cols());
+        let brow = b.value.as_slice();
+        let rows = node.value.as_mut_slice().chunks_mut(brow.len().max(1));
+        for (o_row, x_row) in rows.zip(x.value.as_slice().chunks(brow.len().max(1))) {
+            for ((o, &xv), &bv) in o_row.iter_mut().zip(x_row).zip(brow) {
+                *o = xv + bv;
             }
         }
-        let ng = self.needs(a) || self.needs(bias);
-        self.push(out, Op::AddRowBroadcast(a, bias), ng)
+        let ng = x.needs_grad || b.needs_grad;
+        self.commit(Op::AddRowBroadcast(a, bias), ng)
     }
 
     /// Multiplies every element by the constant `c`.
     pub fn scale(&mut self, a: VarId, c: f64) -> VarId {
-        let v = self.nodes[a.0].value.scale(c);
-        let ng = self.needs(a);
-        self.push(v, Op::Scale(a, c), ng)
+        self.unary(a, Op::Scale(a, c), |x| x * c)
     }
 
     /// Adds the constant `c` to every element.
     pub fn add_scalar(&mut self, a: VarId, c: f64) -> VarId {
-        let v = self.nodes[a.0].value.map(|x| x + c);
-        let ng = self.needs(a);
-        self.push(v, Op::AddScalar(a), ng)
+        self.unary(a, Op::AddScalar(a), |x| x + c)
+    }
+
+    /// Records `op`, whose value is `f` applied to each element of `a`.
+    fn unary(&mut self, a: VarId, op: Op, f: impl Fn(f64) -> f64) -> VarId {
+        let (done, node) = self.next_slot();
+        let x = &done[a.0];
+        node.value.resize(x.value.rows(), x.value.cols());
+        map_into(node.value.as_mut_slice(), x.value.as_slice(), f);
+        let ng = x.needs_grad;
+        self.commit(op, ng)
+    }
+
+    /// Records a `1 × 1` value `s`.
+    fn scalar(&mut self, op: Op, needs_grad: bool, s: f64) -> VarId {
+        let (_, node) = self.next_slot();
+        node.value.resize(1, 1);
+        node.value.as_mut_slice()[0] = s;
+        self.commit(op, needs_grad)
     }
 
     // ------------------------------------------------------------------
@@ -280,52 +431,43 @@ impl Tape {
 
     /// Rectified linear unit `max(0, x)`.
     pub fn relu(&mut self, a: VarId) -> VarId {
-        let v = self.nodes[a.0].value.map(|x| x.max(0.0));
-        let ng = self.needs(a);
-        self.push(v, Op::Relu(a), ng)
+        self.unary(a, Op::Relu(a), |x| x.max(0.0))
     }
 
     /// Leaky ReLU with negative slope `alpha`.
     pub fn leaky_relu(&mut self, a: VarId, alpha: f64) -> VarId {
-        let v = self.nodes[a.0]
-            .value
-            .map(|x| if x > 0.0 { x } else { alpha * x });
-        let ng = self.needs(a);
-        self.push(v, Op::LeakyRelu(a, alpha), ng)
+        let op = Op::LeakyRelu(a, alpha);
+        self.unary(a, op, |x| if x > 0.0 { x } else { alpha * x })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: VarId) -> VarId {
-        let v = self.nodes[a.0].value.map(fia_linalg::vecops::sigmoid);
-        let ng = self.needs(a);
-        self.push(v, Op::Sigmoid(a), ng)
+        self.unary(a, Op::Sigmoid(a), fia_linalg::vecops::sigmoid)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: VarId) -> VarId {
-        let v = self.nodes[a.0].value.map(f64::tanh);
-        let ng = self.needs(a);
-        self.push(v, Op::Tanh(a), ng)
+        self.unary(a, Op::Tanh(a), f64::tanh)
     }
 
     /// Row-wise softmax (numerically stable).
     pub fn softmax_rows(&mut self, a: VarId) -> VarId {
-        let av = &self.nodes[a.0].value;
-        let mut out = Matrix::zeros(av.rows(), av.cols());
-        for i in 0..av.rows() {
-            fia_linalg::vecops::softmax_into(av.row(i), out.row_mut(i));
+        let (done, node) = self.next_slot();
+        let x = &done[a.0];
+        let (m, n) = x.value.shape();
+        node.value.resize(m, n);
+        for i in 0..m {
+            fia_linalg::vecops::softmax_into(x.value.row(i), node.value.row_mut(i));
         }
-        let ng = self.needs(a);
-        self.push(out, Op::SoftmaxRows(a), ng)
+        let ng = x.needs_grad;
+        self.commit(Op::SoftmaxRows(a), ng)
     }
 
     /// Natural logarithm. Values are clamped to `≥ 1e-300` before the log
     /// so a zero confidence score produced by an aggressive rounding
     /// defense degrades gracefully instead of emitting `-inf`.
     pub fn log(&mut self, a: VarId) -> VarId {
-        let v = self.nodes[a.0].value.map(|x| x.max(1e-300).ln());
-        let ng = self.needs(a);
-        self.push(v, Op::Log(a), ng)
+        self.unary(a, Op::Log(a), |x| x.max(1e-300).ln())
     }
 
     // ------------------------------------------------------------------
@@ -334,74 +476,73 @@ impl Tape {
 
     /// Column means: `[m×n] → [1×n]`.
     pub fn col_mean(&mut self, a: VarId) -> VarId {
-        let av = &self.nodes[a.0].value;
-        let mut out = col_sums(av);
-        for o in out.as_mut_slice() {
-            *o /= av.rows() as f64;
+        let (done, node) = self.next_slot();
+        let x = &done[a.0];
+        col_sums_into(&mut node.value, &x.value);
+        let m = x.value.rows() as f64;
+        for o in node.value.as_mut_slice() {
+            *o /= m;
         }
-        let ng = self.needs(a);
-        self.push(out, Op::ColMean(a), ng)
+        let ng = x.needs_grad;
+        self.commit(Op::ColMean(a), ng)
     }
 
     /// Sum of all elements; `1 × 1` output.
     pub fn sum_all(&mut self, a: VarId) -> VarId {
-        let s: f64 = self.nodes[a.0].value.as_slice().iter().sum();
-        let ng = self.needs(a);
-        self.push(Matrix::filled(1, 1, s), Op::SumAll(a), ng)
+        let x = self.node(a);
+        let (ng, s) = (x.needs_grad, x.value.as_slice().iter().sum());
+        self.scalar(Op::SumAll(a), ng, s)
     }
 
     /// Mean of all elements; `1 × 1` output.
     pub fn mean_all(&mut self, a: VarId) -> VarId {
-        let slice = self.nodes[a.0].value.as_slice();
-        let s: f64 = slice.iter().sum::<f64>() / slice.len() as f64;
-        let ng = self.needs(a);
-        self.push(Matrix::filled(1, 1, s), Op::MeanAll(a), ng)
+        let x = self.node(a);
+        let slice = x.value.as_slice();
+        let (ng, s) = (x.needs_grad, slice.iter().sum::<f64>() / slice.len() as f64);
+        self.scalar(Op::MeanAll(a), ng, s)
     }
 
     /// Mean-squared-error loss `mean((pred − target)²)`; `1 × 1` output.
     pub fn mse_loss(&mut self, pred: VarId, target: VarId) -> VarId {
-        let p = &self.nodes[pred.0].value;
-        let t = &self.nodes[target.0].value;
-        assert_eq!(p.shape(), t.shape(), "mse_loss: shape mismatch");
-        let n = p.as_slice().len() as f64;
+        let (p, t) = (self.node(pred), self.node(target));
+        assert_eq!(p.value.shape(), t.value.shape(), "mse_loss: shape mismatch");
+        let n = p.value.as_slice().len() as f64;
         let s: f64 = p
+            .value
             .as_slice()
             .iter()
-            .zip(t.as_slice().iter())
+            .zip(t.value.as_slice())
             .map(|(&a, &b)| (a - b) * (a - b))
             .sum::<f64>()
             / n;
-        let ng = self.needs(pred) || self.needs(target);
-        self.push(Matrix::filled(1, 1, s), Op::MseLoss(pred, target), ng)
+        let ng = p.needs_grad || t.needs_grad;
+        self.scalar(Op::MseLoss(pred, target), ng, s)
     }
 
     /// Fused softmax + cross-entropy against a target distribution
     /// (one-hot or soft labels), averaged over rows; `1 × 1` output.
     pub fn cross_entropy_logits(&mut self, logits: VarId, target: VarId) -> VarId {
-        let z = &self.nodes[logits.0].value;
-        let t = &self.nodes[target.0].value;
-        assert_eq!(z.shape(), t.shape(), "cross_entropy_logits: shape mismatch");
-        let (m, n) = z.shape();
-        let mut soft = Matrix::zeros(m, n);
+        let (done, node) = self.next_slot();
+        let (z, t) = (&done[logits.0], &done[target.0]);
+        let (m, n) = z.value.shape();
+        assert_eq!(
+            (m, n),
+            t.value.shape(),
+            "cross_entropy_logits: shape mismatch"
+        );
+        node.saved.resize(m, n);
         let mut loss = 0.0;
         for i in 0..m {
-            let s = soft.row_mut(i);
-            fia_linalg::vecops::softmax_into(z.row(i), s);
-            for (&p, &tv) in s.iter().zip(t.row(i)) {
+            let s = node.saved.row_mut(i);
+            fia_linalg::vecops::softmax_into(z.value.row(i), s);
+            for (&p, &tv) in s.iter().zip(t.value.row(i)) {
                 loss -= tv * p.max(1e-300).ln();
             }
         }
-        loss /= m as f64;
-        let ng = self.needs(logits) || self.needs(target);
-        self.push(
-            Matrix::filled(1, 1, loss),
-            Op::CrossEntropyLogits {
-                logits,
-                target,
-                softmax: soft,
-            },
-            ng,
-        )
+        node.value.resize(1, 1);
+        node.value.as_mut_slice()[0] = loss / m as f64;
+        let ng = z.needs_grad || t.needs_grad;
+        self.commit(Op::CrossEntropyLogits(logits, target), ng)
     }
 
     // ------------------------------------------------------------------
@@ -411,42 +552,25 @@ impl Tape {
     /// Layer normalization over each row, with learnable `gamma`/`beta`
     /// (`1 × n` each): `y = gamma ⊙ (x − μ_row)/√(σ²_row + eps) + beta`.
     pub fn layer_norm(&mut self, x: VarId, gamma: VarId, beta: VarId, eps: f64) -> VarId {
-        let xv = &self.nodes[x.0].value;
-        let (m, n) = xv.shape();
-        let gv = &self.nodes[gamma.0].value;
-        let bv = &self.nodes[beta.0].value;
-        assert_eq!(gv.shape(), (1, n), "layer_norm: gamma must be 1×n");
-        assert_eq!(bv.shape(), (1, n), "layer_norm: beta must be 1×n");
-        let mut xhat = Matrix::zeros(m, n);
-        let mut inv_std = vec![0.0; m];
-        let mut out = Matrix::zeros(m, n);
-        for (i, istd_i) in inv_std.iter_mut().enumerate() {
-            let row = xv.row(i);
-            let mu = fia_linalg::vecops::mean(row);
-            let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f64>() / n as f64;
-            let istd = 1.0 / (var + eps).sqrt();
-            *istd_i = istd;
-            let hrow = xhat.row_mut(i);
-            for (h, &x) in hrow.iter_mut().zip(row) {
-                *h = (x - mu) * istd;
-            }
-            let affine = gv.row(0).iter().zip(bv.row(0));
-            for ((o, &h), (&gj, &bj)) in out.row_mut(i).iter_mut().zip(&*hrow).zip(affine) {
-                *o = gj * h + bj;
-            }
-        }
-        let ng = self.needs(x) || self.needs(gamma) || self.needs(beta);
-        self.push(
-            out,
-            Op::LayerNorm {
-                x,
-                gamma,
-                beta,
-                xhat,
-                inv_std,
-            },
-            ng,
-        )
+        let (done, node) = self.next_slot();
+        let (xn, gn, bn) = (&done[x.0], &done[gamma.0], &done[beta.0]);
+        let (m, n) = xn.value.shape();
+        assert_eq!(gn.value.shape(), (1, n), "layer_norm: gamma must be 1×n");
+        assert_eq!(bn.value.shape(), (1, n), "layer_norm: beta must be 1×n");
+        node.value.resize(m, n);
+        node.saved.resize(m, n);
+        node.per_row.resize(m, 0.0);
+        layer_norm_rows(
+            &xn.value,
+            gn.value.as_slice(),
+            bn.value.as_slice(),
+            eps,
+            &mut node.value,
+            &mut node.saved,
+            &mut node.per_row,
+        );
+        let ng = xn.needs_grad || gn.needs_grad || bn.needs_grad;
+        self.commit(Op::LayerNorm { x, gamma, beta }, ng)
     }
 
     /// Inverted dropout: zeroes each element with probability `p` and
@@ -454,18 +578,26 @@ impl Tape {
     /// inference simply skip the op.
     pub fn dropout<R: Rng + ?Sized>(&mut self, x: VarId, p: f64, rng: &mut R) -> VarId {
         assert!((0.0..1.0).contains(&p), "dropout p must be in [0, 1)");
-        let xv = &self.nodes[x.0].value;
+        let (done, node) = self.next_slot();
+        let xn = &done[x.0];
+        let (m, n) = xn.value.shape();
         let keep = 1.0 - p;
-        let mask = Matrix::from_fn(xv.rows(), xv.cols(), |_, _| {
-            if rng.gen::<f64>() < keep {
+        node.saved.resize(m, n);
+        for v in node.saved.as_mut_slice() {
+            *v = if rng.gen::<f64>() < keep {
                 1.0 / keep
             } else {
                 0.0
-            }
-        });
-        let out = xv.hadamard(&mask).expect("same shape by construction");
-        let ng = self.needs(x);
-        self.push(out, Op::Dropout { x, mask }, ng)
+            };
+        }
+        node.value.resize(m, n);
+        kernel::vmul(
+            xn.value.as_slice(),
+            node.saved.as_slice(),
+            node.value.as_mut_slice(),
+        );
+        let ng = xn.needs_grad;
+        self.commit(Op::Dropout(x), ng)
     }
 
     // ------------------------------------------------------------------
@@ -476,21 +608,27 @@ impl Tape {
     /// counts. This is how the GRN generator input `x_adv ∪ r` and the
     /// generated sample `x_adv ∪ x̂_target` are assembled.
     pub fn concat_cols(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a.0]
-            .value
-            .hstack(&self.nodes[b.0].value)
-            .expect("concat_cols: row mismatch");
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::ConcatCols(a, b), ng)
+        let (done, node) = self.next_slot();
+        let (x, y) = (&done[a.0].value, &done[b.0].value);
+        assert_eq!(x.rows(), y.rows(), "concat_cols: row mismatch");
+        let ca = x.cols();
+        node.value.resize(x.rows(), ca + y.cols());
+        for i in 0..x.rows() {
+            let dst = node.value.row_mut(i);
+            dst[..ca].copy_from_slice(x.row(i));
+            dst[ca..].copy_from_slice(y.row(i));
+        }
+        let ng = done[a.0].needs_grad || done[b.0].needs_grad;
+        self.commit(Op::ConcatCols(a, b), ng)
     }
 
     /// Column slice `a[:, start..end]`.
     pub fn slice_cols(&mut self, a: VarId, start: usize, end: usize) -> VarId {
         assert!(
-            start < end && end <= self.nodes[a.0].value.cols(),
+            start < end && end <= self.value(a).cols(),
             "slice_cols: bad range"
         );
-        self.gather_cols(a, &(start..end).collect::<Vec<_>>())
+        self.gather(a, start..end)
     }
 
     /// Column gather `out[:, j] = a[:, cols[j]]`: a pure copy forward,
@@ -502,13 +640,28 @@ impl Tape {
     /// # Panics
     /// Panics if a column index is out of range.
     pub fn gather_cols(&mut self, a: VarId, cols: &[usize]) -> VarId {
-        let v = self.nodes[a.0]
-            .value
-            .select_columns(cols)
-            .expect("gather_cols: column out of range");
-        let ng = self.needs(a);
-        let cols = cols.to_vec();
-        self.push(v, Op::GatherCols { x: a, cols }, ng)
+        self.gather(a, cols.iter().copied())
+    }
+
+    fn gather(&mut self, a: VarId, cols: impl Iterator<Item = usize>) -> VarId {
+        let (done, node) = self.next_slot();
+        let x = &done[a.0];
+        node.cols.clear();
+        node.cols.extend(cols);
+        let width = x.value.cols();
+        assert!(
+            node.cols.iter().all(|&c| c < width),
+            "gather_cols: column out of range"
+        );
+        node.value.resize(x.value.rows(), node.cols.len());
+        for i in 0..x.value.rows() {
+            let src = x.value.row(i);
+            for (d, &c) in node.value.row_mut(i).iter_mut().zip(&node.cols) {
+                *d = src[c];
+            }
+        }
+        let ng = x.needs_grad;
+        self.commit(Op::GatherCols(a), ng)
     }
 
     // ------------------------------------------------------------------
@@ -540,349 +693,497 @@ impl Tape {
     /// Panics if `loss` is not a `1 × 1` scalar node.
     pub fn backward(&mut self, loss: VarId) {
         assert_eq!(
-            self.nodes[loss.0].value.shape(),
+            self.node(loss).value.shape(),
             (1, 1),
             "backward: loss must be scalar"
         );
-        self.nodes[loss.0].grad = Some(Matrix::filled(1, 1, 1.0));
+        let Tape {
+            nodes,
+            grads,
+            params,
+            scratch,
+            ..
+        } = self;
+        let nodes: &[Node] = nodes;
+        let seed = grad_slot(nodes, grads, params, loss);
+        seed.buf.resize(1, 1);
+        seed.buf.as_mut_slice()[0] = 1.0;
+        seed.live = true;
 
+        let Scratch {
+            delta,
+            dgamma,
+            dbeta,
+            row_sums,
+        } = scratch;
         for idx in (0..=loss.0).rev() {
-            if !self.nodes[idx].needs_grad {
+            // A parameter leaf's gradient lives in `params`, so its slot
+            // here is never live; leaves have nothing to propagate anyway.
+            if !nodes[idx].needs_grad || !grads[idx].live {
                 continue;
             }
-            let Some(g) = self.nodes[idx].grad.take() else {
-                continue;
+            let (below, at) = grads.split_at_mut(idx);
+            let mut sink = Sink {
+                nodes,
+                grads: below,
+                params: &mut *params,
+                delta: &mut *delta,
             };
-            self.propagate(idx, &g);
-            // Restore the gradient so callers can read it afterwards.
-            self.nodes[idx].grad = Some(g);
+            let g = &at[0].buf;
+            let node = &nodes[idx];
+            let val = |v: VarId| &nodes[v.0].value;
+            let shape = |v: VarId| nodes[v.0].value.shape();
+            match node.op {
+                Op::Input | Op::Param(_) => {}
+                Op::MatMul(a, b) => {
+                    // dA = g·Bᵀ and dB = Aᵀ·g; the kernel forms each
+                    // transposed operand itself.
+                    sink.add(a, shape(a), |da| gemm_tn_into(da, g, val(b)));
+                    sink.add(b, shape(b), |db| gemm_at_into(db, val(a), g));
+                }
+                Op::Linear { x, w, b } => {
+                    // The order of `matmul` + `add_row_broadcast`: the
+                    // bias first, then the product's operands.
+                    sink.add(b, shape(b), |db| col_sums_into(db, g));
+                    sink.add(x, shape(x), |dx| gemm_tn_into(dx, g, val(w)));
+                    sink.add(w, shape(w), |dw| gemm_at_into(dw, val(x), g));
+                }
+                Op::Add(a, b) => {
+                    sink.add_copy(a, g);
+                    sink.add_copy(b, g);
+                }
+                Op::Sub(a, b) => {
+                    sink.add_copy(a, g);
+                    sink.add(b, g.shape(), |db| {
+                        map_into(db.as_mut_slice(), g.as_slice(), |g| -g)
+                    });
+                }
+                Op::Hadamard(a, b) => {
+                    sink.add(a, g.shape(), |da| {
+                        kernel::vmul(g.as_slice(), val(b).as_slice(), da.as_mut_slice())
+                    });
+                    sink.add(b, g.shape(), |db| {
+                        kernel::vmul(g.as_slice(), val(a).as_slice(), db.as_mut_slice())
+                    });
+                }
+                Op::AddRowBroadcast(a, bias) => {
+                    sink.add_copy(a, g);
+                    sink.add(bias, shape(bias), |db| col_sums_into(db, g));
+                }
+                Op::Scale(a, c) => {
+                    sink.add(a, g.shape(), |da| {
+                        map_into(da.as_mut_slice(), g.as_slice(), |g| g * c)
+                    });
+                }
+                Op::AddScalar(a) => sink.add_copy(a, g),
+                Op::Relu(a) => sink.add(a, g.shape(), |da| {
+                    zip_into(da, g, val(a), |g, x| if x > 0.0 { g } else { 0.0 })
+                }),
+                Op::LeakyRelu(a, alpha) => sink.add(a, g.shape(), |da| {
+                    zip_into(da, g, val(a), |g, x| if x > 0.0 { g } else { alpha * g })
+                }),
+                Op::Sigmoid(a) => sink.add(a, g.shape(), |da| {
+                    zip_into(da, g, &node.value, |g, s| g * s * (1.0 - s))
+                }),
+                Op::Tanh(a) => sink.add(a, g.shape(), |da| {
+                    zip_into(da, g, &node.value, |g, t| g * (1.0 - t * t))
+                }),
+                Op::SoftmaxRows(a) => sink.add(a, g.shape(), |da| {
+                    let s = &node.value;
+                    for i in 0..g.rows() {
+                        let (grow, srow) = (g.row(i), s.row(i));
+                        let dot: f64 = grow.iter().zip(srow).map(|(&gv, &sv)| gv * sv).sum();
+                        for ((d, &gv), &sv) in da.row_mut(i).iter_mut().zip(grow).zip(srow) {
+                            *d = sv * (gv - dot);
+                        }
+                    }
+                }),
+                Op::Log(a) => sink.add(a, g.shape(), |da| {
+                    zip_into(da, g, val(a), |g, x| g / x.max(1e-300))
+                }),
+                Op::ColMean(a) => {
+                    let (m, n) = shape(a);
+                    let scale = 1.0 / m as f64;
+                    sink.add(a, (m, n), |da| {
+                        for row in da.as_mut_slice().chunks_mut(n.max(1)) {
+                            for (d, &gv) in row.iter_mut().zip(g.as_slice()) {
+                                *d = gv * scale;
+                            }
+                        }
+                    });
+                }
+                Op::SumAll(a) => {
+                    let g0 = g.as_slice()[0];
+                    sink.add(a, shape(a), |da| da.as_mut_slice().fill(g0));
+                }
+                Op::MeanAll(a) => {
+                    let (m, n) = shape(a);
+                    let d = g.as_slice()[0] / (m * n) as f64;
+                    sink.add(a, (m, n), |da| da.as_mut_slice().fill(d));
+                }
+                Op::MseLoss(p, t) => {
+                    let (pv, tv) = (val(p), val(t));
+                    let coeff = 2.0 * g.as_slice()[0] / pv.as_slice().len() as f64;
+                    sink.add(p, pv.shape(), |dp| {
+                        zip_into(dp, pv, tv, |p, t| (p - t) * coeff)
+                    });
+                    sink.add(t, tv.shape(), |dt| {
+                        zip_into(dt, pv, tv, |p, t| -((p - t) * coeff))
+                    });
+                }
+                Op::CrossEntropyLogits(logits, target) => {
+                    let (soft, tv) = (&node.saved, val(target));
+                    let coeff = g.as_slice()[0] / soft.rows() as f64;
+                    // For soft targets with Σ_j t_ij = s_i,
+                    // dL/dz_ij = (s_i · softmax_ij − t_ij) / m.
+                    sink.add(logits, soft.shape(), |dz| {
+                        for i in 0..soft.rows() {
+                            let trow = tv.row(i);
+                            let tsum: f64 = trow.iter().sum();
+                            let pairs = soft.row(i).iter().zip(trow);
+                            for (d, (&s, &t)) in dz.row_mut(i).iter_mut().zip(pairs) {
+                                *d = coeff * (tsum * s - t);
+                            }
+                        }
+                    });
+                    sink.add(target, tv.shape(), |dt| {
+                        map_into(dt.as_mut_slice(), soft.as_slice(), |s| {
+                            -coeff * s.max(1e-300).ln()
+                        })
+                    });
+                }
+                Op::LayerNorm { x, gamma, beta } => {
+                    let (xhat, gv) = (&node.saved, val(gamma).as_slice());
+                    layer_norm_grad_sums(g, xhat, gv, dgamma, dbeta, row_sums);
+                    sink.add_copy(gamma, dgamma);
+                    sink.add_copy(beta, dbeta);
+                    sink.add(x, xhat.shape(), |dx| {
+                        layer_norm_grad_x(dx, g, xhat, gv, &node.per_row, row_sums)
+                    });
+                }
+                Op::Dropout(x) => sink.add(x, g.shape(), |dx| {
+                    kernel::vmul(g.as_slice(), node.saved.as_slice(), dx.as_mut_slice())
+                }),
+                Op::ConcatCols(a, b) => {
+                    let ac = val(a).cols();
+                    sink.add(a, shape(a), |da| {
+                        for i in 0..g.rows() {
+                            da.row_mut(i).copy_from_slice(&g.row(i)[..ac]);
+                        }
+                    });
+                    sink.add(b, shape(b), |db| {
+                        for i in 0..g.rows() {
+                            db.row_mut(i).copy_from_slice(&g.row(i)[ac..]);
+                        }
+                    });
+                }
+                Op::GatherCols(x) => sink.add(x, shape(x), |dx| {
+                    dx.as_mut_slice().fill(0.0);
+                    for i in 0..g.rows() {
+                        let dst = dx.row_mut(i);
+                        for (&c, &v) in node.cols.iter().zip(g.row(i)) {
+                            dst[c] += v;
+                        }
+                    }
+                }),
+            }
         }
     }
+}
 
-    /// Adds `delta` into the gradient buffer of `target` if that node
-    /// participates in differentiation. The first contribution moves the
-    /// buffer in; later ones accumulate in place — no per-contribution
-    /// allocation.
-    fn accumulate(&mut self, target: VarId, delta: Matrix) {
-        let node = &mut self.nodes[target.0];
-        if !node.needs_grad {
+/// The kept gradient of `v`: its parameter's slot for a parameter leaf,
+/// else its own.
+fn grad_slot<'a>(
+    nodes: &[Node],
+    grads: &'a mut [GradSlot],
+    params: &'a mut ParamGrads,
+    v: VarId,
+) -> &'a mut GradSlot {
+    match nodes[v.0].op {
+        Op::Param(id) => params.slot(id),
+        _ => &mut grads[v.0],
+    }
+}
+
+/// Where backward adds gradient contributions: the nodes below the one
+/// being propagated, and the parameter store.
+struct Sink<'a> {
+    nodes: &'a [Node],
+    grads: &'a mut [GradSlot],
+    params: &'a mut ParamGrads,
+    delta: &'a mut Matrix,
+}
+
+impl Sink<'_> {
+    /// Adds the contribution `write` computes to `v`'s gradient, unless
+    /// `v` takes none. `write` gets a buffer already shaped `shape` and
+    /// must set every element. The first contribution is written straight
+    /// into `v`'s kept gradient; a later one is written to scratch and
+    /// added with an exact `axpy(1.0, ·)`, so the gradient is the sum of
+    /// the contributions in the order backward reaches them.
+    fn add(&mut self, v: VarId, shape: (usize, usize), write: impl FnOnce(&mut Matrix)) {
+        if !self.nodes[v.0].needs_grad {
             return;
         }
-        match &mut node.grad {
-            Some(g) => {
-                debug_assert_eq!(g.shape(), delta.shape(), "gradient shape stable");
-                // Dispatched axpy with α = 1 — exact (1.0·x rounds to x),
-                // so gradient accumulation stays backend-independent.
-                fia_linalg::vecops::axpy(1.0, delta.as_slice(), g.as_mut_slice());
-            }
-            None => node.grad = Some(delta),
+        let slot = grad_slot(self.nodes, self.grads, self.params, v);
+        if slot.live {
+            debug_assert_eq!(slot.buf.shape(), shape, "gradient shape stable");
+            self.delta.resize(shape.0, shape.1);
+            write(self.delta);
+            kernel::axpy(1.0, self.delta.as_slice(), slot.buf.as_mut_slice());
+        } else {
+            slot.buf.resize(shape.0, shape.1);
+            write(&mut slot.buf);
+            slot.live = true;
         }
     }
 
-    /// Like [`Tape::accumulate`] but borrows the upstream gradient,
-    /// cloning only when `target` has no buffer yet. This is the fast path
-    /// for pass-through ops (`Add`, `Sub`, `AddScalar`,
-    /// `AddRowBroadcast`) whose local Jacobian is the identity: fan-out
-    /// nodes accumulate in place instead of cloning the gradient per
-    /// branch.
-    fn accumulate_ref(&mut self, target: VarId, delta: &Matrix) {
-        let node = &mut self.nodes[target.0];
-        if !node.needs_grad {
+    /// Adds `g` itself to `v`'s gradient: the rule of every op whose
+    /// local Jacobian is the identity.
+    fn add_copy(&mut self, v: VarId, g: &Matrix) {
+        if !self.nodes[v.0].needs_grad {
             return;
         }
-        match &mut node.grad {
-            Some(g) => {
-                debug_assert_eq!(g.shape(), delta.shape(), "gradient shape stable");
-                fia_linalg::vecops::axpy(1.0, delta.as_slice(), g.as_mut_slice());
-            }
-            None => node.grad = Some(delta.clone()),
+        let slot = grad_slot(self.nodes, self.grads, self.params, v);
+        if slot.live {
+            debug_assert_eq!(slot.buf.shape(), g.shape(), "gradient shape stable");
+            kernel::axpy(1.0, g.as_slice(), slot.buf.as_mut_slice());
+        } else {
+            slot.buf.clone_from(g);
+            slot.live = true;
         }
     }
+}
 
-    fn propagate(&mut self, idx: usize, g: &Matrix) {
-        // Clone the cheap metadata out of the op to avoid aliasing;
-        // heavyweight saved matrices are borrowed immutably first.
-        match &self.nodes[idx].op {
-            Op::Input | Op::Param(_) => {}
-            Op::MatMul(a, b) => {
-                let (a, b) = (*a, *b);
-                let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                // dA = g·Bᵀ and dB = Aᵀ·g; the kernel forms each transposed
-                // operand inside its packing.
-                let da = self.needs(a).then(|| g.matmul_transposed(bv));
-                let db = self.needs(b).then(|| av.transpose_matmul(g));
-                if let Some(da) = da {
-                    self.accumulate(a, da.expect("shapes consistent"));
-                }
-                if let Some(db) = db {
-                    self.accumulate(b, db.expect("shapes consistent"));
-                }
-            }
-            Op::Add(a, b) => {
-                let (a, b) = (*a, *b);
-                self.accumulate_ref(a, g);
-                self.accumulate_ref(b, g);
-            }
-            Op::Sub(a, b) => {
-                let (a, b) = (*a, *b);
-                self.accumulate_ref(a, g);
-                if self.needs(b) {
-                    self.accumulate(b, g.scale(-1.0));
-                }
-            }
-            Op::Hadamard(a, b) => {
-                let (a, b) = (*a, *b);
-                if self.needs(a) {
-                    let da = g.hadamard(&self.nodes[b.0].value).expect("shape");
-                    self.accumulate(a, da);
-                }
-                if self.needs(b) {
-                    let db = g.hadamard(&self.nodes[a.0].value).expect("shape");
-                    self.accumulate(b, db);
-                }
-            }
-            Op::AddRowBroadcast(a, bias) => {
-                let (a, bias) = (*a, *bias);
-                self.accumulate_ref(a, g);
-                if self.needs(bias) {
-                    self.accumulate(bias, col_sums(g));
-                }
-            }
-            Op::Scale(a, c) => {
-                let (a, c) = (*a, *c);
-                self.accumulate(a, g.scale(c));
-            }
-            Op::AddScalar(a) => {
-                let a = *a;
-                self.accumulate_ref(a, g);
-            }
-            Op::Relu(a) => {
-                let a = *a;
-                let x = &self.nodes[a.0].value;
-                let da = zip_map(g, x, |g, x| if x > 0.0 { g } else { 0.0 });
-                self.accumulate(a, da);
-            }
-            Op::LeakyRelu(a, alpha) => {
-                let (a, alpha) = (*a, *alpha);
-                let x = &self.nodes[a.0].value;
-                let da = zip_map(g, x, |g, x| if x > 0.0 { g } else { alpha * g });
-                self.accumulate(a, da);
-            }
-            Op::Sigmoid(a) => {
-                let a = *a;
-                let y = &self.nodes[idx].value;
-                let da = zip_map(g, y, |g, s| g * s * (1.0 - s));
-                self.accumulate(a, da);
-            }
-            Op::Tanh(a) => {
-                let a = *a;
-                let y = &self.nodes[idx].value;
-                let da = zip_map(g, y, |g, t| g * (1.0 - t * t));
-                self.accumulate(a, da);
-            }
-            Op::SoftmaxRows(a) => {
-                let a = *a;
-                let s = &self.nodes[idx].value;
-                let mut da = Matrix::zeros(g.rows(), g.cols());
-                for i in 0..g.rows() {
-                    let dot: f64 = g
-                        .row(i)
-                        .iter()
-                        .zip(s.row(i).iter())
-                        .map(|(&gv, &sv)| gv * sv)
-                        .sum();
-                    for j in 0..g.cols() {
-                        da[(i, j)] = s[(i, j)] * (g[(i, j)] - dot);
-                    }
-                }
-                self.accumulate(a, da);
-            }
-            Op::Log(a) => {
-                let a = *a;
-                let x = &self.nodes[a.0].value;
-                let da = zip_map(g, x, |g, x| g / x.max(1e-300));
-                self.accumulate(a, da);
-            }
-            Op::ColMean(a) => {
-                let a = *a;
-                let m = self.nodes[a.0].value.rows();
-                let scale = 1.0 / m as f64;
-                let da = Matrix::from_fn(m, g.cols(), |_, j| g[(0, j)] * scale);
-                self.accumulate(a, da);
-            }
-            Op::SumAll(a) => {
-                let a = *a;
-                let (m, n) = self.nodes[a.0].value.shape();
-                let da = Matrix::filled(m, n, g[(0, 0)]);
-                self.accumulate(a, da);
-            }
-            Op::MeanAll(a) => {
-                let a = *a;
-                let (m, n) = self.nodes[a.0].value.shape();
-                let da = Matrix::filled(m, n, g[(0, 0)] / (m * n) as f64);
-                self.accumulate(a, da);
-            }
-            Op::MseLoss(p, t) => {
-                let (p, t) = (*p, *t);
-                let n = self.nodes[p.0].value.as_slice().len() as f64;
-                let coeff = 2.0 * g[(0, 0)] / n;
-                let diff = {
-                    let pv = &self.nodes[p.0].value;
-                    let tv = &self.nodes[t.0].value;
-                    pv.sub(tv).expect("mse shapes equal").scale(coeff)
-                };
-                let neg = self.needs(t).then(|| diff.scale(-1.0));
-                if self.needs(p) {
-                    self.accumulate(p, diff);
-                }
-                if let Some(neg) = neg {
-                    self.accumulate(t, neg);
-                }
-            }
-            Op::CrossEntropyLogits {
-                logits,
-                target,
-                softmax,
-            } => {
-                let (logits, target) = (*logits, *target);
-                let tv = &self.nodes[target.0].value;
-                let coeff = g[(0, 0)] / softmax.rows() as f64;
-                // For soft targets with Σ_j t_ij = s_i,
-                // dL/dz_ij = (s_i · softmax_ij − t_ij) / m.
-                let dz = self.needs(logits).then(|| {
-                    let mut dz = Matrix::zeros(softmax.rows(), softmax.cols());
-                    for i in 0..softmax.rows() {
-                        let trow = tv.row(i);
-                        let tsum: f64 = trow.iter().sum();
-                        let pairs = softmax.row(i).iter().zip(trow);
-                        for (d, (&s, &t)) in dz.row_mut(i).iter_mut().zip(pairs) {
-                            *d = coeff * (tsum * s - t);
-                        }
-                    }
-                    dz
-                });
-                let dt = self
-                    .needs(target)
-                    .then(|| softmax.map(|s| -coeff * s.max(1e-300).ln()));
-                if let Some(dz) = dz {
-                    self.accumulate(logits, dz);
-                }
-                if let Some(dt) = dt {
-                    self.accumulate(target, dt);
-                }
-            }
-            Op::LayerNorm {
-                x,
-                gamma,
-                beta,
-                xhat,
-                inv_std,
-            } => {
-                let (x, gamma, beta) = (*x, *gamma, *beta);
-                let gv = self.nodes[gamma.0].value.row(0);
-                let n = xhat.cols();
-                let dg = self.needs(gamma).then(|| {
-                    let mut dg = Matrix::zeros(1, n);
-                    for i in 0..xhat.rows() {
-                        let terms = g.row(i).iter().zip(xhat.row(i));
-                        for (d, (&gij, &h)) in dg.as_mut_slice().iter_mut().zip(terms) {
-                            *d += gij * h;
-                        }
-                    }
-                    dg
-                });
-                let db = self.needs(beta).then(|| col_sums(g));
-                // Standard LayerNorm backward:
-                // dx̂ = g ⊙ γ;
-                // dx = (dx̂ − mean(dx̂) − x̂ ⊙ mean(dx̂ ⊙ x̂)) · invσ
-                let dx = self.needs(x).then(|| {
-                    let mut dx = Matrix::zeros(xhat.rows(), n);
-                    for (i, &istd) in inv_std.iter().enumerate() {
-                        let (grow, hrow) = (g.row(i), xhat.row(i));
-                        let mut sum_dxhat = 0.0;
-                        let mut sum_dxhat_xhat = 0.0;
-                        for ((&gij, &gj), &h) in grow.iter().zip(gv).zip(hrow) {
-                            let dxh = gij * gj;
-                            sum_dxhat += dxh;
-                            sum_dxhat_xhat += dxh * h;
-                        }
-                        let mean_dxhat = sum_dxhat / n as f64;
-                        let mean_dxhat_xhat = sum_dxhat_xhat / n as f64;
-                        let terms = grow.iter().zip(gv).zip(hrow);
-                        for (d, ((&gij, &gj), &h)) in dx.row_mut(i).iter_mut().zip(terms) {
-                            let dxh = gij * gj;
-                            *d = (dxh - mean_dxhat - h * mean_dxhat_xhat) * istd;
-                        }
-                    }
-                    dx
-                });
-                if let Some(dg) = dg {
-                    self.accumulate(gamma, dg);
-                }
-                if let Some(db) = db {
-                    self.accumulate(beta, db);
-                }
-                if let Some(dx) = dx {
-                    self.accumulate(x, dx);
-                }
-            }
-            Op::Dropout { x, mask } => {
-                let x = *x;
-                let da = g.hadamard(mask).expect("mask shape matches");
-                self.accumulate(x, da);
-            }
-            Op::ConcatCols(a, b) => {
-                let (a, b) = (*a, *b);
-                let ac = self.nodes[a.0].value.cols();
-                if self.needs(a) {
-                    let cols: Vec<usize> = (0..ac).collect();
-                    let da = g.select_columns(&cols).expect("in range");
-                    self.accumulate(a, da);
-                }
-                if self.needs(b) {
-                    let cols: Vec<usize> = (ac..g.cols()).collect();
-                    let db = g.select_columns(&cols).expect("in range");
-                    self.accumulate(b, db);
-                }
-            }
-            Op::GatherCols { x, cols } => {
-                let x = *x;
-                let mut dx = Matrix::zeros(g.rows(), self.nodes[x.0].value.cols());
-                for i in 0..g.rows() {
-                    let dst = dx.row_mut(i);
-                    for (&c, &v) in cols.iter().zip(g.row(i)) {
-                        dst[c] += v;
-                    }
-                }
-                self.accumulate(x, dx);
-            }
-        }
+// ----------------------------------------------------------------------
+// Loops behind the ops
+// ----------------------------------------------------------------------
+
+/// `out = a · b` into a kept buffer: the bits of `Matrix::matmul`.
+fn gemm_into(out: &mut Matrix, a: &Matrix, b: &Matrix) {
+    let ((m, k), n) = (a.shape(), b.cols());
+    assert_eq!(k, b.rows(), "tape matmul: shape mismatch");
+    out.resize(m, n);
+    out.as_mut_slice().fill(0.0);
+    kernel::gemm_acc(a.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
+}
+
+/// `out = a · btᵀ` into `out`, already shaped `a.rows() × bt.rows()`:
+/// the bits of `Matrix::matmul_transposed`.
+fn gemm_tn_into(out: &mut Matrix, a: &Matrix, bt: &Matrix) {
+    let ((m, k), n) = (a.shape(), bt.rows());
+    debug_assert_eq!(out.shape(), (m, n));
+    out.as_mut_slice().fill(0.0);
+    kernel::gemm_tn_acc(a.as_slice(), bt.as_slice(), out.as_mut_slice(), m, k, n);
+}
+
+/// `out = atᵀ · b` into `out`, already shaped `at.cols() × b.cols()`:
+/// the bits of `Matrix::transpose_matmul`.
+fn gemm_at_into(out: &mut Matrix, at: &Matrix, b: &Matrix) {
+    let ((k, m), n) = (at.shape(), b.cols());
+    debug_assert_eq!(out.shape(), (m, n));
+    out.as_mut_slice().fill(0.0);
+    kernel::gemm_at_acc(at.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
+}
+
+fn check_bias(x: &Matrix, bias: &Matrix) {
+    assert_eq!(bias.rows(), 1, "bias must be a row vector");
+    assert_eq!(x.cols(), bias.cols(), "bias width mismatch");
+}
+
+/// `out[i] = f(a[i])`.
+fn map_into(out: &mut [f64], a: &[f64], f: impl Fn(f64) -> f64) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x);
     }
 }
 
 /// `out[i] = f(g[i], x[i])` over two same-shape matrices: one pass over
 /// contiguous slices, which vectorizes when `f` is a branch-free select
 /// or arithmetic (the activation backward rules).
-fn zip_map(g: &Matrix, x: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
-    debug_assert_eq!(g.shape(), x.shape(), "zip_map: shape mismatch");
-    let data = g
-        .as_slice()
-        .iter()
+fn zip_into(out: &mut Matrix, g: &Matrix, x: &Matrix, f: impl Fn(f64, f64) -> f64) {
+    debug_assert_eq!(g.shape(), x.shape(), "zip_into: shape mismatch");
+    for ((o, &g), &x) in out
+        .as_mut_slice()
+        .iter_mut()
+        .zip(g.as_slice())
         .zip(x.as_slice())
-        .map(|(&g, &x)| f(g, x))
-        .collect();
-    Matrix::from_vec(g.rows(), g.cols(), data).expect("shape preserved")
+    {
+        *o = f(g, x);
+    }
 }
 
-/// Column sums `[m×n] → [1×n]`, accumulated row by row from zero.
-fn col_sums(a: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(1, a.cols());
-    for i in 0..a.rows() {
-        for (o, &v) in out.as_mut_slice().iter_mut().zip(a.row(i)) {
+/// Adds the bias row `b` to every row of the row-major `out`.
+fn add_bias_rows(out: &mut [f64], b: &[f64]) {
+    for row in out.chunks_mut(b.len().max(1)) {
+        for (o, &bv) in row.iter_mut().zip(b) {
+            *o += bv;
+        }
+    }
+}
+
+/// Column sums `[m×n] → [1×n]` into `out`, accumulated row by row from
+/// zero.
+fn col_sums_into(out: &mut Matrix, a: &Matrix) {
+    out.resize(1, a.cols());
+    let acc = out.as_mut_slice();
+    acc.fill(0.0);
+    for row in a.as_slice().chunks(acc.len().max(1)) {
+        for (o, &v) in acc.iter_mut().zip(row) {
             *o += v;
         }
     }
-    out
+}
+
+/// LayerNorm forward into the kept value, x̂ and 1/σ buffers (already
+/// shaped). Rows go four at a time so four independent sums are in
+/// flight; each row still sums its own elements in ascending column
+/// order from `-0.0`, the start of `Iterator::sum`, so the statistics
+/// are the bits of `vecops::mean` and a per-row variance fold.
+fn layer_norm_rows(
+    x: &Matrix,
+    gamma: &[f64],
+    beta: &[f64],
+    eps: f64,
+    out: &mut Matrix,
+    xhat: &mut Matrix,
+    inv_std: &mut [f64],
+) {
+    let m = x.rows();
+    let mut i = 0;
+    while i + 4 <= m {
+        layer_norm_block::<4>(x, gamma, beta, eps, out, xhat, inv_std, i);
+        i += 4;
+    }
+    while i < m {
+        layer_norm_block::<1>(x, gamma, beta, eps, out, xhat, inv_std, i);
+        i += 1;
+    }
+}
+
+// Index loops on purpose: each `j` step advances all `R` rows' sums.
+#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[inline(always)]
+fn layer_norm_block<const R: usize>(
+    x: &Matrix,
+    gamma: &[f64],
+    beta: &[f64],
+    eps: f64,
+    out: &mut Matrix,
+    xhat: &mut Matrix,
+    inv_std: &mut [f64],
+    i0: usize,
+) {
+    let n = x.cols();
+    let rows: [&[f64]; R] = std::array::from_fn(|t| x.row(i0 + t));
+    let mut sum = [-0.0; R];
+    for j in 0..n {
+        for t in 0..R {
+            sum[t] += rows[t][j];
+        }
+    }
+    let mu = sum.map(|s| s / n as f64);
+    let mut sq = [-0.0; R];
+    for j in 0..n {
+        for t in 0..R {
+            let d = rows[t][j] - mu[t];
+            sq[t] += d * d;
+        }
+    }
+    for t in 0..R {
+        let istd = 1.0 / (sq[t] / n as f64 + eps).sqrt();
+        inv_std[i0 + t] = istd;
+        let hrow = xhat.row_mut(i0 + t);
+        for (h, &v) in hrow.iter_mut().zip(rows[t]) {
+            *h = (v - mu[t]) * istd;
+        }
+        let affine = gamma.iter().zip(beta);
+        for ((o, &h), (&gj, &bj)) in out.row_mut(i0 + t).iter_mut().zip(&*hrow).zip(affine) {
+            *o = gj * h + bj;
+        }
+    }
+}
+
+/// LayerNorm backward, first pass: dγ = Σ_i g ⊙ x̂ and dβ = Σ_i g (each
+/// column from zero, rows ascending) together with each row's `Σ dx̂` and
+/// `Σ dx̂·x̂` (`dx̂ = g ⊙ γ`, columns ascending from zero), four rows at a
+/// time.
+fn layer_norm_grad_sums(
+    g: &Matrix,
+    xhat: &Matrix,
+    gamma: &[f64],
+    dgamma: &mut Matrix,
+    dbeta: &mut Matrix,
+    row_sums: &mut Vec<f64>,
+) {
+    let (m, n) = xhat.shape();
+    dgamma.resize(1, n);
+    dbeta.resize(1, n);
+    dgamma.as_mut_slice().fill(0.0);
+    dbeta.as_mut_slice().fill(0.0);
+    row_sums.resize(2 * m, 0.0);
+    let (dg, db) = (dgamma.as_mut_slice(), dbeta.as_mut_slice());
+    let mut i = 0;
+    while i + 4 <= m {
+        layer_norm_grad_block::<4>(g, xhat, gamma, dg, db, row_sums, i);
+        i += 4;
+    }
+    while i < m {
+        layer_norm_grad_block::<1>(g, xhat, gamma, dg, db, row_sums, i);
+        i += 1;
+    }
+}
+
+#[inline(always)]
+fn layer_norm_grad_block<const R: usize>(
+    g: &Matrix,
+    xhat: &Matrix,
+    gamma: &[f64],
+    dg: &mut [f64],
+    db: &mut [f64],
+    row_sums: &mut [f64],
+    i0: usize,
+) {
+    let n = gamma.len();
+    let grows: [&[f64]; R] = std::array::from_fn(|t| &g.row(i0 + t)[..n]);
+    let hrows: [&[f64]; R] = std::array::from_fn(|t| &xhat.row(i0 + t)[..n]);
+    let (dg, db) = (&mut dg[..n], &mut db[..n]);
+    let (mut s1, mut s2) = ([0.0; R], [0.0; R]);
+    for j in 0..n {
+        for t in 0..R {
+            let (gij, h) = (grows[t][j], hrows[t][j]);
+            dg[j] += gij * h;
+            db[j] += gij;
+            let dxh = gij * gamma[j];
+            s1[t] += dxh;
+            s2[t] += dxh * h;
+        }
+    }
+    for t in 0..R {
+        row_sums[2 * (i0 + t)] = s1[t];
+        row_sums[2 * (i0 + t) + 1] = s2[t];
+    }
+}
+
+/// LayerNorm backward, second pass:
+/// `dx = (dx̂ − mean(dx̂) − x̂ ⊙ mean(dx̂ ⊙ x̂)) · 1/σ` per row.
+fn layer_norm_grad_x(
+    dx: &mut Matrix,
+    g: &Matrix,
+    xhat: &Matrix,
+    gamma: &[f64],
+    inv_std: &[f64],
+    row_sums: &[f64],
+) {
+    let n = xhat.cols() as f64;
+    for (i, &istd) in inv_std.iter().enumerate() {
+        let (mean_dxhat, mean_dxhat_xhat) = (row_sums[2 * i] / n, row_sums[2 * i + 1] / n);
+        let terms = g.row(i).iter().zip(gamma).zip(xhat.row(i));
+        for (d, ((&gij, &gj), &h)) in dx.row_mut(i).iter_mut().zip(terms) {
+            let dxh = gij * gj;
+            *d = (dxh - mean_dxhat - h * mean_dxhat_xhat) * istd;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1352,5 +1653,204 @@ mod tests {
         assert!((g[(0, 0)] - (1.0 - th * th)).abs() < 1e-12);
         // Negative branch picks up the 0.1 slope.
         assert!((g[(0, 1)] - 0.1 * (1.0 - th * th)).abs() < 1e-12);
+    }
+
+    // ------------------------------------------------------------------
+    // Kept buffers: a reset tape must give the bits of a fresh one.
+    // ------------------------------------------------------------------
+
+    /// Every recorded value and gradient, in node order, as bit patterns.
+    fn snapshot(tape: &Tape) -> Vec<(Vec<u64>, Option<Vec<u64>>)> {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+        (0..tape.len())
+            .map(|i| {
+                let v = VarId(i);
+                (bits(tape.value(v)), tape.grad(v).map(bits))
+            })
+            .collect()
+    }
+
+    /// A GRNA-shaped step over mini-batch `rows`, touching every op:
+    /// generator layers with LayerNorm and dropout, the gathered model
+    /// input, both losses and the penalties.
+    fn record_step(
+        tape: &mut Tape,
+        params: &Params,
+        ids: [ParamId; 7],
+        frozen: &Matrix,
+        data: &Matrix,
+        rows: &[usize],
+        rng: &mut StdRng,
+    ) -> VarId {
+        let m = rows.len();
+        let x = tape.input_rows(data, rows);
+        let r = tape.input_with(m, 3, |v| {
+            v.iter_mut().for_each(|e| *e = rng.gen_range(-1.0..1.0))
+        });
+        let gen_in = tape.concat_cols(x, r);
+        let [w1, b1, g1, be1, w2, b2, wm] = ids.map(|id| tape.param(params, id));
+        let h = tape.linear(gen_in, w1, b1);
+        let h = tape.layer_norm(h, g1, be1, 1e-5);
+        let h = tape.relu(h);
+        let h = tape.dropout(h, 0.25, rng);
+        let xhat = tape.linear(h, w2, b2);
+        let cat = tape.concat_cols(x, xhat);
+        let full = tape.gather_cols(cat, &[7, 0, 5, 1, 2, 6, 3, 4]);
+        let frozen = tape.input_copy(frozen);
+        let z = tape.matmul(full, frozen);
+        let z = tape.matmul(z, wm);
+        let probs = tape.softmax_rows(z);
+        let target = tape.input_rows(data, rows);
+        let target = tape.slice_cols(target, 0, 4);
+        let target = tape.sigmoid(target);
+        let fit = tape.mse_loss(probs, target);
+        let ce = tape.cross_entropy_logits(z, target);
+        let pen = tape.variance_penalty(xhat, 0.05);
+        let over = tape.add_scalar(xhat, -1.0);
+        let over = tape.leaky_relu(over, 0.1);
+        let under = tape.scale(xhat, -1.0);
+        let under = tape.tanh(under);
+        let range = tape.sub(over, under);
+        let range = tape.hadamard(range, range);
+        let range = tape.mean_all(range);
+        let pos = tape.add_scalar(probs, 1.0);
+        let logs = tape.log(pos);
+        let logs = tape.sum_all(logs);
+        let loss = tape.add(fit, ce);
+        let loss = tape.add(loss, pen);
+        let loss = tape.add(loss, range);
+        tape.add(loss, logs)
+    }
+
+    #[test]
+    fn reset_tape_matches_a_fresh_tape_bitwise() {
+        // A full batch, the 54-row last batch of an epoch, then a full
+        // batch again: the kept buffers shrink and grow, and every value
+        // and gradient must still be the bits a fresh tape computes.
+        let data = operand(200, 5, 1);
+        let mut params = Params::new();
+        let ids = [
+            operand(8, 16, 2),
+            operand(1, 16, 3),
+            operand(1, 16, 4),
+            operand(1, 16, 5),
+            operand(16, 3, 6),
+            operand(1, 3, 7),
+            operand(4, 4, 8),
+        ]
+        .map(|p| params.insert(p));
+        // The frozen model weights enter as a copied constant.
+        let frozen = params.insert(operand(8, 4, 9));
+        let batches: [Vec<usize>; 3] = [
+            (0..64).map(|i| (i * 7) % 200).collect(),
+            (0..54).map(|i| (i * 3 + 1) % 200).collect(),
+            (100..164).collect(),
+        ];
+        for backend in backends() {
+            fia_linalg::with_backend(backend, || {
+                let mut kept = Tape::new();
+                for (s, rows) in batches.iter().enumerate() {
+                    kept.reset();
+                    let mut rng = StdRng::seed_from_u64(s as u64);
+                    let loss = record_step(
+                        &mut kept,
+                        &params,
+                        ids,
+                        params.get(frozen),
+                        &data,
+                        rows,
+                        &mut rng,
+                    );
+                    kept.backward(loss);
+
+                    let mut fresh = Tape::new();
+                    let mut rng = StdRng::seed_from_u64(s as u64);
+                    let loss = record_step(
+                        &mut fresh,
+                        &params,
+                        ids,
+                        params.get(frozen),
+                        &data,
+                        rows,
+                        &mut rng,
+                    );
+                    fresh.backward(loss);
+
+                    assert_eq!(kept.len(), fresh.len());
+                    assert!(
+                        snapshot(&kept) == snapshot(&fresh),
+                        "{backend:?} step {s}: a kept buffer changed a value or gradient"
+                    );
+                    let grads = |t: &Tape| {
+                        t.param_grads()
+                            .iter()
+                            .map(|(id, g)| {
+                                (
+                                    id,
+                                    g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                )
+                            })
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(grads(&kept), grads(&fresh), "{backend:?} step {s}");
+                    assert_eq!(kept.param_grads().len(), 7);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn linear_matches_matmul_then_bias_broadcast_bitwise() {
+        // GRNA's generator shapes (a full and a short batch, the
+        // pack-free and the narrow GEMM paths) and two tiny ones.
+        let shapes = [
+            (64, 12, 96),
+            (54, 96, 48),
+            (64, 24, 4),
+            (6, 5, 1),
+            (1, 9, 3),
+        ];
+        for backend in backends() {
+            for (s, &(m, k, n)) in shapes.iter().enumerate() {
+                let seed = 200 + 10 * s as u64;
+                let (x, w, b) = (
+                    operand(m, k, seed),
+                    operand(k, n, seed + 1),
+                    operand(1, n, seed + 2),
+                );
+                let up = operand(m, n, seed + 3);
+                let run = |fused: bool| {
+                    let mut params = Params::new();
+                    let ids = [x.clone(), w.clone(), b.clone()].map(|p| params.insert(p));
+                    let mut tape = Tape::new();
+                    let [xv, wv, bv] = ids.map(|id| tape.param(&params, id));
+                    let y = if fused {
+                        tape.linear(xv, wv, bv)
+                    } else {
+                        let xw = tape.matmul(xv, wv);
+                        tape.add_row_broadcast(xw, bv)
+                    };
+                    let u = tape.input(up.clone());
+                    let weighted = tape.hadamard(y, u);
+                    let loss = tape.sum_all(weighted);
+                    tape.backward(loss);
+                    [y, xv, wv, bv].map(|v| {
+                        let m = if v == y {
+                            tape.value(v)
+                        } else {
+                            tape.grad(v).unwrap()
+                        };
+                        m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    })
+                };
+                let (fused, pair) = fia_linalg::with_backend(backend, || (run(true), run(false)));
+                for (what, (f, p)) in ["forward", "dx", "dw", "db"]
+                    .iter()
+                    .zip(fused.iter().zip(&pair))
+                {
+                    assert!(f == p, "{backend:?} {:?}: linear {what} differs", (m, k, n));
+                }
+            }
+        }
     }
 }

@@ -146,14 +146,14 @@ fn sgd_descends_quadratic() {
             tape.value(l)[(0, 0)]
         };
         let before = loss_at(&params);
+        let mut tape = Tape::new();
         for _ in 0..5 {
-            let mut tape = Tape::new();
+            tape.reset();
             let wv = tape.param(&params, w);
-            let tv = tape.input(target.clone());
+            let tv = tape.input_copy(&target);
             let l = tape.mse_loss(wv, tv);
             tape.backward(l);
-            let grads = tape.param_grads();
-            opt.step(&mut params, &grads);
+            opt.step(&mut params, tape.param_grads());
         }
         let after = loss_at(&params);
         assert!(after <= before + 1e-12, "loss rose: {before} → {after}");
@@ -170,14 +170,14 @@ fn adam_reaches_optimum() {
         let mut params = Params::new();
         let w = params.insert(Matrix::zeros(1, 3));
         let mut opt = Adam::new(0.05);
+        let mut tape = Tape::new();
         for _ in 0..400 {
-            let mut tape = Tape::new();
+            tape.reset();
             let wv = tape.param(&params, w);
-            let tv = tape.input(target.clone());
+            let tv = tape.input_copy(&target);
             let l = tape.mse_loss(wv, tv);
             tape.backward(l);
-            let grads = tape.param_grads();
-            opt.step(&mut params, &grads);
+            opt.step(&mut params, tape.param_grads());
         }
         let dist = params.get(w).max_abs_diff(&target).unwrap();
         assert!(dist < 1e-2, "distance to optimum {dist} (case = {case})");
