@@ -1,12 +1,11 @@
 //! x86-64 AVX2 arm.
 //!
-//! Each product takes one of three paths, chosen by its shape alone:
+//! Each product takes one of two paths, chosen by its output width:
 //!
 //! 1. **Narrow** — an output at most [`NARROW_N`] = 4 columns wide.
-//! 2. **Single panel** — a wider product that fits one GEBP block
-//!    (`k ≤ KC`, `n ≤ NC`), except a `gemm_at_acc` whose transposed A
-//!    holds more than [`IN_PLACE_MAX`] values.
-//! 3. **GEBP** — everything else.
+//! 2. **Tiled** — anything wider: GEBP blocks swept by one 4×8 tile.
+//!    A product that fits one block reads what it can in place instead
+//!    of packing it (the pack-free single-panel case).
 //!
 //! **Narrow path** (no packing, no allocation). Each ymm holds four
 //! consecutive output rows of one column. The left factor is read where
@@ -18,36 +17,35 @@
 //! last block, rows past `m` re-read the last row of A and are never
 //! stored.
 //!
-//! **Single-panel path** (A never packed). GEBP would pack B once and
-//! each 4-row A strip once for the whole product, so the path skips the
-//! copies it can: the 4×8 tile broadcasts A from four row pointers in
-//! place (for `gemm_at_acc`, four adjacent values per `k` of the
-//! transposed factor), clamped to the last row past `m` and never
-//! stored. A row-major B of at most [`IN_PLACE_MAX`] values (64 KiB,
-//! which stays cache resident while every strip re-reads it) is read in
-//! place with masked loads at the right edge; a larger one, and the
-//! transposed B of [`gemm_tn_acc`], are packed once into the per-thread
-//! panel. GRNA's generator and frozen-model products all take this path
-//! with nothing packed but `gemm_tn_acc`'s B.
+//! **Tiled path.** The product runs in GEBP blocks of `KC` steps of `k`
+//! by `NC` columns. In each block a register-blocked 4×8 tile sweeps
+//! every `MR`-row strip of A against every `NR`-column strip of B, with
+//! the output block held in ymm registers; edge columns use
+//! `maskload`/`maskstore`, so edge tiles never touch memory outside the
+//! output buffer. The tile broadcasts A from four row pointers and loads
+//! B from one, each advancing by its own stride per `k` step, so each
+//! operand is read either in place or from a packed copy:
 //!
-//! **GEBP path.** Operands are packed into panel buffers (`MR`-row
-//! strips of A, `NR`-column strips of B, zero-padded at the edges) and a
-//! register-blocked 4×8 microkernel sweeps each tile with the output
-//! block held in ymm registers. Remainder rows ride the zero-padding;
-//! remainder columns use `maskload`/`maskstore` so edge tiles never
-//! touch memory outside the output buffer. The panels live in one
-//! per-thread scratch buffer that grows to the largest panel the thread
-//! has packed, at most `KC×NC + MR×KC` f64 (about 1 MiB), and is never
-//! zeroed between products: the packers write every slot the
-//! microkernel reads, padding included. A strided operand past
-//! [`IN_PLACE_MAX`] (a large transposed A, or a large B) is where this
-//! packing pays: read in place, its rows stream worse than a panel.
+//! - In a product that spans several blocks, every A strip and B panel
+//!   is packed (zero-padded at the edges) into one per-thread scratch
+//!   buffer. It grows to the largest panel the thread has packed, at
+//!   most `KC×NC + MR×KC` f64 (about 1 MiB), and is never zeroed
+//!   between products: the packers write every slot the tile reads.
+//! - A product that fits one block (`k ≤ KC`, `n ≤ NC`) reads a
+//!   row-major A in place, rows past `m` clamped to the last row and
+//!   never stored. It reads a transposed A (of [`gemm_at_acc`], four
+//!   adjacent values per `k`) in place only while [`at_in_place`]
+//!   holds, and a row-major B of at most [`B_IN_PLACE_MAX`] values in
+//!   place with masked loads at the right edge. It packs any other
+//!   operand once, the transposed B of [`gemm_tn_acc`] included. Every
+//!   GRNA training product is such a product, with nothing packed but
+//!   `gemm_tn_acc`'s B.
 //!
 //! Ordering contract (see the module docs on [`super`]): every path
 //! keeps each output element in a register as the running total. It
 //! loads `out`, adds one separately-rounded `a·b` product per `k` step
-//! in ascending order, and stores at the end (the GEBP path at each
-//! panel boundary; store/reload is exact). That is precisely the scalar
+//! in ascending order, and stores at the end (the tiled path at each
+//! block boundary; store/reload is exact). That is precisely the scalar
 //! arm's per-element accumulation sequence, so f64 results match the
 //! scalar arm bit-for-bit (up to the sign of exact zeros: the scalar arm
 //! skips `a_ik == 0` terms, this arm adds the signed-zero product). No
@@ -69,15 +67,14 @@ const KC: usize = 256;
 /// `j`-panel width: one packed B panel (`KC × NC` f64 = 1 MiB) stays L2
 /// resident across all row strips.
 const NC: usize = 512;
-/// Widest output the narrow path serves: half the GEBP tile, below
+/// Widest output the narrow path serves: half the tile width, below
 /// which that tile would run with most of its lanes masked off.
 const NARROW_N: usize = NR / 2;
-/// Largest strided operand the single-panel path reads in place, in
-/// f64 values (64 KiB): a row-major B (`k·n`), or the transposed A of
-/// `gemm_at_acc` (`m·k`). Up to about this size the operand stays in L1
-/// and L2 while every tile re-reads it, so packing it only adds a copy;
-/// beyond it the strided rows stream worse than a packed panel.
-const IN_PLACE_MAX: usize = 8192;
+/// Largest row-major B, in f64 values (64 KiB), that a one-block product
+/// reads in place. Every A strip re-reads all of B; up to about this
+/// size B stays cache resident, so packing it only adds a copy, and
+/// beyond it its rows, `n` values apart, stream worse than a panel.
+const B_IN_PLACE_MAX: usize = 8192;
 
 /// Builds a lane mask selecting the first `lanes` of 4 f64 lanes.
 #[inline]
@@ -129,48 +126,34 @@ unsafe fn store2(p: *mut f64, nr: usize, ml: __m256i, mh: __m256i, v0: __m256d, 
 pub(super) fn gemm_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     if n <= NARROW_N {
         narrow::<false>(&Narrow::new(a, b, m, k, n, n, 1), out);
-    } else if one_block(k, n) {
-        single_panel::<false>(a, PanelB::RowMajor(b), out, m, k, n);
     } else {
         gemm_driver(a, b, out, m, k, n, false, false);
     }
 }
 
 /// `out += a · btᵀ` (`bt` is the transposed right factor, `n × k`).
-/// The narrow path broadcasts from `bt` directly; the other two paths
-/// transpose `bt` in the B packing, so the same tile runs.
+/// The narrow path broadcasts from `bt` directly; the tiled path
+/// transposes `bt` in the B packing, so the same tile runs.
 #[target_feature(enable = "avx2")]
 pub(super) fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     if n <= NARROW_N {
         narrow::<false>(&Narrow::new(a, bt, m, k, n, 1, k), out);
-    } else if one_block(k, n) {
-        single_panel::<false>(a, PanelB::Transposed(bt), out, m, k, n);
     } else {
         gemm_driver(a, bt, out, m, k, n, false, true);
     }
 }
 
 /// `out += atᵀ · b` (`at` is the transposed left factor, `k × m`). The
-/// narrow path, and the single-panel path while `at` is at most
-/// [`IN_PLACE_MAX`] values, read `at`'s rows as output-row values in
-/// place; the GEBP A packing performs the transpose, so the same tile
-/// runs.
+/// narrow path, and a one-block product while [`at_in_place`] holds,
+/// read `at`'s rows as output-row values in place; otherwise the A
+/// packing performs the transpose, so the same tile runs.
 #[target_feature(enable = "avx2")]
 pub(super) fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     if n <= NARROW_N {
         narrow::<true>(&Narrow::new(at, b, m, k, n, n, 1), out);
-    } else if one_block(k, n) && m * k <= IN_PLACE_MAX {
-        single_panel::<true>(at, PanelB::RowMajor(b), out, m, k, n);
     } else {
         gemm_driver(at, b, out, m, k, n, true, false);
     }
-}
-
-/// `true` when a product wider than [`NARROW_N`] fits one GEBP block
-/// (`k ≤ KC`, `n ≤ NC`): GEBP would pack B once and each A strip once,
-/// and run every tile over the whole `k`.
-fn one_block(k: usize, n: usize) -> bool {
-    k <= KC && n <= NC
 }
 
 // ----------------------------------------------------------------------
@@ -223,7 +206,7 @@ fn narrow<const AT: bool>(p: &Narrow, out: &mut [f64]) {
         2 => narrow_rows::<AT, 4, 2>(p, out),
         3 => narrow_rows::<AT, 2, 3>(p, out),
         4 => narrow_rows::<AT, 2, 4>(p, out),
-        _ => unreachable!("outputs wider than NARROW_N take the GEBP path"),
+        _ => unreachable!("outputs wider than NARROW_N take the tiled path"),
     }
 }
 
@@ -402,108 +385,153 @@ unsafe fn store_col<const N: usize>(po: *mut f64, i: usize, m: usize, j: usize, 
 }
 
 // ----------------------------------------------------------------------
-// Single-panel path
+// Tiled path
 // ----------------------------------------------------------------------
 
-/// The B operand of a single-panel product, as the caller stores it.
-enum PanelB<'a> {
-    /// `k × n` row-major.
-    RowMajor(&'a [f64]),
-    /// `n × k`: the transposed right factor of `gemm_tn_acc`.
-    Transposed(&'a [f64]),
+thread_local! {
+    /// This thread's packing scratch: the B panel, then the A strip.
+    static PANELS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
 }
 
-/// `out += A · B` for a product that fits one GEBP block, with A read in
-/// place. A row-major B of at most [`IN_PLACE_MAX`] values is read in
-/// place too; any other B is packed once into the per-thread panel
-/// buffer, as the GEBP path would pack it.
-#[target_feature(enable = "avx2")]
-fn single_panel<const AT: bool>(
-    a: &[f64],
-    b: PanelB,
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if m == 0 || k == 0 {
-        return;
-    }
-    if let PanelB::RowMajor(b) = b {
-        if k * n <= IN_PLACE_MAX {
-            return in_place_tiles::<AT>(a, b, NR, n, out, m, k, n);
-        }
-    }
-    let panel = k * n.div_ceil(NR) * NR;
-    let mut panels = PANELS.take();
-    if panels.len() < panel {
-        panels.resize(panel, 0.0);
-    }
-    match b {
-        PanelB::RowMajor(b) => pack_b_nn(b, &mut panels, 0, k, 0, n, n),
-        PanelB::Transposed(bt) => pack_b_tn(bt, &mut panels, 0, k, 0, n, k),
-    }
-    in_place_tiles::<AT>(a, &panels[..panel], k * NR, NR, out, m, k, n);
-    PANELS.set(panels);
-}
-
-/// The single-panel tiles, A read in place. A is `m × k` row-major, or
-/// `k × m` with `AT`; rows past `m` in the last 4-row strip re-read row
-/// `m − 1` and are never stored. `B(kk, s·NR + jj)` is
-/// `b[s·b_strip + kk·b_step + jj]`: a row-major B in place
-/// (`b_strip = NR`, `b_step = n`, masked loads at the right edge) or a
-/// packed panel (`b_strip = k·NR`, `b_step = NR`).
+/// `out += A · B` for an output wider than [`NARROW_N`]: GEBP blocks of
+/// `KC` steps of `k` by `NC` columns, each swept by the 4×8 [`tile`]
+/// one 4-row strip at a time. A is `m × k` row-major, or `k × m` with
+/// `a_is_transposed`; B is `k × n` row-major, or `n × k` with
+/// `b_is_transposed`.
+///
+/// A product that fits one block (`k ≤ KC`, `n ≤ NC`) reads in place
+/// instead of packing: a row-major A, a transposed A while
+/// [`at_in_place`] holds, and a row-major B of at most
+/// [`B_IN_PLACE_MAX`] values. A strip's rows past `m` re-read row
+/// `m − 1` and are never stored.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
-fn in_place_tiles<const AT: bool>(
+fn gemm_driver(
     a: &[f64],
     b: &[f64],
-    b_strip: usize,
-    b_step: usize,
     out: &mut [f64],
     m: usize,
     k: usize,
     n: usize,
+    a_is_transposed: bool,
+    b_is_transposed: bool,
 ) {
-    let strips = n.div_ceil(NR);
-    // One past the last B value a tile reads: the last strip's columns
-    // in row `k − 1`.
-    let b_end = (strips - 1) * b_strip + (k - 1) * b_step + (n - (strips - 1) * NR);
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
     assert!(
-        a.len() == m * k && out.len() == m * n && b_end <= b.len(),
+        a.len() == m * k && b.len() == k * n && out.len() == m * n,
         "gemm: operand/shape mismatch"
     );
+    let one_block = k <= KC && n <= NC;
+    let a_in_place = one_block && (!a_is_transposed || at_in_place(m, n));
+    let b_in_place = one_block && !b_is_transposed && k * n <= B_IN_PLACE_MAX;
+    let kc_cap = k.min(KC);
+    let b_len = if b_in_place {
+        0
+    } else {
+        kc_cap * n.min(NC).div_ceil(NR) * NR
+    };
+    let a_len = if a_in_place { 0 } else { MR * kc_cap };
+    // Taken out of the thread-local rather than borrowed, so a product
+    // that started inside this one would pack into a buffer of its own.
+    let mut panels = PANELS.take();
+    if panels.len() < b_len + a_len {
+        // Grows, never shrinks, and is not cleared: the packers write
+        // every slot the tile reads, so what an earlier product left
+        // behind is never read.
+        panels.resize(b_len + a_len, 0.0);
+    }
+    let (bp, ap) = panels.split_at_mut(b_len);
     let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-    let a_step = if AT { m } else { 1 };
-    for i0 in (0..m).step_by(MR) {
-        let mr = MR.min(m - i0);
-        let rows: [*const f64; MR] = core::array::from_fn(|r| {
-            let i = (i0 + r).min(m - 1);
-            pa.wrapping_add(if AT { i } else { i * k })
-        });
-        for s in 0..strips {
-            let j = s * NR;
-            let nr = NR.min(n - j);
-            let (bs, os) = (pb.wrapping_add(s * b_strip), po.wrapping_add(i0 * n + j));
-            // SAFETY: each row pointer starts A's row `i < m` (column
-            // `i` with `AT`), and `kk < k` steps of `a_step` stay inside
-            // A's `m·k` values. B reads stop at `b_end ≤ b.len()`. The
-            // tile loads and stores rows `i0 .. i0 + mr ≤ m` of `out`,
-            // columns `j .. j + nr ≤ n`.
-            unsafe {
-                if nr == NR {
-                    tile::<true>(&rows, a_step, bs, b_step, k, os, n, mr, nr);
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        for j0 in (0..n).step_by(NC) {
+            let nc = NC.min(n - j0);
+            // `B(k0 + kk, j0 + s·NR + jj)` is `b_blk[s·b_strip + kk·b_step
+            // + jj]`: B itself, or its packed panel.
+            let (b_blk, b_strip, b_step) = if b_in_place {
+                (pb.wrapping_add(k0 * n + j0), NR, n)
+            } else {
+                if b_is_transposed {
+                    pack_b_tn(b, bp, k0, kc, j0, nc, k);
                 } else {
-                    tile::<false>(&rows, a_step, bs, b_step, k, os, n, mr, nr);
+                    pack_b_nn(b, bp, k0, kc, j0, nc, n);
+                }
+                (bp.as_ptr(), kc * NR, NR)
+            };
+            for i0 in (0..m).step_by(MR) {
+                let mr = MR.min(m - i0);
+                // `A(i0 + r, k0 + kk)` is `rows[r][kk·a_step]`.
+                let (rows, a_step): ([*const f64; MR], usize) = if a_in_place {
+                    let row = |r: usize| (i0 + r).min(m - 1);
+                    if a_is_transposed {
+                        (
+                            core::array::from_fn(|r| pa.wrapping_add(k0 * m + row(r))),
+                            m,
+                        )
+                    } else {
+                        (
+                            core::array::from_fn(|r| pa.wrapping_add(row(r) * k + k0)),
+                            1,
+                        )
+                    }
+                } else {
+                    if a_is_transposed {
+                        pack_a_t(a, ap, i0, mr, k0, kc, m);
+                    } else {
+                        pack_a(a, ap, i0, mr, k0, kc, k);
+                    }
+                    (core::array::from_fn(|r| ap.as_ptr().wrapping_add(r)), MR)
+                };
+                for s in 0..nc.div_ceil(NR) {
+                    let j = j0 + s * NR;
+                    let nr = NR.min(j0 + nc - j);
+                    let (bs, os) = (b_blk.wrapping_add(s * b_strip), po.wrapping_add(i0 * n + j));
+                    // SAFETY: A, B and `out` hold `m·k`, `k·n` and `m·n`
+                    // values (asserted above). An in-place row pointer
+                    // starts at A's element `(i, k0)` for some `i < m`
+                    // (`(k0, i)` when transposed), so `kk < kc` steps of
+                    // `a_step` stay inside A; a packed strip holds
+                    // `kc × MR` values. In-place B reads rows `k0 .. k0 +
+                    // kc ≤ k`, columns `j .. j + nr ≤ n`; a packed panel
+                    // holds `kc × NR` values per strip. The tile loads
+                    // and stores rows `i0 .. i0 + mr ≤ m` of `out`,
+                    // columns `j .. j + nr ≤ n`.
+                    unsafe {
+                        if nr == NR {
+                            tile::<true>(&rows, a_step, bs, b_step, kc, os, n, mr, nr);
+                        } else {
+                            tile::<false>(&rows, a_step, bs, b_step, kc, os, n, mr, nr);
+                        }
+                    }
                 }
             }
         }
     }
+    PANELS.set(panels);
 }
 
-/// One 4×8 tile of the single-panel path: the GEBP microkernel's `add(mul)`
-/// sequence over all `k` with A broadcast from `rows[r] + kk·a_step` and
-/// B loaded from `b + kk·b_step`. `FULL` means `nr == NR`.
+/// `true` when a one-block `gemm_at_acc` reads its transposed A in
+/// place: at most four B strips (`n ≤ 32`), or an output of at most
+/// 16384 values. Each B strip re-reads the A strip from rows `m` values
+/// apart, so the more strips, and the longer the strided rows, the more
+/// packing the strip once saves. Best-of-6 alternated timings on a
+/// 2-vCPU AVX2 VM put the crossover there: reading in place won by
+/// 39–59% at `(m, k, n)` = (129, 64, 9), (512, 64, 32) and
+/// (1024, 64, 32), and by 5–23% at (96, 64, 48), (96, 128, 104) and
+/// (128, 64, 128); packing won by 12–57% at (128, 64, 136),
+/// (128, 64, 256), (256, 128, 128), (512, 256, 64) and (1024, 64, 128).
+fn at_in_place(m: usize, n: usize) -> bool {
+    n <= 4 * NR || m * n <= 16384
+}
+
+/// One 4×8 tile: the output block rides in 8 ymm accumulators as the
+/// running total, and each `k` step adds one separately-rounded product
+/// (`add(mul)` — deliberately *not* FMA, to preserve the scalar arm's
+/// rounding sequence), with A broadcast from `rows[r] + kk·a_step` and
+/// B loaded from `b + kk·b_step`. `FULL` means `nr == NR`; a narrower
+/// tile loads and stores with lane masks.
 ///
 /// # Safety
 /// `rows[r].add(kk * a_step)` must be readable for `r < MR`, `kk < k`;
@@ -549,71 +577,6 @@ unsafe fn tile<const FULL: bool>(
     for (r, cr) in c.iter().enumerate().take(mr) {
         store2(out.add(r * n), nr, ml, mh, cr[0], cr[1]);
     }
-}
-
-// ----------------------------------------------------------------------
-// GEBP path
-// ----------------------------------------------------------------------
-
-thread_local! {
-    /// This thread's GEBP packing scratch: the B panel, then the A strip.
-    static PANELS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
-}
-
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-fn gemm_driver(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-    a_is_transposed: bool,
-    b_is_transposed: bool,
-) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let kc_cap = k.min(KC);
-    let nc_cap = n.min(NC).div_ceil(NR) * NR;
-    // Taken out of the thread-local rather than borrowed, so a product
-    // that started inside this one would pack into a buffer of its own.
-    let mut panels = PANELS.take();
-    if panels.len() < kc_cap * nc_cap + MR * kc_cap {
-        // Grows, never shrinks, and is not cleared: the packers write
-        // every slot the microkernel reads, so what an earlier product
-        // left behind is never read.
-        panels.resize(kc_cap * nc_cap + MR * kc_cap, 0.0);
-    }
-    let (bp, ap) = panels.split_at_mut(kc_cap * nc_cap);
-    for k0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - k0);
-        for j0 in (0..n).step_by(NC) {
-            let nc = NC.min(n - j0);
-            let strips = nc.div_ceil(NR);
-            if b_is_transposed {
-                pack_b_tn(b, bp, k0, kc, j0, nc, k);
-            } else {
-                pack_b_nn(b, bp, k0, kc, j0, nc, n);
-            }
-            for i0 in (0..m).step_by(MR) {
-                let mr = MR.min(m - i0);
-                if a_is_transposed {
-                    pack_a_t(a, ap, i0, mr, k0, kc, m);
-                } else {
-                    pack_a(a, ap, i0, mr, k0, kc, k);
-                }
-                for s in 0..strips {
-                    let j = j0 + s * NR;
-                    let nr = NR.min(j0 + nc - j);
-                    let strip = &bp[s * kc * NR..(s + 1) * kc * NR];
-                    microkernel(ap, strip, out, i0, mr, j, nr, n, kc);
-                }
-            }
-        }
-    }
-    PANELS.set(panels);
 }
 
 /// Packs the `mr × kc` A strip at `(i0, k0)` as `ap[kk*MR + r]`,
@@ -677,80 +640,6 @@ fn pack_b_tn(bt: &[f64], bp: &mut [f64], k0: usize, kc: usize, j0: usize, nc: us
                 }
             }
         }
-    }
-}
-
-/// 4×8 f64 tile: the output block rides in 8 ymm accumulators as the
-/// running total; each `k` step adds one separately-rounded product
-/// (`add(mul)` — deliberately *not* FMA, to preserve the scalar arm's
-/// rounding sequence).
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-fn microkernel(
-    ap: &[f64],
-    bp: &[f64],
-    out: &mut [f64],
-    i0: usize,
-    mr: usize,
-    j: usize,
-    nr: usize,
-    n: usize,
-    kc: usize,
-) {
-    let ml = lane_mask(nr.min(4));
-    let mh = lane_mask(nr.saturating_sub(4).min(4));
-    let zero = _mm256_setzero_pd();
-    let base = i0 * n + j;
-    let po = out.as_ptr();
-    // SAFETY: rows r < mr lie fully inside `out`; load2 touches only the
-    // first `nr` columns of each row.
-    let (mut c00, mut c01) = unsafe { load2(po.add(base), nr, ml, mh) };
-    let (mut c10, mut c11) = if mr > 1 {
-        unsafe { load2(po.add(base + n), nr, ml, mh) }
-    } else {
-        (zero, zero)
-    };
-    let (mut c20, mut c21) = if mr > 2 {
-        unsafe { load2(po.add(base + 2 * n), nr, ml, mh) }
-    } else {
-        (zero, zero)
-    };
-    let (mut c30, mut c31) = if mr > 3 {
-        unsafe { load2(po.add(base + 3 * n), nr, ml, mh) }
-    } else {
-        (zero, zero)
-    };
-
-    let bpp = bp.as_ptr();
-    for (kk, a4) in ap.chunks_exact(MR).take(kc).enumerate() {
-        // SAFETY: the packed strip holds kc * NR elements.
-        let b0 = unsafe { _mm256_loadu_pd(bpp.add(kk * NR)) };
-        let b1 = unsafe { _mm256_loadu_pd(bpp.add(kk * NR + 4)) };
-        let a0 = _mm256_set1_pd(a4[0]);
-        c00 = _mm256_add_pd(c00, _mm256_mul_pd(a0, b0));
-        c01 = _mm256_add_pd(c01, _mm256_mul_pd(a0, b1));
-        let a1 = _mm256_set1_pd(a4[1]);
-        c10 = _mm256_add_pd(c10, _mm256_mul_pd(a1, b0));
-        c11 = _mm256_add_pd(c11, _mm256_mul_pd(a1, b1));
-        let a2 = _mm256_set1_pd(a4[2]);
-        c20 = _mm256_add_pd(c20, _mm256_mul_pd(a2, b0));
-        c21 = _mm256_add_pd(c21, _mm256_mul_pd(a2, b1));
-        let a3 = _mm256_set1_pd(a4[3]);
-        c30 = _mm256_add_pd(c30, _mm256_mul_pd(a3, b0));
-        c31 = _mm256_add_pd(c31, _mm256_mul_pd(a3, b1));
-    }
-
-    let pm = out.as_mut_ptr();
-    // SAFETY: same bounds as the loads above.
-    unsafe { store2(pm.add(base), nr, ml, mh, c00, c01) };
-    if mr > 1 {
-        unsafe { store2(pm.add(base + n), nr, ml, mh, c10, c11) };
-    }
-    if mr > 2 {
-        unsafe { store2(pm.add(base + 2 * n), nr, ml, mh, c20, c21) };
-    }
-    if mr > 3 {
-        unsafe { store2(pm.add(base + 3 * n), nr, ml, mh, c30, c31) };
     }
 }
 

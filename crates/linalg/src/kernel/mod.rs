@@ -15,14 +15,15 @@
 //!     step. Logistic regression's one-column weights make every fit
 //!     step, one-row prediction and ESA solve such a product.
 //!   - **single panel**: a wider product that fits one GEBP block
-//!     (`k ≤ 256`, `n ≤ 512`) runs the 4×8 tile with A read in place
-//!     (for [`gemm_at_acc`], only while its transposed A holds at most
-//!     8192 values), and B read in place too when it is row-major and at
-//!     most 8192 values; otherwise B is packed once. Every GRNA training
-//!     product is such a product.
-//!   - **GEBP**: anything else packs A/B panels for the register-blocked
-//!     4×8 tile with masked edges.
+//!     (`k ≤ 256`, `n ≤ 512`) runs the 4×8 tile on operands it reads in
+//!     place where that pays: a row-major A always, the transposed A of
+//!     [`gemm_at_acc`] while `n ≤ 32` or `m·n ≤ 16384`, and a row-major
+//!     B of at most 8192 values. It packs any other operand once. Every
+//!     GRNA training product is such a product.
+//!   - **GEBP**: anything else packs A strips and B panels for the same
+//!     tile, block by block, with masked edges.
 //!
+//!   The last two share one driver and differ only in what they pack.
 //!   Packing panels live in one per-thread buffer that grows to the
 //!   largest panel the thread has packed (at most about 1 MiB) and is
 //!   reused without clearing.
@@ -186,9 +187,9 @@ pub fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n
 /// left factor), `b` (`k × n`), `out` (`m × n`) — the kernel behind
 /// [`crate::Matrix::transpose_matmul`] (the tape's `Aᵀ · g` weight
 /// gradient). Neither arm copies `at` first: the AVX2 arm reads it in
-/// place on its narrow and single-panel paths and performs the transpose
-/// in its A packing otherwise, and the scalar arm's row kernel reads
-/// `at` strided.
+/// place on its narrow path and on a single-panel product within its
+/// in-place rule, and performs the transpose in its A packing
+/// otherwise; the scalar arm's row kernel reads `at` strided.
 /// Both keep the `k`-ascending per-element order of [`gemm_acc`] on the
 /// transposed factor, so the arms agree bitwise.
 pub fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {

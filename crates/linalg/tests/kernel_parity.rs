@@ -8,9 +8,9 @@
 //! deliberately include ragged edges (`n % 8 != 0`, `m % 4 != 0`, tiny
 //! and skinny matrices), and on fixed grids that put every entry point
 //! on both sides of each AVX2 routing rule: the narrow output (`n ≤ 4`),
-//! one GEBP block (`k ≤ KC = 256`, `n ≤ NC = 512`) and the single-panel
-//! path's in-place limit (`k·n`, and `m·k` for `gemm_at_acc`, at most
-//! 8192).
+//! one GEBP block (`k ≤ KC = 256`, `n ≤ NC = 512`) and the operands such
+//! a block reads in place (a row-major B of at most 8192 values, and the
+//! transposed A of `gemm_at_acc` while `n ≤ 32` or `m·n ≤ 16384`).
 
 use fia_linalg::kernel::{self, Backend};
 use fia_linalg::{with_backend, Matrix};
@@ -78,9 +78,17 @@ fn shapes(rng: &mut StdRng) -> Vec<(usize, usize, usize)> {
             s.push((7, k, n));
         }
     }
-    // The in-place limit: B (k·n) and a transposed A (m·k) at 8192
-    // values and just past it.
-    s.extend([(9, 64, 128), (9, 65, 128), (128, 64, 9), (129, 64, 9)]);
+    // The in-place rules of a one-block product: a row-major B of
+    // k·n = 8192 values and just past it; a transposed A at n = 32 and
+    // at m·n = 16384 (read in place), and just past each (packed).
+    s.extend([
+        (9, 64, 128),
+        (9, 65, 128),
+        (600, 5, 32),
+        (600, 5, 33),
+        (128, 64, 128),
+        (129, 64, 128),
+    ]);
     for _ in 0..12 {
         s.push((
             rng.gen_range(1..40usize),
@@ -184,8 +192,8 @@ fn gemm_at_bit_identical_across_backends() {
 /// product's values into the result. Each shape runs `gemm_acc`, then
 /// `gemm_tn_acc`, then `gemm_at_acc`, so GRNA's pack-free products are
 /// each followed by a `gemm_tn_acc` that packs B into the reused panel,
-/// and a single-panel product with a packed B (`k·n` past the in-place
-/// limit) follows too.
+/// and one-block products with a packed B (`k·n` past 8192) and with a
+/// packed transposed A follow too.
 #[test]
 fn reused_panels_never_leak_an_earlier_product() {
     if !fia_linalg::avx2_available() {
@@ -198,6 +206,7 @@ fn reused_panels_never_leak_an_earlier_product() {
         (64, 48, 96),
         (54, 96, 48),
         (13, 200, 100),
+        (200, 30, 100),
         (5, 7, 9),
         (64, 23, 1),
         (3, 257, 13),

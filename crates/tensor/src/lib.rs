@@ -43,7 +43,9 @@
 //! Parameter gradients accumulate in place into one buffer per
 //! [`ParamId`] ([`ParamGrads`], read through [`Tape::param_grads`]), and
 //! [`Optimizer::step`] reads them there. A parameter bound twice on one
-//! tape therefore gets one summed gradient and one update.
+//! tape therefore gets one summed gradient and one update. Because the
+//! buffers are keyed by [`ParamId`] alone, the parameters one tape binds
+//! must all come from one [`Params`] store.
 //!
 //! ```
 //! use fia_tensor::{Adam, Optimizer, Params, Tape};

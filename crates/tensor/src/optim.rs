@@ -158,11 +158,6 @@ mod tests {
     use crate::params::ParamId;
     use crate::tape::Tape;
 
-    /// A gradient store holding exactly `pairs`.
-    fn grads(pairs: impl IntoIterator<Item = (ParamId, Matrix)>) -> ParamGrads {
-        pairs.into_iter().collect()
-    }
-
     /// Minimizes f(w) = (w − 3)² with the given optimizer; returns final w.
     fn run_quadratic(opt: &mut dyn Optimizer, steps: usize) -> f64 {
         let mut params = Params::new();
@@ -207,7 +202,10 @@ mod tests {
         let w = params.insert(Matrix::filled(1, 1, 1.0));
         let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
         for _ in 0..10 {
-            opt.step(&mut params, &grads([(w, Matrix::zeros(1, 1))]));
+            opt.step(
+                &mut params,
+                &ParamGrads::from_pairs([(w, Matrix::zeros(1, 1))]),
+            );
         }
         let val = params.get(w)[(0, 0)];
         assert!(val < 1.0 && val > 0.0);
@@ -248,7 +246,7 @@ mod tests {
                 .zip(&shapes)
                 .map(|(&id, &(r, c))| (id, draw(r, c)))
                 .collect();
-            opt.step(&mut params, &grads.iter().cloned().collect());
+            opt.step(&mut params, &ParamGrads::from_pairs(grads.iter().cloned()));
 
             let bc1 = 1.0 - opt.beta1.powf(t as f64);
             let bc2 = 1.0 - opt.beta2.powf(t as f64);
@@ -284,7 +282,10 @@ mod tests {
         let mut params = Params::new();
         let w = params.insert(Matrix::filled(1, 1, 0.0));
         let mut opt = Adam::new(0.01);
-        opt.step(&mut params, &grads([(w, Matrix::filled(1, 1, 1e6))]));
+        opt.step(
+            &mut params,
+            &ParamGrads::from_pairs([(w, Matrix::filled(1, 1, 1e6))]),
+        );
         let val = params.get(w)[(0, 0)];
         assert!((val + 0.01).abs() < 1e-6, "val = {val}");
     }

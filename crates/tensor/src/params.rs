@@ -88,11 +88,13 @@ pub(crate) struct GradSlot {
 /// parameter on a tape adds into the same buffer, so a parameter bound
 /// twice gets one summed gradient and one optimizer update.
 ///
+/// The store is keyed by the id's index alone, so the parameters one
+/// tape binds must all come from one [`Params`] store: equal ids from
+/// two stores would share one buffer.
+///
 /// [`crate::Tape::backward`] fills the tape's store in place and
 /// [`crate::Optimizer::step`] reads it in place; [`crate::Tape::reset`]
 /// marks every gradient stale and keeps the buffers for the next step.
-/// Collecting `(id, gradient)` pairs also builds a store, summing
-/// repeated ids (how tests hand an optimizer a gradient directly).
 #[derive(Debug, Clone, Default)]
 pub struct ParamGrads {
     slots: Vec<GradSlot>,
@@ -145,16 +147,16 @@ impl ParamGrads {
     }
 }
 
-impl FromIterator<(ParamId, Matrix)> for ParamGrads {
-    fn from_iter<I: IntoIterator<Item = (ParamId, Matrix)>>(pairs: I) -> Self {
+#[cfg(test)]
+impl ParamGrads {
+    /// A store holding exactly `pairs`, whose ids must be distinct: how
+    /// optimizer tests hand over a gradient without a tape.
+    pub(crate) fn from_pairs(pairs: impl IntoIterator<Item = (ParamId, Matrix)>) -> Self {
         let mut grads = ParamGrads::new();
         for (id, g) in pairs {
             let slot = grads.slot(id);
-            if slot.live {
-                fia_linalg::vecops::axpy(1.0, g.as_slice(), slot.buf.as_mut_slice());
-            } else {
-                *slot = GradSlot { buf: g, live: true };
-            }
+            assert!(!slot.live, "from_pairs: repeated {id:?}");
+            *slot = GradSlot { buf: g, live: true };
         }
         grads
     }
@@ -181,24 +183,6 @@ mod tests {
         let a = p.insert(Matrix::zeros(1, 1));
         p.get_mut(a)[(0, 0)] = 42.0;
         assert_eq!(p.get(a)[(0, 0)], 42.0);
-    }
-
-    #[test]
-    fn collected_grads_sum_repeated_ids() {
-        let mut p = Params::new();
-        let a = p.insert(Matrix::zeros(1, 2));
-        let b = p.insert(Matrix::zeros(1, 1));
-        let grads: ParamGrads = [
-            (b, Matrix::filled(1, 1, 4.0)),
-            (a, Matrix::filled(1, 2, 1.0)),
-            (a, Matrix::filled(1, 2, 0.5)),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(grads.len(), 2);
-        assert_eq!(grads.get(a).unwrap().as_slice(), &[1.5, 1.5]);
-        let ids: Vec<ParamId> = grads.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![a, b], "ascending id order");
     }
 
     #[test]
