@@ -40,7 +40,7 @@ pub fn run_pinv_vs_ridge(cfg: &ExperimentConfig, ridge_lambda: f64) -> Vec<PinvR
             let seed = cfg.seed_for(&format!("ablation-pinv/{fraction}"), 0);
             let scenario =
                 Scenario::build(PaperDataset::CreditCard, cfg.scale, fraction, None, seed);
-            let model = common::train_lr(&scenario, cfg, seed ^ 0xA1);
+            let model = common::train_lr(&scenario, cfg, seed);
             let attack =
                 EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
             let conf = scenario.confidences(&model);
@@ -101,18 +101,17 @@ pub struct DistillRow {
 pub fn run_distill_sweep(cfg: &ExperimentConfig) -> Vec<DistillRow> {
     let seed = cfg.seed_for("ablation-distill", 0);
     let scenario = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
-    let forest = common::train_forest(&scenario, cfg, seed ^ 0xB1);
+    let forest = common::train_forest(&scenario, cfg, seed);
     let confidences = scenario.confidences(&forest);
     let sizes: Vec<Vec<usize>> = vec![vec![32], vec![128, 64], vec![256, 64]];
     common::parallel_map(sizes, |hidden| {
         let distill_cfg = DistillConfig {
             hidden: hidden.clone(),
-            seed: seed ^ 0xB2,
-            ..cfg.distill.clone()
+            ..common::distill_config(cfg, seed ^ 0xB4)
         };
         let surrogate = distill_forest_with_pool(&forest, &distill_cfg, scenario.x_adv.as_slice());
         let fidelity_gap = fia_models::distillation_fidelity(&forest, &surrogate, 200, seed ^ 0xB3);
-        let (_, inferred) = common::run_grna(
+        let inferred = common::run_grna(
             &scenario,
             &surrogate,
             cfg.grna.clone().with_seed(seed ^ 0xB4),
@@ -146,7 +145,7 @@ pub fn run_noise_sweep(cfg: &ExperimentConfig) -> Vec<NoiseRow> {
     let sigmas = vec![0.0, 0.005, 0.02, 0.08];
     let seed = cfg.seed_for("ablation-noise", 0);
     let scenario = Scenario::build(PaperDataset::DriveDiagnosis, cfg.scale, 0.2, None, seed);
-    let model = common::train_lr(&scenario, cfg, seed ^ 0xC1);
+    let model = common::train_lr(&scenario, cfg, seed);
     let clean_conf = scenario.confidences(&model);
     let esa = EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
     common::parallel_map(sigmas, |sigma| {
@@ -156,7 +155,7 @@ pub fn run_noise_sweep(cfg: &ExperimentConfig) -> Vec<NoiseRow> {
             clean_conf.clone()
         };
         let esa_est = common::run_attack(&esa, &scenario.x_adv, &conf).map(|v| v.clamp(0.0, 1.0));
-        let (_, grna_est) = common::run_grna(
+        let grna_est = common::run_grna(
             &scenario,
             &model,
             cfg.grna.clone().with_seed(seed ^ 0xC3),

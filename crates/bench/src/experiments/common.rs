@@ -2,35 +2,46 @@
 
 use crate::profiles::ExperimentConfig;
 use crate::scenario::Scenario;
-use fia_core::{
-    baseline, metrics, Attack, AttackEngine, Grna, GrnaConfig, QueryBatch, TrainedGenerator,
-};
+use fia_core::{baseline, metrics, Attack, AttackEngine, Grna, GrnaConfig, QueryBatch};
 use fia_linalg::Matrix;
 use fia_models::{
-    distill_forest_with_pool, DifferentiableModel, ForestConfig, LogisticRegression, Mlp,
-    RandomForest,
+    distill_forest_with_pool, DecisionTree, DifferentiableModel, DistillConfig, ForestConfig,
+    LogisticRegression, Mlp, RandomForest,
 };
+use rand::{rngs::StdRng, SeedableRng};
+
+/// The salt `ScenarioSpec::build` mixes into the scenario seed before it
+/// trains the model; every trainer here takes the scenario seed and
+/// applies it, so a figure trains the model a campaign of the same spec
+/// deploys.
+const MODEL_SALT: u64 = 0x10DE1;
 
 /// Trains the LR model for a scenario (binary or multinomial per `c`).
 pub fn train_lr(scenario: &Scenario, cfg: &ExperimentConfig, seed: u64) -> LogisticRegression {
     let mut lr_cfg = cfg.lr.clone();
-    lr_cfg.seed = seed;
+    lr_cfg.seed = seed ^ MODEL_SALT;
     LogisticRegression::fit(&scenario.train, &lr_cfg)
 }
 
 /// Trains the NN model for a scenario.
 pub fn train_mlp(scenario: &Scenario, cfg: &ExperimentConfig, seed: u64) -> Mlp {
-    let mlp_cfg = cfg.mlp.clone().with_seed(seed);
+    let mlp_cfg = cfg.mlp.clone().with_seed(seed ^ MODEL_SALT);
     Mlp::fit(&scenario.train, &mlp_cfg)
 }
 
 /// Trains the RF model for a scenario.
 pub fn train_forest(scenario: &Scenario, cfg: &ExperimentConfig, seed: u64) -> RandomForest {
     let forest_cfg = ForestConfig {
-        seed,
+        seed: seed ^ MODEL_SALT,
         ..cfg.forest.clone()
     };
     RandomForest::fit(&scenario.train, &forest_cfg)
+}
+
+/// Trains the DT model for a scenario.
+pub fn train_tree(scenario: &Scenario, cfg: &ExperimentConfig, seed: u64) -> DecisionTree {
+    let mut rng = StdRng::seed_from_u64(seed ^ MODEL_SALT);
+    DecisionTree::fit(&scenario.train, &cfg.tree, &mut rng)
 }
 
 /// Dispatches one batch-first attack over a scenario's accumulated
@@ -43,23 +54,35 @@ pub fn run_attack(attack: &dyn Attack, x_adv: &Matrix, confidences: &Matrix) -> 
 }
 
 /// Runs GRNA end-to-end against any differentiable model: trains the
-/// generator on the scenario's accumulated predictions and returns the
-/// inferred target features for the whole prediction set.
+/// generator on the scenario's accumulated predictions and infers the
+/// whole prediction set through the [`AttackEngine`], with the
+/// content-keyed inference seed `AttackSpec::grna` derives
+/// (`config.seed ^ 0x1AFE`).
 pub fn run_grna<M: DifferentiableModel>(
     scenario: &Scenario,
     model: &M,
     grna_cfg: GrnaConfig,
     confidences: &Matrix,
-) -> (TrainedGenerator, Matrix) {
-    let attack = Grna::new(
+) -> Matrix {
+    let infer_seed = grna_cfg.seed ^ 0x1AFE;
+    let generator = Grna::new(
         model,
         &scenario.adv_indices,
         &scenario.target_indices,
         grna_cfg,
-    );
-    let generator = attack.train(&scenario.x_adv, confidences);
-    let inferred = generator.infer(&scenario.x_adv, 0xFEED);
-    (generator, inferred)
+    )
+    .train(&scenario.x_adv, confidences)
+    .with_infer_seed(infer_seed);
+    run_attack(&generator, &scenario.x_adv, confidences)
+}
+
+/// The profile's distillation configuration under the seed
+/// `AttackSpec::grna` derives from a GRNA seed (`seed ^ 0xD157`).
+pub fn distill_config(cfg: &ExperimentConfig, grna_seed: u64) -> DistillConfig {
+    DistillConfig {
+        seed: grna_seed ^ 0xD157,
+        ..cfg.distill.clone()
+    }
 }
 
 /// Distills the forest and runs GRNA against the surrogate (Section V-B).
@@ -74,19 +97,20 @@ pub fn run_grna_on_forest(
     cfg: &ExperimentConfig,
     seed: u64,
 ) -> Matrix {
-    let mut distill_cfg = cfg.distill.clone();
-    distill_cfg.seed = seed;
-    let surrogate = distill_forest_with_pool(forest, &distill_cfg, scenario.x_adv.as_slice());
+    let surrogate = distill_forest_with_pool(
+        forest,
+        &distill_config(cfg, seed),
+        scenario.x_adv.as_slice(),
+    );
     // The observed confidences come from the *real* forest — the
     // surrogate only provides the differentiable path.
     let confidences = scenario.confidences(forest);
-    let (_, inferred) = run_grna(
+    run_grna(
         scenario,
         &surrogate,
         cfg.grna.clone().with_seed(seed),
         &confidences,
-    );
-    inferred
+    )
 }
 
 /// Both random-guess baselines' MSE against the scenario truth.

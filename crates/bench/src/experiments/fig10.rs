@@ -53,102 +53,56 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
     rows
 }
 
-/// Repetitions averaged inside each panel. The per-feature MSEs of a
-/// single GRNA run are noisy; the correlation-vs-error relationship the
-/// figure demonstrates needs a few repetitions even at small scale.
+/// GRNA repetitions averaged inside each panel. The per-feature MSEs of
+/// a single GRNA run are noisy; the correlation-vs-error relationship
+/// the figure demonstrates needs a few repetitions even at small scale.
 const PANEL_REPS: usize = 3;
 
 /// Panel (a): Bank marketing, LR model, d_target = 40%.
 pub fn panel_lr(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
-    // The feature split stays fixed across repetitions (the panel is
-    // *about* specific features); only training/attack seeds vary.
-    let split_seed = cfg.seed_for("fig10/lr", 0);
-    let scenario = Scenario::build(
-        PaperDataset::BankMarketing,
-        cfg.scale,
-        0.4,
-        None,
-        split_seed,
-    );
-    let mut rows: Option<Vec<Fig10Row>> = None;
-    for rep in 0..PANEL_REPS {
-        let seed = cfg.seed_for("fig10/lr", rep) ^ 0x71;
-        let model = common::train_lr(&scenario, cfg, seed);
-        let conf = scenario.confidences(&model);
-        let (_, inferred) =
-            common::run_grna(&scenario, &model, cfg.grna.clone().with_seed(seed), &conf);
-        accumulate_rows(
-            &mut rows,
-            "Bank marketing (LR)",
-            &scenario,
-            &inferred,
-            &conf,
-        );
-    }
-    finish_rows(rows)
+    // The split and the model stay fixed across repetitions (the panel
+    // is *about* specific features); only the attack seed varies.
+    let seed = cfg.seed_for("fig10/lr", 0);
+    let scenario = Scenario::build(PaperDataset::BankMarketing, cfg.scale, 0.4, None, seed);
+    let model = common::train_lr(&scenario, cfg, seed);
+    let conf = scenario.confidences(&model);
+    build_rows("Bank marketing (LR)", &scenario, &conf, |rep| {
+        let grna = cfg.grna.clone().with_seed(cfg.seed_for("fig10/lr", rep));
+        common::run_grna(&scenario, &model, grna, &conf)
+    })
 }
 
 /// Panel (b): Credit card, RF model, d_target = 30%.
 pub fn panel_rf(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
-    let split_seed = cfg.seed_for("fig10/rf", 0);
-    let scenario = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, split_seed);
-    let mut rows: Option<Vec<Fig10Row>> = None;
-    for rep in 0..PANEL_REPS {
-        let seed = cfg.seed_for("fig10/rf", rep) ^ 0x72;
-        let forest = common::train_forest(&scenario, cfg, seed);
-        let conf = scenario.confidences(&forest);
-        let inferred = common::run_grna_on_forest(&scenario, &forest, cfg, seed);
-        accumulate_rows(&mut rows, "Credit card (RF)", &scenario, &inferred, &conf);
-    }
-    finish_rows(rows)
-}
-
-fn accumulate_rows(
-    acc: &mut Option<Vec<Fig10Row>>,
-    panel: &'static str,
-    scenario: &Scenario,
-    inferred: &fia_linalg::Matrix,
-    confidences: &fia_linalg::Matrix,
-) {
-    let rows = build_rows(panel, scenario, inferred, confidences);
-    match acc {
-        None => *acc = Some(rows),
-        Some(prev) => {
-            for (p, r) in prev.iter_mut().zip(rows) {
-                p.mse += r.mse;
-                p.variance += r.variance;
-                p.corr_adv += r.corr_adv;
-                p.corr_pred += r.corr_pred;
-            }
-        }
-    }
-}
-
-fn finish_rows(acc: Option<Vec<Fig10Row>>) -> Vec<Fig10Row> {
-    let mut rows = acc.expect("at least one repetition");
-    for r in &mut rows {
-        r.mse /= PANEL_REPS as f64;
-        r.variance /= PANEL_REPS as f64;
-        r.corr_adv /= PANEL_REPS as f64;
-        r.corr_pred /= PANEL_REPS as f64;
-    }
-    rows
+    let seed = cfg.seed_for("fig10/rf", 0);
+    let scenario = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
+    let forest = common::train_forest(&scenario, cfg, seed);
+    let conf = scenario.confidences(&forest);
+    build_rows("Credit card (RF)", &scenario, &conf, |rep| {
+        common::run_grna_on_forest(&scenario, &forest, cfg, cfg.seed_for("fig10/rf", rep))
+    })
 }
 
 fn build_rows(
     panel: &'static str,
     scenario: &Scenario,
-    inferred: &fia_linalg::Matrix,
     confidences: &fia_linalg::Matrix,
+    infer: impl Fn(usize) -> fia_linalg::Matrix,
 ) -> Vec<Fig10Row> {
-    let mse = metrics::per_feature_mse(inferred, &scenario.truth);
+    let mut mse = vec![0.0; scenario.d_target()];
+    for rep in 0..PANEL_REPS {
+        let rep_mse = metrics::per_feature_mse(&infer(rep), &scenario.truth);
+        for (m, v) in mse.iter_mut().zip(rep_mse) {
+            *m += v;
+        }
+    }
     let report = correlation_report(&scenario.x_adv, &scenario.truth, confidences);
     (0..scenario.d_target())
         .map(|k| Fig10Row {
             panel,
             feature_pos: k,
             global_index: scenario.target_indices[k],
-            mse: mse[k],
+            mse: mse[k] / PANEL_REPS as f64,
             variance: fia_linalg::vecops::variance(&scenario.truth.col(k)),
             corr_adv: report.with_adversary[k],
             corr_pred: report.with_predictions[k],

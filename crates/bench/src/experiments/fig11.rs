@@ -87,7 +87,7 @@ pub fn run_rounding_esa(cfg: &ExperimentConfig) -> Vec<RoundingRow> {
                 t,
             );
             let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-            let model = common::train_lr(&scenario, cfg, seed ^ 0x81);
+            let model = common::train_lr(&scenario, cfg, seed);
             let attack =
                 EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
             let conf = rounding.apply(&scenario.confidences(&model));
@@ -130,9 +130,9 @@ pub fn run_rounding_grna(cfg: &ExperimentConfig) -> Vec<RoundingRow> {
                 t,
             );
             let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-            let model = common::train_lr(&scenario, cfg, seed ^ 0x83);
+            let model = common::train_lr(&scenario, cfg, seed);
             let conf = rounding.apply(&scenario.confidences(&model));
-            let (_, inferred) =
+            let inferred =
                 common::run_grna(&scenario, &model, cfg.grna.clone().with_seed(seed), &conf);
             mse_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
             rg_sum += common::random_guess_mse(&scenario, seed ^ 0x84).0;
@@ -185,13 +185,13 @@ pub fn run_dropout(cfg: &ExperimentConfig) -> Vec<DropoutRow> {
             );
             let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
             let model = if dropout {
-                let base = cfg.mlp.clone().with_seed(seed ^ 0x85);
+                let base = cfg.mlp.clone().with_seed(seed ^ 0x10DE1);
                 dropout_defended_mlp(&scenario.train, &base, 0.5)
             } else {
-                common::train_mlp(&scenario, cfg, seed ^ 0x85)
+                common::train_mlp(&scenario, cfg, seed)
             };
             let conf = scenario.confidences(&model);
-            let (_, inferred) =
+            let inferred =
                 common::run_grna(&scenario, &model, cfg.grna.clone().with_seed(seed), &conf);
             mse_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
             rg_sum += common::random_guess_mse(&scenario, seed ^ 0x86).0;

@@ -55,7 +55,7 @@ pub fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f6
     for t in 0..trials {
         let seed = cfg.seed_for(&format!("fig5/{}/{fraction}", dataset.name()), t);
         let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-        let model = common::train_lr(&scenario, cfg, seed ^ 0x11);
+        let model = common::train_lr(&scenario, cfg, seed);
         let attack =
             EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
         let confidences = scenario.confidences(&model);

@@ -3,9 +3,8 @@
 use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
 use crate::scenario::Scenario;
-use fia_core::{baseline, metrics::CbrTally, PathRestrictionAttack};
+use fia_core::{baseline, metrics::CbrTally, row_seed, PathRestrictionAttack};
 use fia_data::PaperDataset;
-use fia_models::DecisionTree;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// One measured point of Fig. 6.
@@ -50,26 +49,28 @@ fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f64) -
     for t in 0..trials {
         let seed = cfg.seed_for(&format!("fig6/{}/{fraction}", dataset.name()), t);
         let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-        let mut tree_rng = StdRng::seed_from_u64(seed ^ 0x77);
-        let tree = DecisionTree::fit(&scenario.train, &cfg.tree, &mut tree_rng);
+        let tree = common::train_tree(&scenario, cfg, seed);
+        // PRA under its spec seed: each row's tie-break is keyed on the
+        // row's content, so the path the CBR scores is the one the
+        // batched estimates come from.
         let attack =
-            PathRestrictionAttack::new(&tree, &scenario.adv_indices, &scenario.target_indices);
+            PathRestrictionAttack::new(&tree, &scenario.adv_indices, &scenario.target_indices)
+                .with_seed(seed)
+                .with_value_range(0.0, 1.0);
+        let confidences = scenario.confidences(&tree);
+        let estimates = common::run_attack(&attack, &scenario.x_adv, &confidences);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x88);
-        let mut estimates =
-            fia_linalg::Matrix::zeros(scenario.n_predictions(), scenario.d_target());
         for i in 0..scenario.n_predictions() {
             let x_full = scenario.prediction.sample(i);
+            let (x_adv, conf) = (scenario.x_adv.row(i), confidences.row(i));
             // The protocol reveals the predicted class (one-hot scores).
             let class = tree.predict_one(x_full);
-            let x_adv: Vec<f64> = scenario.adv_indices.iter().map(|&f| x_full[f]).collect();
-            if let Some(inferred) = attack.infer(&x_adv, class, &mut rng) {
+            let mut row_rng = StdRng::seed_from_u64(row_seed(seed, x_adv, conf));
+            if let Some(inferred) = attack.infer(x_adv, class, &mut row_rng) {
                 pra.merge(attack.evaluate_cbr(&inferred, x_full));
                 restricted_sum += inferred.n_restricted as f64;
                 restricted_count += 1;
             }
-            // Extension: point estimates from the constrained intervals.
-            let est = attack.infer_values(&x_adv, class, 0.0, 1.0, &mut rng);
-            estimates.row_mut(i).copy_from_slice(&est);
             rg.merge(baseline::random_path_cbr(
                 &tree,
                 x_full,

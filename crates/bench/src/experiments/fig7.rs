@@ -119,17 +119,17 @@ pub fn infer_with(
 ) -> fia_linalg::Matrix {
     match model {
         TargetModel::Lr => {
-            let lr = common::train_lr(scenario, cfg, seed ^ 0x41);
+            let lr = common::train_lr(scenario, cfg, seed);
             let conf = scenario.confidences(&lr);
-            common::run_grna(scenario, &lr, cfg.grna.clone().with_seed(seed), &conf).1
+            common::run_grna(scenario, &lr, cfg.grna.clone().with_seed(seed), &conf)
         }
         TargetModel::Nn => {
-            let nn = common::train_mlp(scenario, cfg, seed ^ 0x42);
+            let nn = common::train_mlp(scenario, cfg, seed);
             let conf = scenario.confidences(&nn);
-            common::run_grna(scenario, &nn, cfg.grna.clone().with_seed(seed), &conf).1
+            common::run_grna(scenario, &nn, cfg.grna.clone().with_seed(seed), &conf)
         }
         TargetModel::Rf => {
-            let forest = common::train_forest(scenario, cfg, seed ^ 0x43);
+            let forest = common::train_forest(scenario, cfg, seed);
             common::run_grna_on_forest(scenario, &forest, cfg, seed)
         }
     }

@@ -47,7 +47,7 @@ pub fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f6
     for t in 0..trials {
         let seed = cfg.seed_for(&format!("fig8/{}/{fraction}", dataset.name()), t);
         let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-        let forest = common::train_forest(&scenario, cfg, seed ^ 0x51);
+        let forest = common::train_forest(&scenario, cfg, seed);
         let inferred = common::run_grna_on_forest(&scenario, &forest, cfg, seed);
         grna.merge(forest_branch_consistency(&forest, &scenario, &inferred));
         let guesses = baseline::random_guess_uniform(inferred.rows(), inferred.cols(), seed ^ 0x52);

@@ -70,10 +70,9 @@ pub fn measure_point(
             t,
         );
         let scenario = Scenario::build(dataset, cfg.scale, fraction, Some(n_fraction), seed);
-        let nn = common::train_mlp(&scenario, cfg, seed ^ 0x61);
+        let nn = common::train_mlp(&scenario, cfg, seed);
         let conf = scenario.confidences(&nn);
-        let (_, inferred) =
-            common::run_grna(&scenario, &nn, cfg.grna.clone().with_seed(seed), &conf);
+        let inferred = common::run_grna(&scenario, &nn, cfg.grna.clone().with_seed(seed), &conf);
         grna_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
         rg_sum += common::random_guess_mse(&scenario, seed ^ 0x62).0;
         n_pred = scenario.n_predictions();

@@ -51,7 +51,7 @@ impl Table3Row {
 pub fn run(cfg: &ExperimentConfig) -> Vec<Table3Row> {
     let seed = cfg.seed_for("table3", 0);
     let scenario = Scenario::build(PaperDataset::BankMarketing, cfg.scale, 0.4, None, seed);
-    let model = common::train_lr(&scenario, cfg, seed ^ 0x91);
+    let model = common::train_lr(&scenario, cfg, seed);
     let confidences = scenario.confidences(&model);
 
     let case_config = |case: usize| -> GrnaConfig {
@@ -75,7 +75,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table3Row> {
             gc.use_variance_constraint,
             gc.use_generator,
         );
-        let (_, inferred) = common::run_grna(&scenario, &model, gc, &confidences);
+        let inferred = common::run_grna(&scenario, &model, gc, &confidences);
         Table3Row {
             case,
             input_adv,
