@@ -1,5 +1,4 @@
-//! Extra design-choice ablations beyond the paper's tables
-//! (DESIGN.md §6):
+//! Extra design-choice ablations beyond the paper's tables:
 //!
 //! * **pinv-vs-ridge** — ESA solved with the SVD pseudo-inverse versus a
 //!   ridge-regularized normal-equation solve, quantifying why the paper's
@@ -12,14 +11,14 @@
 //!   equation-based attacks break long before distribution-learning
 //!   ones).
 
-use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
+use crate::sweep::{self, Trial};
+use fia_campaign::{AttackSpec, ModelSpec, TrainedModel};
 use fia_core::{metrics, EqualitySolvingAttack};
 use fia_data::PaperDataset;
 use fia_defense::NoiseDefense;
 use fia_linalg::{cholesky, Matrix};
-use fia_models::{distill_forest_with_pool, DistillConfig};
+use fia_models::{distill_forest_with_pool, PredictProba};
 
 /// Result of the pinv-vs-ridge ESA comparison.
 #[derive(Debug, Clone)]
@@ -38,18 +37,20 @@ pub fn run_pinv_vs_ridge(cfg: &ExperimentConfig, ridge_lambda: f64) -> Vec<PinvR
         .iter()
         .map(|&fraction| {
             let seed = cfg.seed_for(&format!("ablation-pinv/{fraction}"), 0);
-            let scenario =
-                Scenario::build(PaperDataset::CreditCard, cfg.scale, fraction, None, seed);
-            let model = common::train_lr(&scenario, cfg, seed);
-            let attack =
-                EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
-            let conf = scenario.confidences(&model);
-            let pinv_est = common::run_attack(&attack, &scenario.x_adv, &conf);
-            let ridge_est = ridge_solve_batch(&attack, &scenario, &conf, ridge_lambda);
+            let model = ModelSpec::Logistic(cfg.lr.clone());
+            let spec = sweep::scenario(cfg, PaperDataset::CreditCard, fraction, model, seed);
+            let trial = Trial::run(spec, [AttackSpec::esa()]);
+            let data = trial.data();
+            let TrainedModel::Logistic(lr) = trial.scenario().model() else {
+                unreachable!("the spec trains a logistic regression")
+            };
+            let attack = EqualitySolvingAttack::new(lr, &data.adv_indices, &data.target_indices);
+            let ridge_est =
+                ridge_solve_batch(&attack, &data.x_adv, &trial.released(), ridge_lambda);
             PinvRow {
                 dtarget_fraction: fraction,
-                pinv_mse: metrics::mse_per_feature(&pinv_est, &scenario.truth),
-                ridge_mse: metrics::mse_per_feature(&ridge_est, &scenario.truth),
+                pinv_mse: trial.mse(0),
+                ridge_mse: metrics::mse_per_feature(&ridge_est, &data.truth),
             }
         })
         .collect()
@@ -60,7 +61,7 @@ pub fn run_pinv_vs_ridge(cfg: &ExperimentConfig, ridge_lambda: f64) -> Vec<PinvR
 /// [`EqualitySolvingAttack::theta_target`]/[`EqualitySolvingAttack::rhs`].
 fn ridge_solve_batch(
     attack: &EqualitySolvingAttack<'_>,
-    scenario: &Scenario,
+    x_adv: &Matrix,
     confidences: &Matrix,
     lambda: f64,
 ) -> Matrix {
@@ -69,16 +70,16 @@ fn ridge_solve_batch(
         .transpose()
         .matmul(theta)
         .expect("gram of finite matrix");
-    let d_t = scenario.d_target();
+    let d_t = theta.cols();
     let mut regularized = gram;
     for i in 0..d_t {
         regularized[(i, i)] += lambda;
     }
     // The regularized Gram matrix is SPD: factor once, solve per sample.
     let factor = cholesky(&regularized).expect("ridge system is SPD");
-    let mut out = Matrix::zeros(scenario.x_adv.rows(), d_t);
+    let mut out = Matrix::zeros(x_adv.rows(), d_t);
     for i in 0..out.rows() {
-        let a = attack.rhs(scenario.x_adv.row(i), confidences.row(i));
+        let a = attack.rhs(x_adv.row(i), confidences.row(i));
         let rhs = theta.transpose().matvec(&a).expect("shape consistent");
         let x = factor.solve(&rhs).expect("factor shape matches");
         out.row_mut(i).copy_from_slice(&x);
@@ -97,32 +98,45 @@ pub struct DistillRow {
     pub grna_mse: f64,
 }
 
-/// Sweeps surrogate sizes on Credit card at `d_target = 30%`.
+/// Sweeps surrogate sizes on Credit card at `d_target = 30%`: one
+/// campaign against one forest, mounting one GRNA per surrogate size.
 pub fn run_distill_sweep(cfg: &ExperimentConfig) -> Vec<DistillRow> {
     let seed = cfg.seed_for("ablation-distill", 0);
-    let scenario = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
-    let forest = common::train_forest(&scenario, cfg, seed);
-    let confidences = scenario.confidences(&forest);
     let sizes: Vec<Vec<usize>> = vec![vec![32], vec![128, 64], vec![256, 64]];
-    common::parallel_map(sizes, |hidden| {
-        let distill_cfg = DistillConfig {
-            hidden: hidden.clone(),
-            ..common::distill_config(cfg, seed ^ 0xB4)
-        };
-        let surrogate = distill_forest_with_pool(&forest, &distill_cfg, scenario.x_adv.as_slice());
-        let fidelity_gap = fia_models::distillation_fidelity(&forest, &surrogate, 200, seed ^ 0xB3);
-        let inferred = common::run_grna(
-            &scenario,
-            &surrogate,
-            cfg.grna.clone().with_seed(seed ^ 0xB4),
-            &confidences,
-        );
-        DistillRow {
-            hidden,
-            fidelity_gap,
-            grna_mse: metrics::mse_per_feature(&inferred, &scenario.truth),
+    let attacks: Vec<AttackSpec> = sizes
+        .iter()
+        .map(|hidden| {
+            let mut spec = sweep::grna(cfg, seed ^ 0xB4);
+            if let AttackSpec::Grna { distill, .. } = &mut spec {
+                distill.hidden = hidden.clone();
+            }
+            spec
+        })
+        .collect();
+    let model = ModelSpec::RandomForest(cfg.forest.clone());
+    let spec = sweep::scenario(cfg, PaperDataset::CreditCard, 0.3, model, seed);
+    let trial = Trial::run(spec, attacks.iter().cloned());
+    let TrainedModel::RandomForest(forest) = trial.scenario().model() else {
+        unreachable!("the spec trains a random forest")
+    };
+    // Fidelity needs the surrogate itself, which the campaign keeps to
+    // itself: distilling it again from the same config gives the same one.
+    let surrogates = attacks.iter().map(|spec| match spec {
+        AttackSpec::Grna { distill, .. } => {
+            distill_forest_with_pool(forest, distill, trial.data().x_adv.as_slice())
         }
-    })
+        _ => unreachable!("every attack is GRNA"),
+    });
+    sizes
+        .into_iter()
+        .zip(surrogates)
+        .enumerate()
+        .map(|(i, (hidden, surrogate))| DistillRow {
+            hidden,
+            fidelity_gap: fia_models::distillation_fidelity(forest, &surrogate, 200, seed ^ 0xB3),
+            grna_mse: trial.mse(i),
+        })
+        .collect()
 }
 
 /// Result of the noise-defense sweep.
@@ -141,31 +155,32 @@ pub struct NoiseRow {
 /// Sweeps the Gaussian-noise defense on Drive diagnosis at
 /// `d_target = 20%` (where undefended ESA is exact, making the defense's
 /// effect maximally visible).
+///
+/// The noise is drawn over the whole released matrix by
+/// [`NoiseDefense::perturb`] rather than through the deployment's
+/// pipeline, whose batch-keyed reseeding would make the draws depend on
+/// how rows are chunked into rounds; the campaigns query that matrix.
 pub fn run_noise_sweep(cfg: &ExperimentConfig) -> Vec<NoiseRow> {
     let sigmas = vec![0.0, 0.005, 0.02, 0.08];
     let seed = cfg.seed_for("ablation-noise", 0);
-    let scenario = Scenario::build(PaperDataset::DriveDiagnosis, cfg.scale, 0.2, None, seed);
-    let model = common::train_lr(&scenario, cfg, seed);
-    let clean_conf = scenario.confidences(&model);
-    let esa = EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
-    common::parallel_map(sigmas, |sigma| {
+    let model = ModelSpec::Logistic(cfg.lr.clone());
+    let scenario = sweep::scenario(cfg, PaperDataset::DriveDiagnosis, 0.2, model, seed).build();
+    let clean_conf = scenario
+        .model()
+        .predict_proba(&scenario.data().prediction.features);
+    sweep::parallel_map(sigmas, |sigma| {
         let conf = if sigma > 0.0 {
             NoiseDefense::new(sigma, seed ^ 0xC2).perturb(&clean_conf)
         } else {
             clean_conf.clone()
         };
-        let esa_est = common::run_attack(&esa, &scenario.x_adv, &conf).map(|v| v.clamp(0.0, 1.0));
-        let grna_est = common::run_grna(
-            &scenario,
-            &model,
-            cfg.grna.clone().with_seed(seed ^ 0xC3),
-            &conf,
-        );
+        let attacks = [AttackSpec::esa(), sweep::grna(cfg, seed ^ 0xC3)];
+        let trial = Trial::run_released(scenario.clone(), conf, attacks);
         NoiseRow {
             sigma,
-            esa_mse: metrics::mse_per_feature(&esa_est, &scenario.truth),
-            grna_mse: metrics::mse_per_feature(&grna_est, &scenario.truth),
-            rg_uniform: common::random_guess_mse(&scenario, seed ^ 0xC4).0,
+            esa_mse: trial.clamped_mse(0),
+            grna_mse: trial.mse(1),
+            rg_uniform: trial.random_guess_mse(seed ^ 0xC4).0,
         }
     })
 }

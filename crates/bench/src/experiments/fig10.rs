@@ -6,10 +6,10 @@
 //! correlation to the prediction outputs; weakly-correlated features
 //! should reconstruct worse.
 
-use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
-use fia_core::{correlation_report, metrics};
+use crate::sweep::{self, Trial};
+use fia_campaign::{ModelSpec, ScenarioSpec};
+use fia_core::correlation_report;
 use fia_data::PaperDataset;
 use fia_linalg::vecops::pearson;
 
@@ -60,50 +60,46 @@ const PANEL_REPS: usize = 3;
 
 /// Panel (a): Bank marketing, LR model, d_target = 40%.
 pub fn panel_lr(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
-    // The split and the model stay fixed across repetitions (the panel
-    // is *about* specific features); only the attack seed varies.
-    let seed = cfg.seed_for("fig10/lr", 0);
-    let scenario = Scenario::build(PaperDataset::BankMarketing, cfg.scale, 0.4, None, seed);
-    let model = common::train_lr(&scenario, cfg, seed);
-    let conf = scenario.confidences(&model);
-    build_rows("Bank marketing (LR)", &scenario, &conf, |rep| {
-        let grna = cfg.grna.clone().with_seed(cfg.seed_for("fig10/lr", rep));
-        common::run_grna(&scenario, &model, grna, &conf)
+    let model = ModelSpec::Logistic(cfg.lr.clone());
+    panel(cfg, "Bank marketing (LR)", "fig10/lr", |seed| {
+        sweep::scenario(cfg, PaperDataset::BankMarketing, 0.4, model, seed)
     })
 }
 
 /// Panel (b): Credit card, RF model, d_target = 30%.
 pub fn panel_rf(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
-    let seed = cfg.seed_for("fig10/rf", 0);
-    let scenario = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
-    let forest = common::train_forest(&scenario, cfg, seed);
-    let conf = scenario.confidences(&forest);
-    build_rows("Credit card (RF)", &scenario, &conf, |rep| {
-        common::run_grna_on_forest(&scenario, &forest, cfg, cfg.seed_for("fig10/rf", rep))
+    let model = ModelSpec::RandomForest(cfg.forest.clone());
+    panel(cfg, "Credit card (RF)", "fig10/rf", |seed| {
+        sweep::scenario(cfg, PaperDataset::CreditCard, 0.3, model, seed)
     })
 }
 
-fn build_rows(
+/// One trial per panel: the split and the model stay fixed (the panel
+/// is *about* specific features), and [`PANEL_REPS`] GRNA attacks with
+/// their own seeds average out the attack's noise.
+fn panel(
+    cfg: &ExperimentConfig,
     panel: &'static str,
-    scenario: &Scenario,
-    confidences: &fia_linalg::Matrix,
-    infer: impl Fn(usize) -> fia_linalg::Matrix,
+    tag: &str,
+    spec: impl FnOnce(u64) -> ScenarioSpec,
 ) -> Vec<Fig10Row> {
-    let mut mse = vec![0.0; scenario.d_target()];
-    for rep in 0..PANEL_REPS {
-        let rep_mse = metrics::per_feature_mse(&infer(rep), &scenario.truth);
-        for (m, v) in mse.iter_mut().zip(rep_mse) {
+    let attacks = (0..PANEL_REPS).map(|rep| sweep::grna(cfg, cfg.seed_for(tag, rep)));
+    let trial = Trial::run(spec(cfg.seed_for(tag, 0)), attacks);
+    let data = trial.data();
+    let mut mse = vec![0.0; data.d_target()];
+    for attack in &trial.report.attacks {
+        for (m, v) in mse.iter_mut().zip(&attack.per_feature_mse) {
             *m += v;
         }
     }
-    let report = correlation_report(&scenario.x_adv, &scenario.truth, confidences);
-    (0..scenario.d_target())
+    let report = correlation_report(&data.x_adv, &data.truth, &trial.released());
+    (0..data.d_target())
         .map(|k| Fig10Row {
             panel,
             feature_pos: k,
-            global_index: scenario.target_indices[k],
+            global_index: data.target_indices[k],
             mse: mse[k] / PANEL_REPS as f64,
-            variance: fia_linalg::vecops::variance(&scenario.truth.col(k)),
+            variance: fia_linalg::vecops::variance(&data.truth.col(k)),
             corr_adv: report.with_adversary[k],
             corr_pred: report.with_predictions[k],
         })

@@ -7,12 +7,11 @@
 //! * (e)–(f): dropout-trained NN vs GRNA-NN on Credit card and News
 //!   popularity — dropout degrades the attack only slightly.
 
-use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
-use fia_core::{metrics, EqualitySolvingAttack};
+use crate::sweep::{self, Trial};
+use fia_campaign::{AttackSpec, ModelSpec};
 use fia_data::PaperDataset;
-use fia_defense::{dropout_defended_mlp, RoundingDefense};
+use fia_defense::{DefensePipeline, RoundingDefense};
 
 /// Rounding policy labels used in the figure legends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,11 +39,14 @@ impl Rounding {
         }
     }
 
-    fn apply(&self, scores: &fia_linalg::Matrix) -> fia_linalg::Matrix {
+    /// The policy as the deployment's release pipeline. Rounding is
+    /// element-wise, so the released bits do not depend on how rows are
+    /// batched into rounds.
+    pub fn pipeline(&self) -> DefensePipeline {
         match self {
-            Rounding::Coarse => RoundingDefense::coarse().round_matrix(scores),
-            Rounding::Fine => RoundingDefense::fine().round_matrix(scores),
-            Rounding::None => scores.clone(),
+            Rounding::Coarse => DefensePipeline::new().then(RoundingDefense::coarse()),
+            Rounding::Fine => DefensePipeline::new().then(RoundingDefense::fine()),
+            Rounding::None => DefensePipeline::new(),
         }
     }
 }
@@ -66,51 +68,33 @@ pub struct RoundingRow {
     pub rg_uniform: f64,
 }
 
-/// Panels (a)–(b): rounding vs ESA on Bank and Drive.
+/// Panels (a)–(b): rounding vs ESA on Bank and Drive. Estimates are
+/// clamped into the known value range before scoring.
 pub fn run_rounding_esa(cfg: &ExperimentConfig) -> Vec<RoundingRow> {
-    let datasets = [PaperDataset::BankMarketing, PaperDataset::DriveDiagnosis];
-    let jobs: Vec<(PaperDataset, Rounding, f64)> = datasets
-        .iter()
-        .flat_map(|&d| {
-            Rounding::all()
-                .into_iter()
-                .flat_map(move |r| cfg.dtarget_grid.iter().map(move |&f| (d, r, f)))
-        })
-        .collect();
-    common::parallel_map(jobs, |(dataset, rounding, fraction)| {
-        let trials = cfg.trials.max(1);
-        let mut mse_sum = 0.0;
-        let mut rg_sum = 0.0;
-        for t in 0..trials {
-            let seed = cfg.seed_for(
-                &format!("fig11ab/{}/{}/{fraction}", dataset.name(), rounding.label()),
-                t,
-            );
-            let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-            let model = common::train_lr(&scenario, cfg, seed);
-            let attack =
-                EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
-            let conf = rounding.apply(&scenario.confidences(&model));
-            let inferred = common::run_attack(&attack, &scenario.x_adv, &conf);
-            // Clamp wild estimates into the known value range before
-            // scoring, as any real adversary would.
-            let inferred = inferred.map(|v| v.clamp(0.0, 1.0));
-            mse_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
-            rg_sum += common::random_guess_mse(&scenario, seed ^ 0x82).0;
-        }
-        RoundingRow {
-            dataset: dataset.name(),
-            attack: "ESA",
-            rounding,
-            dtarget_fraction: fraction,
-            mse: mse_sum / trials as f64,
-            rg_uniform: rg_sum / trials as f64,
-        }
+    let mount = |_| AttackSpec::esa();
+    run_rounding(cfg, "fig11ab", "ESA", mount, |trial, seed| {
+        [trial.clamped_mse(0), trial.random_guess_mse(seed ^ 0x82).0]
     })
 }
 
 /// Panels (c)–(d): rounding vs GRNA-LR on Bank and Drive.
 pub fn run_rounding_grna(cfg: &ExperimentConfig) -> Vec<RoundingRow> {
+    let mount = |seed| sweep::grna(cfg, seed);
+    run_rounding(cfg, "fig11cd", "GRNA-LR", mount, |trial, seed| {
+        [trial.mse(0), trial.random_guess_mse(seed ^ 0x84).0]
+    })
+}
+
+/// The rounding grid (Bank and Drive × policy × `d_target`) against an
+/// LR deployment: each trial mounts `mount(seed)`, and `project` reads
+/// its attack MSE and uniform random-guess MSE.
+fn run_rounding(
+    cfg: &ExperimentConfig,
+    panels: &str,
+    attack: &'static str,
+    mount: impl Fn(u64) -> AttackSpec + Sync,
+    project: impl Fn(&Trial, u64) -> [f64; 2] + Sync,
+) -> Vec<RoundingRow> {
     let datasets = [PaperDataset::BankMarketing, PaperDataset::DriveDiagnosis];
     let jobs: Vec<(PaperDataset, Rounding, f64)> = datasets
         .iter()
@@ -120,30 +104,25 @@ pub fn run_rounding_grna(cfg: &ExperimentConfig) -> Vec<RoundingRow> {
                 .flat_map(move |r| cfg.dtarget_grid.iter().map(move |&f| (d, r, f)))
         })
         .collect();
-    common::parallel_map(jobs, |(dataset, rounding, fraction)| {
-        let trials = cfg.trials.max(1);
-        let mut mse_sum = 0.0;
-        let mut rg_sum = 0.0;
-        for t in 0..trials {
-            let seed = cfg.seed_for(
-                &format!("fig11cd/{}/{}/{fraction}", dataset.name(), rounding.label()),
-                t,
-            );
-            let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-            let model = common::train_lr(&scenario, cfg, seed);
-            let conf = rounding.apply(&scenario.confidences(&model));
-            let inferred =
-                common::run_grna(&scenario, &model, cfg.grna.clone().with_seed(seed), &conf);
-            mse_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
-            rg_sum += common::random_guess_mse(&scenario, seed ^ 0x84).0;
-        }
+    sweep::parallel_map(jobs, |(dataset, rounding, fraction)| {
+        let tag = format!(
+            "{panels}/{}/{}/{fraction}",
+            dataset.name(),
+            rounding.label()
+        );
+        let [mse, rg_uniform] = sweep::mean(cfg, &tag, |seed| {
+            let model = ModelSpec::Logistic(cfg.lr.clone());
+            let spec = sweep::scenario(cfg, dataset, fraction, model, seed)
+                .with_defense(rounding.pipeline());
+            project(&Trial::run(spec, [mount(seed)]), seed)
+        });
         RoundingRow {
             dataset: dataset.name(),
-            attack: "GRNA-LR",
+            attack,
             rounding,
             dtarget_fraction: fraction,
-            mse: mse_sum / trials as f64,
-            rg_uniform: rg_sum / trials as f64,
+            mse,
+            rg_uniform,
         }
     })
 }
@@ -174,34 +153,24 @@ pub fn run_dropout(cfg: &ExperimentConfig) -> Vec<DropoutRow> {
                 .flat_map(move |dr| cfg.dtarget_grid.iter().map(move |&f| (d, dr, f)))
         })
         .collect();
-    common::parallel_map(jobs, |(dataset, dropout, fraction)| {
-        let trials = cfg.trials.max(1);
-        let mut mse_sum = 0.0;
-        let mut rg_sum = 0.0;
-        for t in 0..trials {
-            let seed = cfg.seed_for(
-                &format!("fig11ef/{}/{dropout}/{fraction}", dataset.name()),
-                t,
-            );
-            let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-            let model = if dropout {
-                let base = cfg.mlp.clone().with_seed(seed ^ 0x10DE1);
-                dropout_defended_mlp(&scenario.train, &base, 0.5)
+    sweep::parallel_map(jobs, |(dataset, dropout, fraction)| {
+        let tag = format!("fig11ef/{}/{dropout}/{fraction}", dataset.name());
+        let [mse, rg_uniform] = sweep::mean(cfg, &tag, |seed| {
+            let mlp = if dropout {
+                cfg.mlp.clone().with_dropout(0.5)
             } else {
-                common::train_mlp(&scenario, cfg, seed)
+                cfg.mlp.clone()
             };
-            let conf = scenario.confidences(&model);
-            let inferred =
-                common::run_grna(&scenario, &model, cfg.grna.clone().with_seed(seed), &conf);
-            mse_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
-            rg_sum += common::random_guess_mse(&scenario, seed ^ 0x86).0;
-        }
+            let spec = sweep::scenario(cfg, dataset, fraction, ModelSpec::Mlp(mlp), seed);
+            let trial = Trial::run(spec, [sweep::grna(cfg, seed)]);
+            [trial.mse(0), trial.random_guess_mse(seed ^ 0x86).0]
+        });
         DropoutRow {
             dataset: dataset.name(),
             dropout,
             dtarget_fraction: fraction,
-            mse: mse_sum / trials as f64,
-            rg_uniform: rg_sum / trials as f64,
+            mse,
+            rg_uniform,
         }
     })
 }

@@ -5,10 +5,10 @@
 //! flag marks the paper's threshold condition `d_target ≤ c − 1`
 //! (rendered as 'T' in the sub-figures), where the MSE must be ~0.
 
-use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
-use fia_core::{metrics, EqualitySolvingAttack};
+use crate::sweep::{self, Trial};
+use fia_campaign::{AttackSpec, ModelSpec};
+use fia_core::metrics;
 use fia_data::PaperDataset;
 
 /// One measured point of Fig. 5.
@@ -38,46 +38,33 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig5Row> {
         .iter()
         .flat_map(|&d| cfg.dtarget_grid.iter().map(move |&f| (d, f)))
         .collect();
-    common::parallel_map(jobs, |(dataset, fraction)| {
+    sweep::parallel_map(jobs, |(dataset, fraction)| {
         measure_point(cfg, dataset, fraction)
     })
 }
 
 /// Measures one (dataset, fraction) point, averaged over trials.
 pub fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f64) -> Fig5Row {
-    let trials = cfg.trials.max(1);
-    let mut esa_sum = 0.0;
-    let mut rgu_sum = 0.0;
-    let mut rgg_sum = 0.0;
-    let mut bound_sum = 0.0;
-    let mut d_target = 0;
-    let mut exact = false;
-    for t in 0..trials {
-        let seed = cfg.seed_for(&format!("fig5/{}/{fraction}", dataset.name()), t);
-        let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-        let model = common::train_lr(&scenario, cfg, seed);
-        let attack =
-            EqualitySolvingAttack::new(&model, &scenario.adv_indices, &scenario.target_indices);
-        let confidences = scenario.confidences(&model);
-        let inferred = common::run_attack(&attack, &scenario.x_adv, &confidences);
-        esa_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
-        let (u, g) = common::random_guess_mse(&scenario, seed ^ 0x22);
-        rgu_sum += u;
-        rgg_sum += g;
-        bound_sum += metrics::esa_upper_bound(&scenario.truth);
-        d_target = scenario.d_target();
-        exact = attack.exact_recovery_expected();
-    }
-    let n = trials as f64;
+    let (mut d_target, mut n_classes) = (0, 0);
+    let tag = format!("fig5/{}/{fraction}", dataset.name());
+    let [esa_mse, rg_uniform, rg_gaussian, upper_bound] = sweep::mean(cfg, &tag, |seed| {
+        let model = ModelSpec::Logistic(cfg.lr.clone());
+        let spec = sweep::scenario(cfg, dataset, fraction, model, seed);
+        let trial = Trial::run(spec, [AttackSpec::esa()]);
+        let data = trial.data();
+        (d_target, n_classes) = (data.d_target(), data.n_classes);
+        let (u, g) = trial.random_guess_mse(seed ^ 0x22);
+        [trial.mse(0), u, g, metrics::esa_upper_bound(&data.truth)]
+    });
     Fig5Row {
         dataset: dataset.name(),
         dtarget_fraction: fraction,
         d_target,
-        esa_mse: esa_sum / n,
-        rg_uniform: rgu_sum / n,
-        rg_gaussian: rgg_sum / n,
-        upper_bound: bound_sum / n,
-        exact,
+        esa_mse,
+        rg_uniform,
+        rg_gaussian,
+        upper_bound,
+        exact: d_target < n_classes,
     }
 }
 
@@ -154,10 +141,8 @@ mod tests {
         // d_target = 10 = c − 1 → exact, MSE ≈ 0.
         let mut cfg = ExperimentConfig::smoke();
         cfg.dtarget_grid = vec![0.2];
-        let seed = cfg.seed_for("fig5/Drive diagnosis/0.2", 0);
-        let scenario = Scenario::build(PaperDataset::DriveDiagnosis, cfg.scale, 0.2, None, seed);
-        assert_eq!(scenario.d_target(), 10);
         let row = measure_point(&cfg, PaperDataset::DriveDiagnosis, 0.2);
+        assert_eq!(row.d_target, 10);
         assert!(row.exact);
         assert!(row.esa_mse < 1e-6, "exact recovery mse {}", row.esa_mse);
     }

@@ -1,8 +1,8 @@
 //! Fig. 6 — Path restriction attack: CBR vs `d_target`.
 
-use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
+use crate::sweep::{self, Trial};
+use fia_campaign::{AttackSpec, ModelSpec, TrainedModel};
 use fia_core::{baseline, metrics::CbrTally, row_seed, PathRestrictionAttack};
 use fia_data::PaperDataset;
 use rand::{rngs::StdRng, SeedableRng};
@@ -33,36 +33,35 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig6Row> {
         .iter()
         .flat_map(|&d| cfg.dtarget_grid.iter().map(move |&f| (d, f)))
         .collect();
-    common::parallel_map(jobs, |(dataset, fraction)| {
+    sweep::parallel_map(jobs, |(dataset, fraction)| {
         measure_point(cfg, dataset, fraction)
     })
 }
 
 fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f64) -> Fig6Row {
-    let trials = cfg.trials.max(1);
     let mut pra = CbrTally::default();
     let mut rg = CbrTally::default();
-    let mut restricted_sum = 0.0;
-    let mut restricted_count = 0usize;
-    let mut pra_mse_sum = 0.0;
-    let mut rg_mse_sum = 0.0;
-    for t in 0..trials {
-        let seed = cfg.seed_for(&format!("fig6/{}/{fraction}", dataset.name()), t);
-        let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-        let tree = common::train_tree(&scenario, cfg, seed);
-        // PRA under its spec seed: each row's tie-break is keyed on the
-        // row's content, so the path the CBR scores is the one the
-        // batched estimates come from.
-        let attack =
-            PathRestrictionAttack::new(&tree, &scenario.adv_indices, &scenario.target_indices)
-                .with_seed(seed)
-                .with_value_range(0.0, 1.0);
-        let confidences = scenario.confidences(&tree);
-        let estimates = common::run_attack(&attack, &scenario.x_adv, &confidences);
+    let (mut restricted_sum, mut restricted_count) = (0.0, 0usize);
+    let tag = format!("fig6/{}/{fraction}", dataset.name());
+    let [pra_mse, rg_mse] = sweep::mean(cfg, &tag, |seed| {
+        let model = ModelSpec::DecisionTree(cfg.tree.clone());
+        let spec = sweep::scenario(cfg, dataset, fraction, model, seed);
+        let pra_spec = AttackSpec::Pra {
+            seed,
+            value_range: (0.0, 1.0),
+        };
+        let trial = Trial::run(spec, [pra_spec]);
+        let (data, released) = (trial.data(), trial.released());
+        let TrainedModel::DecisionTree(tree) = trial.scenario().model() else {
+            unreachable!("the spec trains a decision tree")
+        };
+        // The CBR scores the path PRA picked for each row: its tie-break
+        // is keyed on the row's content under the spec seed.
+        let attack = PathRestrictionAttack::new(tree, &data.adv_indices, &data.target_indices);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x88);
-        for i in 0..scenario.n_predictions() {
-            let x_full = scenario.prediction.sample(i);
-            let (x_adv, conf) = (scenario.x_adv.row(i), confidences.row(i));
+        for i in 0..data.n_predictions() {
+            let x_full = data.prediction.sample(i);
+            let (x_adv, conf) = (data.x_adv.row(i), released.row(i));
             // The protocol reveals the predicted class (one-hot scores).
             let class = tree.predict_one(x_full);
             let mut row_rng = StdRng::seed_from_u64(row_seed(seed, x_adv, conf));
@@ -72,15 +71,14 @@ fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f64) -
                 restricted_count += 1;
             }
             rg.merge(baseline::random_path_cbr(
-                &tree,
+                tree,
                 x_full,
-                &scenario.target_indices,
+                &data.target_indices,
                 &mut rng,
             ));
         }
-        pra_mse_sum += fia_core::metrics::mse_per_feature(&estimates, &scenario.truth);
-        rg_mse_sum += common::random_guess_mse(&scenario, seed ^ 0x99).0;
-    }
+        [trial.mse(0), trial.random_guess_mse(seed ^ 0x99).0]
+    });
     Fig6Row {
         dataset: dataset.name(),
         dtarget_fraction: fraction,
@@ -91,8 +89,8 @@ fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f64) -
         } else {
             0.0
         },
-        pra_mse: pra_mse_sum / trials as f64,
-        rg_mse: rg_mse_sum / trials as f64,
+        pra_mse,
+        rg_mse,
     }
 }
 

@@ -1,10 +1,9 @@
 //! Fig. 7 — GRNA: MSE per feature vs `d_target` for LR, RF and NN
 //! target models.
 
-use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
-use fia_core::metrics;
+use crate::sweep::{self, Trial};
+use fia_campaign::ModelSpec;
 use fia_data::PaperDataset;
 
 /// Which vertical FL model family GRNA attacks.
@@ -32,6 +31,15 @@ impl TargetModel {
             TargetModel::Nn => "GRNA-NN",
         }
     }
+
+    /// The family as a scenario's model, configured by the profile.
+    pub fn spec(&self, cfg: &ExperimentConfig) -> ModelSpec {
+        match self {
+            TargetModel::Lr => ModelSpec::Logistic(cfg.lr.clone()),
+            TargetModel::Rf => ModelSpec::RandomForest(cfg.forest.clone()),
+            TargetModel::Nn => ModelSpec::Mlp(cfg.mlp.clone()),
+        }
+    }
 }
 
 /// One measured point of Fig. 7.
@@ -51,26 +59,17 @@ pub struct Fig7Row {
     pub rg_gaussian: f64,
 }
 
-/// Runs the full Fig. 7 sweep (datasets × fractions × model families).
+/// Runs the full Fig. 7 sweep (datasets × model families × fractions).
 pub fn run(cfg: &ExperimentConfig) -> Vec<Fig7Row> {
-    run_on(cfg, &PaperDataset::real_world(), &TargetModel::all())
-}
-
-/// Runs a restricted sweep (used by benches and Fig. 11).
-pub fn run_on(
-    cfg: &ExperimentConfig,
-    datasets: &[PaperDataset],
-    models: &[TargetModel],
-) -> Vec<Fig7Row> {
-    let jobs: Vec<(PaperDataset, TargetModel, f64)> = datasets
+    let jobs: Vec<(PaperDataset, TargetModel, f64)> = PaperDataset::real_world()
         .iter()
         .flat_map(|&d| {
-            models
-                .iter()
-                .flat_map(move |&m| cfg.dtarget_grid.iter().map(move |&f| (d, m, f)))
+            TargetModel::all()
+                .into_iter()
+                .flat_map(move |m| cfg.dtarget_grid.iter().map(move |&f| (d, m, f)))
         })
         .collect();
-    common::parallel_map(jobs, |(dataset, model, fraction)| {
+    sweep::parallel_map(jobs, |(dataset, model, fraction)| {
         measure_point(cfg, dataset, model, fraction)
     })
 }
@@ -82,56 +81,20 @@ pub fn measure_point(
     model: TargetModel,
     fraction: f64,
 ) -> Fig7Row {
-    let trials = cfg.trials.max(1);
-    let mut grna_sum = 0.0;
-    let mut rgu_sum = 0.0;
-    let mut rgg_sum = 0.0;
-    for t in 0..trials {
-        let seed = cfg.seed_for(
-            &format!("fig7/{}/{}/{fraction}", dataset.name(), model.label()),
-            t,
-        );
-        let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-        let inferred = infer_with(&scenario, cfg, model, seed);
-        grna_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
-        let (u, g) = common::random_guess_mse(&scenario, seed ^ 0x33);
-        rgu_sum += u;
-        rgg_sum += g;
-    }
-    let n = trials as f64;
+    let tag = format!("fig7/{}/{}/{fraction}", dataset.name(), model.label());
+    let [grna_mse, rg_uniform, rg_gaussian] = sweep::mean(cfg, &tag, |seed| {
+        let spec = sweep::scenario(cfg, dataset, fraction, model.spec(cfg), seed);
+        let trial = Trial::run(spec, [sweep::grna(cfg, seed)]);
+        let (u, g) = trial.random_guess_mse(seed ^ 0x33);
+        [trial.mse(0), u, g]
+    });
     Fig7Row {
         dataset: dataset.name(),
         model,
         dtarget_fraction: fraction,
-        grna_mse: grna_sum / n,
-        rg_uniform: rgu_sum / n,
-        rg_gaussian: rgg_sum / n,
-    }
-}
-
-/// Trains the requested target model and runs GRNA, returning inferred
-/// target features for the scenario's prediction set.
-pub fn infer_with(
-    scenario: &Scenario,
-    cfg: &ExperimentConfig,
-    model: TargetModel,
-    seed: u64,
-) -> fia_linalg::Matrix {
-    match model {
-        TargetModel::Lr => {
-            let lr = common::train_lr(scenario, cfg, seed);
-            let conf = scenario.confidences(&lr);
-            common::run_grna(scenario, &lr, cfg.grna.clone().with_seed(seed), &conf)
-        }
-        TargetModel::Nn => {
-            let nn = common::train_mlp(scenario, cfg, seed);
-            let conf = scenario.confidences(&nn);
-            common::run_grna(scenario, &nn, cfg.grna.clone().with_seed(seed), &conf)
-        }
-        TargetModel::Rf => {
-            let forest = common::train_forest(scenario, cfg, seed);
-            common::run_grna_on_forest(scenario, &forest, cfg, seed)
-        }
+        grna_mse,
+        rg_uniform,
+        rg_gaussian,
     }
 }
 
@@ -186,10 +149,17 @@ mod tests {
     fn rf_pathway_produces_estimates() {
         let cfg = ExperimentConfig::smoke();
         let seed = 3;
-        let scenario = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
-        let inferred = infer_with(&scenario, &cfg, TargetModel::Rf, seed);
-        assert_eq!(inferred.rows(), scenario.n_predictions());
-        assert_eq!(inferred.cols(), scenario.d_target());
+        let spec = sweep::scenario(
+            &cfg,
+            PaperDataset::CreditCard,
+            0.3,
+            TargetModel::Rf.spec(&cfg),
+            seed,
+        );
+        let trial = Trial::run(spec, [sweep::grna(&cfg, seed)]);
+        let inferred = trial.estimates(0);
+        assert_eq!(inferred.rows(), trial.data().n_predictions());
+        assert_eq!(inferred.cols(), trial.data().d_target());
         assert!(inferred.is_finite());
     }
 }

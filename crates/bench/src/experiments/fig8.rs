@@ -6,9 +6,9 @@
 //! inferred feature values take the same branch at every node testing a
 //! target feature.
 
-use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
+use crate::sweep::{self, Trial};
+use fia_campaign::{ModelSpec, ScenarioData, TrainedModel};
 use fia_core::baseline::{self, branch_tally_along_path};
 use fia_core::metrics::CbrTally;
 use fia_data::PaperDataset;
@@ -34,24 +34,27 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig8Row> {
         .iter()
         .flat_map(|&d| cfg.dtarget_grid.iter().map(move |&f| (d, f)))
         .collect();
-    common::parallel_map(jobs, |(dataset, fraction)| {
+    sweep::parallel_map(jobs, |(dataset, fraction)| {
         measure_point(cfg, dataset, fraction)
     })
 }
 
 /// Measures one (dataset, fraction) point.
 pub fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f64) -> Fig8Row {
-    let trials = cfg.trials.max(1);
     let mut grna = CbrTally::default();
     let mut rg = CbrTally::default();
-    for t in 0..trials {
-        let seed = cfg.seed_for(&format!("fig8/{}/{fraction}", dataset.name()), t);
-        let scenario = Scenario::build(dataset, cfg.scale, fraction, None, seed);
-        let forest = common::train_forest(&scenario, cfg, seed);
-        let inferred = common::run_grna_on_forest(&scenario, &forest, cfg, seed);
-        grna.merge(forest_branch_consistency(&forest, &scenario, &inferred));
+    let tag = format!("fig8/{}/{fraction}", dataset.name());
+    for seed in sweep::seeds(cfg, &tag) {
+        let model = ModelSpec::RandomForest(cfg.forest.clone());
+        let spec = sweep::scenario(cfg, dataset, fraction, model, seed);
+        let trial = Trial::run(spec, [sweep::grna(cfg, seed)]);
+        let TrainedModel::RandomForest(forest) = trial.scenario().model() else {
+            unreachable!("the spec trains a random forest")
+        };
+        let inferred = trial.estimates(0);
+        grna.merge(forest_branch_consistency(forest, trial.data(), inferred));
         let guesses = baseline::random_guess_uniform(inferred.rows(), inferred.cols(), seed ^ 0x52);
-        rg.merge(forest_branch_consistency(&forest, &scenario, &guesses));
+        rg.merge(forest_branch_consistency(forest, trial.data(), &guesses));
     }
     Fig8Row {
         dataset: dataset.name(),
@@ -65,13 +68,13 @@ pub fn measure_point(cfg: &ExperimentConfig, dataset: PaperDataset, fraction: f6
 /// tree of the forest, along the ground-truth decision paths.
 pub fn forest_branch_consistency(
     forest: &RandomForest,
-    scenario: &Scenario,
+    data: &ScenarioData,
     inferred: &Matrix,
 ) -> CbrTally {
-    let full_inferred = scenario.assemble_with_inferred(inferred);
+    let full_inferred = assemble_with_inferred(data, inferred);
     let mut tally = CbrTally::default();
-    for i in 0..scenario.n_predictions() {
-        let x_true = scenario.prediction.sample(i);
+    for i in 0..data.n_predictions() {
+        let x_true = data.prediction.sample(i);
         let x_est = full_inferred.row(i);
         for tree in forest.trees() {
             let true_path = tree.decision_path(x_true);
@@ -79,11 +82,32 @@ pub fn forest_branch_consistency(
                 tree,
                 &true_path,
                 x_est,
-                &scenario.target_indices,
+                &data.target_indices,
             ));
         }
     }
     tally
+}
+
+/// Reassembles full global samples from the adversary's (true) columns
+/// and inferred target columns.
+fn assemble_with_inferred(data: &ScenarioData, inferred: &Matrix) -> Matrix {
+    assert_eq!(
+        inferred.shape(),
+        data.truth.shape(),
+        "estimate shape mismatch"
+    );
+    let d = data.adv_indices.len() + data.target_indices.len();
+    let mut full = Matrix::zeros(inferred.rows(), d);
+    for i in 0..full.rows() {
+        for (k, &f) in data.adv_indices.iter().enumerate() {
+            full[(i, f)] = data.x_adv[(i, k)];
+        }
+        for (k, &f) in data.target_indices.iter().enumerate() {
+            full[(i, f)] = inferred[(i, k)];
+        }
+    }
+    full
 }
 
 /// Renders the sweep.
@@ -123,11 +147,17 @@ mod tests {
     #[test]
     fn perfect_inference_gives_perfect_cbr() {
         let cfg = ExperimentConfig::smoke();
-        let seed = 9;
-        let scenario = Scenario::build(PaperDataset::CreditCard, cfg.scale, 0.3, None, seed);
-        let forest = common::train_forest(&scenario, &cfg, seed);
-        // Feed the ground truth as the "inferred" values.
-        let tally = forest_branch_consistency(&forest, &scenario, &scenario.truth);
+        let model = ModelSpec::RandomForest(cfg.forest.clone());
+        let scenario = sweep::scenario(&cfg, PaperDataset::CreditCard, 0.3, model, 9).build();
+        let TrainedModel::RandomForest(forest) = scenario.model() else {
+            unreachable!("the spec trains a random forest")
+        };
+        // Assembling the ground truth reproduces the prediction set, and
+        // feeding it as the "inferred" values branches like the truth.
+        let data = scenario.data();
+        let full = assemble_with_inferred(data, &data.truth);
+        assert!(full.max_abs_diff(&data.prediction.features).unwrap() < 1e-12);
+        let tally = forest_branch_consistency(forest, data, &data.truth);
         assert_eq!(tally.rate(), Some(1.0));
     }
 }

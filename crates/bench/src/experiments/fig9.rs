@@ -4,10 +4,9 @@
 //! synthetic datasets plus drive diagnosis and news popularity. More
 //! accumulated predictions → lower MSE.
 
-use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
-use fia_core::metrics;
+use crate::sweep::{self, Trial};
+use fia_campaign::ModelSpec;
 use fia_data::PaperDataset;
 
 /// The four datasets of Fig. 9, in sub-figure order.
@@ -48,7 +47,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig9Row> {
                 .flat_map(move |&nf| cfg.dtarget_grid.iter().map(move |&f| (d, nf, f)))
         })
         .collect();
-    common::parallel_map(jobs, |(dataset, nf, fraction)| {
+    sweep::parallel_map(jobs, |(dataset, nf, fraction)| {
         measure_point(cfg, dataset, nf, fraction)
     })
 }
@@ -60,31 +59,23 @@ pub fn measure_point(
     n_fraction: f64,
     fraction: f64,
 ) -> Fig9Row {
-    let trials = cfg.trials.max(1);
-    let mut grna_sum = 0.0;
-    let mut rg_sum = 0.0;
-    let mut n_pred = 0;
-    for t in 0..trials {
-        let seed = cfg.seed_for(
-            &format!("fig9/{}/{n_fraction}/{fraction}", dataset.name()),
-            t,
-        );
-        let scenario = Scenario::build(dataset, cfg.scale, fraction, Some(n_fraction), seed);
-        let nn = common::train_mlp(&scenario, cfg, seed);
-        let conf = scenario.confidences(&nn);
-        let inferred = common::run_grna(&scenario, &nn, cfg.grna.clone().with_seed(seed), &conf);
-        grna_sum += metrics::mse_per_feature(&inferred, &scenario.truth);
-        rg_sum += common::random_guess_mse(&scenario, seed ^ 0x62).0;
-        n_pred = scenario.n_predictions();
-    }
-    let n = trials as f64;
+    let mut n_predictions = 0;
+    let tag = format!("fig9/{}/{n_fraction}/{fraction}", dataset.name());
+    let [grna_mse, rg_uniform] = sweep::mean(cfg, &tag, |seed| {
+        let model = ModelSpec::Mlp(cfg.mlp.clone());
+        let spec = sweep::scenario(cfg, dataset, fraction, model, seed)
+            .with_prediction_fraction(n_fraction);
+        let trial = Trial::run(spec, [sweep::grna(cfg, seed)]);
+        n_predictions = trial.data().n_predictions();
+        [trial.mse(0), trial.random_guess_mse(seed ^ 0x62).0]
+    });
     Fig9Row {
         dataset: dataset.name(),
         n_fraction,
         dtarget_fraction: fraction,
-        n_predictions: n_pred,
-        grna_mse: grna_sum / n,
-        rg_uniform: rg_sum / n,
+        n_predictions,
+        grna_mse,
+        rg_uniform,
     }
 }
 

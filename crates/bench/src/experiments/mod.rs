@@ -1,4 +1,6 @@
 //! One sub-module per table/figure of the paper's evaluation section.
+//! Each declares its grid of [`crate::sweep`] trials and projects every
+//! trial's resolved scenario and campaign report into its rows.
 //!
 //! | Module | Reproduces |
 //! |---|---|
@@ -11,10 +13,9 @@
 //! | [`fig9`] | Fig. 9 — effect of the number of predictions |
 //! | [`fig10`] | Fig. 10 — per-feature MSE vs correlations |
 //! | [`fig11`] | Fig. 11 — rounding & dropout countermeasures |
-//! | [`ablation`] | extra design-choice ablations (DESIGN.md §6) |
+//! | [`ablation`] | extra ablations: ESA solver, RF surrogate size, noise defense |
 
 pub mod ablation;
-pub mod common;
 pub mod fig10;
 pub mod fig11;
 pub mod fig5;

@@ -9,10 +9,10 @@
 //! 5. the full GRN;
 //! 6. random guess.
 
-use crate::experiments::common;
 use crate::profiles::ExperimentConfig;
-use crate::scenario::Scenario;
-use fia_core::{baseline, metrics, GrnaConfig};
+use crate::sweep::{self, Trial};
+use fia_campaign::{AttackSpec, ModelSpec};
+use fia_core::GrnaConfig;
 use fia_data::PaperDataset;
 
 /// One Table III row.
@@ -47,13 +47,10 @@ impl Table3Row {
     }
 }
 
-/// Runs the six ablation cases.
+/// Runs the six ablation cases: one campaign mounting cases 1–5 as
+/// five GRNA configurations, plus the random-guess row.
 pub fn run(cfg: &ExperimentConfig) -> Vec<Table3Row> {
     let seed = cfg.seed_for("table3", 0);
-    let scenario = Scenario::build(PaperDataset::BankMarketing, cfg.scale, 0.4, None, seed);
-    let model = common::train_lr(&scenario, cfg, seed);
-    let confidences = scenario.confidences(&model);
-
     let case_config = |case: usize| -> GrnaConfig {
         let mut c = cfg.grna.clone().with_seed(seed ^ (case as u64) << 8);
         match case {
@@ -66,36 +63,30 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table3Row> {
         }
         c
     };
+    let configs: Vec<GrnaConfig> = (1..=5).map(case_config).collect();
+    let model = ModelSpec::Logistic(cfg.lr.clone());
+    let spec = sweep::scenario(cfg, PaperDataset::BankMarketing, 0.4, model, seed);
+    let trial = Trial::run(spec, configs.iter().cloned().map(AttackSpec::grna));
 
-    let mut rows: Vec<Table3Row> = common::parallel_map(vec![1usize, 2, 3, 4, 5], |case| {
-        let gc = case_config(case);
-        let (input_adv, input_noise, constraint, generator) = (
-            gc.use_adv_input,
-            gc.use_noise_input,
-            gc.use_variance_constraint,
-            gc.use_generator,
-        );
-        let inferred = common::run_grna(&scenario, &model, gc, &confidences);
-        Table3Row {
-            case,
-            input_adv,
-            input_noise,
-            constraint,
-            generator,
-            mse: metrics::mse_per_feature(&inferred, &scenario.truth),
-        }
-    });
-
-    // Case 6: random guess.
-    let rg =
-        baseline::random_guess_uniform(scenario.truth.rows(), scenario.truth.cols(), seed ^ 0x92);
+    let mut rows: Vec<Table3Row> = configs
+        .iter()
+        .enumerate()
+        .map(|(i, gc)| Table3Row {
+            case: i + 1,
+            input_adv: gc.use_adv_input,
+            input_noise: gc.use_noise_input,
+            constraint: gc.use_variance_constraint,
+            generator: gc.use_generator,
+            mse: trial.mse(i),
+        })
+        .collect();
     rows.push(Table3Row {
         case: 6,
         input_adv: false,
         input_noise: false,
         constraint: false,
         generator: false,
-        mse: metrics::mse_per_feature(&rg, &scenario.truth),
+        mse: trial.random_guess_mse(seed ^ 0x92).0,
     });
     rows
 }

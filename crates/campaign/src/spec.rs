@@ -11,9 +11,7 @@
 //! Building happens in two stages:
 //!
 //! * [`ScenarioSpec::materialize`] resolves the *data* side — generate,
-//!   split, partition, apply the threat model — into a [`ScenarioData`]
-//!   (this is the stage experiment harnesses reuse when they train their
-//!   own per-trial models);
+//!   split, partition, apply the threat model — into a [`ScenarioData`];
 //! * [`ScenarioSpec::build`] additionally trains the model and deploys
 //!   it as a `VflSystem`, yielding a [`ResolvedScenario`] ready to drive
 //!   a [`Campaign`](crate::Campaign).
@@ -322,10 +320,8 @@ impl ScenarioSpec {
 
     /// Resolves the data side of the scenario: generates/clones the
     /// dataset, splits it, draws the feature partition and applies the
-    /// threat model. Seed derivations match the historical experiment
-    /// harness (`generate(seed)`, `split(seed ^ 0xA11CE)`,
-    /// `partition(seed ^ 0xBEEF)`), so existing experiment results are
-    /// unchanged.
+    /// threat model, with the seed derivations `generate(seed)`,
+    /// `split(seed ^ 0xA11CE)` and `partition(seed ^ 0xBEEF)`.
     ///
     /// # Panics
     /// Panics when the resolved target side owns no features (nothing to
@@ -532,6 +528,16 @@ mod tests {
 
     /// Pins the fingerprint's value, not just its equalities: shared
     /// deployments and checkpoints are keyed on it.
+    #[test]
+    fn prediction_fraction_controls_n() {
+        let spec = ScenarioSpec::paper(PaperDataset::Synthetic1)
+            .with_scale(0.005)
+            .with_seed(5);
+        let small = spec.clone().with_prediction_fraction(0.1).materialize();
+        let large = spec.with_prediction_fraction(0.5).materialize();
+        assert!(large.n_predictions() > 3 * small.n_predictions());
+    }
+
     #[test]
     fn fingerprint_is_golden() {
         let spec = ScenarioSpec::paper(PaperDataset::CreditCard).with_seed(7);
