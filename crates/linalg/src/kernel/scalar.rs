@@ -5,6 +5,8 @@
 //! that used to live in `Matrix`/`vecops`, so routing through the
 //! dispatch changed nothing for `FIA_FORCE_SCALAR=1` runs.
 
+use std::cell::Cell;
+
 /// `k`-block width the scalar gemm switches to once the working set
 /// outgrows L1/L2 — same cutover the old `Matrix::matmul` used.
 const SCALAR_KC: usize = 64;
@@ -24,19 +26,32 @@ pub(super) fn gemm_at_acc(at: &[f64], b: &[f64], out: &mut [f64], m: usize, k: u
     gemm_rows(|i, kk| at[kk * m + i], b, out, m, k, n);
 }
 
+thread_local! {
+    /// This thread's scratch for [`gemm_tn_acc`]'s transposed factor.
+    static TRANSPOSED: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
 /// `out += a · btᵀ` with `bt` stored `n × k`. A per-element row-dot is a
 /// sequential fold that does not vectorize, so this arm transposes `bt`
 /// once and runs the [`gemm_acc`] row kernel, whose inner loop does. The
 /// accumulation is the same `k`-ascending sequence seeded from `out`;
 /// the row kernel's zero skip can only change the sign of an exact zero.
+/// The transpose goes into a per-thread buffer that only grows, so a
+/// thread allocates only when a product outgrows every earlier one.
 pub(super) fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    let mut b = vec![0.0; k * n];
+    // Taken out of the thread-local rather than borrowed, so a product
+    // that started inside this one would transpose into its own buffer.
+    let mut b = TRANSPOSED.take();
+    // Every slot of the first `k · n` is written below, so what an
+    // earlier product left there is never read.
+    b.resize(k * n, 0.0);
     for (j, bt_row) in bt.chunks_exact(k.max(1)).enumerate() {
         for (kk, &v) in bt_row.iter().enumerate() {
             b[kk * n + j] = v;
         }
     }
     gemm_acc(a, &b, out, m, k, n);
+    TRANSPOSED.set(b);
 }
 
 /// The ikj loop nest behind every f64 product on this arm; `a(i, kk)`
