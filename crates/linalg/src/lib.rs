@@ -7,7 +7,6 @@
 //!
 //! * [`Matrix`] — row-major dense `f64` matrix with the usual arithmetic.
 //! * [`svd`] — one-sided Jacobi singular value decomposition.
-//! * [`lu_decompose`]/[`solve`] — LU with partial pivoting, linear solving.
 //! * [`cholesky`] — Cholesky factorization, used by the ridge ablation.
 //! * [`pinv`] — Moore–Penrose pseudo-inverse (the workhorse of the
 //!   equality solving attack, Section IV-A of the paper).
@@ -27,7 +26,6 @@ pub mod bytes;
 mod cholesky;
 mod error;
 pub mod kernel;
-mod lu;
 mod matrix;
 mod pinv;
 mod svd;
@@ -36,7 +34,6 @@ pub mod vecops;
 pub use cholesky::{cholesky, cholesky_solve, Cholesky};
 pub use error::LinAlgError;
 pub use kernel::{avx2_available, detected_backend, with_backend, Backend};
-pub use lu::{inverse, lu_decompose, lu_solve, solve, LuDecomposition};
 pub use matrix::Matrix;
 pub use pinv::{pinv, pinv_with_tolerance};
 pub use svd::{svd, Svd};

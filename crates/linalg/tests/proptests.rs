@@ -140,25 +140,6 @@ fn pinv_penrose_two() {
 }
 
 #[test]
-fn lu_solve_residual() {
-    for case in 0..CASES {
-        let mut rng = case_rng(12, case);
-        let n = rng.gen_range(1..=6);
-        let mut a = Matrix::from_fn(n, n, |_, _| rng.gen_range(-10.0..10.0));
-        // Diagonally dominate to avoid near-singular draws.
-        for i in 0..n {
-            a[(i, i)] += 50.0;
-        }
-        let b: Vec<f64> = (0..n).map(|i| (i as f64) - 1.5).collect();
-        let x = fia_linalg::solve(&a, &b).unwrap();
-        let r = a.matvec(&x).unwrap();
-        for i in 0..n {
-            assert!((r[i] - b[i]).abs() < 1e-8);
-        }
-    }
-}
-
-#[test]
 fn softmax_is_distribution() {
     for case in 0..CASES {
         let mut rng = case_rng(13, case);
