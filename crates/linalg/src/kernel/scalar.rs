@@ -41,17 +41,21 @@ thread_local! {
 pub(super) fn gemm_tn_acc(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     // Taken out of the thread-local rather than borrowed, so a product
     // that started inside this one would transpose into its own buffer.
-    let mut b = TRANSPOSED.take();
-    // Every slot of the first `k · n` is written below, so what an
-    // earlier product left there is never read.
-    b.resize(k * n, 0.0);
+    let mut scratch = TRANSPOSED.take();
+    if scratch.len() < k * n {
+        // Grows, never shrinks, and is not cleared: every slot of the
+        // first `k · n` is written below, so what an earlier product
+        // left there is never read.
+        scratch.resize(k * n, 0.0);
+    }
+    let b = &mut scratch[..k * n];
     for (j, bt_row) in bt.chunks_exact(k.max(1)).enumerate() {
         for (kk, &v) in bt_row.iter().enumerate() {
             b[kk * n + j] = v;
         }
     }
-    gemm_acc(a, &b, out, m, k, n);
-    TRANSPOSED.set(b);
+    gemm_acc(a, b, out, m, k, n);
+    TRANSPOSED.set(scratch);
 }
 
 /// The ikj loop nest behind every f64 product on this arm; `a(i, kk)`
