@@ -1,26 +1,39 @@
 //! Minimal wall-clock bench harness.
 //!
 //! The offline build environment has no `criterion`, so `benches/` use
-//! this hand-rolled stand-in: warmup + repeated timed runs, a robust
+//! this hand-rolled stand-in: warmup + repeated timed samples, a robust
 //! median summary, and a machine-readable JSON dump
 //! (`BENCH_attacks.json`) so future changes can track the perf
 //! trajectory. The JSON layout intentionally mirrors a flattened
-//! criterion summary (`name`, `median_ns`, `mean_ns`, `samples`).
+//! criterion summary (`name`, `median_ns`, `mean_ns`, `samples`), plus
+//! `calls_per_sample`.
+//!
+//! Times are per closure call. A closure that returns in well under a
+//! millisecond is called repeatedly within each sample (the count is
+//! fixed during warmup, so that a sample lasts about [`MIN_SAMPLE_NS`]):
+//! one call of a sub-microsecond kernel would time the timer and the
+//! cache state more than the kernel.
 
 use std::fmt::Write as _;
 use std::time::Instant;
+
+/// The shortest a timed sample should last, in nanoseconds (1 ms).
+pub const MIN_SAMPLE_NS: f64 = 1e6;
 
 /// One measured benchmark.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Benchmark identifier (`group/name`).
     pub name: String,
-    /// Median of per-iteration wall-clock times, nanoseconds.
+    /// Median over samples of the per-call wall-clock time, nanoseconds.
     pub median_ns: f64,
-    /// Mean of per-iteration wall-clock times, nanoseconds.
+    /// Mean over samples of the per-call wall-clock time, nanoseconds.
     pub mean_ns: f64,
     /// Number of timed samples.
     pub samples: usize,
+    /// Closure calls per timed sample (1 for a closure that lasts at
+    /// least [`MIN_SAMPLE_NS`]).
+    pub calls_per_sample: usize,
 }
 
 impl BenchResult {
@@ -41,8 +54,8 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Creates a harness; `samples` timed iterations (after `warmup`
-    /// untimed ones) per benchmark.
+    /// Creates a harness; `samples` timed samples (after `warmup`
+    /// untimed rounds) per benchmark.
     pub fn new(group: &'static str, samples: usize, warmup: usize) -> Self {
         Harness {
             group,
@@ -53,17 +66,29 @@ impl Harness {
         }
     }
 
-    /// Times `f`, keeping its output alive via `std::hint::black_box`.
+    /// Times `f` per call, keeping its output alive via
+    /// `std::hint::black_box`. Each warmup round times the current
+    /// calls per sample and raises the count to what would last
+    /// [`MIN_SAMPLE_NS`]; a round shorter than half that warms once more
+    /// at the new count (each such round at least doubles it). Without
+    /// warmup a sample is one call.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> BenchResult {
-        for _ in 0..self.warmup {
-            std::hint::black_box(f());
+        let mut calls = 1;
+        let mut rounds_left = self.warmup;
+        while rounds_left > 0 {
+            rounds_left -= 1;
+            let batch_ns = time_calls(&mut f, calls);
+            if batch_ns < MIN_SAMPLE_NS {
+                calls =
+                    calls.max((MIN_SAMPLE_NS * calls as f64 / batch_ns.max(1.0)).ceil() as usize);
+                if batch_ns < MIN_SAMPLE_NS / 2.0 {
+                    rounds_left = rounds_left.max(1);
+                }
+            }
         }
-        let mut times_ns = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            times_ns.push(t0.elapsed().as_nanos() as f64);
-        }
+        let mut times_ns: Vec<f64> = (0..self.samples)
+            .map(|_| time_calls(&mut f, calls) / calls as f64)
+            .collect();
         times_ns.sort_by(|a, b| a.total_cmp(b));
         let median_ns = times_ns[times_ns.len() / 2];
         let mean_ns = times_ns.iter().sum::<f64>() / times_ns.len() as f64;
@@ -72,13 +97,15 @@ impl Harness {
             median_ns,
             mean_ns,
             samples: self.samples,
+            calls_per_sample: calls,
         };
         println!(
-            "{:<48} median {:>10.3} ms   mean {:>10.3} ms   ({} samples)",
+            "{:<48} median {:>10.3} ms   mean {:>10.3} ms   ({} samples x {} calls)",
             result.name,
             result.median_ns / 1e6,
             result.mean_ns / 1e6,
-            result.samples
+            result.samples,
+            result.calls_per_sample
         );
         self.results.push(result.clone());
         result
@@ -103,8 +130,8 @@ impl Harness {
         for (i, r) in self.results.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"samples\": {}}}",
-                r.name, r.median_ns, r.mean_ns, r.samples
+                "    {{\"name\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"samples\": {}, \"calls_per_sample\": {}}}",
+                r.name, r.median_ns, r.mean_ns, r.samples, r.calls_per_sample
             );
             out.push_str(if i + 1 < self.results.len() {
                 ",\n"
@@ -135,6 +162,15 @@ impl Harness {
     }
 }
 
+/// Wall-clock nanoseconds of `calls` back-to-back calls of `f`.
+fn time_calls<T>(f: &mut impl FnMut() -> T, calls: usize) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..calls {
+        std::hint::black_box(f());
+    }
+    t0.elapsed().as_nanos() as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,12 +185,35 @@ mod tests {
     }
 
     #[test]
+    fn short_closures_are_called_many_times_per_sample() {
+        let mut h = Harness::new("test", 2, 1);
+        let mut calls = 0usize;
+        let fast = h.bench("fast", || {
+            calls += 1;
+            calls
+        });
+        assert!(fast.calls_per_sample > 1, "{fast:?}");
+        assert!(
+            calls > 2 * fast.calls_per_sample,
+            "warmup calls are untimed"
+        );
+        let slow = h.bench("slow", || {
+            std::thread::sleep(std::time::Duration::from_millis(2))
+        });
+        assert_eq!(slow.calls_per_sample, 1);
+        assert!(slow.median_ns >= 2e6, "per-call time {}", slow.median_ns);
+        let unwarmed = Harness::new("test", 1, 0).bench("once", || 1 + 1);
+        assert_eq!(unwarmed.calls_per_sample, 1);
+    }
+
+    #[test]
     fn json_is_well_formed_ish() {
         let mut h = Harness::new("g", 2, 0);
         h.bench("a", || 1 + 1);
         h.metric("speedup", 4.2);
         let json = h.to_json();
         assert!(json.contains("\"g/a\""));
+        assert!(json.contains("\"samples\": 2, \"calls_per_sample\": 1}"));
         assert!(json.contains("\"g/speedup\": 4.2"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
