@@ -1,5 +1,6 @@
 //! Substrate benches: linear algebra kernels, autograd throughput, model
-//! training/prediction, and the design-choice ablations from DESIGN.md §6.
+//! training/prediction, and two of `experiments::ablation`'s sweeps (the
+//! ESA solver comparison and the RF surrogate sizes).
 
 use fia_bench::experiments::ablation;
 use fia_bench::harness::Harness;

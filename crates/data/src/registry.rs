@@ -5,8 +5,9 @@
 //! count, feature count and class count, generated by
 //! [`crate::make_classification`] (the same generator family the paper
 //! itself uses for its two synthetic datasets). Correlation strength is
-//! tuned per dataset so the relative attack difficulty ordering observed
-//! in the paper is qualitatively reproduced (see DESIGN.md §4):
+//! tuned per dataset so that the relative attack difficulty ordering
+//! observed in the paper is reproduced qualitatively; absolute errors
+//! differ from the paper's:
 //!
 //! * Bank-marketing stand-in: few classes, *high-variance* features
 //!   (large `class_sep`, more noise columns) → the largest ESA error

@@ -4,10 +4,11 @@
 //! computing the model predictions, then they can mimic these attacks
 //! inside the secure enclaves … if the possible leakage exceeds a
 //! pre-defined threshold for any party, they do not reveal the prediction
-//! output." The enclave is simulated as a plain process (DESIGN.md §4);
-//! the decision logic is implemented faithfully: replay ESA against the
-//! candidate output and withhold it when the reconstruction lands too
-//! close to the true private values.
+//! output." The enclave is simulated as a plain process: no attestation
+//! or memory isolation is modelled, because only the release decision
+//! changes what the adversary sees. That decision logic is implemented
+//! faithfully: replay ESA against the candidate output and withhold it
+//! when the reconstruction lands too close to the true private values.
 
 use fia_core::{Attack, EqualitySolvingAttack, QueryBatch};
 use fia_linalg::Matrix;

@@ -7,7 +7,8 @@
 //! sample-id set, the protocol outputs the intersection in a canonical
 //! order plus each party's row positions, and non-intersection ids never
 //! appear in the output. The cryptographic blinding itself is out of
-//! scope (DESIGN.md §4).
+//! scope: every party runs in one process, and the attacks need only the
+//! aligned rows.
 
 use std::collections::HashMap;
 

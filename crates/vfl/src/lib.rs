@@ -12,8 +12,9 @@
 //!
 //! * [`VerticalPartition`] — which party owns which global feature column.
 //! * [`Party`] / [`PartyId`] — a participant with its private columns.
-//! * [`align_samples`] — PSI-style sample alignment (simulated; see
-//!   DESIGN.md §4 for the substitution note).
+//! * [`align_samples`] — PSI-style sample alignment, simulated: it
+//!   outputs the intersection and row positions a private set
+//!   intersection would, without the cryptographic blinding.
 //! * [`VflSystem`] — the joint prediction protocol plus the audit trail
 //!   showing the adversary accumulated nothing beyond `(x_adv, v)` pairs.
 //! * [`ThreatModel`] — which parties collude; yields the adversary /
