@@ -18,7 +18,7 @@ use fia_core::{metrics, EqualitySolvingAttack};
 use fia_data::PaperDataset;
 use fia_defense::NoiseDefense;
 use fia_linalg::{cholesky, Matrix};
-use fia_models::{distill_forest_with_pool, PredictProba};
+use fia_models::{distill_forest_with_pool, distillation_fidelity, DistillConfig, PredictProba};
 
 /// Result of the pinv-vs-ridge ESA comparison.
 #[derive(Debug, Clone)]
@@ -102,39 +102,46 @@ pub struct DistillRow {
 /// campaign against one forest, mounting one GRNA per surrogate size.
 pub fn run_distill_sweep(cfg: &ExperimentConfig) -> Vec<DistillRow> {
     let seed = cfg.seed_for("ablation-distill", 0);
-    let sizes: Vec<Vec<usize>> = vec![vec![32], vec![128, 64], vec![256, 64]];
-    let attacks: Vec<AttackSpec> = sizes
-        .iter()
-        .map(|hidden| {
-            let mut spec = sweep::grna(cfg, seed ^ 0xB4);
-            if let AttackSpec::Grna { distill, .. } = &mut spec {
-                distill.hidden = hidden.clone();
-            }
-            spec
+    let AttackSpec::Grna {
+        config,
+        infer_seed,
+        distill,
+    } = sweep::grna(cfg, seed ^ 0xB4)
+    else {
+        unreachable!("sweep::grna builds a GRNA spec")
+    };
+    let distills: Vec<DistillConfig> = [vec![32], vec![128, 64], vec![256, 64]]
+        .into_iter()
+        .map(|hidden| DistillConfig {
+            hidden,
+            ..distill.clone()
         })
         .collect();
+    let attacks = distills.iter().map(|distill| AttackSpec::Grna {
+        config: config.clone(),
+        infer_seed,
+        distill: distill.clone(),
+    });
     let model = ModelSpec::RandomForest(cfg.forest.clone());
     let spec = sweep::scenario(cfg, PaperDataset::CreditCard, 0.3, model, seed);
-    let trial = Trial::run(spec, attacks.iter().cloned());
+    let trial = Trial::run(spec, attacks);
     let TrainedModel::RandomForest(forest) = trial.scenario().model() else {
         unreachable!("the spec trains a random forest")
     };
-    // Fidelity needs the surrogate itself, which the campaign keeps to
-    // itself: distilling it again from the same config gives the same one.
-    let surrogates = attacks.iter().map(|spec| match spec {
-        AttackSpec::Grna { distill, .. } => {
-            distill_forest_with_pool(forest, distill, trial.data().x_adv.as_slice())
-        }
-        _ => unreachable!("every attack is GRNA"),
-    });
-    sizes
+    distills
         .into_iter()
-        .zip(surrogates)
         .enumerate()
-        .map(|(i, (hidden, surrogate))| DistillRow {
-            hidden,
-            fidelity_gap: fia_models::distillation_fidelity(forest, &surrogate, 200, seed ^ 0xB3),
-            grna_mse: trial.mse(i),
+        .map(|(i, distill)| {
+            // The fidelity column needs the surrogate, which the campaign
+            // does not hand out; distilling again from the same config
+            // gives the same one.
+            let surrogate =
+                distill_forest_with_pool(forest, &distill, trial.data().x_adv.as_slice());
+            DistillRow {
+                fidelity_gap: distillation_fidelity(forest, &surrogate, 200, seed ^ 0xB3),
+                grna_mse: trial.mse(i),
+                hidden: distill.hidden,
+            }
         })
         .collect()
 }
