@@ -79,7 +79,7 @@ pub fn panel_rf(cfg: &ExperimentConfig) -> Vec<Fig10Row> {
 /// their own seeds average out the attack's noise.
 fn panel(
     cfg: &ExperimentConfig,
-    panel: &'static str,
+    name: &'static str,
     tag: &str,
     spec: impl FnOnce(u64) -> ScenarioSpec,
 ) -> Vec<Fig10Row> {
@@ -95,7 +95,7 @@ fn panel(
     let report = correlation_report(&data.x_adv, &data.truth, &trial.released());
     (0..data.d_target())
         .map(|k| Fig10Row {
-            panel,
+            panel: name,
             feature_pos: k,
             global_index: data.target_indices[k],
             mse: mse[k] / PANEL_REPS as f64,
